@@ -26,7 +26,6 @@ from .fidelity import (
     HaarAverageEvaluator,
     avg_fidelity_1q,
     avg_fidelity_1q_mc,
-    avg_fidelity_general_mc,
     avg_fidelity_mc,
     avg_fidelity_omega1,
     avg_fidelity_omega2,
@@ -45,12 +44,8 @@ from .oracle import (
 )
 from .reduced import (
     RECEIVER_BASIS,
-    PairAmplitudes,
     evolve_receiver_pair,
     fidelity_against,
-    fidelity_via_rdm_batch,
-    pair_amplitude_grid,
-    pair_amplitudes,
 )
 from .scans import (
     CLASSES,
@@ -90,7 +85,6 @@ __all__ = [
     "ENGINEERED",
     "HaarAverageEvaluator",
     "PROFILES",
-    "PairAmplitudes",
     "RECEIVER_BASIS",
     "ScanRequest",
     "ScanResult",
@@ -107,7 +101,6 @@ __all__ = [
     "amplitude_rp",
     "avg_fidelity_1q",
     "avg_fidelity_1q_mc",
-    "avg_fidelity_general_mc",
     "avg_fidelity_mc",
     "avg_fidelity_omega1",
     "avg_fidelity_omega2",
@@ -118,7 +111,6 @@ __all__ = [
     "default_t_max",
     "evolve_receiver_pair",
     "fidelity_against",
-    "fidelity_via_rdm_batch",
     "field_constant",
     "field_sweep",
     "g_amplitude",
@@ -129,8 +121,6 @@ __all__ = [
     "one_qubit_amplitude",
     "one_qubit_values",
     "oracle_rdm",
-    "pair_amplitude_grid",
-    "pair_amplitudes",
     "propagator_minor",
     "propagator_minor_grid",
     "sample_haar_1q",

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .amplitudes import amplitude_rp
 from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain
-from .fidelity import avg_fidelity_1q, avg_fidelity_general_mc, avg_fidelity_omega1, \
+from .fidelity import avg_fidelity_1q, avg_fidelity_mc, avg_fidelity_omega1, \
     avg_fidelity_omega2, one_qubit_amplitude
 from .oracle import verification_battery
 from .reduced import RECEIVER_BASIS, evolve_receiver_pair
@@ -86,7 +86,7 @@ def _load_config(path) -> dict:
         data = data["params"]
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    return {k: v for k, v in data.items() if k in _CONFIG_KEYS}
+    return {k: v for k, v in data.items() if k in _CONFIG_KEYS and v is not None}
 
 
 class _Usage(Exception):
@@ -124,13 +124,13 @@ def _resolve_threads(params) -> int:
 
 def _chain_from(params, state_class=None):
     n_sites = int(_require(params, "N", "--N"))
-    field = float(params.get("h") or 0.0)
+    field = float(params.get("h", 0.0))
     block = params.get("n")
     if block is None and field > 0:
         block = 1 if state_class == "one-qubit" else 2
     return build_chain(n_sites, block, field,
-                       params.get("profile") or UNIFORM,
-                       params.get("c") or BALLISTIC_C_DEFAULT)
+                       params.get("profile", UNIFORM),
+                       params.get("c", BALLISTIC_C_DEFAULT))
 
 
 def _parse_floats(text) -> list[float]:
@@ -189,7 +189,7 @@ def cmd_rdm(args) -> int:
 
 def cmd_fidelity(args) -> int:
     params = _resolve(args)
-    cls = params.get("state_class") or "general"
+    cls = params.get("state_class", "general")
     if cls not in CLASSES:
         raise _Usage(f"--class must be one of {CLASSES}")
     t = float(_require(params, "t", "--t"))
@@ -201,10 +201,9 @@ def cmd_fidelity(args) -> int:
     elif cls == "omega2":
         result = avg_fidelity_omega2(dec, t)
     else:
-        samples = int(params.get("samples") or 10000)
-        sampler = SeededSampler(int(params.get("seed") or 0))
-        result = avg_fidelity_general_mc(dec, t, samples, sampler,
-                                         phase_opt=args.phase_opt)
+        samples = int(params.get("samples", 10000))
+        sampler = SeededSampler(int(params.get("seed", 0)))
+        result = avg_fidelity_mc(dec, t, samples, sampler, phase_opt=args.phase_opt)
     print(json.dumps({"value": result.value, "stderr": result.stderr,
                       "method": result.method}))
     return 0
@@ -219,8 +218,8 @@ def _scan_request(params, chain, cls) -> ScanRequest:
         fidelity_class=cls,
         t_max=float(t_max),
         grid_step=params.get("grid"),
-        samples=int(params.get("samples") or 8192),
-        seed=int(params.get("seed") or 0),
+        samples=int(params.get("samples", 8192)),
+        seed=int(params.get("seed", 0)),
         threads=_resolve_threads(params),
     )
 
@@ -232,7 +231,7 @@ def _scan_row(chain, result, seed):
 
 def cmd_scan_time(args) -> int:
     params = _resolve(args)
-    cls = params.get("state_class") or "general"
+    cls = params.get("state_class", "general")
     chain = _chain_from(params, cls)
     request = _scan_request(params, chain, cls)
     result = max_over_time(request)
@@ -246,9 +245,9 @@ def _field_values(params) -> list[float]:
     if params.get("h_list") is not None:
         return _parse_floats(params["h_list"])
     if params.get("h_max") is not None:
-        lo = float(params.get("h_min") or 0.0)
+        lo = float(params.get("h_min", 0.0))
         hi = float(params["h_max"])
-        step = float(params.get("h_step") or 1.0)
+        step = float(params.get("h_step", 1.0))
         if step <= 0 or hi < lo:
             raise _Usage("--h-step must be positive and --h-max >= --h-min")
         vals = []
@@ -262,7 +261,7 @@ def _field_values(params) -> list[float]:
 
 def cmd_scan_field(args) -> int:
     params = _resolve(args)
-    cls = params.get("state_class") or "general"
+    cls = params.get("state_class", "general")
     fields = _field_values(params)
     base = dict(params)
     base["h"] = fields[-1] if fields else 0.0  # block placement only
@@ -278,19 +277,19 @@ def cmd_scan_field(args) -> int:
 
 def cmd_threshold(args) -> int:
     params = _resolve(args)
-    cls = params.get("state_class") or "omega1"
+    cls = params.get("state_class", "omega1")
     n_values = _parse_ints(_require(params, "N_list", "--N-list"))
-    block = int(params.get("n") or 2)
-    t_max = float(params.get("t_max") or 1.3e4)
-    seed = int(params.get("seed") or 0)
+    block = int(params.get("n", 2))
+    t_max = float(params.get("t_max", 1.3e4))
+    seed = int(params.get("seed", 0))
     results = threshold_field(
         n_values, block=block,
-        target=float(params.get("target") if params.get("target") is not None else 0.95),
+        target=float(params.get("target", 0.95)),
         fidelity_class=cls, t_max=t_max,
-        h_resolution=float(params.get("h_resolution") or 0.1),
-        h_cap=float(params.get("h_cap") or 60.0),
-        profile=params.get("profile") or UNIFORM,
-        samples=int(params.get("samples") or 8192),
+        h_resolution=float(params.get("h_resolution", 0.1)),
+        h_cap=float(params.get("h_cap", 60.0)),
+        profile=params.get("profile", UNIFORM),
+        samples=int(params.get("samples", 8192)),
         seed=seed, threads=_resolve_threads(params))
     rows = [(r.n_sites, block, r.field, r.t_star, r.fbar_max, cls, seed)
             for r in results]
@@ -326,7 +325,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_verify(args) -> int:
     params = _resolve(args)
-    checks = verification_battery(seed=int(params.get("seed") or 0))
+    checks = verification_battery(seed=int(params.get("seed", 0)))
     failed = False
     for c in checks:
         status = "OK" if c.ok else "FAIL"

@@ -8,14 +8,14 @@ one-qubit : a single qubit sent from site 1 to site N; averaging the
 omega1    : sender states b|01> + c|10> (one excitation shared by the pair).
 omega2    : sender states a|00> + d|11> (even excitation content).
 general   : Haar-random two-qubit states; the average is estimated by seeded
-    Monte Carlo over sender states, each evaluated through the receiver-pair
-    reduced state.
+    Monte Carlo over sender states.
 
-The omega1 and omega2 averages are exact slice-Haar integrals of
-<psi|rho(t)|psi> and hit 1 at perfect transfer; both are invariant under a
-global phase of the odd-excitation sector.  The Monte Carlo general average
-can optionally be maximized over one such phase (a receiver-side correction
-knob); by default it evaluates the dynamics as-is.
+Every average is a function of the sender-to-receiver minor F(t) through the
+receiver kernel in reduced.py.  The omega1 and omega2 averages are exact
+slice-Haar integrals of <psi|rho(t)|psi> and hit 1 at perfect transfer; both
+are invariant under a global phase of the odd-excitation sector.  The Monte
+Carlo general average can optionally be maximized over one such phase (a
+receiver-side correction knob); by default it evaluates the dynamics as-is.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduced import fidelity_via_rdm_batch, pair_amplitude_grid, pair_amplitudes
+from .reduced import _pair_minor, _receiver_kernel, _sector_maps
 from .spectral import SpectralDecomposition, amplitude_1p, propagator_minor_grid
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
@@ -67,70 +67,44 @@ def one_qubit_amplitude(dec: SpectralDecomposition, t: float) -> complex:
     return amplitude_1p(dec, dec.n_sites, 1, t)
 
 
-def _omega1_from_amplitudes(f_u1, f_v2, f_u2, f_v1) -> float:
+def _omega1_from_amplitudes(f_u1, f_v2, f_u2, f_v1):
     # exact Haar average over b|01> + c|10> of <psi|rho|psi>
-    return float(np.real(
-        (np.abs(f_u1) ** 2 + np.abs(f_v2) ** 2
-         + 0.5 * np.abs(f_u2) ** 2 + 0.5 * np.abs(f_v1) ** 2) / 3.0
-        + np.real(f_v2 * np.conj(f_u1)) / 3.0
-    ))
-
-
-def _omega2_from_amplitudes(g_uv, traced_weight) -> float:
-    # exact Haar average over a|00> + d|11>; traced_weight is
-    # sum_m (|g_{m,N-1}|^2 + |g_{m,N}|^2) over bulk sites m
-    return float(np.real(
-        0.5 - traced_weight / 6.0
-        + np.abs(g_uv) ** 2 / 6.0 + np.real(g_uv) / 3.0
-    ))
-
-
-def avg_fidelity_omega1(dec: SpectralDecomposition, t: float) -> AverageFidelity:
-    """Exact average fidelity over the one-excitation sender slice."""
-    n = dec.n_sites
-    if n < 4:
-        raise ValueError(f"receiver pair needs at least 4 sites, got {n}")
-    u, v = n - 1, n
-    val = _omega1_from_amplitudes(
-        amplitude_1p(dec, u, 1, t), amplitude_1p(dec, v, 2, t),
-        amplitude_1p(dec, u, 2, t), amplitude_1p(dec, v, 1, t))
-    return AverageFidelity(val, METHOD_OMEGA1)
-
-
-def avg_fidelity_omega2(dec: SpectralDecomposition, t: float) -> AverageFidelity:
-    """Exact average fidelity over the even sender slice."""
-    pa = pair_amplitudes(dec, t)
-    traced = float(np.sum(np.abs(pa.g_bulk_u) ** 2 + np.abs(pa.g_bulk_v) ** 2))
-    return AverageFidelity(_omega2_from_amplitudes(pa.g_uv, traced), METHOD_OMEGA2)
-
-
-def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
-    """Vectorized omega1 average over a time grid."""
-    n = dec.n_sites
-    if n < 4:
-        raise ValueError(f"receiver pair needs at least 4 sites, got {n}")
-    m = propagator_minor_grid(dec, (n - 1, n), (1, 2), ts)
-    f_u1, f_u2 = m[:, 0, 0], m[:, 0, 1]
-    f_v1, f_v2 = m[:, 1, 0], m[:, 1, 1]
     return ((np.abs(f_u1) ** 2 + np.abs(f_v2) ** 2
              + 0.5 * np.abs(f_u2) ** 2 + 0.5 * np.abs(f_v1) ** 2) / 3.0
             + np.real(f_v2 * np.conj(f_u1)) / 3.0)
 
 
+def _omega2_from_amplitudes(g_uv, traced_weight):
+    # exact Haar average over a|00> + d|11>; traced_weight is
+    # sum_m (|g_{m,N-1}|^2 + |g_{m,N}|^2) over bulk sites m
+    return 0.5 - traced_weight / 6.0 + np.abs(g_uv) ** 2 / 6.0 + np.real(g_uv) / 3.0
+
+
+def avg_fidelity_omega1(dec: SpectralDecomposition, t: float) -> AverageFidelity:
+    """Exact average fidelity over the one-excitation sender slice."""
+    return AverageFidelity(float(omega1_values(dec, (t,))[0]), METHOD_OMEGA1)
+
+
+def avg_fidelity_omega2(dec: SpectralDecomposition, t: float) -> AverageFidelity:
+    """Exact average fidelity over the even sender slice."""
+    return AverageFidelity(float(omega2_values(dec, (t,))[0]), METHOD_OMEGA2)
+
+
+def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
+    """Vectorized omega1 average over a time grid."""
+    m = _pair_minor(dec, ts)
+    return _omega1_from_amplitudes(m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0])
+
+
 def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized omega2 average over a time grid."""
-    _, _, g_bu, g_bv, g_uv, _ = pair_amplitude_grid(dec, ts)
-    traced = np.sum(np.abs(g_bu) ** 2 + np.abs(g_bv) ** 2, axis=1)
-    return 0.5 - traced / 6.0 + np.abs(g_uv) ** 2 / 6.0 + np.real(g_uv) / 3.0
+    w, gram, _ = _receiver_kernel(_pair_minor(dec, ts))
+    return _omega2_from_amplitudes(w[1], np.real(gram[0, 0] + gram[1, 1]))
 
 
 def one_qubit_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized one-qubit average over a time grid."""
-    ts = np.asarray(ts, dtype=float)
-    u = dec.eigenvectors
-    weights = u[dec.n_sites - 1] * u[0]
-    f = np.exp(-1j * np.outer(ts, dec.eigenvalues)) @ weights
-    m = np.abs(f)
+    m = np.abs(propagator_minor_grid(dec, (dec.n_sites,), (1,), ts)[:, 0, 0])
     return 0.5 + m / 3.0 + m * m / 6.0
 
 
@@ -166,7 +140,7 @@ def avg_fidelity_mc(dec: SpectralDecomposition, t: float, samples: int,
                     phase_opt: bool = False) -> AverageFidelity:
     """Monte Carlo average of <psi|rho(t)|psi> over a sender-state class.
 
-    Every sample goes through the receiver-pair reduced state.  phase_opt
+    Every sample is scored through the receiver kernel of reduced.py.  phase_opt
     maximizes the estimate over a single phase applied to the odd-excitation
     sector (it is a no-op for omega1 and omega2, whose averages are invariant
     under that phase).
@@ -178,60 +152,59 @@ def avg_fidelity_mc(dec: SpectralDecomposition, t: float, samples: int,
     except KeyError:
         raise ValueError(f"unknown state class {state_class!r}") from None
     states = draw(sampler, size=samples)
-    if phase_opt:
-        vals = _phase_optimized_values(dec, states, t)
-    else:
-        vals = fidelity_via_rdm_batch(dec, states, t)
+    vals = _sample_fidelities(dec, states, t, phase_opt)
     return AverageFidelity(float(vals.mean()), METHOD_MC,
                            float(vals.std(ddof=1) / np.sqrt(samples)))
 
 
-def avg_fidelity_general_mc(dec: SpectralDecomposition, t: float, samples: int,
-                            sampler: SeededSampler,
-                            phase_opt: bool = False) -> AverageFidelity:
-    """Monte Carlo Haar average over general two-qubit sender states."""
-    return avg_fidelity_mc(dec, t, samples, sampler, "general", phase_opt)
+def _overlaps(states):
+    """Coefficients of <psi|rho|psi> in the receiver kernel, one row per state.
 
-
-def _sector_overlaps(dec, states, t):
-    """Even/odd-sector pieces of the target overlaps, per sample.
-
-    The fidelity of one sample splits into |x_vac + p*y_vac|^2 +
-    sum_m |x_m + p*y_m|^2 + |a00 a11|^2 * Q with p a phase on the
-    odd-excitation sector; this returns the pieces.
+    For kernel values (w, gram, weight) at one time,
+    <psi|rho|psi> = |x . w|^2 + sum_ij conj(y_i) y_j gram_ij + r * weight.
     """
-    pa = pair_amplitudes(dec, t)
-    n = dec.n_sites
-    iu, iv = n - 2, n - 1
-    a00, a01, a10, a11 = states[:, 0], states[:, 1], states[:, 2], states[:, 3]
-
-    arrive = np.outer(a10, pa.f1) + np.outer(a01, pa.f2)
-    x_vac = np.abs(a00) ** 2 + np.abs(a11) ** 2 * pa.g_uv
-    y_vac = np.conj(a10) * arrive[:, iu] + np.conj(a01) * arrive[:, iv]
-    x_m = (np.conj(a10) * a11)[:, None] * pa.g_bulk_u[None, :] \
-        + (np.conj(a01) * a11)[:, None] * pa.g_bulk_v[None, :]
-    y_m = np.conj(a00)[:, None] * arrive[:, :iu]
-    rest = np.abs(a00 * a11) ** 2 * pa.bulk_pair_weight
-    return x_vac, y_vac, x_m, y_m, rest
+    e, d = _sector_maps(states)
+    target = np.conj(states[:, ::-1])  # <psi| in the receiver basis
+    x = np.einsum("kr,krj->kj", target, e)
+    y = np.einsum("kr,krj->kj", target, d)
+    return x, y, np.abs(states[:, 0] * states[:, 3]) ** 2
 
 
-def _phase_optimized_values(dec, states, t):
-    x_vac, y_vac, x_m, y_m, rest = _sector_overlaps(dec, states, t)
-    cross = np.conj(x_vac) * y_vac + np.sum(np.conj(x_m) * y_m, axis=1)
-    d = complex(cross.mean())
-    phase = 1.0 if d == 0 else np.exp(-1j * np.angle(d))
-    return (np.abs(x_vac + phase * y_vac) ** 2
-            + np.sum(np.abs(x_m + phase * y_m) ** 2, axis=1) + rest)
+def _sample_fidelities(dec, states, t, phase_opt):
+    """<psi|rho(t)|psi> for each sender state, optionally phase-optimized.
+
+    Each overlap splits into a part even in the excitation number, weighted by
+    (1, g) in the kernel, and an odd part, weighted by f.  A phase p on the
+    odd sector gives even + odd + 2 Re(p * cross); phase_opt picks the p that
+    maximizes the mean over the samples.
+    """
+    w, gram, weight = (a[..., 0] for a in _receiver_kernel(_pair_minor(dec, (t,))))
+    x, y, rest = _overlaps(states)
+    vac_even, vac_odd = x[:, :2] @ w[:2], x[:, 2:] @ w[2:]
+    y_even, y_odd = y[:, :2], y[:, 2:]
+
+    def bulk(a, block, b):
+        return np.einsum("ki,ij,kj->k", a.conj(), block, b)
+
+    even = (np.abs(vac_even) ** 2 + np.real(bulk(y_even, gram[:2, :2], y_even))
+            + rest * weight)
+    odd = np.abs(vac_odd) ** 2 + np.real(bulk(y_odd, gram[2:, 2:], y_odd))
+    cross = np.conj(vac_even) * vac_odd + bulk(y_even, gram[:2, 2:], y_odd)
+    phase = 1.0
+    if phase_opt:
+        d = complex(cross.mean())
+        phase = 1.0 if d == 0 else np.conj(d) / abs(d)
+    return even + odd + 2.0 * np.real(phase * cross)
 
 
 class HaarAverageEvaluator:
     """Fast per-time evaluation of the Monte Carlo Haar average.
 
     The sample estimate (1/S) sum_s <psi_s|rho(t)|psi_s> is a quadratic form
-    in the time-dependent amplitude ingredients, with coefficients that are
-    second moments of the fixed sample set.  Precomputing those moments makes
-    each time evaluation independent of the sample count, while returning the
-    same number (to rounding) as averaging the per-sample fidelities.
+    in the receiver kernel, with coefficients that are second moments of the
+    fixed sample set.  Precomputing those moments makes each time evaluation
+    independent of the sample count, while returning the same number (to
+    rounding) as averaging the per-sample fidelities.
     """
 
     def __init__(self, dec: SpectralDecomposition, samples: int,
@@ -242,28 +215,14 @@ class HaarAverageEvaluator:
             raise ValueError("need at least two samples")
         self.dec = dec
         self.samples = int(samples)
-        states = sample_haar_2q(sampler, size=self.samples)
-        a00, a01, a10, a11 = states.T
-        # vacuum-sector coefficient vector pairs with (1, g_uv, f_u1, f_u2, f_v1, f_v2)
-        x = np.stack([np.abs(a00) ** 2, np.abs(a11) ** 2, np.abs(a10) ** 2,
-                      np.conj(a10) * a01, np.conj(a01) * a10,
-                      np.abs(a01) ** 2], axis=1)
-        # bulk-sector coefficient vector pairs with (g_mu, g_mv, f_m1, f_m2)
-        y = np.stack([np.conj(a10) * a11, np.conj(a01) * a11,
-                      np.conj(a00) * a10, np.conj(a00) * a01], axis=1)
+        x, y, rest = _overlaps(sample_haar_2q(sampler, size=self.samples))
         self._m_vac = (x.conj().T @ x) / self.samples
         self._m_bulk = (y.conj().T @ y) / self.samples
-        self._pair_weight = float(np.mean(np.abs(a00 * a11) ** 2))
+        self._pair_weight = float(np.mean(rest))
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Haar-average estimates on a time grid (same sample set throughout)."""
-        ts = np.asarray(ts, dtype=float)
-        f1, f2, g_bu, g_bv, g_uv, weight = pair_amplitude_grid(self.dec, ts)
-        n = self.dec.n_sites
-        iu, iv = n - 2, n - 1
-        w = np.stack([np.ones_like(g_uv), g_uv, f1[:, iu], f2[:, iu],
-                      f1[:, iv], f2[:, iv]], axis=1)
-        v = np.stack([g_bu, g_bv, f1[:, :iu], f2[:, :iu]], axis=2)
-        out = np.einsum("ij,ti,tj->t", self._m_vac, w.conj(), w, optimize=True)
-        out += np.einsum("ij,tmi,tmj->t", self._m_bulk, v.conj(), v, optimize=True)
-        return np.real(out) + self._pair_weight * weight
+        w, gram, weight = _receiver_kernel(_pair_minor(self.dec, ts))
+        vac = np.sum(w.conj() * (self._m_vac @ w), axis=0)
+        bulk = self._m_bulk.ravel() @ gram.reshape(16, -1)
+        return np.real(vac + bulk) + self._pair_weight * weight

@@ -1,95 +1,102 @@
-"""Receiver-pair reduced density matrix from determinant amplitudes.
+"""Receiver-pair reduced density matrix from the 2 x 2 sender-to-receiver minor.
 
-The sender pair occupies sites (1, 2) and the receiver pair sites (N-1, N).
-Writing f for single-excitation amplitudes and g for two-excitation
+The sender pair occupies sites (1, 2) and the receiver pair sites (u, v) =
+(N-1, N).  Writing f for single-excitation amplitudes and g for two-excitation
 determinants, the evolved state sorts into sectors that share a bulk
 configuration (sites 1..N-2):
 
-    bulk empty   : a00, plus arrivals A_{N-1}, A_N and the pair term B_{N-1,N}
-    bulk at m    : A_m, plus B_{m,N-1} and B_{m,N}
-    bulk pair    : B_{r,s} with r < s <= N-2
+    bulk empty   : a00, plus arrivals A_u, A_v and the pair term a11*g_uv
+    bulk at m    : A_m, plus a11*g_{m,u} and a11*g_{m,v}
+    bulk pair    : a11*g_{r,s} with r < s <= N-2
 
-where A_m = a10*f_{m,1} + a01*f_{m,2} and B_{r,s} = a11*g_{(r,s)<-(1,2)}.
+where A_j = a10*f_{j,1} + a01*f_{j,2} and g_{j,k} = f_{j,1} f_{k,2} - f_{j,2} f_{k,1}.
 Tracing the bulk gives a 4 x 4 matrix in the receiver basis
-(|11>, |10>, |01>, |00>), |10> meaning site N-1 excited.  The weight of bulk
-pair configurations enters only the |00> population and follows from
-two-excitation unitarity, so no O(N^2) determinant sweep is needed.
+(|11>, |10>, |01>, |00>), |10> meaning site N-1 excited.
+
+All of it is a function of the minor F = f_{(u,v),(1,2)}(t) alone.  The bulk
+enters only through sums over m of products of
+v_m = (g_{m,u}, g_{m,v}, f_{m,1}, f_{m,2}) = C (f_{m,1}, f_{m,2}), where the rows
+of C are (f_u2, -f_u1), (f_v2, -f_v1), (1, 0) and (0, 1).  Those sums are
+conj(C) S C^T with the bulk Gram S_ab = sum_m conj(f_{m,a}) f_{m,b}.  The
+propagator is unitary, so its columns f_{.,1} and f_{.,2} are orthonormal over
+all N sites and the bulk holds what the receiver rows leave: S = I - F^H F.
+Two-excitation unitarity gives the bulk-pair weight the same way.  No sum over
+sites is needed once F is known.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .spectral import SpectralDecomposition, amplitude_row
+from .spectral import SpectralDecomposition, propagator_minor_grid
 from .states import TwoQubitState
 
 RECEIVER_BASIS = ("11", "10", "01", "00")
 
 
-class PairAmplitudes(NamedTuple):
-    """Time-t amplitude ingredients shared by the reduced state and averages.
-
-    f1, f2: arrival amplitudes from sites 1 and 2 on all N sites.
-    g_bulk_u, g_bulk_v: pair amplitudes g_{(m,N-1)} and g_{(m,N)} for bulk m.
-    g_uv: pair amplitude onto the receiver pair (N-1, N).
-    bulk_pair_weight: total weight of pair configurations inside the bulk.
-    """
-
-    f1: np.ndarray
-    f2: np.ndarray
-    g_bulk_u: np.ndarray
-    g_bulk_v: np.ndarray
-    g_uv: complex
-    bulk_pair_weight: float
-
-
-def pair_amplitudes(dec: SpectralDecomposition, t: float) -> PairAmplitudes:
-    """All amplitude ingredients for a sender pair (1, 2) at time t."""
+def _pair_minor(dec: SpectralDecomposition, ts) -> np.ndarray:
+    """Minors F(t) = f_{(N-1,N),(1,2)}(t) over a time grid, shape (T, 2, 2)."""
     n = dec.n_sites
     if n < 4:
         raise ValueError(f"receiver pair needs at least 4 sites, got {n}")
-    f1 = amplitude_row(dec, 1, t)
-    f2 = amplitude_row(dec, 2, t)
-    iu, iv = n - 2, n - 1  # 0-based receiver sites N-1, N
-    g_bulk_u = f1[:iu] * f2[iu] - f2[:iu] * f1[iu]
-    g_bulk_v = f1[:iu] * f2[iv] - f2[:iu] * f1[iv]
-    g_uv = f1[iu] * f2[iv] - f2[iu] * f1[iv]
-    weight = 1.0 - float(np.sum(np.abs(g_bulk_u) ** 2 + np.abs(g_bulk_v) ** 2)) \
-        - abs(g_uv) ** 2
-    return PairAmplitudes(f1, f2, g_bulk_u, g_bulk_v, complex(g_uv), weight)
+    return propagator_minor_grid(dec, (n - 1, n), (1, 2), ts)
+
+
+def _receiver_kernel(f: np.ndarray):
+    """Bulk-traced ingredients of the receiver state for a stack of minors F.
+
+    f has shape (T, 2, 2); time is the last axis of every result:
+      w      (6, T): bulk-empty amplitudes (1, g_uv, f_u1, f_u2, f_v1, f_v2)
+      gram   (4, 4, T): gram[i, j] = sum over bulk m of conj(v_m[i]) v_m[j]
+      weight (T,): total weight of pair configurations inside the bulk
+    """
+    fu1, fu2, fv1, fv2 = f[:, 0, 0], f[:, 0, 1], f[:, 1, 0], f[:, 1, 1]
+    g_uv = fu1 * fv2 - fu2 * fv1
+    w = np.array([np.ones_like(g_uv), g_uv, fu1, fu2, fv1, fv2])
+    # S = I - F^H F, written out: batched 2 x 2 products are slow in numpy
+    s00 = 1.0 - np.abs(fu1) ** 2 - np.abs(fv1) ** 2
+    s11 = 1.0 - np.abs(fu2) ** 2 - np.abs(fv2) ** 2
+    s01 = -(np.conj(fu1) * fu2 + np.conj(fv1) * fv2)
+    s10 = np.conj(s01)
+    # the two rows of S C^T, then conj(C) (S C^T) row by row
+    top = np.array([s00 * fu2 - s01 * fu1, s00 * fv2 - s01 * fv1, s00, s01])
+    bottom = np.array([s10 * fu2 - s11 * fu1, s10 * fv2 - s11 * fv1, s10, s11])
+    gram = np.array([np.conj(fu2) * top - np.conj(fu1) * bottom,
+                     np.conj(fv2) * top - np.conj(fv1) * bottom, top, bottom])
+    weight = 1.0 - np.real(gram[0, 0] + gram[1, 1]) - np.abs(g_uv) ** 2
+    return w, gram, weight
+
+
+def _sector_maps(states: np.ndarray):
+    """Receiver amplitudes of each sector as linear maps of the kernel amplitudes.
+
+    states has shape (k, 4) with rows [a00, a01, a10, a11].  In the receiver
+    basis the bulk-empty sector holds E @ w and the sector with the bulk
+    excitation on site m holds D @ v_m; returns E, shape (k, 4, 6), and D,
+    shape (k, 4, 4).  The bulk-pair sector is a11 times a bulk pair, on |00>.
+    """
+    a00, a01, a10, a11 = states.T
+    e = np.zeros((len(states), 4, 6), dtype=complex)
+    e[:, 0, 1] = a11                    # |11>: a11 g_uv
+    e[:, 1, 2], e[:, 1, 3] = a10, a01   # |10>: A_u
+    e[:, 2, 4], e[:, 2, 5] = a10, a01   # |01>: A_v
+    e[:, 3, 0] = a00                    # |00>: a00
+    d = np.zeros((len(states), 4, 4), dtype=complex)
+    d[:, 1, 0] = d[:, 2, 1] = a11       # a11 g_{m,u}, a11 g_{m,v}
+    d[:, 3, 2], d[:, 3, 3] = a10, a01   # A_m
+    return e, d
 
 
 def evolve_receiver_pair(dec: SpectralDecomposition, state: TwoQubitState,
                          t: float) -> np.ndarray:
     """Receiver-pair density matrix at time t, basis (|11>, |10>, |01>, |00>)."""
-    pa = pair_amplitudes(dec, t)
-    n = dec.n_sites
-    iu, iv = n - 2, n - 1
-
-    arrive = state.a10 * pa.f1 + state.a01 * pa.f2
-    a_bulk, a_u, a_v = arrive[:iu], arrive[iu], arrive[iv]
-    b_u = state.a11 * pa.g_bulk_u
-    b_v = state.a11 * pa.g_bulk_v
-    b_uv = state.a11 * pa.g_uv
-
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = abs(b_uv) ** 2
-    rho[0, 1] = b_uv * np.conj(a_u)
-    rho[0, 2] = b_uv * np.conj(a_v)
-    rho[0, 3] = b_uv * np.conj(state.a00)
-    rho[1, 1] = abs(a_u) ** 2 + np.sum(np.abs(b_u) ** 2)
-    rho[1, 2] = a_u * np.conj(a_v) + np.sum(b_u * np.conj(b_v))
-    rho[1, 3] = a_u * np.conj(state.a00) + np.sum(b_u * np.conj(a_bulk))
-    rho[2, 2] = abs(a_v) ** 2 + np.sum(np.abs(b_v) ** 2)
-    rho[2, 3] = a_v * np.conj(state.a00) + np.sum(b_v * np.conj(a_bulk))
-    rho[3, 3] = (abs(state.a00) ** 2 + np.sum(np.abs(a_bulk) ** 2)
-                 + abs(state.a11) ** 2 * pa.bulk_pair_weight)
-    for i in range(4):
-        for j in range(i):
-            rho[i, j] = np.conj(rho[j, i])
-    return rho
+    w, gram, weight = _receiver_kernel(_pair_minor(dec, (t,)))
+    e, d = _sector_maps(state.vector()[None])
+    vac = e[0] @ w[:, 0]
+    rho = np.outer(vac, vac.conj()) + d[0] @ gram[:, :, 0].T @ d[0].conj().T
+    rho[3, 3] += abs(state.a11) ** 2 * weight[0]
+    # gram is Hermitian only to rounding; return an exactly Hermitian rho
+    return (rho + rho.conj().T) / 2
 
 
 def _target_vector(state: TwoQubitState) -> np.ndarray:
@@ -101,78 +108,8 @@ def fidelity_against(rho: np.ndarray, state: TwoQubitState) -> float:
     """Transfer fidelity <psi|rho|psi> of the received state against psi.
 
     This is the squared overlap convention: for a pure target it equals 1
-    exactly at perfect transfer.  See fidelity_sqrt for the square-root form.
+    exactly at perfect transfer.
     """
     w = _target_vector(state)
     val = float(np.real(w.conj() @ rho @ w))
     return val
-
-
-def fidelity_sqrt(rho: np.ndarray, state: TwoQubitState) -> float:
-    """Square-root (Uhlmann) form sqrt(<psi|rho|psi>) for pure targets."""
-    return float(np.sqrt(max(fidelity_against(rho, state), 0.0)))
-
-
-def pair_amplitude_grid(dec: SpectralDecomposition, ts: np.ndarray):
-    """Vectorized PairAmplitudes over a time grid.
-
-    Returns (f1, f2, g_bulk_u, g_bulk_v, g_uv, bulk_pair_weight) with leading
-    time axis; f arrays have shape (T, N), g_bulk arrays (T, N-2).
-    """
-    n = dec.n_sites
-    if n < 4:
-        raise ValueError(f"receiver pair needs at least 4 sites, got {n}")
-    ts = np.asarray(ts, dtype=float)
-    u = dec.eigenvectors
-    phases = np.exp(-1j * np.outer(ts, dec.eigenvalues))
-    f1 = (phases * u[0]) @ u.T
-    f2 = (phases * u[1]) @ u.T
-    iu, iv = n - 2, n - 1
-    g_bulk_u = f1[:, :iu] * f2[:, iu:iu + 1] - f2[:, :iu] * f1[:, iu:iu + 1]
-    g_bulk_v = f1[:, :iu] * f2[:, iv:iv + 1] - f2[:, :iu] * f1[:, iv:iv + 1]
-    g_uv = f1[:, iu] * f2[:, iv] - f2[:, iu] * f1[:, iv]
-    weight = 1.0 - np.sum(np.abs(g_bulk_u) ** 2 + np.abs(g_bulk_v) ** 2, axis=1) \
-        - np.abs(g_uv) ** 2
-    return f1, f2, g_bulk_u, g_bulk_v, g_uv, weight
-
-
-def fidelity_via_rdm_batch(dec: SpectralDecomposition, states: np.ndarray,
-                           t: float) -> np.ndarray:
-    """Transfer fidelities for a batch of sender states at one time.
-
-    states has shape (k, 4) with rows [a00, a01, a10, a11]; the result is the
-    length-k vector of <psi|rho(t)|psi> values, each identical to running
-    evolve_receiver_pair and fidelity_against per state.
-    """
-    states = np.asarray(states, dtype=complex)
-    if states.ndim != 2 or states.shape[1] != 4:
-        raise ValueError(f"states must have shape (k, 4), got {states.shape}")
-    pa = pair_amplitudes(dec, t)
-    n = dec.n_sites
-    iu, iv = n - 2, n - 1
-    a00, a01, a10, a11 = states[:, 0], states[:, 1], states[:, 2], states[:, 3]
-
-    arrive = np.outer(a10, pa.f1) + np.outer(a01, pa.f2)
-    a_bulk, a_u, a_v = arrive[:, :iu], arrive[:, iu], arrive[:, iv]
-    b_u = a11[:, None] * pa.g_bulk_u[None, :]
-    b_v = a11[:, None] * pa.g_bulk_v[None, :]
-    b_uv = a11 * pa.g_uv
-
-    rho = np.empty((states.shape[0], 4, 4), dtype=complex)
-    rho[:, 0, 0] = np.abs(b_uv) ** 2
-    rho[:, 0, 1] = b_uv * np.conj(a_u)
-    rho[:, 0, 2] = b_uv * np.conj(a_v)
-    rho[:, 0, 3] = b_uv * np.conj(a00)
-    rho[:, 1, 1] = np.abs(a_u) ** 2 + np.sum(np.abs(b_u) ** 2, axis=1)
-    rho[:, 1, 2] = a_u * np.conj(a_v) + np.sum(b_u * np.conj(b_v), axis=1)
-    rho[:, 1, 3] = a_u * np.conj(a00) + np.sum(b_u * np.conj(a_bulk), axis=1)
-    rho[:, 2, 2] = np.abs(a_v) ** 2 + np.sum(np.abs(b_v) ** 2, axis=1)
-    rho[:, 2, 3] = a_v * np.conj(a00) + np.sum(b_v * np.conj(a_bulk), axis=1)
-    rho[:, 3, 3] = (np.abs(a00) ** 2 + np.sum(np.abs(a_bulk) ** 2, axis=1)
-                    + np.abs(a11) ** 2 * pa.bulk_pair_weight)
-    for i in range(4):
-        for j in range(i):
-            rho[:, i, j] = np.conj(rho[:, j, i])
-
-    w = states[:, [3, 2, 1, 0]]
-    return np.real(np.einsum("ki,kij,kj->k", w.conj(), rho, w))

@@ -70,34 +70,30 @@ def _site_index(dec: SpectralDecomposition, site) -> int:
 
 def amplitude_1p(dec: SpectralDecomposition, target, source, t: float) -> complex:
     """Propagator amplitude f_{target,source}(t); negative t gives the reverse."""
-    j = _site_index(dec, target)
-    i = _site_index(dec, source)
-    u = dec.eigenvectors
-    return complex(np.sum(u[j] * u[i] * np.exp(-1j * dec.eigenvalues * t)))
+    return complex(propagator_minor_grid(dec, (target,), (source,), (t,))[0, 0, 0])
 
 
 def amplitude_row(dec: SpectralDecomposition, source, t: float) -> np.ndarray:
     """All-site amplitude vector [f_{1,source}(t), ..., f_{N,source}(t)]."""
-    i = _site_index(dec, source)
-    phases = np.exp(-1j * dec.eigenvalues * t)
-    return dec.eigenvectors @ (dec.eigenvectors[i] * phases)
+    return propagator_minor_grid(dec, range(1, dec.n_sites + 1), (source,), (t,))[0, :, 0]
 
 
 def propagator_minor(dec: SpectralDecomposition, targets, sources, t: float) -> np.ndarray:
     """Matrix of amplitudes f_{targets[p], sources[q]}(t)."""
-    tj = [_site_index(dec, s) for s in targets]
-    si = [_site_index(dec, s) for s in sources]
-    u = dec.eigenvectors
-    phases = np.exp(-1j * dec.eigenvalues * t)
-    return (u[tj] * phases) @ u[si].T
+    return propagator_minor_grid(dec, targets, sources, (t,))[0]
 
 
 def propagator_minor_grid(dec: SpectralDecomposition, targets, sources,
                           ts: np.ndarray) -> np.ndarray:
-    """Amplitude minors over a time grid, shape (len(ts), len(targets), len(sources))."""
+    """Amplitude minors over a time grid, shape (len(ts), len(targets), len(sources)).
+
+    The only place the phases exp(-i lam_k t) are evaluated: one GEMM of the
+    (T, N) phase table against W[k, (p, q)] = U[targets[p], k] * U[sources[q], k].
+    """
     tj = [_site_index(dec, s) for s in targets]
     si = [_site_index(dec, s) for s in sources]
     u = dec.eigenvectors
+    weights = (u[tj][:, None, :] * u[si][None, :, :]).reshape(-1, dec.n_sites).T
     ts = np.asarray(ts, dtype=float)
     phases = np.exp(-1j * np.outer(ts, dec.eigenvalues))
-    return np.einsum("pk,tk,qk->tpq", u[tj], phases, u[si], optimize=True)
+    return (phases @ weights).reshape(ts.size, len(tj), len(si))

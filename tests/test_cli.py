@@ -145,6 +145,18 @@ def test_exit_code_domain_error(capsys):
     assert "field" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fidelity", "--N", "7", "--h", "5", "--t", "41.2", "--samples", "0"),
+    ("fidelity", "--N", "7", "--profile", "ballistic", "--c", "0",
+     "--class", "omega1", "--t", "1"),
+    ("threshold", "--N-list", "7", "--h-resolution", "0", "--t-max", "100"),
+])
+def test_explicit_zero_is_not_replaced_by_a_default(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_exit_code_bad_subcommand(capsys):
     code = parse_and_dispatch(["no-such-command"])
     capsys.readouterr()

@@ -8,7 +8,6 @@ from spinbus import (
     SeededSampler,
     avg_fidelity_1q,
     avg_fidelity_1q_mc,
-    avg_fidelity_general_mc,
     avg_fidelity_mc,
     avg_fidelity_omega1,
     avg_fidelity_omega2,
@@ -102,7 +101,7 @@ def test_engineered_mirror_is_crossed():
     t = np.pi / 4
     assert avg_fidelity_omega2(dec, t).value == pytest.approx(1.0, abs=1e-10)
     assert avg_fidelity_omega1(dec, t).value == pytest.approx(1.0 / 3.0, abs=1e-10)
-    mc = avg_fidelity_general_mc(dec, t, 20000, SeededSampler(9))
+    mc = avg_fidelity_mc(dec, t, 20000, SeededSampler(9))
     assert mc.value < 0.5
 
 
@@ -124,6 +123,6 @@ def test_perfect_transfer_chain_general_average():
     # engineered chains deliver every product |ab> only up to the crossing,
     # so even the best general-state average stays well below one
     dec = decompose_chain(build_chain(5, profile="engineered"))
-    vals = [avg_fidelity_general_mc(dec, t, 3000, SeededSampler(2)).value
+    vals = [avg_fidelity_mc(dec, t, 3000, SeededSampler(2)).value
             for t in (np.pi / 4, np.pi / 2)]
     assert max(vals) < 0.99

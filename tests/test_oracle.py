@@ -97,13 +97,19 @@ def test_norm_conserved():
 
 
 def test_oracle_rdm_matches_fermionic_path():
+    # beyond two generic chains: a two-site bulk (N = 4), the mirror time of
+    # an engineered chain, where the bulk-pair weight vanishes, and a wider
+    # barrier block
     rng = np.random.default_rng(4)
-    for n, field in ((7, 11.0), (8, 3.0)):
-        spec = build_chain(n, 2, field)
+    cases = ((build_chain(7, 2, 11.0), None), (build_chain(8, 2, 3.0), None),
+             (build_chain(4), None), (build_chain(5), None),
+             (build_chain(6, profile="engineered"), np.pi / 4),
+             (build_chain(9, 3, 15.0), None))
+    for spec, t_fixed in cases:
         dec = decompose_chain(spec)
         for k in range(3):
             st = sample_haar_2q(SeededSampler(int(rng.integers(1 << 30))))
-            t = rng.uniform(0.0, 90.0)
+            t = rng.uniform(0.0, 90.0) if t_fixed is None else t_fixed
             rho_oracle = oracle_rdm(spec, st, t)
             rho_fast = evolve_receiver_pair(dec, st, t)
             np.testing.assert_allclose(rho_fast, rho_oracle, atol=1e-10)

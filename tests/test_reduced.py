@@ -5,17 +5,20 @@ import pytest
 
 from spinbus import (
     RECEIVER_BASIS,
+    HaarAverageEvaluator,
     SeededSampler,
     TwoQubitState,
+    amplitude_rp,
     build_chain,
     decompose_chain,
     evolve_receiver_pair,
     fidelity_against,
-    fidelity_via_rdm_batch,
-    pair_amplitude_grid,
-    pair_amplitudes,
+    omega1_values,
+    omega2_values,
+    one_qubit_values,
     sample_haar_2q,
 )
+from spinbus.fidelity import _sample_fidelities
 
 
 def _random_states(seed, count):
@@ -50,23 +53,24 @@ def test_density_matrix_properties():
 
 
 def test_pair_amplitudes_weight_sums_to_one():
+    """From |11> every sector weight is a pair weight: they sum to one, and the
+    pair weight on the receiver is |g_{(N-1,N),(1,2)}|^2."""
     dec = decompose_chain(build_chain(9, 2, 7.0))
-    pa = pair_amplitudes(dec, 13.0)
-    total = (np.sum(np.abs(pa.g_bulk_u) ** 2) + np.sum(np.abs(pa.g_bulk_v) ** 2)
-             + abs(pa.g_uv) ** 2 + pa.bulk_pair_weight)
-    assert total == pytest.approx(1.0, abs=1e-12)
+    rho = evolve_receiver_pair(dec, TwoQubitState(0.0, 0.0, 0.0, 1.0), 13.0)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    g_uv = amplitude_rp(dec, (8, 9), (1, 2), 13.0)
+    assert rho[0, 0].real == pytest.approx(abs(g_uv) ** 2, abs=1e-12)
 
 
 def test_grid_matches_pointwise():
     dec = decompose_chain(build_chain(7, 2, 3.0))
     ts = np.array([0.0, 2.2, 47.0])
-    f1, f2, gu, gv, guv, w = pair_amplitude_grid(dec, ts)
-    for k, t in enumerate(ts):
-        pa = pair_amplitudes(dec, float(t))
-        np.testing.assert_allclose(f1[k], pa.f1, atol=1e-13)
-        np.testing.assert_allclose(gv[k], pa.g_bulk_v, atol=1e-13)
-        assert abs(guv[k] - pa.g_uv) < 1e-13
-        assert abs(w[k] - pa.bulk_pair_weight) < 1e-13
+    ev = HaarAverageEvaluator(dec, 256, SeededSampler(8))
+    for values in (omega1_values, omega2_values, one_qubit_values,
+                   lambda d, grid: ev.values(grid)):
+        grid = values(dec, ts)
+        for k, t in enumerate(ts):
+            assert abs(grid[k] - values(dec, np.array([t]))[0]) < 1e-13
 
 
 def test_fidelity_against_perfect_match():
@@ -82,13 +86,12 @@ def test_batch_fidelity_matches_loop():
     states = _random_states(5, 8)
     mat = np.array([s.vector() for s in states])
     t = 31.0
-    batch = fidelity_via_rdm_batch(dec, mat, t)
-    for k, st in enumerate(states):
-        rho = evolve_receiver_pair(dec, st, t)
-        assert abs(batch[k] - fidelity_against(rho, st)) < 1e-12
+    batch = _sample_fidelities(dec, mat, t, phase_opt=False)
+    loop = [fidelity_against(evolve_receiver_pair(dec, st, t), st) for st in states]
+    np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-12)
 
 
 def test_minimum_length_enforced():
     dec = decompose_chain(build_chain(3))
     with pytest.raises(ValueError):
-        pair_amplitudes(dec, 1.0)
+        evolve_receiver_pair(dec, TwoQubitState(1.0, 0.0, 0.0, 0.0), 1.0)
