@@ -23,12 +23,12 @@ from .chain import (
 )
 from .fidelity import (
     AverageFidelity,
-    HaarAverageEvaluator,
     avg_fidelity_1q,
     avg_fidelity_1q_mc,
     avg_fidelity_mc,
     avg_fidelity_omega1,
     avg_fidelity_omega2,
+    general_values,
     omega1_values,
     omega2_values,
     one_qubit_amplitude,
@@ -83,7 +83,6 @@ __all__ = [
     "CLASSES",
     "ChainSpec",
     "ENGINEERED",
-    "HaarAverageEvaluator",
     "PROFILES",
     "RECEIVER_BASIS",
     "ScanRequest",
@@ -114,6 +113,7 @@ __all__ = [
     "field_constant",
     "field_sweep",
     "g_amplitude",
+    "general_values",
     "hamiltonian_matrix",
     "max_over_time",
     "omega1_values",

@@ -116,9 +116,12 @@ def _resolve_threads(params) -> int:
     env = os.environ.get("QST_THREADS")
     if env:
         try:
-            return max(int(env), 1)
+            threads = int(env)
+            if threads < 1:
+                raise ValueError
         except ValueError:
-            raise _Usage(f"QST_THREADS must be an integer, got {env!r}") from None
+            raise _Usage(f"QST_THREADS must be a positive integer, got {env!r}") from None
+        return threads
     return 1
 
 
@@ -218,15 +221,14 @@ def _scan_request(params, chain, cls) -> ScanRequest:
         fidelity_class=cls,
         t_max=float(t_max),
         grid_step=params.get("grid"),
-        samples=int(params.get("samples", 8192)),
-        seed=int(params.get("seed", 0)),
         threads=_resolve_threads(params),
     )
 
 
-def _scan_row(chain, result, seed):
+def _scan_row(chain, result, params):
+    # scans hold no randomness; the seed column only echoes the request
     return (chain.n_sites, chain.block, result.field, result.t_star,
-            result.fbar_max, result.fidelity_class, seed)
+            result.fbar_max, result.fidelity_class, int(params.get("seed", 0)))
 
 
 def cmd_scan_time(args) -> int:
@@ -237,7 +239,7 @@ def cmd_scan_time(args) -> int:
     result = max_over_time(request)
     params_out = dict(params, t_max=request.t_max, threads=request.threads)
     _emit_csv(args.out, "scan-time", params_out, _SCAN_HEADER,
-              [_scan_row(chain, result, request.seed)])
+              [_scan_row(chain, result, params)])
     return 0
 
 
@@ -264,11 +266,11 @@ def cmd_scan_field(args) -> int:
     cls = params.get("state_class", "general")
     fields = _field_values(params)
     base = dict(params)
-    base["h"] = fields[-1] if fields else 0.0  # block placement only
+    base["h"] = max(fields, default=0.0)  # block placement only
     chain = _chain_from(base, cls)
     request = _scan_request(params, chain, cls)
     results = field_sweep(request, fields)
-    rows = [_scan_row(chain, r, request.seed) for r in results]
+    rows = [_scan_row(chain, r, params) for r in results]
     params_out = dict(params, h_list=fields, t_max=request.t_max,
                       threads=request.threads)
     _emit_csv(args.out, "scan-field", params_out, _SCAN_HEADER, rows)
@@ -289,8 +291,7 @@ def cmd_threshold(args) -> int:
         h_resolution=float(params.get("h_resolution", 0.1)),
         h_cap=float(params.get("h_cap", 60.0)),
         profile=params.get("profile", UNIFORM),
-        samples=int(params.get("samples", 8192)),
-        seed=seed, threads=_resolve_threads(params))
+        threads=_resolve_threads(params))
     rows = [(r.n_sites, block, r.field, r.t_star, r.fbar_max, cls, seed)
             for r in results]
     params_out = dict(params, N_list=n_values, t_max=t_max)
@@ -384,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--grid", type=float, help="upper bound on the time-grid step")
-    p.add_argument("--samples", type=int)
     p.set_defaults(func=cmd_scan_time)
 
     p = sub.add_parser("scan-field", help="scan-time at several field values")
@@ -392,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--grid", type=float)
-    p.add_argument("--samples", type=int)
     p.add_argument("--h-list", dest="h_list", help="comma-separated field values")
     p.add_argument("--h-min", dest="h_min", type=float)
     p.add_argument("--h-max", dest="h_max", type=float)
@@ -407,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--h-cap", dest="h_cap", type=float)
     p.add_argument("--h-resolution", dest="h_resolution", type=float)
-    p.add_argument("--samples", type=int)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("reproduce", help="canned sweeps behind the headline figures")
@@ -419,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float)
     p.add_argument("--h-cap", dest="h_cap", type=float)
     p.add_argument("--h-resolution", dest="h_resolution", type=float)
-    p.add_argument("--samples", type=int)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify", help="cross-check determinants against sector evolution")

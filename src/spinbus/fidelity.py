@@ -7,15 +7,18 @@ one-qubit : a single qubit sent from site 1 to site N; averaging the
     1/2 + |f|/3 + |f|^2/6 with f the end-to-end amplitude.
 omega1    : sender states b|01> + c|10> (one excitation shared by the pair).
 omega2    : sender states a|00> + d|11> (even excitation content).
-general   : Haar-random two-qubit states; the average is estimated by seeded
-    Monte Carlo over sender states.
+general   : Haar-random two-qubit states.
 
 Every average is a function of the sender-to-receiver minor F(t) through the
 receiver kernel in reduced.py.  The omega1 and omega2 averages are exact
 slice-Haar integrals of <psi|rho(t)|psi> and hit 1 at perfect transfer; both
-are invariant under a global phase of the odd-excitation sector.  The Monte
-Carlo general average can optionally be maximized over one such phase (a
-receiver-side correction knob); by default it evaluates the dynamics as-is.
+are invariant under a global phase of the odd-excitation sector.  The general
+average is exact too: of the Kraus operators, one per bulk configuration, only
+the bulk-empty one has a nonzero diagonal, (1, f_v2, f_u1, g_uv), so
+Fbar = (4 F_e + 1)/5 with F_e = |1 + f_u1 + f_v2 + g_uv|^2/16 (Horodecki^3,
+PRA 60, 1888, 1999).  Seeded Monte Carlo stays as a cross-check; for the
+general class it can be maximized over one odd-sector phase (a receiver-side
+correction knob), and by default it evaluates the dynamics as-is.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1
 METHOD_ONE_QUBIT = "closed-form-1q"
 METHOD_OMEGA1 = "closed-form-omega1"
 METHOD_OMEGA2 = "closed-form-omega2"
-METHOD_MC = "monte-carlo-general"
 
 _AMP_TOL = 1e-9
 
@@ -102,6 +104,14 @@ def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     return _omega2_from_amplitudes(w[1], np.real(gram[0, 0] + gram[1, 1]))
 
 
+def general_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
+    """Exact Haar average over all two-qubit sender states on a time grid."""
+    m = _pair_minor(dec, ts)
+    fu1, fu2, fv1, fv2 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    kraus_trace = 1.0 + fu1 + fv2 + (fu1 * fv2 - fu2 * fv1)
+    return 0.2 + np.abs(kraus_trace) ** 2 / 20.0
+
+
 def one_qubit_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized one-qubit average over a time grid."""
     m = np.abs(propagator_minor_grid(dec, (dec.n_sites,), (1,), ts)[:, 0, 0])
@@ -124,7 +134,7 @@ def avg_fidelity_1q_mc(dec: SpectralDecomposition, t: float, samples: int,
     ab = sample_haar_1q(sampler, size=samples)
     pa, pb = np.abs(ab[:, 0]) ** 2, np.abs(ab[:, 1]) ** 2
     vals = np.abs(pa + pb * f) ** 2 + pa * pb * (1.0 - abs(f) ** 2)
-    return AverageFidelity(float(vals.mean()), METHOD_MC,
+    return AverageFidelity(float(vals.mean()), "monte-carlo-1q",
                            float(vals.std(ddof=1) / np.sqrt(samples)))
 
 
@@ -153,7 +163,7 @@ def avg_fidelity_mc(dec: SpectralDecomposition, t: float, samples: int,
         raise ValueError(f"unknown state class {state_class!r}") from None
     states = draw(sampler, size=samples)
     vals = _sample_fidelities(dec, states, t, phase_opt)
-    return AverageFidelity(float(vals.mean()), METHOD_MC,
+    return AverageFidelity(float(vals.mean()), f"monte-carlo-{state_class}",
                            float(vals.std(ddof=1) / np.sqrt(samples)))
 
 
@@ -195,34 +205,3 @@ def _sample_fidelities(dec, states, t, phase_opt):
         d = complex(cross.mean())
         phase = 1.0 if d == 0 else np.conj(d) / abs(d)
     return even + odd + 2.0 * np.real(phase * cross)
-
-
-class HaarAverageEvaluator:
-    """Fast per-time evaluation of the Monte Carlo Haar average.
-
-    The sample estimate (1/S) sum_s <psi_s|rho(t)|psi_s> is a quadratic form
-    in the receiver kernel, with coefficients that are second moments of the
-    fixed sample set.  Precomputing those moments makes each time evaluation
-    independent of the sample count, while returning the same number (to
-    rounding) as averaging the per-sample fidelities.
-    """
-
-    def __init__(self, dec: SpectralDecomposition, samples: int,
-                 sampler: SeededSampler):
-        if dec.n_sites < 4:
-            raise ValueError(f"receiver pair needs at least 4 sites, got {dec.n_sites}")
-        if samples < 2:
-            raise ValueError("need at least two samples")
-        self.dec = dec
-        self.samples = int(samples)
-        x, y, rest = _overlaps(sample_haar_2q(sampler, size=self.samples))
-        self._m_vac = (x.conj().T @ x) / self.samples
-        self._m_bulk = (y.conj().T @ y) / self.samples
-        self._pair_weight = float(np.mean(rest))
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """Haar-average estimates on a time grid (same sample set throughout)."""
-        w, gram, weight = _receiver_kernel(_pair_minor(self.dec, ts))
-        vac = np.sum(w.conj() * (self._m_vac @ w), axis=0)
-        bulk = self._m_bulk.ravel() @ gram.reshape(16, -1)
-        return np.real(vac + bulk) + self._pair_weight * weight

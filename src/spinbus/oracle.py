@@ -174,6 +174,32 @@ def oracle_rdm(spec: ChainSpec, state: TwoQubitState, t: float) -> np.ndarray:
     return rho
 
 
+def haar_average(channel) -> complex:
+    """Exact Haar average of <psi|rho|psi> over all two-qubit sender states.
+
+    channel maps a sender TwoQubitState to its receiver-pair matrix in the
+    basis (|11>, |10>, |01>, |00>).  The 4-design identity
+    Fbar = (sum_ij <i|L(|i><j|)|j> + d) / (d (d + 1)) is evaluated with each
+    L(|i><j|) = (1/2) sum_k i^k L(|psi_k><psi_k|), psi_k = (|i> + i^k |j>)/sqrt(2).
+    The imaginary part of the result is rounding for a physical channel.
+    """
+    d = 4
+    basis = np.eye(d)
+
+    def image(vec):
+        b11, b10, b01, b00 = vec / np.linalg.norm(vec)
+        return channel(TwoQubitState(b00, b01, b10, b11))
+
+    total = 0.0
+    for i in range(d):
+        total += image(basis[i])[i, i]
+        for j in range(d):
+            if j != i:
+                total += sum(1j ** k * image(basis[i] + 1j ** k * basis[j])
+                             for k in range(4))[i, j] / 2
+    return complex(total + d) / (d * (d + 1))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one verification check."""
@@ -188,13 +214,14 @@ class CheckResult:
 
 
 def verification_battery(seed: int = 0) -> list[CheckResult]:
-    """Cross-check determinant amplitudes and the reduced state against sectors.
+    """Cross-check amplitudes, the reduced state and the general average against sectors.
 
     Returns one CheckResult per check; all must pass for the library to be
     considered healthy.  Runs in a few seconds.
     """
     from .amplitudes import amplitude_rp
     from .chain import build_chain
+    from .fidelity import general_values
     from .reduced import evolve_receiver_pair
     from .spectral import amplitude_row, decompose_chain
     from .states import SeededSampler, sample_haar_2q
@@ -252,8 +279,9 @@ def verification_battery(seed: int = 0) -> list[CheckResult]:
             dev = max(dev, abs(det - sector[k]))
     results.append(CheckResult("three-excitation determinants", dev, 1e-10))
 
-    # receiver-pair reduced state
-    dev = 0.0
+    # receiver-pair reduced state, and the closed-form general average against
+    # the 4-design average of oracle_rdm at the last time on each chain
+    dev = dev_general = 0.0
     sampler = SeededSampler(seed)
     for n_sites, field in ((7, 18.0), (8, 4.0)):
         spec = build_chain(n_sites, 2, field)
@@ -264,7 +292,10 @@ def verification_battery(seed: int = 0) -> list[CheckResult]:
             rho = evolve_receiver_pair(dec, state, t)
             ref = oracle_rdm(spec, state, t)
             dev = max(dev, float(np.abs(rho - ref).max()))
+        exact = haar_average(lambda state: oracle_rdm(spec, state, t))
+        dev_general = max(dev_general, abs(general_values(dec, (t,))[0] - exact))
     results.append(CheckResult("receiver-pair reduced state", dev, 1e-10))
+    results.append(CheckResult("general Haar average", dev_general, 1e-10))
 
     # sector norm conservation
     dev = 0.0

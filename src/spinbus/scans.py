@@ -3,10 +3,9 @@
 A scan evaluates an average-fidelity curve on a uniform time grid whose
 spacing respects the fastest frequency in the dynamics (the spectral range of
 the chain), takes the grid maximum with a smallest-time tie-break, and
-optionally refines the peak by golden-section search.  Results are
-deterministic for a fixed request and seed, independent of the worker count:
-grid chunks are fixed and reduced in order, and the Monte Carlo general class
-reuses one fixed sample set for every time.
+optionally refines the peak by golden-section search.  Every class is a
+closed form in the propagator, so a scan holds no randomness, and its result
+is independent of the worker count: grid chunks are fixed and reduced in order.
 """
 
 from __future__ import annotations
@@ -14,16 +13,22 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .chain import ChainSpec
-from .fidelity import HaarAverageEvaluator, omega1_values, omega2_values, \
-    one_qubit_values
+from .fidelity import general_values, omega1_values, omega2_values, one_qubit_values
 from .spectral import decompose_chain
-from .states import SeededSampler
 
-CLASSES = ("one-qubit", "general", "omega1", "omega2")
+# average fidelity of each class on a time grid, called as values(dec, ts)
+_GRID_VALUES = {
+    "one-qubit": one_qubit_values,
+    "general": general_values,
+    "omega1": omega1_values,
+    "omega2": omega2_values,
+}
+CLASSES = tuple(_GRID_VALUES)
 
 _TIE_EPS = 1e-12
 _CHUNK = 32768
@@ -45,8 +50,6 @@ class ScanRequest:
     fidelity_class: str = "general"
     t_max: float = 2.0e4
     grid_step: float | None = None
-    samples: int = 8192
-    seed: int = 0
     threads: int = 1
     refine: bool = True
     refine_rel_tol: float = 1e-6
@@ -59,8 +62,6 @@ class ScanRequest:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
         if self.grid_step is not None and self.grid_step <= 0:
             raise ValueError(f"grid step must be positive, got {self.grid_step!r}")
-        if self.samples < 2:
-            raise ValueError("need at least two Monte Carlo samples")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -75,19 +76,6 @@ class ScanResult:
     fidelity_class: str
     grid_step: float
     trace: tuple | None = None
-
-
-def _make_evaluator(request: ScanRequest):
-    dec = decompose_chain(request.chain)
-    cls = request.fidelity_class
-    if cls == "one-qubit":
-        return lambda ts: one_qubit_values(dec, ts), dec
-    if cls == "omega1":
-        return lambda ts: omega1_values(dec, ts), dec
-    if cls == "omega2":
-        return lambda ts: omega2_values(dec, ts), dec
-    ev = HaarAverageEvaluator(dec, request.samples, SeededSampler(request.seed))
-    return ev.values, dec
 
 
 def _chunk_best(ts, vals):
@@ -113,7 +101,8 @@ def _golden_refine(evaluate, lo, hi, tol):
 
 def max_over_time(request: ScanRequest) -> ScanResult:
     """Maximize the requested average fidelity over t in [0, t_max]."""
-    evaluate, dec = _make_evaluator(request)
+    dec = decompose_chain(request.chain)
+    evaluate = partial(_GRID_VALUES[request.fidelity_class], dec)
 
     spread = max(dec.spectral_range, 1e-9)
     step = math.pi / (4.0 * spread)
@@ -185,8 +174,7 @@ class ThresholdResult:
 def threshold_field(n_sites_values, block: int = 2, target: float = 0.95,
                     fidelity_class: str = "omega1", t_max: float = 1.3e4,
                     h_resolution: float = 0.1, h_cap: float = 60.0,
-                    profile: str = "uniform", samples: int = 8192,
-                    seed: int = 0, threads: int = 1) -> list[ThresholdResult]:
+                    profile: str = "uniform", threads: int = 1) -> list[ThresholdResult]:
     """Smallest barrier field whose max-over-time fidelity reaches the target.
 
     Searches the grid h = k*h_resolution up to h_cap by bracketing plus
@@ -206,8 +194,7 @@ def threshold_field(n_sites_values, block: int = 2, target: float = 0.95,
         def scan_at(k: int) -> ScanResult:
             if k not in scan_cache:
                 chain = ChainSpec(n_sites, block, k * h_resolution, profile)
-                req = ScanRequest(chain, fidelity_class, t_max=t_max,
-                                  samples=samples, seed=seed, threads=threads)
+                req = ScanRequest(chain, fidelity_class, t_max=t_max, threads=threads)
                 scan_cache[k] = max_over_time(req)
             return scan_cache[k]
 
@@ -248,8 +235,7 @@ def threshold_field(n_sites_values, block: int = 2, target: float = 0.95,
         else:
             verified = max_over_time(ScanRequest(
                 ChainSpec(n_sites, block, found * h_resolution, profile),
-                fidelity_class, t_max=t_max, samples=samples, seed=seed,
-                threads=threads))
+                fidelity_class, t_max=t_max, threads=threads))
             results.append(ThresholdResult(
                 n_sites, found * h_resolution, verified.t_star, verified.fbar_max))
     return results

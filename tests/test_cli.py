@@ -106,6 +106,29 @@ def test_scan_field_rows(tmp_path, capsys):
     assert lines[1].split(",")[2] == "0"
 
 
+@pytest.mark.parametrize("h_list", ["0,5", "5,0"])
+def test_scan_field_places_blocks_for_the_largest_field(tmp_path, capsys, h_list):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "scan-field", "--N", "8", "--class", "omega1",
+                       "--h-list", h_list, "--t-max", "200", "--out", str(out))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [row[2] for row in rows] == h_list.split(",")
+    assert all(row[1] == "2" for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan-time", "--N", "7", "--class", "omega1", "--t-max", "100"),
+    ("scan-field", "--N", "7", "--class", "omega1", "--h-list", "0", "--t-max", "100"),
+    ("threshold", "--N-list", "7", "--t-max", "100", "--h-cap", "0.5"),
+    ("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100"),
+])
+def test_scans_take_no_sample_count(capsys, argv):
+    code, _, err = run(capsys, *argv, "--samples", "512")
+    assert code == 2
+    assert "--samples" in err
+
+
 def test_threshold_command(tmp_path, capsys):
     out = tmp_path / "th.csv"
     code, _, _ = run(capsys, "threshold", "--N-list", "7", "--target", "0.8",
@@ -120,7 +143,7 @@ def test_threshold_command(tmp_path, capsys):
 def test_reproduce_shrunk(tmp_path, capsys):
     out = tmp_path / "fig.csv"
     code, _, _ = run(capsys, "reproduce", "--figure", "4a", "--h-list", "0,10",
-                     "--t-max", "500", "--samples", "512", "--out", str(out))
+                     "--t-max", "500", "--out", str(out))
     assert code == 0
     rows = out.read_text().strip().split("\n")
     assert len(rows) == 3
@@ -171,6 +194,13 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     assert code == 0
     manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
     assert manifest["params"]["threads"] == 2
+
+    for bad in ("0", "-3", "two"):
+        monkeypatch.setenv("QST_THREADS", bad)
+        code, _, err = run(capsys, "scan-time", "--N", "7", "--class", "omega1",
+                           "--t-max", "100")
+        assert code == 2
+        assert "QST_THREADS" in err
 
 
 def test_state_parsing_rejects_short_input(capsys):

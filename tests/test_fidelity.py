@@ -1,10 +1,9 @@
-"""Average transfer fidelities: closed forms, Monte Carlo, and the fast evaluator."""
+"""Average transfer fidelities: closed forms and Monte Carlo."""
 
 import numpy as np
 import pytest
 
 from spinbus import (
-    HaarAverageEvaluator,
     SeededSampler,
     avg_fidelity_1q,
     avg_fidelity_1q_mc,
@@ -13,12 +12,15 @@ from spinbus import (
     avg_fidelity_omega2,
     build_chain,
     decompose_chain,
+    evolve_receiver_pair,
+    general_values,
     omega1_values,
     omega2_values,
     one_qubit_amplitude,
     one_qubit_values,
 )
 from spinbus.fidelity import _omega1_from_amplitudes, _omega2_from_amplitudes
+from spinbus.oracle import haar_average
 
 
 def test_one_qubit_closed_form_limits():
@@ -43,6 +45,7 @@ def test_one_qubit_mc_agrees():
         t = rng.uniform(0.0, 300.0)
         closed = avg_fidelity_1q(one_qubit_amplitude(dec, t))
         mc = avg_fidelity_1q_mc(dec, t, 40000, SeededSampler(k))
+        assert mc.method == "monte-carlo-1q"
         assert abs(closed.value - mc.value) < 4 * mc.stderr, f"t={t}"
 
 
@@ -65,6 +68,7 @@ def test_omega_closed_forms_match_monte_carlo():
             t = rng.uniform(0.0, 500.0)
             cf = closed(dec, t)
             mc = avg_fidelity_mc(dec, t, 60000, SeededSampler(100 + k), state_class=cls)
+            assert mc.method == f"monte-carlo-{cls}"
             assert abs(cf.value - mc.value) < 4 * mc.stderr, f"{cls} t={t}"
 
 
@@ -80,15 +84,24 @@ def test_value_grids_match_scalars():
         assert abs(q1[k] - avg_fidelity_1q(one_qubit_amplitude(dec, float(t))).value) < 1e-13
 
 
-def test_evaluator_equals_sample_mean():
-    """The moment-matrix evaluator reproduces the per-sample mean exactly."""
+def test_general_values_are_exact():
+    """The closed form equals the 4-design average of the receiver state and
+    agrees with large-sample Monte Carlo."""
+    cases = ((build_chain(4), (0.3, 7.0, 55.0)),
+             (build_chain(6, profile="engineered"), (np.pi / 4,)),
+             (build_chain(8, 2, 0.0), (3.0, 170.0, 5287.291)),
+             (build_chain(8, 2, 20.0), (3.0, 990.0, 4.0e4)))
+    for spec, ts in cases:
+        dec = decompose_chain(spec)
+        vals = general_values(dec, np.array(ts))
+        for k, t in enumerate(ts):
+            exact = haar_average(lambda state: evolve_receiver_pair(dec, state, t))
+            assert abs(vals[k] - exact) <= 1e-12, f"N={spec.n_sites} t={t}"
     dec = decompose_chain(build_chain(7, 2, 8.0))
-    ts = np.array([0.9, 33.0, 710.0])
-    ev = HaarAverageEvaluator(dec, 2048, SeededSampler(6))
-    vals = ev.values(ts)
-    for k, t in enumerate(ts):
-        mc = avg_fidelity_mc(dec, float(t), 2048, SeededSampler(6))
-        assert abs(vals[k] - mc.value) < 1e-10
+    for k, t in enumerate((0.9, 33.0, 710.0)):
+        mc = avg_fidelity_mc(dec, t, 100000, SeededSampler(6 + k))
+        assert mc.method == "monte-carlo-general"
+        assert abs(general_values(dec, [t])[0] - mc.value) <= 3 * mc.stderr, f"t={t}"
 
 
 def test_engineered_mirror_is_crossed():

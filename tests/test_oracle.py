@@ -6,17 +6,17 @@ import pytest
 from spinbus import (
     SectorBasis,
     SectorEvolver,
-    TwoQubitState,
     amplitude_rp,
     build_chain,
     decompose_chain,
     field_constant,
+    general_values,
     oracle_rdm,
     sample_haar_2q,
     verification_battery,
     SeededSampler,
 )
-from spinbus.oracle import sector_hamiltonian
+from spinbus.oracle import haar_average, sector_hamiltonian
 from spinbus.reduced import evolve_receiver_pair
 from spinbus.spectral import amplitude_row
 
@@ -119,35 +119,18 @@ def test_oracle_rdm_matches_fermionic_path():
 def test_bare_n8_exact_haar_average_exceeds_0_8_at_scan_maximum():
     """Exact general-class average of the bare N = 8 chain, oracle only.
 
-    t = 5287.291 is where the seed-0 scan of acceptance 6 puts the bare
-    N = 8 maximum.  The Haar average there is above 0.8, so no barrier can
-    lift that chain by 0.2.  Built from the 4-design identity
-    Fbar = (sum_ij <i|L(|i><j|)|j> + d) / (d (d + 1)), with each L(|i><j|)
-    recovered by polarization over |i> + i^k |j>, in the receiver basis
-    order (|11>, |10>, |01>, |00>).
+    t = 5287.291 is where the scan of acceptance 6 puts the bare N = 8
+    maximum.  The Haar average there is above 0.8, so no barrier can lift
+    that chain by 0.2.  haar_average builds it from oracle_rdm alone by the
+    4-design identity and polarization; the closed form general_values must
+    agree with it.
     """
     spec = build_chain(8, 2, 0.0)
     t = 5287.291
-    d = 4
-    basis = np.eye(d)
-
-    def channel(vec):
-        b11, b10, b01, b00 = vec / np.linalg.norm(vec)
-        return oracle_rdm(spec, TwoQubitState(b00, b01, b10, b11), t)
-
-    total = 0.0
-    for i in range(d):
-        total += channel(basis[i])[i, i]
-        for j in range(d):
-            if j != i:
-                # |i><j| = (1/2) sum_k i^k |psi_k><psi_k|,
-                # psi_k = (|i> + i^k |j>) / sqrt(2)
-                image = sum(1j ** k * channel(basis[i] + 1j ** k * basis[j])
-                            for k in range(4)) / 2
-                total += image[i, j]
-    fbar = (total + d) / (d * (d + 1))
+    fbar = haar_average(lambda state: oracle_rdm(spec, state, t))
     assert abs(fbar.imag) < 1e-12
     assert fbar.real == pytest.approx(0.80105, abs=1e-5)
+    assert abs(general_values(decompose_chain(spec), [t])[0] - fbar) < 1e-12
 
 
 def test_verification_battery_green():

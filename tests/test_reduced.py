@@ -5,7 +5,6 @@ import pytest
 
 from spinbus import (
     RECEIVER_BASIS,
-    HaarAverageEvaluator,
     SeededSampler,
     TwoQubitState,
     amplitude_rp,
@@ -13,6 +12,7 @@ from spinbus import (
     decompose_chain,
     evolve_receiver_pair,
     fidelity_against,
+    general_values,
     omega1_values,
     omega2_values,
     one_qubit_values,
@@ -65,9 +65,7 @@ def test_pair_amplitudes_weight_sums_to_one():
 def test_grid_matches_pointwise():
     dec = decompose_chain(build_chain(7, 2, 3.0))
     ts = np.array([0.0, 2.2, 47.0])
-    ev = HaarAverageEvaluator(dec, 256, SeededSampler(8))
-    for values in (omega1_values, omega2_values, one_qubit_values,
-                   lambda d, grid: ev.values(grid)):
+    for values in (omega1_values, omega2_values, one_qubit_values, general_values):
         grid = values(dec, ts)
         for k, t in enumerate(ts):
             assert abs(grid[k] - values(dec, np.array([t]))[0]) < 1e-13

@@ -43,7 +43,7 @@ def test_grid_step_honours_spectral_range():
 
 def test_thread_count_does_not_change_result():
     req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general",
-                      t_max=800.0, samples=1024, seed=3, threads=1)
+                      t_max=800.0, threads=1)
     r1 = max_over_time(req)
     r8 = max_over_time(dataclasses.replace(req, threads=8))
     assert r1.t_star == r8.t_star
@@ -103,7 +103,5 @@ def test_request_validation():
         ScanRequest(chain, fidelity_class="bogus")
     with pytest.raises(ValueError):
         ScanRequest(chain, t_max=0.0)
-    with pytest.raises(ValueError):
-        ScanRequest(chain, samples=0)
     with pytest.raises(ValueError):
         ScanRequest(chain, threads=0)
