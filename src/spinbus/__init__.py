@@ -22,6 +22,7 @@ from .chain import (
     hamiltonian_matrix,
 )
 from .fidelity import (
+    CLASSES,
     AverageFidelity,
     avg_fidelity_1q,
     avg_fidelity_1q_mc,
@@ -48,7 +49,6 @@ from .reduced import (
     fidelity_against,
 )
 from .scans import (
-    CLASSES,
     ScanRequest,
     ScanResult,
     ThresholdResult,

@@ -20,24 +20,15 @@ from datetime import datetime, timezone
 from . import __version__
 from .amplitudes import amplitude_rp
 from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain
-from .fidelity import avg_fidelity_1q, avg_fidelity_mc, avg_fidelity_omega1, \
-    avg_fidelity_omega2, one_qubit_amplitude
+from .fidelity import CLASSES, GRID_VALUES, METHODS, AverageFidelity, avg_fidelity_mc, \
+    general_values
 from .oracle import verification_battery
 from .reduced import RECEIVER_BASIS, evolve_receiver_pair
-from .scans import CLASSES, ScanRequest, default_t_max, field_sweep, max_over_time, \
-    threshold_field
+from .scans import ScanRequest, default_t_max, field_sweep, max_over_time, threshold_field
 from .spectral import decompose_chain
 from .states import SeededSampler, TwoQubitState
 
 _SCAN_HEADER = ("N", "n", "h", "t_star", "fbar_max", "class", "seed")
-
-# keys a config file (or manifest "params" block) may supply; flags win
-_CONFIG_KEYS = (
-    "N", "n", "h", "profile", "c", "t", "t_max", "grid", "state_class",
-    "samples", "seed", "threads", "sources", "targets", "state",
-    "h_list", "h_min", "h_max", "h_step", "N_list", "target", "h_cap",
-    "h_resolution", "figure",
-)
 
 
 def _fmt(value) -> str:
@@ -79,26 +70,29 @@ def _emit_csv(out, command, params, header, rows) -> None:
         fh.write("\n")
 
 
-def _load_config(path) -> dict:
+class _Usage(Exception):
+    """Bad or missing arguments; maps to exit code 2."""
+
+
+def _load_config(path, options) -> dict:
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "params" in data and "command" in data:
         data = data["params"]
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    return {k: v for k, v in data.items() if k in _CONFIG_KEYS and v is not None}
-
-
-class _Usage(Exception):
-    """Bad or missing arguments; maps to exit code 2."""
+    unknown = sorted(set(data) - set(options))
+    if unknown:
+        raise _Usage(f"config file {path} sets {unknown}, which this command does not take")
+    return {k: v for k, v in data.items() if v is not None}
 
 
 def _resolve(args) -> dict:
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    params = dict(config)
-    for key, value in vars(args).items():
-        if key in ("command", "config", "out", "func"):
-            continue
+    """Request parameters: the config file's, overridden by the flags given."""
+    options = [k for k in vars(args) if k not in ("command", "config", "out", "func")]
+    params = _load_config(args.config, options) if args.config else {}
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             params[key] = value
     return params
@@ -178,7 +172,8 @@ def _parse_state(text, normalize) -> TwoQubitState:
 
 def cmd_rdm(args) -> int:
     params = _resolve(args)
-    state = _parse_state(_require(params, "state", "--state"), args.normalize_state)
+    state = _parse_state(_require(params, "state", "--state"),
+                         bool(params.get("normalize_state")))
     t = float(_require(params, "t", "--t"))
     dec = decompose_chain(_chain_from(params))
     rho = evolve_receiver_pair(dec, state, t)
@@ -195,18 +190,21 @@ def cmd_fidelity(args) -> int:
     cls = params.get("state_class", "general")
     if cls not in CLASSES:
         raise _Usage(f"--class must be one of {CLASSES}")
+    samples, phase_opt = params.get("samples"), params.get("phase_opt", False)
+    if phase_opt and (cls != "general" or samples is not None):
+        raise _Usage("--phase-opt needs --class general and takes no --samples")
+    if samples is not None and cls == "one-qubit":
+        raise _Usage("--samples needs --class general, omega1 or omega2")
     t = float(_require(params, "t", "--t"))
     dec = decompose_chain(_chain_from(params, cls))
-    if cls == "one-qubit":
-        result = avg_fidelity_1q(one_qubit_amplitude(dec, t))
-    elif cls == "omega1":
-        result = avg_fidelity_omega1(dec, t)
-    elif cls == "omega2":
-        result = avg_fidelity_omega2(dec, t)
-    else:
-        samples = int(params.get("samples", 10000))
+    if samples is not None:
         sampler = SeededSampler(int(params.get("seed", 0)))
-        result = avg_fidelity_mc(dec, t, samples, sampler, phase_opt=args.phase_opt)
+        result = avg_fidelity_mc(dec, t, int(samples), sampler, state_class=cls)
+    elif phase_opt:
+        result = AverageFidelity(float(general_values(dec, (t,), phase_opt=True)[0]),
+                                 METHODS["general"] + "-phase-opt")
+    else:
+        result = AverageFidelity(float(GRID_VALUES[cls](dec, (t,))[0]), METHODS[cls])
     print(json.dumps({"value": result.value, "stderr": result.stderr,
                       "method": result.method}))
     return 0
@@ -305,22 +303,32 @@ _FIGURES = {
 }
 
 
+def _run_as(command, params, out, figure) -> int:
+    """Run another subcommand on params, each of which must be one of its options."""
+    args = _build_parser().parse_args([command])
+    unknown = sorted(set(params) - set(vars(args)))
+    if unknown:  # every key is one of reproduce's options, named after its flag
+        flags = ", ".join("--" + key.replace("_", "-") for key in unknown)
+        raise _Usage(f"--figure {figure} takes no {flags}")
+    vars(args).update(params, out=out)
+    return args.func(args)
+
+
 def cmd_reproduce(args) -> int:
     params = _resolve(args)
     figure = str(_require(params, "figure", "--figure"))
+    del params["figure"]  # the dispatched command, and so its manifest, has none
     if figure in _FIGURES:
         preset = _FIGURES[figure]
         params.setdefault("N", preset["N"])
         params.setdefault("t_max", preset["t_max"])
         params.setdefault("h_list", [0.0, 2.0, 5.0, 10.0, 15.0, 20.0])
         params.setdefault("state_class", "general")
-        args_like = argparse.Namespace(config=None, out=args.out, **params)
-        return cmd_scan_field(args_like)
+        return _run_as("scan-field", params, args.out, figure)
     if figure == "5":
         params.setdefault("N_list", [7, 8, 9, 10, 11])
         params.setdefault("state_class", "omega1")
-        args_like = argparse.Namespace(config=None, out=args.out, **params)
-        return cmd_threshold(args_like)
+        return _run_as("threshold", params, args.out, figure)
     raise _Usage(f"unknown figure {figure!r}; choose 4a, 4b or 5")
 
 
@@ -367,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rdm", help="receiver-pair density matrix as JSON")
     add_common(p)
     p.add_argument("--state", help="eight reals: re,im pairs of |00>,|01>,|10>,|11>")
-    p.add_argument("--normalize-state", action="store_true")
+    p.add_argument("--normalize-state", action="store_true", default=None)
     p.add_argument("--t", type=float)
     p.set_defaults(func=cmd_rdm)
 
@@ -375,9 +383,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--phase-opt", action="store_true",
-                   help="maximize over an odd-sector phase (general class)")
+    p.add_argument("--samples", type=int,
+                   help="Monte Carlo cross-check with this many sender states")
+    p.add_argument("--phase-opt", action="store_true", default=None,
+                   help="average after the best odd-sector phase (general class)")
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("scan-time", help="maximize fidelity over a time window")

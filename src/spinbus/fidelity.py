@@ -9,16 +9,19 @@ omega1    : sender states b|01> + c|10> (one excitation shared by the pair).
 omega2    : sender states a|00> + d|11> (even excitation content).
 general   : Haar-random two-qubit states.
 
-Every average is a function of the sender-to-receiver minor F(t) through the
-receiver kernel in reduced.py.  The omega1 and omega2 averages are exact
-slice-Haar integrals of <psi|rho(t)|psi> and hit 1 at perfect transfer; both
-are invariant under a global phase of the odd-excitation sector.  The general
-average is exact too: of the Kraus operators, one per bulk configuration, only
-the bulk-empty one has a nonzero diagonal, (1, f_v2, f_u1, g_uv), so
-Fbar = (4 F_e + 1)/5 with F_e = |1 + f_u1 + f_v2 + g_uv|^2/16 (Horodecki^3,
-PRA 60, 1888, 1999).  Seeded Monte Carlo stays as a cross-check; for the
-general class it can be maximized over one odd-sector phase (a receiver-side
-correction knob), and by default it evaluates the dynamics as-is.
+Every average is a closed form in the sender-to-receiver minor F(t), and
+GRID_VALUES names the function that evaluates each class on a time grid;
+scans and single-time queries both go through it.  The omega1 and omega2
+averages are exact slice-Haar integrals of <psi|rho(t)|psi> and hit 1 at
+perfect transfer; both are invariant under a global phase of the
+odd-excitation sector.  The general average is exact too: of the Kraus
+operators, one per bulk configuration, only the bulk-empty one has a nonzero
+diagonal, (1, f_v2, f_u1, g_uv), so Fbar = (4 F_e + 1)/5 with
+F_e = |1 + f_u1 + f_v2 + g_uv|^2/16 (Horodecki^3, PRA 60, 1888, 1999).  A
+phase p on the odd-excitation sector (a receiver-side correction knob) turns
+the trace into 1 + g_uv + p (f_u1 + f_v2), whose largest modulus over |p| = 1
+is |1 + g_uv| + |f_u1 + f_v2|.  Seeded Monte Carlo stays as the cross-check
+of the closed forms.
 """
 
 from __future__ import annotations
@@ -32,9 +35,13 @@ from .spectral import SpectralDecomposition, amplitude_1p, propagator_minor_grid
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
 
-METHOD_ONE_QUBIT = "closed-form-1q"
-METHOD_OMEGA1 = "closed-form-omega1"
-METHOD_OMEGA2 = "closed-form-omega2"
+# method label of each class's closed form
+METHODS = {
+    "one-qubit": "closed-form-1q",
+    "general": "closed-form-general",
+    "omega1": "closed-form-omega1",
+    "omega2": "closed-form-omega2",
+}
 
 _AMP_TOL = 1e-9
 
@@ -61,7 +68,7 @@ def avg_fidelity_1q(f) -> AverageFidelity:
     if m > 1.0 + _AMP_TOL:
         raise ValueError(f"|f| = {m} exceeds 1")
     m = min(m, 1.0)
-    return AverageFidelity(0.5 + m / 3.0 + m * m / 6.0, METHOD_ONE_QUBIT)
+    return AverageFidelity(0.5 + m / 3.0 + m * m / 6.0, METHODS["one-qubit"])
 
 
 def one_qubit_amplitude(dec: SpectralDecomposition, t: float) -> complex:
@@ -84,12 +91,12 @@ def _omega2_from_amplitudes(g_uv, traced_weight):
 
 def avg_fidelity_omega1(dec: SpectralDecomposition, t: float) -> AverageFidelity:
     """Exact average fidelity over the one-excitation sender slice."""
-    return AverageFidelity(float(omega1_values(dec, (t,))[0]), METHOD_OMEGA1)
+    return AverageFidelity(float(omega1_values(dec, (t,))[0]), METHODS["omega1"])
 
 
 def avg_fidelity_omega2(dec: SpectralDecomposition, t: float) -> AverageFidelity:
     """Exact average fidelity over the even sender slice."""
-    return AverageFidelity(float(omega2_values(dec, (t,))[0]), METHOD_OMEGA2)
+    return AverageFidelity(float(omega2_values(dec, (t,))[0]), METHODS["omega2"])
 
 
 def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
@@ -104,11 +111,19 @@ def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     return _omega2_from_amplitudes(w[1], np.real(gram[0, 0] + gram[1, 1]))
 
 
-def general_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
-    """Exact Haar average over all two-qubit sender states on a time grid."""
+def general_values(dec: SpectralDecomposition, ts: np.ndarray,
+                   phase_opt: bool = False) -> np.ndarray:
+    """Exact Haar average over all two-qubit sender states on a time grid.
+
+    With phase_opt, the average after the odd-excitation sector phase that
+    maximizes it at each time.
+    """
     m = _pair_minor(dec, ts)
     fu1, fu2, fv1, fv2 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-    kraus_trace = 1.0 + fu1 + fv2 + (fu1 * fv2 - fu2 * fv1)
+    g_uv = fu1 * fv2 - fu2 * fv1
+    if phase_opt:
+        return 0.2 + (np.abs(1.0 + g_uv) + np.abs(fu1 + fv2)) ** 2 / 20.0
+    kraus_trace = 1.0 + fu1 + fv2 + g_uv
     return 0.2 + np.abs(kraus_trace) ** 2 / 20.0
 
 
@@ -116,6 +131,16 @@ def one_qubit_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized one-qubit average over a time grid."""
     m = np.abs(propagator_minor_grid(dec, (dec.n_sites,), (1,), ts)[:, 0, 0])
     return 0.5 + m / 3.0 + m * m / 6.0
+
+
+# average fidelity of each class on a time grid, called as values(dec, ts)
+GRID_VALUES = {
+    "one-qubit": one_qubit_values,
+    "general": general_values,
+    "omega1": omega1_values,
+    "omega2": omega2_values,
+}
+CLASSES = tuple(GRID_VALUES)
 
 
 def avg_fidelity_1q_mc(dec: SpectralDecomposition, t: float, samples: int,
@@ -146,14 +171,10 @@ _SAMPLERS = {
 
 
 def avg_fidelity_mc(dec: SpectralDecomposition, t: float, samples: int,
-                    sampler: SeededSampler, state_class: str = "general",
-                    phase_opt: bool = False) -> AverageFidelity:
+                    sampler: SeededSampler, state_class: str = "general") -> AverageFidelity:
     """Monte Carlo average of <psi|rho(t)|psi> over a sender-state class.
 
-    Every sample is scored through the receiver kernel of reduced.py.  phase_opt
-    maximizes the estimate over a single phase applied to the odd-excitation
-    sector (it is a no-op for omega1 and omega2, whose averages are invariant
-    under that phase).
+    Every sample is scored through the receiver kernel of reduced.py.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -162,7 +183,7 @@ def avg_fidelity_mc(dec: SpectralDecomposition, t: float, samples: int,
     except KeyError:
         raise ValueError(f"unknown state class {state_class!r}") from None
     states = draw(sampler, size=samples)
-    vals = _sample_fidelities(dec, states, t, phase_opt)
+    vals = _sample_fidelities(dec, states, t)
     return AverageFidelity(float(vals.mean()), f"monte-carlo-{state_class}",
                            float(vals.std(ddof=1) / np.sqrt(samples)))
 
@@ -180,28 +201,9 @@ def _overlaps(states):
     return x, y, np.abs(states[:, 0] * states[:, 3]) ** 2
 
 
-def _sample_fidelities(dec, states, t, phase_opt):
-    """<psi|rho(t)|psi> for each sender state, optionally phase-optimized.
-
-    Each overlap splits into a part even in the excitation number, weighted by
-    (1, g) in the kernel, and an odd part, weighted by f.  A phase p on the
-    odd sector gives even + odd + 2 Re(p * cross); phase_opt picks the p that
-    maximizes the mean over the samples.
-    """
+def _sample_fidelities(dec, states, t):
+    """<psi|rho(t)|psi> for each sender state, from the receiver kernel at t."""
     w, gram, weight = (a[..., 0] for a in _receiver_kernel(_pair_minor(dec, (t,))))
     x, y, rest = _overlaps(states)
-    vac_even, vac_odd = x[:, :2] @ w[:2], x[:, 2:] @ w[2:]
-    y_even, y_odd = y[:, :2], y[:, 2:]
-
-    def bulk(a, block, b):
-        return np.einsum("ki,ij,kj->k", a.conj(), block, b)
-
-    even = (np.abs(vac_even) ** 2 + np.real(bulk(y_even, gram[:2, :2], y_even))
-            + rest * weight)
-    odd = np.abs(vac_odd) ** 2 + np.real(bulk(y_odd, gram[2:, 2:], y_odd))
-    cross = np.conj(vac_even) * vac_odd + bulk(y_even, gram[:2, 2:], y_odd)
-    phase = 1.0
-    if phase_opt:
-        d = complex(cross.mean())
-        phase = 1.0 if d == 0 else np.conj(d) / abs(d)
-    return even + odd + 2.0 * np.real(phase * cross)
+    bulk = np.einsum("ki,ij,kj->k", y.conj(), gram, y)
+    return np.abs(x @ w) ** 2 + np.real(bulk) + rest * weight

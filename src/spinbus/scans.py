@@ -18,17 +18,8 @@ from functools import partial
 import numpy as np
 
 from .chain import ChainSpec
-from .fidelity import general_values, omega1_values, omega2_values, one_qubit_values
+from .fidelity import CLASSES, GRID_VALUES
 from .spectral import decompose_chain
-
-# average fidelity of each class on a time grid, called as values(dec, ts)
-_GRID_VALUES = {
-    "one-qubit": one_qubit_values,
-    "general": general_values,
-    "omega1": omega1_values,
-    "omega2": omega2_values,
-}
-CLASSES = tuple(_GRID_VALUES)
 
 _TIE_EPS = 1e-12
 _CHUNK = 32768
@@ -102,7 +93,7 @@ def _golden_refine(evaluate, lo, hi, tol):
 def max_over_time(request: ScanRequest) -> ScanResult:
     """Maximize the requested average fidelity over t in [0, t_max]."""
     dec = decompose_chain(request.chain)
-    evaluate = partial(_GRID_VALUES[request.fidelity_class], dec)
+    evaluate = partial(GRID_VALUES[request.fidelity_class], dec)
 
     spread = max(dec.spectral_range, 1e-9)
     step = math.pi / (4.0 * spread)
@@ -177,10 +168,10 @@ def threshold_field(n_sites_values, block: int = 2, target: float = 0.95,
                     profile: str = "uniform", threads: int = 1) -> list[ThresholdResult]:
     """Smallest barrier field whose max-over-time fidelity reaches the target.
 
-    Searches the grid h = k*h_resolution up to h_cap by bracketing plus
-    bisection, assuming the reachable side is locally monotone; if the
-    bisection bracket collapses inconsistently it falls back to a linear
-    scan.  Each returned field is re-verified by a fresh scan.
+    Searches the grid h = k*h_resolution up to h_cap by bracketing on a
+    doubling ladder plus bisection, assuming the reachable side is monotone:
+    the field returned is the first grid point above one already known to
+    miss the target.  Each field is scanned at most once per chain length.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
@@ -223,19 +214,9 @@ def threshold_field(n_sites_values, block: int = 2, target: float = 0.95,
                         hi = mid
                     else:
                         lo = mid
-                if hi - lo != 1 or scan_at(lo).fbar_max >= target:
-                    # monotonicity assumption violated; rescan linearly
-                    hi = next((k for k in range(k_cap + 1)
-                               if scan_at(k).fbar_max >= target), None)
                 found = hi
 
-        if found is None:
-            best = scan_at(k_cap)
-            results.append(ThresholdResult(n_sites, None, best.t_star, best.fbar_max))
-        else:
-            verified = max_over_time(ScanRequest(
-                ChainSpec(n_sites, block, found * h_resolution, profile),
-                fidelity_class, t_max=t_max, threads=threads))
-            results.append(ThresholdResult(
-                n_sites, found * h_resolution, verified.t_star, verified.fbar_max))
+        best = scan_at(k_cap if found is None else found)
+        field = None if found is None else found * h_resolution
+        results.append(ThresholdResult(n_sites, field, best.t_star, best.fbar_max))
     return results

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from spinbus import build_chain, decompose_chain, general_values
 from spinbus.cli import parse_and_dispatch
 
 
@@ -66,6 +67,23 @@ def test_fidelity_mc_has_stderr(capsys):
     assert data["method"] == "monte-carlo-general"
 
 
+def test_fidelity_general_is_closed_form(capsys):
+    chain = ("--N", "7", "--h", "5", "--t", "41.2")
+    code, out, _ = run(capsys, "fidelity", *chain, "--class", "general")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "closed-form-general"
+    assert data["stderr"] is None
+    exact = general_values(decompose_chain(build_chain(7, 2, 5.0)), [41.2])[0]
+    assert abs(data["value"] - exact) <= 1e-15
+    code, out, _ = run(capsys, "fidelity", *chain, "--phase-opt")
+    assert code == 0
+    opt = json.loads(out)
+    assert opt["method"] == "closed-form-general-phase-opt"
+    assert opt["stderr"] is None
+    assert opt["value"] >= data["value"]
+
+
 def test_scan_time_manifest_roundtrip(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _, _ = run(capsys, "scan-time", "--N", "7", "--n", "2", "--h", "12",
@@ -93,6 +111,31 @@ def test_flags_override_config(tmp_path, capsys):
     code, out2, _ = run(capsys, "fidelity", "--config", str(cfg), "--t", "4.0")
     assert code == 0
     assert out1 != out2
+
+
+def test_config_keys_are_the_command_options(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 7, "h": 8, "n": 2, "state_class": "omega1",
+                               "t_max": 100, "samples": 7}))
+    code, _, err = run(capsys, "scan-time", "--config", str(cfg))
+    assert code == 2
+    assert "'samples'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "--figure", "4a", "--h-list", "0,10", "--t-max", "500"),
+    ("reproduce", "--figure", "5", "--N-list", "7", "--t-max", "100", "--h-cap", "0.5"),
+])
+def test_reproduce_manifest_roundtrip(tmp_path, capsys, argv):
+    out = tmp_path / "fig.csv"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 0, err
+    manifest = tmp_path / "fig.csv.manifest.json"
+    command = json.loads(manifest.read_text())["command"]
+    again = tmp_path / "again.csv"
+    code, _, err = run(capsys, command, "--config", str(manifest), "--out", str(again))
+    assert code == 0, err
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_scan_field_rows(tmp_path, capsys):
@@ -127,6 +170,25 @@ def test_scans_take_no_sample_count(capsys, argv):
     code, _, err = run(capsys, *argv, "--samples", "512")
     assert code == 2
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--class", "omega1", "--phase-opt"),
+    ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--phase-opt", "--samples", "100"),
+    ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--class", "one-qubit",
+     "--samples", "100"),
+    ("reproduce", "--figure", "5", "--N-list", "7", "--h-list", "3", "--t-max", "100",
+     "--h-cap", "0.5"),
+    ("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100", "--N-list", "7"),
+    ("reproduce", "--figure", "4b", "--h-list", "0", "--t-max", "100", "--target", "0.9"),
+    ("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100", "--h-cap", "5"),
+    ("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100",
+     "--h-resolution", "0.5"),
+])
+def test_options_that_do_not_apply_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, out
+    assert err.startswith("usage error:")
 
 
 def test_threshold_command(tmp_path, capsys):

@@ -21,6 +21,7 @@ from spinbus import (
 )
 from spinbus.fidelity import _omega1_from_amplitudes, _omega2_from_amplitudes
 from spinbus.oracle import haar_average
+from spinbus.spectral import propagator_minor
 
 
 def test_one_qubit_closed_form_limits():
@@ -119,11 +120,32 @@ def test_engineered_mirror_is_crossed():
 
 
 def test_phase_opt_never_hurts():
-    dec = decompose_chain(build_chain(7, 2, 10.0))
-    for t in (12.0, 148.0):
-        plain = avg_fidelity_mc(dec, t, 4000, SeededSampler(14))
-        opt = avg_fidelity_mc(dec, t, 4000, SeededSampler(14), phase_opt=True)
-        assert opt.value >= plain.value - 1e-12
+    """The phase-optimized closed form is the best single odd-sector phase.
+
+    A phase p on the receiver's |10>, |01> turns the bulk-empty Kraus trace
+    into 1 + g_uv + p (f_u1 + f_v2); the argmax aligns the two terms.
+    """
+    cases = ((build_chain(7, 2, 10.0), (12.0, 148.0)),
+             (build_chain(6, profile="engineered"), (np.pi / 4,)))
+    phases = np.exp(2j * np.pi * np.arange(64) / 64)
+    for spec, ts in cases:
+        dec = decompose_chain(spec)
+        grid = np.linspace(0.0, 400.0, 801)
+        assert np.all(general_values(dec, grid, phase_opt=True)
+                      >= general_values(dec, grid) - 1e-15)
+        opt = general_values(dec, np.array(ts), phase_opt=True)
+        n = spec.n_sites
+        for k, t in enumerate(ts):
+            (fu1, fu2), (fv1, fv2) = propagator_minor(dec, (n - 1, n), (1, 2), t)
+            best = np.exp(1j * (np.angle(1.0 + fu1 * fv2 - fu2 * fv1) - np.angle(fu1 + fv2)))
+
+            def corrected(p):
+                u = np.diag([1.0, p, p, 1.0])
+                return haar_average(
+                    lambda state: u @ evolve_receiver_pair(dec, state, t) @ u.conj().T).real
+
+            assert abs(opt[k] - corrected(best)) <= 1e-12, f"N={n} t={t}"
+            assert max(corrected(p) for p in phases) <= opt[k] + 1e-12, f"N={n} t={t}"
 
 
 def test_mc_requires_known_class():

@@ -84,7 +84,7 @@ def test_batch_fidelity_matches_loop():
     states = _random_states(5, 8)
     mat = np.array([s.vector() for s in states])
     t = 31.0
-    batch = _sample_fidelities(dec, mat, t, phase_opt=False)
+    batch = _sample_fidelities(dec, mat, t)
     loop = [fidelity_against(evolve_receiver_pair(dec, st, t), st) for st in states]
     np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-12)
 

@@ -97,6 +97,24 @@ def test_threshold_known_value():
     assert res[0].fbar_max >= 0.9
 
 
+def test_threshold_scans_each_field_once(monkeypatch):
+    from spinbus import scans
+
+    fields = []
+    scan = scans.max_over_time
+
+    def counted(request):
+        fields.append(request.chain.field)
+        return scan(request)
+
+    monkeypatch.setattr(scans, "max_over_time", counted)
+    for target in (0.0, 0.8):
+        fields.clear()
+        res = threshold_field((7,), target=target, t_max=1000.0, h_cap=20.0)
+        assert res[0].field is not None
+        assert len(fields) == len(set(fields)), fields
+
+
 def test_request_validation():
     chain = build_chain(7, 2, 5.0)
     with pytest.raises(ValueError):
