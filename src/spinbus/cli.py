@@ -195,6 +195,8 @@ def cmd_fidelity(args) -> int:
         raise _Usage("--phase-opt needs --class general and takes no --samples")
     if samples is not None and cls == "one-qubit":
         raise _Usage("--samples needs --class general, omega1 or omega2")
+    if samples is None and params.get("seed") is not None:
+        raise _Usage("--seed needs --samples: the closed forms draw nothing")
     t = float(_require(params, "t", "--t"))
     dec = decompose_chain(_chain_from(params, cls))
     if samples is not None:
@@ -278,21 +280,27 @@ def cmd_scan_field(args) -> int:
 def cmd_threshold(args) -> int:
     params = _resolve(args)
     cls = params.get("state_class", "omega1")
+    # the search sets both; taking the flags out of the parser would make
+    # argparse read --N as an abbreviation of --N-list
+    for key in ("N", "h"):
+        if params.get(key) is not None:
+            raise _Usage(f"threshold takes no --{key}: it scans --N-list and searches the field")
     n_values = _parse_ints(_require(params, "N_list", "--N-list"))
-    block = int(params.get("n", 2))
-    t_max = float(params.get("t_max", 1.3e4))
-    seed = int(params.get("seed", 0))
+    if not n_values:
+        raise _Usage("--N-list needs at least one chain length")
+    params.setdefault("t_max", 1.3e4)
+    # the template of every scan; threshold_field sets each length and field
+    chain = _chain_from(dict(params, N=n_values[0], n=params.get("n", 2)), cls)
+    request = _scan_request(params, chain, cls)
     results = threshold_field(
-        n_values, block=block,
+        request, n_values,
         target=float(params.get("target", 0.95)),
-        fidelity_class=cls, t_max=t_max,
         h_resolution=float(params.get("h_resolution", 0.1)),
-        h_cap=float(params.get("h_cap", 60.0)),
-        profile=params.get("profile", UNIFORM),
-        threads=_resolve_threads(params))
-    rows = [(r.n_sites, block, r.field, r.t_star, r.fbar_max, cls, seed)
+        h_cap=float(params.get("h_cap", 60.0)))
+    seed = int(params.get("seed", 0))
+    rows = [(r.n_sites, chain.block, r.field, r.t_star, r.fbar_max, cls, seed)
             for r in results]
-    params_out = dict(params, N_list=n_values, t_max=t_max)
+    params_out = dict(params, N_list=n_values, t_max=request.t_max)
     _emit_csv(args.out, "threshold", params_out, _SCAN_HEADER, rows)
     return 0
 

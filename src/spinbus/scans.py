@@ -4,8 +4,15 @@ A scan evaluates an average-fidelity curve on a uniform time grid whose
 spacing respects the fastest frequency in the dynamics (the spectral range of
 the chain), takes the grid maximum with a smallest-time tie-break, and
 optionally refines the peak by golden-section search.  Every class is a
-closed form in the propagator, so a scan holds no randomness, and its result
-is independent of the worker count: grid chunks are fixed and reduced in order.
+closed form in the propagator, so a scan holds no randomness.
+
+The grid is cut into chunks of _CHUNK points anchored on the point index,
+step * (k * _CHUNK + j), and no array of times is ever built: each chunk is
+evaluated as a spectral.UniformGrid.  Chunks run `threads` at a time and are
+reduced in chunk order as each wave completes, so a scan holds at most one
+wave of values (memory bounded by the chunk size, not by the window) and its
+result is independent of the worker count.  An off-grid t_max is evaluated
+as one extra point after the last chunk.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .fidelity import CLASSES, GRID_VALUES
-from .spectral import decompose_chain
+from .spectral import UniformGrid, decompose_chain
 
 _TIE_EPS = 1e-12
 _CHUNK = 32768
@@ -44,7 +51,6 @@ class ScanRequest:
     threads: int = 1
     refine: bool = True
     refine_rel_tol: float = 1e-6
-    trace_points: int = 0
 
     def __post_init__(self):
         if self.fidelity_class not in CLASSES:
@@ -59,21 +65,30 @@ class ScanRequest:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Maximum found by a scan, with an optional downsampled trace."""
+    """Maximum found by a scan."""
 
     field: float
     t_star: float
     fbar_max: float
     fidelity_class: str
     grid_step: float
-    trace: tuple | None = None
 
 
-def _chunk_best(ts, vals):
-    # smallest t wins among values within _TIE_EPS of the chunk maximum
+def _chunk_best(vals):
+    # smallest index wins among values within _TIE_EPS of the chunk maximum
     top = vals.max()
     idx = int(np.flatnonzero(vals >= top - _TIE_EPS)[0])
-    return float(ts[idx]), float(vals[idx])
+    return idx, float(vals[idx])
+
+
+def _in_waves(run, items, threads):
+    """run(item) for each item, yielded in order, at most `threads` held at once."""
+    if threads == 1 or len(items) == 1:
+        yield from map(run, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for w in range(0, len(items), threads):
+            yield from pool.map(run, items[w:w + threads])
 
 
 def _golden_refine(evaluate, lo, hi, tol):
@@ -100,26 +115,20 @@ def max_over_time(request: ScanRequest) -> ScanResult:
     if request.grid_step is not None:
         step = min(step, request.grid_step)
     n_pts = int(math.floor(request.t_max / step)) + 1
-    ts = step * np.arange(n_pts)
-    if ts[-1] < request.t_max:
-        ts = np.append(ts, request.t_max)
 
-    chunks = [slice(k, min(k + _CHUNK, ts.size)) for k in range(0, ts.size, _CHUNK)]
+    def run_chunk(start):
+        return evaluate(UniformGrid(step, start, min(_CHUNK, n_pts - start)))
 
-    def run_chunk(sl):
-        return evaluate(ts[sl])
-
-    if request.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=request.threads) as pool:
-            chunk_vals = list(pool.map(run_chunk, chunks))
-    else:
-        chunk_vals = [run_chunk(sl) for sl in chunks]
-
-    best_t, best_f = _chunk_best(ts[chunks[0]], chunk_vals[0])
-    for sl, vals in zip(chunks[1:], chunk_vals[1:]):
-        t_c, f_c = _chunk_best(ts[sl], vals)
+    starts = range(0, n_pts, _CHUNK)
+    best_t, best_f = 0.0, -math.inf
+    for start, vals in zip(starts, _in_waves(run_chunk, starts, request.threads)):
+        idx, f_c = _chunk_best(vals)
         if f_c > best_f + _TIE_EPS:
-            best_t, best_f = t_c, f_c
+            best_t, best_f = step * (start + idx), f_c
+    if step * (n_pts - 1) < request.t_max:
+        f_end = float(evaluate(np.array([request.t_max]))[0])
+        if f_end > best_f + _TIE_EPS:
+            best_t, best_f = request.t_max, f_end
 
     if request.refine:
         tol = request.refine_rel_tol * max(best_t, 1.0)
@@ -129,14 +138,8 @@ def max_over_time(request: ScanRequest) -> ScanResult:
         if f_ref > best_f:
             best_t, best_f = t_ref, f_ref
 
-    trace = None
-    if request.trace_points > 0:
-        keep = np.unique(np.linspace(0, ts.size - 1, request.trace_points).astype(int))
-        flat = np.concatenate(chunk_vals)
-        trace = (tuple(ts[keep]), tuple(float(x) for x in flat[keep]))
-
     return ScanResult(request.chain.field, best_t, best_f,
-                      request.fidelity_class, step, trace)
+                      request.fidelity_class, step)
 
 
 def field_sweep(request: ScanRequest, fields) -> list[ScanResult]:
@@ -162,16 +165,17 @@ class ThresholdResult:
     fbar_max: float
 
 
-def threshold_field(n_sites_values, block: int = 2, target: float = 0.95,
-                    fidelity_class: str = "omega1", t_max: float = 1.3e4,
-                    h_resolution: float = 0.1, h_cap: float = 60.0,
-                    profile: str = "uniform", threads: int = 1) -> list[ThresholdResult]:
+def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
+                    h_resolution: float = 0.1, h_cap: float = 60.0) -> list[ThresholdResult]:
     """Smallest barrier field whose max-over-time fidelity reaches the target.
 
-    Searches the grid h = k*h_resolution up to h_cap by bracketing on a
-    doubling ladder plus bisection, assuming the reachable side is monotone:
-    the field returned is the first grid point above one already known to
-    miss the target.  Each field is scanned at most once per chain length.
+    request is the template of every scan: its chain's block, profile and
+    ballistic prefactor, its class, window and threads; the chain length runs
+    over n_sites_values and the field over the grid h = k*h_resolution up to
+    h_cap.  The search brackets on a doubling ladder plus bisection, assuming
+    the reachable side is monotone: the field returned is the first grid point
+    above one already known to miss the target.  Each field is scanned at
+    most once per chain length.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
@@ -184,9 +188,8 @@ def threshold_field(n_sites_values, block: int = 2, target: float = 0.95,
 
         def scan_at(k: int) -> ScanResult:
             if k not in scan_cache:
-                chain = ChainSpec(n_sites, block, k * h_resolution, profile)
-                req = ScanRequest(chain, fidelity_class, t_max=t_max, threads=threads)
-                scan_cache[k] = max_over_time(req)
+                chain = replace(request.chain, n_sites=n_sites, field=k * h_resolution)
+                scan_cache[k] = max_over_time(replace(request, chain=chain))
             return scan_cache[k]
 
         k_cap = int(round(h_cap / h_resolution))

@@ -7,6 +7,7 @@ release decision, not a test fix.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -186,9 +187,10 @@ def test_06_barrier_field_trends():
 def test_07_threshold_fields_finite():
     """Minimal barrier fields for the 0.95 single-excitation-slice target."""
     golden = {7: 5.2, 8: 7.1, 9: 5.9}
-    results = sb.threshold_field((7, 8, 9), block=2, target=0.95,
-                                 fidelity_class="omega1", t_max=1.3e4,
-                                 h_resolution=0.1, h_cap=60.0, threads=8)
+    template = sb.ScanRequest(sb.build_chain(7, 2), fidelity_class="omega1",
+                              t_max=1.3e4, threads=8)
+    results = sb.threshold_field(template, (7, 8, 9), target=0.95,
+                                 h_resolution=0.1, h_cap=60.0)
     detail = []
     ok = True
     for res in results:
@@ -320,6 +322,10 @@ def test_08_invariant_suite():
 
 def test_09_cli_thread_determinism(tmp_path):
     """The scan CLI writes byte-identical CSVs regardless of thread count."""
+    # the child imports spinbus from this checkout's src/, installed or not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     digests = []
     for threads in (1, 8):
         out = tmp_path / f"scan_{threads}.csv"
@@ -327,7 +333,7 @@ def test_09_cli_thread_determinism(tmp_path):
                "--N", "7", "--class", "general", "--h-list", "5,12",
                "--t-max", "2000", "--seed", "0",
                "--threads", str(threads), "--out", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600, env=env)
         assert proc.returncode == 0, proc.stderr
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         manifest = json.loads((tmp_path / f"scan_{threads}.csv.manifest.json").read_text())

@@ -177,6 +177,11 @@ def test_scans_take_no_sample_count(capsys, argv):
     ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--phase-opt", "--samples", "100"),
     ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--class", "one-qubit",
      "--samples", "100"),
+    ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--seed", "4"),
+    ("threshold", "--N-list", "7", "--t-max", "100", "--h-cap", "0.5", "--N", "8"),
+    ("threshold", "--N-list", "7", "--t-max", "100", "--h-cap", "0.5", "--h", "3"),
+    ("reproduce", "--figure", "5", "--N-list", "7", "--t-max", "100", "--h-cap", "0.5",
+     "--N", "8"),
     ("reproduce", "--figure", "5", "--N-list", "7", "--h-list", "3", "--t-max", "100",
      "--h-cap", "0.5"),
     ("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100", "--N-list", "7"),
@@ -200,6 +205,24 @@ def test_threshold_command(tmp_path, capsys):
     assert len(rows) == 2
     field = float(rows[1].split(",")[2])
     assert 0.0 <= field <= 20.0
+
+
+def test_threshold_chain_options_reach_the_scans(capsys):
+    """--c shapes every scanned chain; the row at h = 0 is scan-time's."""
+    argv = ("threshold", "--N-list", "7", "--profile", "ballistic", "--target", "0.5",
+            "--t-max", "200", "--h-cap", "10")
+    rows = {}
+    for c in ("0.3", "1.0"):
+        code, out, err = run(capsys, *argv, "--c", c)
+        assert code == 0, err
+        rows[c] = out.strip().split("\n")[1].split(",")
+    assert rows["0.3"] != rows["1.0"]
+    code, out, err = run(capsys, "scan-time", "--N", "7", "--profile", "ballistic",
+                         "--c", "1.0", "--class", "omega1", "--t-max", "200")
+    assert code == 0, err
+    scan = out.strip().split("\n")[1].split(",")
+    assert rows["1.0"][2] == "0"
+    assert rows["1.0"][3:5] == scan[3:5]
 
 
 def test_reproduce_shrunk(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Time-window maximization, field sweeps, and threshold searches."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from spinbus import (
     max_over_time,
     threshold_field,
 )
+from spinbus.scans import _CHUNK
 
 
 def test_two_site_swap_time():
@@ -42,22 +45,40 @@ def test_grid_step_honours_spectral_range():
 
 
 def test_thread_count_does_not_change_result():
-    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general",
-                      t_max=800.0, threads=1)
-    r1 = max_over_time(req)
-    r8 = max_over_time(dataclasses.replace(req, threads=8))
-    assert r1.t_star == r8.t_star
-    assert r1.fbar_max == r8.fbar_max
+    # five grid chunks, the last one partial, and t_max between grid points
+    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=6000.0)
+    for refine in (True, False):
+        r1 = max_over_time(dataclasses.replace(req, refine=refine))
+        n_pts = math.floor(req.t_max / r1.grid_step) + 1
+        assert n_pts > 4 * _CHUNK and (n_pts - 1) * r1.grid_step < req.t_max
+        for threads in (2, 3, 8):
+            rn = max_over_time(dataclasses.replace(req, refine=refine, threads=threads))
+            assert (rn.t_star, rn.fbar_max) == (r1.t_star, r1.fbar_max)
+
+
+def test_scan_memory_does_not_grow_with_the_window():
+    """Chunks are reduced as they arrive: a scan never holds its whole grid."""
+    def peak_bytes(t_max):
+        req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=t_max)
+        tracemalloc.start()
+        try:
+            max_over_time(req)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(100.0)  # first-call allocations of numpy and scipy
+    short = peak_bytes(6000.0)  # five chunks
+    assert peak_bytes(12000.0) <= 1.1 * short
 
 
 def test_ties_resolve_to_earliest_time():
     from spinbus.scans import _chunk_best
 
-    ts = np.array([0.0, 1.0, 2.0, 3.0])
-    t, v = _chunk_best(ts, np.array([0.2, 0.7, 0.7 + 1e-14, 0.1]))
-    assert t == 1.0 and v == pytest.approx(0.7)
-    t, _ = _chunk_best(ts, np.array([0.5, 0.5, 0.5, 0.5]))
-    assert t == 0.0
+    idx, v = _chunk_best(np.array([0.2, 0.7, 0.7 + 1e-14, 0.1]))
+    assert idx == 1 and v == pytest.approx(0.7)
+    idx, _ = _chunk_best(np.array([0.5, 0.5, 0.5, 0.5]))
+    assert idx == 0
 
 
 def test_refinement_never_loses_to_grid():
@@ -78,21 +99,26 @@ def test_field_sweep_orders_results():
     assert results[2].fbar_max > results[0].fbar_max + 0.2
 
 
+def _omega1_template(t_max, **kwargs):
+    # threshold_field replaces the chain length and field
+    return ScanRequest(build_chain(7, 2), fidelity_class="omega1", t_max=t_max, **kwargs)
+
+
 def test_threshold_zero_target_is_free():
-    res = threshold_field((7,), target=0.0, t_max=200.0)
+    res = threshold_field(_omega1_template(200.0), (7,), target=0.0)
     assert res[0].field == 0.0
 
 
 def test_threshold_unreachable_reports_none():
     # nothing below h=0.5 reaches 0.999 on such a short window
-    res = threshold_field((7,), target=0.999, t_max=300.0, h_cap=0.5)
+    res = threshold_field(_omega1_template(300.0), (7,), target=0.999, h_cap=0.5)
     assert res[0].field is None
     assert res[0].fbar_max < 0.999
 
 
 def test_threshold_known_value():
-    res = threshold_field((7,), target=0.9, fidelity_class="omega1",
-                          t_max=4000.0, h_cap=30.0, threads=2)
+    res = threshold_field(_omega1_template(4000.0, threads=2), (7,), target=0.9,
+                          h_cap=30.0)
     assert res[0].field == pytest.approx(3.1, abs=0.2)
     assert res[0].fbar_max >= 0.9
 
@@ -110,7 +136,7 @@ def test_threshold_scans_each_field_once(monkeypatch):
     monkeypatch.setattr(scans, "max_over_time", counted)
     for target in (0.0, 0.8):
         fields.clear()
-        res = threshold_field((7,), target=target, t_max=1000.0, h_cap=20.0)
+        res = threshold_field(_omega1_template(1000.0), (7,), target=target, h_cap=20.0)
         assert res[0].field is not None
         assert len(fields) == len(set(fields)), fields
 

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from spinbus import (
+    SingleParticleHamiltonian,
     amplitude_1p,
     amplitude_row,
     build_chain,
+    decompose,
     decompose_chain,
     propagator_minor,
     propagator_minor_grid,
 )
+from spinbus.scans import _CHUNK
+from spinbus.spectral import UniformGrid
 
 
 def test_uniform_open_chain_spectrum():
@@ -60,6 +64,44 @@ def test_minor_grid_matches_single_times():
     for k, t in enumerate(ts):
         np.testing.assert_allclose(grid[k], propagator_minor(dec, (6, 7), (1, 2), t),
                                    atol=1e-14)
+
+
+def _barrier_spectrum(n_sites, field):
+    # uniform couplings with the field on sites 2 and N-1; built directly, so
+    # that N = 4 can carry a field too
+    diag = np.zeros(n_sites)
+    diag[[1, n_sites - 2]] = -2.0 * field
+    return decompose(SingleParticleHamiltonian(diag, np.full(n_sites - 1, -2.0)))
+
+
+@pytest.mark.parametrize("field", [0.0, 20.0, 200.0])
+@pytest.mark.parametrize("n_sites", [4, 8, 40, 200])
+def test_uniform_grid_matches_time_array(n_sites, field):
+    """The blocked phase table agrees with exp(-i lam t) point by point.
+
+    Grids start at 0, mid-window and at the end of the longest scan window
+    (6e4), with counts that are and are not a multiple of the block.
+    """
+    dec = _barrier_spectrum(n_sites, field)
+    lam_max = np.abs(dec.eigenvalues).max()
+    step = np.pi / (4.0 * dec.spectral_range)
+    window_end = int(6.0e4 / step)
+    pair = ((n_sites - 1, n_sites), (1, 2))
+    for start in (0, window_end // 2, window_end):
+        for count in (1, 300, _CHUNK):
+            blocked = propagator_minor_grid(dec, *pair, UniformGrid(step, start, count))
+            direct = propagator_minor_grid(dec, *pair, step * (start + np.arange(count)))
+            assert blocked.shape == direct.shape == (count, 2, 2)
+            t_end = step * (start + count - 1)
+            tol = 1e-14 + 2.0 * np.finfo(float).eps * lam_max * t_end
+            assert np.abs(blocked - direct).max() <= tol, (start, count)
+
+
+def test_uniform_grid_length_is_its_count():
+    assert len(UniformGrid(0.25, 7, 300)) == 300
+    assert len(UniformGrid(0.25, 0, 1)) == 1
+    with pytest.raises(ValueError):
+        UniformGrid(0.25, 0, 0)
 
 
 def test_site_index_validation():
