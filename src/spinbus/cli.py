@@ -264,6 +264,10 @@ def _field_values(params) -> list[float]:
 def cmd_scan_field(args) -> int:
     params = _resolve(args)
     cls = params.get("state_class", "general")
+    # the sweep sets the field; taking --h out of the parser would make
+    # argparse read it as an abbreviation of --h-list and the rest
+    if params.get("h") is not None:
+        raise _Usage("scan-field takes no --h: it sweeps --h-list or --h-min/--h-max")
     fields = _field_values(params)
     base = dict(params)
     base["h"] = max(fields, default=0.0)  # block placement only

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduced import _pair_minor, _receiver_kernel, _sector_maps
+from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_minor, _receiver_kernel
 from .spectral import SpectralDecomposition, amplitude_1p, propagator_minor_grid
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
@@ -188,16 +188,21 @@ def avg_fidelity_mc(dec: SpectralDecomposition, t: float, samples: int,
                            float(vals.std(ddof=1) / np.sqrt(samples)))
 
 
+# <psi| in the receiver basis is conj(states[:, ::-1]), so the receiver row r
+# of a sector-table entry pairs with the sender slot 3 - r of the target
+_E_TARGET, _D_TARGET = 3 - _E_ROWS, 3 - _D_ROWS
+
+
 def _overlaps(states):
     """Coefficients of <psi|rho|psi> in the receiver kernel, one row per state.
 
     For kernel values (w, gram, weight) at one time,
     <psi|rho|psi> = |x . w|^2 + sum_ij conj(y_i) y_j gram_ij + r * weight.
+    Each entry of the sector tables of reduced.py contributes one product of
+    a target and a sender amplitude: x has shape (k, 6) and y shape (k, 4).
     """
-    e, d = _sector_maps(states)
-    target = np.conj(states[:, ::-1])  # <psi| in the receiver basis
-    x = np.einsum("kr,krj->kj", target, e)
-    y = np.einsum("kr,krj->kj", target, d)
+    x = np.conj(states[:, _E_TARGET]) * states[:, _E_SLOTS]
+    y = np.conj(states[:, _D_TARGET]) * states[:, _D_SLOTS]
     return x, y, np.abs(states[:, 0] * states[:, 3]) ** 2
 
 
@@ -205,5 +210,5 @@ def _sample_fidelities(dec, states, t):
     """<psi|rho(t)|psi> for each sender state, from the receiver kernel at t."""
     w, gram, weight = (a[..., 0] for a in _receiver_kernel(_pair_minor(dec, (t,))))
     x, y, rest = _overlaps(states)
-    bulk = np.einsum("ki,ij,kj->k", y.conj(), gram, y)
+    bulk = ((y.conj() @ gram) * y).sum(1)
     return np.abs(x @ w) ** 2 + np.real(bulk) + rest * weight

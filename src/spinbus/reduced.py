@@ -22,6 +22,11 @@ propagator is unitary, so its columns f_{.,1} and f_{.,2} are orthonormal over
 all N sites and the bulk holds what the receiver rows leave: S = I - F^H F.
 Two-excitation unitarity gives the bulk-pair weight the same way.  No sum over
 sites is needed once F is known.
+
+Which receiver row each kernel amplitude lands on, and which sender amplitude
+multiplies it, is written down once, in the sector tables _E_* and _D_*.
+The rho assembly of evolve_receiver_pair and the Monte Carlo overlaps of
+fidelity.py both read them.
 """
 
 from __future__ import annotations
@@ -67,23 +72,28 @@ def _receiver_kernel(f: np.ndarray):
     return w, gram, weight
 
 
-def _sector_maps(states: np.ndarray):
+# The sector tables.  Every kernel amplitude enters exactly one receiver row,
+# times exactly one sender amplitude: w[j] lands on row _E_ROWS[j] times
+# sender slot _E_SLOTS[j], v_m[j] on row _D_ROWS[j] times slot _D_SLOTS[j]
+# (rows in the receiver basis, slots in [a00, a01, a10, a11]).
+#   w   = (1,   g_uv, f_u1, f_u2, f_v1, f_v2):  a00|00>, a11|11>, A_u|10>, A_v|01>
+#   v_m = (g_mu, g_mv, f_m1, f_m2):              a11|10>, a11|01>, A_m|00>
+_E_ROWS, _E_SLOTS = np.array([3, 0, 1, 1, 2, 2]), np.array([0, 3, 2, 1, 2, 1])
+_D_ROWS, _D_SLOTS = np.array([1, 2, 3, 3]), np.array([3, 3, 2, 1])
+
+
+def _sector_maps(state: np.ndarray):
     """Receiver amplitudes of each sector as linear maps of the kernel amplitudes.
 
-    states has shape (k, 4) with rows [a00, a01, a10, a11].  In the receiver
-    basis the bulk-empty sector holds E @ w and the sector with the bulk
-    excitation on site m holds D @ v_m; returns E, shape (k, 4, 6), and D,
-    shape (k, 4, 4).  The bulk-pair sector is a11 times a bulk pair, on |00>.
+    state is [a00, a01, a10, a11].  In the receiver basis the bulk-empty
+    sector holds E @ w and the sector with the bulk excitation on site m holds
+    D @ v_m; returns E, shape (4, 6), and D, shape (4, 4), filled from the
+    sector tables.  The bulk-pair sector is a11 times a bulk pair, on |00>.
     """
-    a00, a01, a10, a11 = states.T
-    e = np.zeros((len(states), 4, 6), dtype=complex)
-    e[:, 0, 1] = a11                    # |11>: a11 g_uv
-    e[:, 1, 2], e[:, 1, 3] = a10, a01   # |10>: A_u
-    e[:, 2, 4], e[:, 2, 5] = a10, a01   # |01>: A_v
-    e[:, 3, 0] = a00                    # |00>: a00
-    d = np.zeros((len(states), 4, 4), dtype=complex)
-    d[:, 1, 0] = d[:, 2, 1] = a11       # a11 g_{m,u}, a11 g_{m,v}
-    d[:, 3, 2], d[:, 3, 3] = a10, a01   # A_m
+    e = np.zeros((4, 6), dtype=complex)
+    e[_E_ROWS, np.arange(6)] = state[_E_SLOTS]
+    d = np.zeros((4, 4), dtype=complex)
+    d[_D_ROWS, np.arange(4)] = state[_D_SLOTS]
     return e, d
 
 
@@ -91,9 +101,9 @@ def evolve_receiver_pair(dec: SpectralDecomposition, state: TwoQubitState,
                          t: float) -> np.ndarray:
     """Receiver-pair density matrix at time t, basis (|11>, |10>, |01>, |00>)."""
     w, gram, weight = _receiver_kernel(_pair_minor(dec, (t,)))
-    e, d = _sector_maps(state.vector()[None])
-    vac = e[0] @ w[:, 0]
-    rho = np.outer(vac, vac.conj()) + d[0] @ gram[:, :, 0].T @ d[0].conj().T
+    e, d = _sector_maps(state.vector())
+    vac = e @ w[:, 0]
+    rho = np.outer(vac, vac.conj()) + d @ gram[:, :, 0].T @ d.conj().T
     rho[3, 3] += abs(state.a11) ** 2 * weight[0]
     # gram is Hermitian only to rounding; return an exactly Hermitian rho
     return (rho + rho.conj().T) / 2

@@ -59,13 +59,17 @@ class SpectralDecomposition:
 
 
 def decompose(ham: SingleParticleHamiltonian) -> SpectralDecomposition:
-    """Diagonalize a symmetric tridiagonal single-particle matrix."""
+    """Diagonalize a symmetric tridiagonal single-particle matrix.
+
+    Each eigenvector's sign is fixed in one pass over all columns: its leading
+    component, the first above _SIGN_EPS times the column's largest modulus,
+    is made positive.
+    """
     vals, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal)
-    for k in range(vals.size):
-        col = vecs[:, k]
-        lead = np.flatnonzero(np.abs(col) > _SIGN_EPS * np.abs(col).max())[0]
-        if col[lead] < 0:
-            np.negative(col, out=col)
+    mags = np.abs(vecs)
+    lead = np.argmax(mags > _SIGN_EPS * mags.max(axis=0), axis=0)
+    flip = vecs[lead, np.arange(vals.size)] < 0
+    vecs[:, flip] = -vecs[:, flip]
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return SpectralDecomposition(vals, vecs)

@@ -189,6 +189,8 @@ def test_scans_take_no_sample_count(capsys, argv):
     ("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100", "--h-cap", "5"),
     ("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100",
      "--h-resolution", "0.5"),
+    ("scan-field", "--N", "7", "--h", "3", "--h-list", "0,5", "--class", "omega1",
+     "--t-max", "200"),
 ])
 def test_options_that_do_not_apply_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -17,6 +17,8 @@ from spinbus import (
     omega2_values,
     one_qubit_values,
     sample_haar_2q,
+    sample_omega1,
+    sample_omega2,
 )
 from spinbus.fidelity import _sample_fidelities
 
@@ -79,12 +81,27 @@ def test_fidelity_against_perfect_match():
     assert fidelity_against(rho, st) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_batch_fidelity_matches_loop():
-    dec = decompose_chain(build_chain(8, 2, 12.0))
-    states = _random_states(5, 8)
-    mat = np.array([s.vector() for s in states])
-    t = 31.0
+_CHAINS = {
+    "uniform4": (build_chain(4), 3.7),
+    "barrier8": (build_chain(8, 2, 12.0), 31.0),
+    "engineered6": (build_chain(6, profile="engineered"), np.pi / 4),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(_CHAINS))
+@pytest.mark.parametrize("draw", [sample_haar_2q, sample_omega1, sample_omega2],
+                         ids=["haar", "omega1", "omega2"])
+def test_batch_fidelity_matches_loop(draw, chain):
+    """The Monte Carlo scorer agrees with rho assembled state by state.
+
+    The omega samplers leave two amplitudes exactly zero, so between them
+    the three classes reach every entry of the sector tables.
+    """
+    spec, t = _CHAINS[chain]
+    dec = decompose_chain(spec)
+    mat = draw(SeededSampler(5), size=64)
     batch = _sample_fidelities(dec, mat, t)
+    states = [TwoQubitState(*row) for row in mat]
     loop = [fidelity_against(evolve_receiver_pair(dec, st, t), st) for st in states]
     np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-12)
 

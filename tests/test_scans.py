@@ -9,7 +9,10 @@ import pytest
 
 from spinbus import (
     ScanRequest,
+    SeededSampler,
+    avg_fidelity_mc,
     build_chain,
+    decompose_chain,
     default_t_max,
     field_sweep,
     max_over_time,
@@ -70,6 +73,20 @@ def test_scan_memory_does_not_grow_with_the_window():
     peak_bytes(100.0)  # first-call allocations of numpy and scipy
     short = peak_bytes(6000.0)  # five chunks
     assert peak_bytes(12000.0) <= 1.1 * short
+
+
+def test_monte_carlo_memory_per_sample():
+    """Scoring a sample costs a few rows of its amplitudes, not per-sample sector maps."""
+    dec = decompose_chain(build_chain(8, 2, 9.0))
+    samples = 40000
+    avg_fidelity_mc(dec, 31.0, 100, SeededSampler(1))  # first-call allocations
+    tracemalloc.start()
+    try:
+        avg_fidelity_mc(dec, 31.0, samples, SeededSampler(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * samples
 
 
 def test_ties_resolve_to_earliest_time():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from spinbus import (
     SingleParticleHamiltonian,
@@ -10,6 +11,7 @@ from spinbus import (
     build_chain,
     decompose,
     decompose_chain,
+    hamiltonian_matrix,
     propagator_minor,
     propagator_minor_grid,
 )
@@ -64,6 +66,26 @@ def test_minor_grid_matches_single_times():
     for k, t in enumerate(ts):
         np.testing.assert_allclose(grid[k], propagator_minor(dec, (6, 7), (1, 2), t),
                                    atol=1e-14)
+
+
+@pytest.mark.parametrize("ham", [
+    hamiltonian_matrix(build_chain(9)),
+    hamiltonian_matrix(build_chain(8, 2, 20.0)),
+    # one eigenvector leads with a nonzero component below the cutoff
+    hamiltonian_matrix(build_chain(40, 2, 200.0)),
+    # site 1 decoupled: five eigenvectors have an exact zero on it
+    SingleParticleHamiltonian(np.array([0.0, 1.0, -1.0, 0.5, 0.0, 2.0]),
+                              np.array([0.0, -2.0, -1.5, -2.0, -1.0])),
+], ids=["uniform", "barrier", "strong-barrier", "decoupled-site"])
+def test_eigenvector_signs_match_column_loop(ham):
+    """Each eigenvector's first component above the cutoff is positive, bit for bit."""
+    _, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal)
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        lead = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0]
+        if col[lead] < 0:
+            col *= -1.0
+    assert np.array_equal(decompose(ham).eigenvectors, vecs)
 
 
 def _barrier_spectrum(n_sites, field):
