@@ -9,7 +9,7 @@ to locate high-fidelity operating points.
 
 __version__ = "0.1.0"
 
-from .amplitudes import amplitude_rp, g_amplitude
+from .amplitudes import amplitude_rp
 from .chain import (
     BALLISTIC,
     BALLISTIC_C_DEFAULT,
@@ -40,7 +40,6 @@ from .oracle import (
     SectorEvolver,
     field_constant,
     oracle_rdm,
-    sector_evolve,
     verification_battery,
 )
 from .reduced import (
@@ -69,7 +68,6 @@ from .spectral import (
 from .states import (
     SeededSampler,
     TwoQubitState,
-    concurrence,
     sample_haar_1q,
     sample_haar_2q,
     sample_omega1,
@@ -104,7 +102,6 @@ __all__ = [
     "avg_fidelity_omega1",
     "avg_fidelity_omega2",
     "build_chain",
-    "concurrence",
     "decompose",
     "decompose_chain",
     "default_t_max",
@@ -112,7 +109,6 @@ __all__ = [
     "fidelity_against",
     "field_constant",
     "field_sweep",
-    "g_amplitude",
     "general_values",
     "hamiltonian_matrix",
     "max_over_time",
@@ -127,7 +123,6 @@ __all__ = [
     "sample_haar_2q",
     "sample_omega1",
     "sample_omega2",
-    "sector_evolve",
     "threshold_field",
     "verification_battery",
 ]

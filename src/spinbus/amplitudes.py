@@ -43,8 +43,3 @@ def amplitude_rp(dec: SpectralDecomposition, targets, sources, t: float) -> comp
     if r == 2:
         return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     return complex(np.linalg.det(m))
-
-
-def g_amplitude(dec: SpectralDecomposition, r, s, i, j, t: float) -> complex:
-    """Two-excitation amplitude from sites (i, j) to sites (r, s), i < j, r < s."""
-    return amplitude_rp(dec, (r, s), (i, j), t)

@@ -143,8 +143,6 @@ def hamiltonian_matrix(spec: ChainSpec) -> SingleParticleHamiltonian:
     """Single-particle matrix: off-diagonal -2*J_l, diagonal -2*h on barriers."""
     diag = -2.0 * spec.site_fields()
     off = -2.0 * spec.couplings()
-    diag = np.ascontiguousarray(diag)
-    off = np.ascontiguousarray(off)
     diag.flags.writeable = False
     off.flags.writeable = False
     return SingleParticleHamiltonian(diag, off)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -74,6 +75,13 @@ class _Usage(Exception):
     """Bad or missing arguments; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag it cannot parse as a usage error, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n{self.format_usage()}")
+
+
 def _load_config(path, options) -> dict:
     with open(path) as fh:
         data = json.load(fh)
@@ -104,19 +112,11 @@ def _require(params, key, flag) -> object:
     return params[key]
 
 
-def _resolve_threads(params) -> int:
-    if params.get("threads") is not None:
-        return int(params["threads"])
-    env = os.environ.get("QST_THREADS")
-    if env:
-        try:
-            threads = int(env)
-            if threads < 1:
-                raise ValueError
-        except ValueError:
-            raise _Usage(f"QST_THREADS must be a positive integer, got {env!r}") from None
-        return threads
-    return 1
+def _require_time(params) -> float:
+    t = float(_require(params, "t", "--t"))
+    if not math.isfinite(t):
+        raise _Usage(f"--t must be finite, got {t}")
+    return t
 
 
 def _chain_from(params, state_class=None):
@@ -130,16 +130,11 @@ def _chain_from(params, state_class=None):
                        params.get("c", BALLISTIC_C_DEFAULT))
 
 
-def _parse_floats(text) -> list[float]:
+def _parse_list(text, kind=float) -> list:
+    """Comma-separated values, or a list as stored in a config, as kind."""
     if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(x) for x in str(text).split(",") if x.strip()]
-
-
-def _parse_ints(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(x) for x in text]
-    return [int(x) for x in str(text).split(",") if x.strip()]
+        return [kind(x) for x in text]
+    return [kind(x) for x in str(text).split(",") if x.strip()]
 
 
 def cmd_spectrum(args) -> int:
@@ -152,9 +147,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_amplitude(args) -> int:
     params = _resolve(args)
-    sources = _parse_ints(_require(params, "sources", "--sources"))
-    targets = _parse_ints(_require(params, "targets", "--targets"))
-    t = float(_require(params, "t", "--t"))
+    sources = _parse_list(_require(params, "sources", "--sources"), int)
+    targets = _parse_list(_require(params, "targets", "--targets"), int)
+    t = _require_time(params)
     dec = decompose_chain(_chain_from(params))
     amp = amplitude_rp(dec, targets, sources, t)
     print(json.dumps({"real": amp.real, "imag": amp.imag, "modulus": abs(amp)}))
@@ -162,7 +157,7 @@ def cmd_amplitude(args) -> int:
 
 
 def _parse_state(text, normalize) -> TwoQubitState:
-    vals = _parse_floats(text)
+    vals = _parse_list(text)
     if len(vals) != 8:
         raise _Usage("--state needs eight comma-separated reals "
                      "(re,im pairs of the |00>,|01>,|10>,|11> amplitudes)")
@@ -174,7 +169,7 @@ def cmd_rdm(args) -> int:
     params = _resolve(args)
     state = _parse_state(_require(params, "state", "--state"),
                          bool(params.get("normalize_state")))
-    t = float(_require(params, "t", "--t"))
+    t = _require_time(params)
     dec = decompose_chain(_chain_from(params))
     rho = evolve_receiver_pair(dec, state, t)
     print(json.dumps({
@@ -197,7 +192,7 @@ def cmd_fidelity(args) -> int:
         raise _Usage("--samples needs --class general, omega1 or omega2")
     if samples is None and params.get("seed") is not None:
         raise _Usage("--seed needs --samples: the closed forms draw nothing")
-    t = float(_require(params, "t", "--t"))
+    t = _require_time(params)
     dec = decompose_chain(_chain_from(params, cls))
     if samples is not None:
         sampler = SeededSampler(int(params.get("seed", 0)))
@@ -221,7 +216,7 @@ def _scan_request(params, chain, cls) -> ScanRequest:
         fidelity_class=cls,
         t_max=float(t_max),
         grid_step=params.get("grid"),
-        threads=_resolve_threads(params),
+        threads=int(params.get("threads", 1)),
     )
 
 
@@ -245,12 +240,12 @@ def cmd_scan_time(args) -> int:
 
 def _field_values(params) -> list[float]:
     if params.get("h_list") is not None:
-        return _parse_floats(params["h_list"])
+        return _parse_list(params["h_list"])
     if params.get("h_max") is not None:
         lo = float(params.get("h_min", 0.0))
         hi = float(params["h_max"])
         step = float(params.get("h_step", 1.0))
-        if step <= 0 or hi < lo:
+        if not step > 0 or hi < lo:
             raise _Usage("--h-step must be positive and --h-max >= --h-min")
         vals = []
         k = 0
@@ -269,9 +264,9 @@ def cmd_scan_field(args) -> int:
     if params.get("h") is not None:
         raise _Usage("scan-field takes no --h: it sweeps --h-list or --h-min/--h-max")
     fields = _field_values(params)
-    base = dict(params)
-    base["h"] = max(fields, default=0.0)  # block placement only
-    chain = _chain_from(base, cls)
+    if not fields:
+        raise _Usage("field sweep needs at least one field value")
+    chain = _chain_from(dict(params, h=max(fields)), cls)  # block placement only
     request = _scan_request(params, chain, cls)
     results = field_sweep(request, fields)
     rows = [_scan_row(chain, r, params) for r in results]
@@ -289,7 +284,7 @@ def cmd_threshold(args) -> int:
     for key in ("N", "h"):
         if params.get(key) is not None:
             raise _Usage(f"threshold takes no --{key}: it scans --N-list and searches the field")
-    n_values = _parse_ints(_require(params, "N_list", "--N-list"))
+    n_values = _parse_list(_require(params, "N_list", "--N-list"), int)
     if not n_values:
         raise _Usage("--N-list needs at least one chain length")
     params.setdefault("t_max", 1.3e4)
@@ -347,25 +342,25 @@ def cmd_reproduce(args) -> int:
 def cmd_verify(args) -> int:
     params = _resolve(args)
     checks = verification_battery(seed=int(params.get("seed", 0)))
-    failed = False
     for c in checks:
         status = "OK" if c.ok else "FAIL"
         print(f"max deviation {c.name}: {c.max_deviation:.3e} (tol {c.tolerance:.1e}) {status}")
-        failed = failed or not c.ok
-    return 1 if failed else 0
+    return 0 if all(c.ok for c in checks) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinbus",
         description="Exact state-transfer fidelities for XX chains with barrier fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, chain=True):
+    def add_common(p, chain=True, seed=False, threads=False):
         p.add_argument("--config", help="JSON config or manifest; flags take precedence")
         p.add_argument("--out", help="output CSV path (default: stdout, no manifest)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
+        if seed:
+            p.add_argument("--seed", type=int)
+        if threads:
+            p.add_argument("--threads", type=int, help="scan worker threads (default 1)")
         if chain:
             p.add_argument("--N", type=int, help="number of chain sites")
             p.add_argument("--n", type=int, help="sender/receiver block length")
@@ -392,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rdm)
 
     p = sub.add_parser("fidelity", help="average fidelity at one time")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t", type=float)
     p.add_argument("--samples", type=int,
@@ -402,14 +397,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("scan-time", help="maximize fidelity over a time window")
-    add_common(p)
+    add_common(p, seed=True, threads=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--grid", type=float, help="upper bound on the time-grid step")
     p.set_defaults(func=cmd_scan_time)
 
     p = sub.add_parser("scan-field", help="scan-time at several field values")
-    add_common(p)
+    add_common(p, seed=True, threads=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--grid", type=float)
@@ -420,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan_field)
 
     p = sub.add_parser("threshold", help="smallest field reaching a target fidelity")
-    add_common(p)
+    add_common(p, seed=True, threads=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--N-list", dest="N_list", help="comma-separated chain lengths")
     p.add_argument("--target", type=float)
@@ -430,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("reproduce", help="canned sweeps behind the headline figures")
-    add_common(p)
+    add_common(p, seed=True, threads=True)
     p.add_argument("--figure", choices=("4a", "4b", "5"))
     p.add_argument("--h-list", dest="h_list")
     p.add_argument("--N-list", dest="N_list")
@@ -441,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify", help="cross-check determinants against sector evolution")
-    add_common(p, chain=False)
+    add_common(p, chain=False, seed=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -67,13 +67,17 @@ def avg_fidelity_1q(f) -> AverageFidelity:
     m = abs(f)
     if m > 1.0 + _AMP_TOL:
         raise ValueError(f"|f| = {m} exceeds 1")
-    m = min(m, 1.0)
-    return AverageFidelity(0.5 + m / 3.0 + m * m / 6.0, METHODS["one-qubit"])
+    return AverageFidelity(_one_qubit_from_modulus(min(m, 1.0)), METHODS["one-qubit"])
 
 
 def one_qubit_amplitude(dec: SpectralDecomposition, t: float) -> complex:
     """End-to-end amplitude f_{N,1}(t)."""
     return amplitude_1p(dec, dec.n_sites, 1, t)
+
+
+def _one_qubit_from_modulus(m):
+    # Bloch-sphere average after the arrival phase is compensated
+    return 0.5 + m / 3.0 + m * m / 6.0
 
 
 def _omega1_from_amplitudes(f_u1, f_v2, f_u2, f_v1):
@@ -130,7 +134,7 @@ def general_values(dec: SpectralDecomposition, ts: np.ndarray,
 def one_qubit_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized one-qubit average over a time grid."""
     m = np.abs(propagator_minor_grid(dec, (dec.n_sites,), (1,), ts)[:, 0, 0])
-    return 0.5 + m / 3.0 + m * m / 6.0
+    return _one_qubit_from_modulus(m)
 
 
 # average fidelity of each class on a time grid, called as values(dec, ts)

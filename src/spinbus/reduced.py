@@ -121,5 +121,4 @@ def fidelity_against(rho: np.ndarray, state: TwoQubitState) -> float:
     exactly at perfect transfer.
     """
     w = _target_vector(state)
-    val = float(np.real(w.conj() @ rho @ w))
-    return val
+    return float(np.real(w.conj() @ rho @ w))

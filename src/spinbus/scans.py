@@ -31,6 +31,7 @@ from .spectral import UniformGrid, decompose_chain
 _TIE_EPS = 1e-12
 _CHUNK = 32768
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_REL_TOL = 1e-6
 
 
 def default_t_max(n_sites: int, fidelity_class: str) -> float:
@@ -50,15 +51,14 @@ class ScanRequest:
     grid_step: float | None = None
     threads: int = 1
     refine: bool = True
-    refine_rel_tol: float = 1e-6
 
     def __post_init__(self):
         if self.fidelity_class not in CLASSES:
             raise ValueError(f"unknown fidelity class {self.fidelity_class!r}")
         if not np.isfinite(self.t_max) or self.t_max <= 0:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
-        if self.grid_step is not None and self.grid_step <= 0:
-            raise ValueError(f"grid step must be positive, got {self.grid_step!r}")
+        if self.grid_step is not None and not 0 < self.grid_step < math.inf:
+            raise ValueError(f"grid step must be positive and finite, got {self.grid_step!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -131,7 +131,7 @@ def max_over_time(request: ScanRequest) -> ScanResult:
             best_t, best_f = request.t_max, f_end
 
     if request.refine:
-        tol = request.refine_rel_tol * max(best_t, 1.0)
+        tol = _REFINE_REL_TOL * max(best_t, 1.0)
         lo = max(best_t - step, 0.0)
         hi = min(best_t + step, request.t_max)
         t_ref, f_ref = _golden_refine(evaluate, lo, hi, tol)
@@ -144,11 +144,8 @@ def max_over_time(request: ScanRequest) -> ScanResult:
 
 def field_sweep(request: ScanRequest, fields) -> list[ScanResult]:
     """max_over_time at each barrier field value, same chain otherwise."""
-    results = []
-    for h in fields:
-        chain = replace(request.chain, field=float(h))
-        results.append(max_over_time(replace(request, chain=chain)))
-    return results
+    return [max_over_time(replace(request, chain=replace(request.chain, field=float(h))))
+            for h in fields]
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
-"""Two-qubit input states, Schmidt form, concurrence, and seeded samplers.
+"""Two-qubit input states and seeded samplers.
 
 Basis convention for a qubit pair on chain sites (p, q) with p < q: the state
 is a00|00> + a01|01> + a10|10> + a11|11>, where the first slot is site p and
 the second slot site q.  |01> therefore means "second site excited".  For the
 sender pair the slots are sites (1, 2); for the receiver pair, (N-1, N).
 
-Sampling uses the Philox counter-based generator, so a (seed, stream) pair
-identifies a reproducible stream on every platform, and independent
-substreams can be handed to parallel workers without coordination.
+Sampling uses the Philox counter-based generator keyed by the seed, so a seed
+identifies a reproducible stream of draws on every platform.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ class TwoQubitState:
         for name in ("a00", "a01", "a10", "a11"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         norm = self.norm_squared()
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
+        if not abs(norm - 1.0) <= _NORM_TOL:  # also rejects NaN amplitudes
+            raise ValueError(f"state must be finite and normalized: |psi|^2 = {norm!r}")
 
     def norm_squared(self) -> float:
         return (abs(self.a00) ** 2 + abs(self.a01) ** 2
@@ -48,86 +47,34 @@ class TwoQubitState:
         v = np.asarray(v, dtype=complex).reshape(4)
         if normalize:
             n = np.linalg.norm(v)
-            if n == 0:
-                raise ValueError("cannot normalize the zero vector")
+            if not 0 < n < np.inf:
+                raise ValueError(f"cannot normalize a vector of norm {n}")
             v = v / n
         return cls(*v)
 
 
-def rotation(angles) -> np.ndarray:
-    """Single-qubit rotation from three Euler-type angles (theta, phi, lam)."""
-    theta, phi, lam = (float(a) for a in angles)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([
-        [c, -np.exp(1j * lam) * s],
-        [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-    ])
-
-
-def _as_rotation(rot) -> np.ndarray:
-    r = np.asarray(rot)
-    if r.shape == (3,):
-        return rotation(r)
-    if r.shape == (2, 2):
-        return r.astype(complex)
-    raise ValueError(f"rotation must be three angles or a 2x2 matrix, got shape {r.shape}")
-
-
-def from_schmidt(s, rot1, rot2) -> TwoQubitState:
-    """Two-qubit state with Schmidt parameter s in [0, 1] and local rotations.
-
-    The seed state is sqrt((1+s)/2)|00> + sqrt((1-s)/2)|11>; rot1 and rot2
-    act on the first and second qubit.  s = 1 gives a product state, s = 0 a
-    maximally entangled one, and the concurrence is sqrt(1 - s^2).
-    """
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"Schmidt parameter must lie in [0, 1], got {s}")
-    r1 = _as_rotation(rot1)
-    r2 = _as_rotation(rot2)
-    coeff = np.diag([np.sqrt((1 + s) / 2), np.sqrt((1 - s) / 2)]).astype(complex)
-    m = r1 @ coeff @ r2.T
-    return TwoQubitState(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-
-def concurrence(state: TwoQubitState) -> float:
-    """Concurrence 2|a00*a11 - a01*a10| of a pure two-qubit state."""
-    return 2.0 * abs(state.a00 * state.a11 - state.a01 * state.a10)
-
-
 class SeededSampler:
-    """Reproducible random stream keyed by (seed, stream).
+    """Reproducible random stream keyed by a seed.
 
     Wraps a Philox counter-based generator; the k-th sample drawn from a
-    fresh SeededSampler(seed, stream) is the same on every platform and
-    worker schedule.  substream(k) derives an independent stream for
-    parallel work without sharing state.
+    fresh SeededSampler(seed) is the same on every platform.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int):
         seed = int(seed)
-        stream = int(stream)
         if seed < 0 or seed >= 2 ** 64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
-        if stream < 0 or stream >= 2 ** 64:
-            raise ValueError(f"stream must fit in 64 bits, got {stream}")
         self.seed = seed
-        self.stream = stream
-        self._rng = np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
-
-    def substream(self, k: int) -> "SeededSampler":
-        """Independent stream k derived from the same seed."""
-        return SeededSampler(self.seed, k)
+        self._rng = np.random.Generator(np.random.Philox(key=seed))
 
     def complex_normals(self, shape) -> np.ndarray:
         """Standard complex normal draws (real and imaginary parts N(0, 1))."""
-        size = (shape,) if np.isscalar(shape) else tuple(shape)
-        re = self._rng.standard_normal(size)
-        im = self._rng.standard_normal(size)
+        re = self._rng.standard_normal(shape)
+        im = self._rng.standard_normal(shape)
         return re + 1j * im
 
     def __repr__(self):
-        return f"SeededSampler(seed={self.seed}, stream={self.stream})"
+        return f"SeededSampler(seed={self.seed})"
 
 
 def _normalize_rows(z: np.ndarray) -> np.ndarray:
@@ -154,25 +101,21 @@ def sample_haar_1q(sampler: SeededSampler, size=None):
     return v[0] if size is None else v
 
 
-def sample_omega1(sampler: SeededSampler, size=None):
-    """Haar samples from the single-excitation slice b|01> + c|10>."""
+def _draw(sampler: SeededSampler, size, slots):
+    """Haar samples from the slice spanned by two basis slots, others zero."""
     n = 1 if size is None else int(size)
-    bc = _normalize_rows(sampler.complex_normals((n, 2)))
     v = np.zeros((n, 4), dtype=complex)
-    v[:, 1] = bc[:, 0]
-    v[:, 2] = bc[:, 1]
+    v[:, slots] = sample_haar_1q(sampler, n)
     if size is None:
         return TwoQubitState(*v[0])
     return v
+
+
+def sample_omega1(sampler: SeededSampler, size=None):
+    """Haar samples from the single-excitation slice b|01> + c|10>."""
+    return _draw(sampler, size, [1, 2])
 
 
 def sample_omega2(sampler: SeededSampler, size=None):
     """Haar samples from the even slice a|00> + d|11>."""
-    n = 1 if size is None else int(size)
-    ad = _normalize_rows(sampler.complex_normals((n, 2)))
-    v = np.zeros((n, 4), dtype=complex)
-    v[:, 0] = ad[:, 0]
-    v[:, 3] = ad[:, 1]
-    if size is None:
-        return TwoQubitState(*v[0])
-    return v
+    return _draw(sampler, size, [0, 3])

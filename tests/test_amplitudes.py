@@ -9,7 +9,6 @@ from spinbus import (
     amplitude_rp,
     build_chain,
     decompose_chain,
-    g_amplitude,
     propagator_minor,
 )
 
@@ -30,7 +29,6 @@ def test_two_excitation_determinant_explicit():
     m = propagator_minor(dec, (4, 6), (1, 2), t)
     expected = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     assert abs(amplitude_rp(dec, (4, 6), (1, 2), t) - expected) < 1e-14
-    assert abs(g_amplitude(dec, 4, 6, 1, 2, t) - expected) < 1e-14
 
 
 def test_three_excitation_matches_numpy_det():

@@ -191,6 +191,23 @@ def test_scans_take_no_sample_count(capsys, argv):
      "--h-resolution", "0.5"),
     ("scan-field", "--N", "7", "--h", "3", "--h-list", "0,5", "--class", "omega1",
      "--t-max", "200"),
+    ("spectrum", "--N", "7", "--threads", "4", "--seed", "3"),
+    ("spectrum", "--N", "7", "--seed", "3"),
+    ("amplitude", "--N", "7", "--sources", "1", "--targets", "7", "--t", "3",
+     "--threads", "2"),
+    ("amplitude", "--N", "7", "--sources", "1", "--targets", "7", "--t", "3", "--seed", "1"),
+    ("rdm", "--N", "7", "--state", "1,0,0,0,0,0,0,0", "--t", "3", "--threads", "2"),
+    ("rdm", "--N", "7", "--state", "1,0,0,0,0,0,0,0", "--t", "3", "--seed", "1"),
+    ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--samples", "100", "--threads", "2"),
+    ("verify", "--threads", "2"),
+    ("amplitude", "--N", "7", "--sources", "1", "--targets", "7", "--t", "nan"),
+    ("rdm", "--N", "7", "--state", "1,0,0,0,0,0,0,0", "--t", "inf"),
+    ("fidelity", "--N", "7", "--h", "5", "--class", "omega1", "--t", "-inf"),
+    ("fidelity", "--N", "7", "--h", "5", "--t", "nan", "--samples", "100"),
+    ("scan-field", "--N", "7", "--class", "omega1", "--h-list", ",", "--t-max", "100"),
+    ("scan-field", "--N", "7", "--class", "omega1", "--h-min", "0", "--h-max", "5",
+     "--h-step", "nan", "--t-max", "100"),
+    ("reproduce", "--figure", "4a", "--h-list", ",", "--t-max", "100"),
 ])
 def test_options_that_do_not_apply_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -271,23 +288,6 @@ def test_exit_code_bad_subcommand(capsys):
     code = parse_and_dispatch(["no-such-command"])
     capsys.readouterr()
     assert code == 2
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QST_THREADS", "2")
-    out = tmp_path / "scan.csv"
-    code, _, _ = run(capsys, "scan-time", "--N", "7", "--n", "2", "--h", "8",
-                     "--class", "omega1", "--t-max", "800", "--out", str(out))
-    assert code == 0
-    manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
-    assert manifest["params"]["threads"] == 2
-
-    for bad in ("0", "-3", "two"):
-        monkeypatch.setenv("QST_THREADS", bad)
-        code, _, err = run(capsys, "scan-time", "--N", "7", "--class", "omega1",
-                           "--t-max", "100")
-        assert code == 2
-        assert "QST_THREADS" in err
 
 
 def test_state_parsing_rejects_short_input(capsys):

@@ -166,3 +166,6 @@ def test_request_validation():
         ScanRequest(chain, t_max=0.0)
     with pytest.raises(ValueError):
         ScanRequest(chain, threads=0)
+    for step in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ScanRequest(chain, grid_step=step)
