@@ -354,9 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact state-transfer fidelities for XX chains with barrier fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, chain=True, seed=False, threads=False):
+    def add_common(p, chain=True, seed=False, threads=False, out=False):
         p.add_argument("--config", help="JSON config or manifest; flags take precedence")
-        p.add_argument("--out", help="output CSV path (default: stdout, no manifest)")
+        if out:
+            p.add_argument("--out", help="output CSV path (default: stdout, no manifest)")
         if seed:
             p.add_argument("--seed", type=int)
         if threads:
@@ -369,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--c", type=float, help="ballistic endpoint prefactor")
 
     p = sub.add_parser("spectrum", help="single-particle eigenvalues as CSV")
-    add_common(p)
+    add_common(p, out=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("amplitude", help="multi-excitation transition amplitude")
@@ -397,14 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("scan-time", help="maximize fidelity over a time window")
-    add_common(p, seed=True, threads=True)
+    add_common(p, seed=True, threads=True, out=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--grid", type=float, help="upper bound on the time-grid step")
     p.set_defaults(func=cmd_scan_time)
 
     p = sub.add_parser("scan-field", help="scan-time at several field values")
-    add_common(p, seed=True, threads=True)
+    add_common(p, seed=True, threads=True, out=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--grid", type=float)
@@ -415,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan_field)
 
     p = sub.add_parser("threshold", help="smallest field reaching a target fidelity")
-    add_common(p, seed=True, threads=True)
+    add_common(p, seed=True, threads=True, out=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--N-list", dest="N_list", help="comma-separated chain lengths")
     p.add_argument("--target", type=float)
@@ -425,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("reproduce", help="canned sweeps behind the headline figures")
-    add_common(p, seed=True, threads=True)
+    add_common(p, seed=True, threads=True, out=True)
     p.add_argument("--figure", choices=("4a", "4b", "5"))
     p.add_argument("--h-list", dest="h_list")
     p.add_argument("--N-list", dest="N_list")

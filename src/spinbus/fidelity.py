@@ -148,21 +148,18 @@ CLASSES = tuple(GRID_VALUES)
 
 
 def avg_fidelity_1q_mc(dec: SpectralDecomposition, t: float, samples: int,
-                       sampler: SeededSampler, adjust_phase: bool = True) -> AverageFidelity:
+                       sampler: SeededSampler) -> AverageFidelity:
     """Monte Carlo Bloch-sphere average for one-qubit transfer.
 
-    Cross-validates the closed form.  With adjust_phase the arrival amplitude
-    is rotated to be real positive, matching the compensated protocol the
-    closed form describes.
+    Cross-validates the closed form.  The arrival amplitude is rotated to be
+    real positive, matching the compensated protocol the closed form describes.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    f = one_qubit_amplitude(dec, t)
-    if adjust_phase:
-        f = abs(f)
+    f = abs(one_qubit_amplitude(dec, t))
     ab = sample_haar_1q(sampler, size=samples)
     pa, pb = np.abs(ab[:, 0]) ** 2, np.abs(ab[:, 1]) ** 2
-    vals = np.abs(pa + pb * f) ** 2 + pa * pb * (1.0 - abs(f) ** 2)
+    vals = (pa + pb * f) ** 2 + pa * pb * (1.0 - f ** 2)
     return AverageFidelity(float(vals.mean()), "monte-carlo-1q",
                            float(vals.std(ddof=1) / np.sqrt(samples)))
 

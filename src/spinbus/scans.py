@@ -176,8 +176,9 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
-    if h_resolution <= 0 or h_cap <= 0:
-        raise ValueError("field resolution and cap must be positive")
+    for name, value in (("h_resolution", h_resolution), ("h_cap", h_cap)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
     results = []
     for n_sites in n_sites_values:

@@ -19,6 +19,10 @@ integer index, never accumulated, so the rounding of a point's phase is
 bounded by a few eps * |lam| * t, as on the array path.  The values depend
 only on (step, start, count), so a fixed chunk layout gives the same values
 at any thread count.
+
+decompose diagonalizes the dense N x N matrix with np.linalg.eigh, so the
+runtime needs numpy alone.  The solve is O(N^3), about 4 ms at N = 200, and
+runs once per chain.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .chain import ChainSpec, SingleParticleHamiltonian, hamiltonian_matrix
 
@@ -61,11 +64,17 @@ class SpectralDecomposition:
 def decompose(ham: SingleParticleHamiltonian) -> SpectralDecomposition:
     """Diagonalize a symmetric tridiagonal single-particle matrix.
 
+    The solver is np.linalg.eigh on the dense matrix (it reads the lower
+    triangle).  It costs O(N^3): on one core of a 2-vCPU VM a call takes
+    about 45 us at N = 8 and 4 ms at N = 200, twice LAPACK's tridiagonal
+    solver at N = 200, but it runs once per chain and any scan of that chain
+    costs orders of magnitude more.
+
     Each eigenvector's sign is fixed in one pass over all columns: its leading
     component, the first above _SIGN_EPS times the column's largest modulus,
     is made positive.
     """
-    vals, vecs = eigh_tridiagonal(ham.diagonal, ham.offdiagonal)
+    vals, vecs = np.linalg.eigh(ham.to_dense())
     mags = np.abs(vecs)
     lead = np.argmax(mags > _SIGN_EPS * mags.max(axis=0), axis=0)
     flip = vecs[lead, np.arange(vals.size)] < 0

@@ -208,6 +208,11 @@ def test_scans_take_no_sample_count(capsys, argv):
     ("scan-field", "--N", "7", "--class", "omega1", "--h-min", "0", "--h-max", "5",
      "--h-step", "nan", "--t-max", "100"),
     ("reproduce", "--figure", "4a", "--h-list", ",", "--t-max", "100"),
+    ("amplitude", "--N", "7", "--sources", "1", "--targets", "7", "--t", "3",
+     "--out", "x.csv"),
+    ("rdm", "--N", "7", "--state", "1,0,0,0,0,0,0,0", "--t", "3", "--out", "x.csv"),
+    ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--out", "x.csv"),
+    ("verify", "--out", "x.csv"),
 ])
 def test_options_that_do_not_apply_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -282,6 +287,16 @@ def test_explicit_zero_is_not_replaced_by_a_default(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--h-cap", "inf"), ("--h-cap", "nan"), ("--h-resolution", "nan"),
+    ("--h-resolution", "inf"),
+])
+def test_threshold_field_bounds_must_be_finite(capsys, flag, value):
+    code, _, err = run(capsys, "threshold", "--N-list", "7", "--t-max", "100", flag, value)
+    assert code == 1
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
 
 
 def test_exit_code_bad_subcommand(capsys):

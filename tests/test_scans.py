@@ -70,7 +70,7 @@ def test_scan_memory_does_not_grow_with_the_window():
         finally:
             tracemalloc.stop()
 
-    peak_bytes(100.0)  # first-call allocations of numpy and scipy
+    peak_bytes(100.0)  # first-call allocations of numpy and of the scan path
     short = peak_bytes(6000.0)  # five chunks
     assert peak_bytes(12000.0) <= 1.1 * short
 
@@ -169,3 +169,12 @@ def test_request_validation():
     for step in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ScanRequest(chain, grid_step=step)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("h_cap", math.inf), ("h_cap", math.nan), ("h_cap", 0.0),
+    ("h_resolution", math.nan), ("h_resolution", math.inf), ("h_resolution", -0.1),
+])
+def test_threshold_field_bounds_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        threshold_field(_omega1_template(100.0), (7,), **{name: value})
