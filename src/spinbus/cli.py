@@ -196,7 +196,7 @@ def cmd_fidelity(args) -> int:
     dec = decompose_chain(_chain_from(params, cls))
     if samples is not None:
         sampler = SeededSampler(int(params.get("seed", 0)))
-        result = avg_fidelity_mc(dec, t, int(samples), sampler, state_class=cls)
+        result = avg_fidelity_mc(dec, t, samples, sampler, state_class=cls)
     elif phase_opt:
         result = AverageFidelity(float(general_values(dec, (t,), phase_opt=True)[0]),
                                  METHODS["general"] + "-phase-opt")

@@ -25,8 +25,9 @@ sites is needed once F is known.
 
 Which receiver row each kernel amplitude lands on, and which sender amplitude
 multiplies it, is written down once, in the sector tables _E_* and _D_*.
-The rho assembly of evolve_receiver_pair and the Monte Carlo overlaps of
-fidelity.py both read them.
+The rho assembly of evolve_receiver_pair and the Monte Carlo scorer of
+fidelity.py both read them; the scorer gathers rows of a block of states
+with them, one (6, B) and one (4, B) product per block.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A scan evaluates an average-fidelity curve on a uniform time grid whose
 spacing respects the fastest frequency in the dynamics (the spectral range of
 the chain), takes the grid maximum with a smallest-time tie-break, and
-optionally refines the peak by golden-section search.  Every class is a
+refines the peak by golden-section search.  Every class is a
 closed form in the propagator, so a scan holds no randomness.
 
 The grid is cut into chunks of _CHUNK points anchored on the point index,
@@ -50,7 +50,6 @@ class ScanRequest:
     t_max: float = 2.0e4
     grid_step: float | None = None
     threads: int = 1
-    refine: bool = True
 
     def __post_init__(self):
         if self.fidelity_class not in CLASSES:
@@ -130,13 +129,12 @@ def max_over_time(request: ScanRequest) -> ScanResult:
         if f_end > best_f + _TIE_EPS:
             best_t, best_f = request.t_max, f_end
 
-    if request.refine:
-        tol = _REFINE_REL_TOL * max(best_t, 1.0)
-        lo = max(best_t - step, 0.0)
-        hi = min(best_t + step, request.t_max)
-        t_ref, f_ref = _golden_refine(evaluate, lo, hi, tol)
-        if f_ref > best_f:
-            best_t, best_f = t_ref, f_ref
+    tol = _REFINE_REL_TOL * max(best_t, 1.0)
+    lo = max(best_t - step, 0.0)
+    hi = min(best_t + step, request.t_max)
+    t_ref, f_ref = _golden_refine(evaluate, lo, hi, tol)
+    if f_ref > best_f:
+        best_t, best_f = t_ref, f_ref
 
     return ScanResult(request.chain.field, best_t, best_f,
                       request.fidelity_class, step)

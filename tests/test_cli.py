@@ -67,6 +67,21 @@ def test_fidelity_mc_has_stderr(capsys):
     assert data["method"] == "monte-carlo-general"
 
 
+@pytest.mark.parametrize("source, samples", [("flag", 1), ("config", 1), ("config", 2.7)])
+def test_fidelity_mc_needs_two_whole_samples(tmp_path, capsys, source, samples):
+    # --samples parses only integers, so a fractional count comes from a config
+    argv = ["fidelity", "--N", "8", "--h", "9", "--t", "31"]
+    if source == "flag":
+        argv += ["--samples", str(samples)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": samples}))
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "samples" in err
+
+
 def test_fidelity_general_is_closed_form(capsys):
     chain = ("--N", "7", "--h", "5", "--t", "41.2")
     code, out, _ = run(capsys, "fidelity", *chain, "--class", "general")

@@ -154,6 +154,24 @@ def test_mc_requires_known_class():
         avg_fidelity_mc(dec, 1.0, 100, SeededSampler(0), state_class="bogus")
 
 
+@pytest.mark.parametrize("samples", [1, 0, 2.7, 2.0, True])
+def test_mc_sample_count_is_an_integer_of_at_least_two(samples):
+    """A standard error needs two samples; a fractional count is not a count."""
+    dec = decompose_chain(build_chain(8, 2, 9.0))
+    with pytest.raises(ValueError, match="samples"):
+        avg_fidelity_mc(dec, 31.0, samples, SeededSampler(0))
+    with pytest.raises(ValueError, match="samples"):
+        avg_fidelity_1q_mc(dec, 31.0, samples, SeededSampler(0))
+
+
+def test_mc_takes_two_samples_and_numpy_integers():
+    dec = decompose_chain(build_chain(8, 2, 9.0))
+    for samples in (2, np.int64(2)):
+        for result in (avg_fidelity_mc(dec, 31.0, samples, SeededSampler(0)),
+                       avg_fidelity_1q_mc(dec, 31.0, samples, SeededSampler(0))):
+            assert np.isfinite(result.stderr)
+
+
 def test_perfect_transfer_chain_general_average():
     # engineered chains deliver every product |ab> only up to the crossing,
     # so even the best general-state average stays well below one

@@ -20,7 +20,8 @@ from spinbus import (
     sample_omega1,
     sample_omega2,
 )
-from spinbus.fidelity import _sample_fidelities
+from spinbus.fidelity import _SCORE_BLOCK, _sample_fidelities
+from spinbus.reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_minor, _receiver_kernel
 
 
 def _random_states(seed, count):
@@ -104,6 +105,35 @@ def test_batch_fidelity_matches_loop(draw, chain):
     states = [TwoQubitState(*row) for row in mat]
     loop = [fidelity_against(evolve_receiver_pair(dec, st, t), st) for st in states]
     np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-12)
+
+
+def _unblocked_scores(dec, states, t):
+    """The Monte Carlo score of every state at once, from one (k, 4) table."""
+    w, gram, weight = (a[..., 0] for a in _receiver_kernel(_pair_minor(dec, (t,))))
+    x = np.conj(states[:, 3 - _E_ROWS]) * states[:, _E_SLOTS]
+    y = np.conj(states[:, 3 - _D_ROWS]) * states[:, _D_SLOTS]
+    bulk = np.einsum("ki,ij,kj->k", y.conj(), gram, y)
+    return np.abs(x @ w) ** 2 + bulk.real + np.abs(states[:, 0] * states[:, 3]) ** 2 * weight
+
+
+@pytest.mark.parametrize("count", [1, _SCORE_BLOCK - 1, _SCORE_BLOCK, _SCORE_BLOCK + 1,
+                                   2 * _SCORE_BLOCK + 37])
+@pytest.mark.parametrize("draw", [sample_haar_2q, sample_omega1, sample_omega2],
+                         ids=["haar", "omega1", "omega2"])
+def test_blocked_scores_across_block_boundaries(draw, count):
+    """Every row is scored once, whichever block holds it."""
+    dec = decompose_chain(build_chain(8, 2, 12.0))
+    t = 31.0
+    mat = draw(SeededSampler(5), size=count)
+    batch = _sample_fidelities(dec, mat, t)
+    assert batch.shape == (count,)
+    np.testing.assert_allclose(batch, _unblocked_scores(dec, mat, t), rtol=0, atol=1e-12)
+    edges = {0, count - 1} | {r for b in (_SCORE_BLOCK, 2 * _SCORE_BLOCK)
+                              for r in (b - 1, b) if r < count}
+    for r in sorted(edges):
+        st = TwoQubitState(*mat[r])
+        loop = fidelity_against(evolve_receiver_pair(dec, st, t), st)
+        assert abs(batch[r] - loop) <= 1e-12, f"row {r}"
 
 
 def test_minimum_length_enforced():

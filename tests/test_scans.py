@@ -16,9 +16,13 @@ from spinbus import (
     default_t_max,
     field_sweep,
     max_over_time,
+    omega1_values,
+    sample_haar_2q,
     threshold_field,
 )
+from spinbus.fidelity import _sample_fidelities
 from spinbus.scans import _CHUNK
+from spinbus.spectral import UniformGrid
 
 
 def test_two_site_swap_time():
@@ -50,13 +54,12 @@ def test_grid_step_honours_spectral_range():
 def test_thread_count_does_not_change_result():
     # five grid chunks, the last one partial, and t_max between grid points
     req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=6000.0)
-    for refine in (True, False):
-        r1 = max_over_time(dataclasses.replace(req, refine=refine))
-        n_pts = math.floor(req.t_max / r1.grid_step) + 1
-        assert n_pts > 4 * _CHUNK and (n_pts - 1) * r1.grid_step < req.t_max
-        for threads in (2, 3, 8):
-            rn = max_over_time(dataclasses.replace(req, refine=refine, threads=threads))
-            assert (rn.t_star, rn.fbar_max) == (r1.t_star, r1.fbar_max)
+    r1 = max_over_time(req)
+    n_pts = math.floor(req.t_max / r1.grid_step) + 1
+    assert n_pts > 4 * _CHUNK and (n_pts - 1) * r1.grid_step < req.t_max
+    for threads in (2, 3, 8):
+        rn = max_over_time(dataclasses.replace(req, threads=threads))
+        assert (rn.t_star, rn.fbar_max) == (r1.t_star, r1.fbar_max)
 
 
 def test_scan_memory_does_not_grow_with_the_window():
@@ -89,6 +92,23 @@ def test_monte_carlo_memory_per_sample():
     assert peak <= 512 * samples
 
 
+def test_monte_carlo_scorer_memory_is_flat_in_the_sample_count():
+    """Samples are scored in fixed blocks: only the (k,) scores grow with k."""
+    dec = decompose_chain(build_chain(8, 2, 9.0))
+    draws = {k: sample_haar_2q(SeededSampler(1), size=k) for k in (100, 40000, 80000)}
+
+    def peak_bytes(k):
+        tracemalloc.start()
+        try:
+            _sample_fidelities(dec, draws[k], 31.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(100)  # first-call allocations
+    assert peak_bytes(80000) - peak_bytes(40000) <= 16 * 40000
+
+
 def test_ties_resolve_to_earliest_time():
     from spinbus.scans import _chunk_best
 
@@ -102,8 +122,9 @@ def test_refinement_never_loses_to_grid():
     req = ScanRequest(build_chain(7, 2, 12.0), fidelity_class="omega1",
                       t_max=2500.0)
     refined = max_over_time(req)
-    coarse = max_over_time(dataclasses.replace(req, refine=False))
-    assert refined.fbar_max >= coarse.fbar_max
+    n_pts = math.floor(req.t_max / refined.grid_step) + 1
+    grid = omega1_values(decompose_chain(req.chain), UniformGrid(refined.grid_step, 0, n_pts))
+    assert refined.fbar_max >= grid.max()
 
 
 def test_field_sweep_orders_results():
