@@ -216,7 +216,7 @@ def _scan_request(params, chain, cls) -> ScanRequest:
         fidelity_class=cls,
         t_max=float(t_max),
         grid_step=params.get("grid"),
-        threads=int(params.get("threads", 1)),
+        threads=params.get("threads", 1),
     )
 
 

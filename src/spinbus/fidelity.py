@@ -14,7 +14,11 @@ GRID_VALUES names the function that evaluates each class on a time grid;
 scans and single-time queries both go through it.  The omega1 and omega2
 averages are exact slice-Haar integrals of <psi|rho(t)|psi> and hit 1 at
 perfect transfer; both are invariant under a global phase of the
-odd-excitation sector.  The general average is exact too: of the Kraus
+odd-excitation sector.  The omega1 average is a Hermitian form in F, so it
+is computed as a sum of squares: the form's four rows are folded into the
+weights of the phase GEMM (spectral._phase_products), and the values are
+the squared norms of its output rows, on grids and at single times alike.
+The general average is exact too: of the Kraus
 operators, one per bulk configuration, only the bulk-empty one has a nonzero
 diagonal, (1, f_v2, f_u1, g_uv), so Fbar = (4 F_e + 1)/5 with
 F_e = |1 + f_u1 + f_v2 + g_uv|^2/16 (Horodecki^3, PRA 60, 1888, 1999).  A
@@ -32,8 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_minor, _receiver_kernel
-from .spectral import SpectralDecomposition, amplitude_1p, propagator_minor_grid
+from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_minor, _pair_sites, \
+    _receiver_kernel
+from .spectral import SpectralDecomposition, _minor_weights, _phase_products, amplitude_1p, \
+    propagator_minor_grid
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
 
@@ -82,11 +88,15 @@ def _one_qubit_from_modulus(m):
     return 0.5 + m / 3.0 + m * m / 6.0
 
 
-def _omega1_from_amplitudes(f_u1, f_v2, f_u2, f_v1):
-    # exact Haar average over b|01> + c|10> of <psi|rho|psi>
-    return ((np.abs(f_u1) ** 2 + np.abs(f_v2) ** 2
-             + 0.5 * np.abs(f_u2) ** 2 + 0.5 * np.abs(f_v1) ** 2) / 3.0
-            + np.real(f_v2 * np.conj(f_u1)) / 3.0)
+# The exact Haar average over b|01> + c|10> of <psi|rho|psi> is a Hermitian
+# form in F, (3/4 |f_u1 + f_v2|^2 + 1/4 |f_u1 - f_v2|^2 + 1/2 |f_u2|^2
+# + 1/2 |f_v1|^2) / 3, and so the sum of squares |_OMEGA1_FORM @ vec F|^2 with
+# vec F = (f_u1, f_u2, f_v1, f_v2), the order of the pair minor's weights.
+_OMEGA1_FORM = np.array([[1 / 2, 0.0, 0.0, 1 / 2],
+                         [1 / np.sqrt(12), 0.0, 0.0, -1 / np.sqrt(12)],
+                         [0.0, 1 / np.sqrt(6), 0.0, 0.0],
+                         [0.0, 0.0, 1 / np.sqrt(6), 0.0]])
+_OMEGA1_FORM.flags.writeable = False
 
 
 def _omega2_from_amplitudes(g_uv, traced_weight):
@@ -106,9 +116,15 @@ def avg_fidelity_omega2(dec: SpectralDecomposition, t: float) -> AverageFidelity
 
 
 def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
-    """Vectorized omega1 average over a time grid."""
-    m = _pair_minor(dec, ts)
-    return _omega1_from_amplitudes(m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0])
+    """Vectorized omega1 average over a time grid.
+
+    _OMEGA1_FORM is folded into the pair minor's weights, so the phase GEMM
+    yields the four rows of the form and the average is their sum of squares,
+    taken over the real and imaginary parts of the GEMM output.
+    """
+    weights = _minor_weights(dec, *_pair_sites(dec)) @ _OMEGA1_FORM.T
+    rows = _phase_products(dec, weights, ts).view(float)
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:

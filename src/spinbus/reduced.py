@@ -40,12 +40,17 @@ from .states import TwoQubitState
 RECEIVER_BASIS = ("11", "10", "01", "00")
 
 
-def _pair_minor(dec: SpectralDecomposition, ts) -> np.ndarray:
-    """Minors F(t) = f_{(N-1,N),(1,2)}(t) over a time grid, shape (T, 2, 2)."""
+def _pair_sites(dec: SpectralDecomposition):
+    """Receiver sites (N-1, N) and sender sites (1, 2), the rows and columns of F."""
     n = dec.n_sites
     if n < 4:
         raise ValueError(f"receiver pair needs at least 4 sites, got {n}")
-    return propagator_minor_grid(dec, (n - 1, n), (1, 2), ts)
+    return (n - 1, n), (1, 2)
+
+
+def _pair_minor(dec: SpectralDecomposition, ts) -> np.ndarray:
+    """Minors F(t) = f_{(N-1,N),(1,2)}(t) over a time grid, shape (T, 2, 2)."""
+    return propagator_minor_grid(dec, *_pair_sites(dec), ts)
 
 
 def _receiver_kernel(f: np.ndarray):

@@ -18,6 +18,7 @@ as one extra point after the last chunk.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -32,6 +33,7 @@ _TIE_EPS = 1e-12
 _CHUNK = 32768
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_REL_TOL = 1e-6
+_CAP_SLACK = 1e-9
 
 
 def default_t_max(n_sites: int, fidelity_class: str) -> float:
@@ -58,8 +60,10 @@ class ScanRequest:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
         if self.grid_step is not None and not 0 < self.grid_step < math.inf:
             raise ValueError(f"grid step must be positive and finite, got {self.grid_step!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        # a float would reach range() in the thread pool; True would run as 1
+        if isinstance(self.threads, bool) or not isinstance(self.threads, numbers.Integral) \
+                or self.threads < 1:
+            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,9 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
+    # the largest grid index whose field is at most h_cap, with a relative
+    # slack so that 0.3 / 0.1 = 2.9999999999999996 still reaches 3
+    k_cap = math.floor(h_cap / h_resolution * (1.0 + _CAP_SLACK))
     results = []
     for n_sites in n_sites_values:
         scan_cache: dict[int, ScanResult] = {}
@@ -188,7 +195,6 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
                 scan_cache[k] = max_over_time(replace(request, chain=chain))
             return scan_cache[k]
 
-        k_cap = int(round(h_cap / h_resolution))
         found = None
         if scan_at(0).fbar_max >= target:
             found = 0

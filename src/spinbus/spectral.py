@@ -7,18 +7,23 @@ The propagator amplitude from site i to site j after time t is
 with (lam_k, U[:,k]) the eigenpairs of the single-particle matrix.  All site
 arguments are 1-based.
 
-propagator_minor_grid is the only place exp(-i lam_k t) is evaluated.  It
-takes either an array of times, evaluated point by point, or a UniformGrid,
-the times step * (start + j) of a scan.  On a uniform grid the phase
-factorizes, exp(-i lam step (start + a B + j)) = anchor[a] * base[j] for
-blocks of B points: the base phases are folded into the amplitude weights
-once, and the whole grid is one product of the (count/B, N) anchor table
-with those (N, B * minor size) weights, costing count/B + B phase
-evaluations per mode instead of count.  Anchors are computed from the
-integer index, never accumulated, so the rounding of a point's phase is
-bounded by a few eps * |lam| * t, as on the array path.  The values depend
-only on (step, start, count), so a fixed chunk layout gives the same values
-at any thread count.
+_phase_products is the only place exp(-i lam_k t) is evaluated: it sums
+the phases against weight columns W[k, c], and propagator_minor_grid calls
+it with the weights of a minor, W[k, (p, q)] = U[targets[p], k] U[sources[q], k]
+(fidelity.omega1_values folds a constant form into those columns first).
+It takes either an array of times, evaluated point by point, or a
+UniformGrid, the times step * (start + j) of a scan.  On a uniform grid the
+phase factorizes, exp(-i lam step (start + a B + j)) = anchor[a] * base[j]
+for blocks of B points: the base phases folded into the weights form the
+phase plan, (N, B * columns), and the whole grid is one product of the
+(count/B, N) anchor table with it, costing count/B + B phase evaluations
+per mode instead of count.  The plan depends only on the decomposition,
+the weights, the step and B, so it is built once per scan and shared,
+read-only, by every chunk and pool thread (a one-entry memo).  Anchors are
+computed from the integer index, never accumulated, so the rounding of a
+point's phase is bounded by a few eps * |lam| * t, as on the array path.
+The values depend only on (step, start, count), so a fixed chunk layout
+gives the same values at any thread count.
 
 decompose diagonalizes the dense N x N matrix with np.linalg.eigh, so the
 runtime needs numpy alone.  The solve is O(N^3), about 4 ms at N = 200, and
@@ -138,24 +143,55 @@ def propagator_minor_grid(dec: SpectralDecomposition, targets, sources,
     ts is an array of times or a UniformGrid.  Either way the minors are one
     GEMM of a phase table against W[k, (p, q)] = U[targets[p], k] * U[sources[q], k].
     """
+    targets, sources = tuple(targets), tuple(sources)
+    minors = _phase_products(dec, _minor_weights(dec, targets, sources), ts)
+    return minors.reshape(len(ts), len(targets), len(sources))
+
+
+def _minor_weights(dec: SpectralDecomposition, targets, sources) -> np.ndarray:
+    """W[k, (p, q)] = U[targets[p], k] * U[sources[q], k], shape (N, P Q)."""
+    u = dec.eigenvectors
     tj = [_site_index(dec, s) for s in targets]
     si = [_site_index(dec, s) for s in sources]
-    u = dec.eigenvectors
-    weights = (u[tj][:, None, :] * u[si][None, :, :]).reshape(-1, dec.n_sites).T
+    return (u[tj][:, None, :] * u[si][None, :, :]).reshape(-1, dec.n_sites).T
+
+
+def _phase_products(dec: SpectralDecomposition, weights, ts) -> np.ndarray:
+    """sum_k exp(-i lam_k t) weights[k, c] for each t in ts, shape (len(ts), C)."""
     if isinstance(ts, UniformGrid):
-        minors = _uniform_minors(dec.eigenvalues, weights, ts)
-    else:
-        ts = np.asarray(ts, dtype=float)
-        minors = np.exp(-1j * np.outer(ts, dec.eigenvalues)) @ weights
-    return minors.reshape(len(ts), len(tj), len(si))
+        return _uniform_products(dec, weights, ts)
+    ts = np.asarray(ts, dtype=float)
+    return np.exp(-1j * np.outer(ts, dec.eigenvalues)) @ weights
 
 
-def _uniform_minors(lam, weights, grid: UniformGrid) -> np.ndarray:
-    """(count, P) minors on a uniform grid: anchors (A, N) @ base-folded weights (N, B P)."""
+# The phase plan of the last uniform grid evaluated: (key, base-folded
+# weights).  It depends on the decomposition, the weights, the step and the
+# block length only, so every chunk of a scan shares it, and a rebuilt plan
+# is bit-identical to a kept one: no caller can tell a hit from a miss.  It
+# is replaced in one assignment, so a pool thread reads either the old pair
+# or the new one, never a mix.
+_plan = None
+
+
+def _phase_plan(dec, weights, step, block) -> np.ndarray:
+    """Base phases of one block folded into the weights: (N, block * C), read-only."""
+    global _plan
+    key = (dec, step, block, weights.tobytes())
+    memo = _plan
+    if memo is None or memo[0] != key:
+        lam = dec.eigenvalues
+        base = np.exp(-1j * np.outer(step * np.arange(block), lam))
+        folded = (base.T[:, :, None] * weights[:, None, :]).reshape(lam.size, -1)
+        folded.flags.writeable = False
+        memo = _plan = (key, folded)
+    return memo[1]
+
+
+def _uniform_products(dec, weights, grid: UniformGrid) -> np.ndarray:
+    """(count, C) products on a uniform grid: anchors (A, N) @ phase plan (N, B C)."""
     block = min(_BLOCK, grid.count)
+    folded = _phase_plan(dec, weights, grid.step, block)
     n_blocks = -(-grid.count // block)
     anchor_times = grid.step * (grid.start + block * np.arange(n_blocks))
-    anchors = np.exp(-1j * np.outer(anchor_times, lam))
-    base = np.exp(-1j * np.outer(grid.step * np.arange(block), lam))
-    folded = (base.T[:, :, None] * weights[:, None, :]).reshape(lam.size, -1)
+    anchors = np.exp(-1j * np.outer(anchor_times, dec.eigenvalues))
     return (anchors @ folded).reshape(n_blocks * block, -1)[:grid.count]

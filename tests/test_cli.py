@@ -82,6 +82,17 @@ def test_fidelity_mc_needs_two_whole_samples(tmp_path, capsys, source, samples):
     assert err.startswith("error:") and "samples" in err
 
 
+@pytest.mark.parametrize("threads", [2.5, True, 0])
+def test_scan_threads_must_be_a_whole_count(tmp_path, capsys, threads):
+    # --threads parses only integers, so a fraction or a bool comes from a config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": threads}))
+    code, out, err = run(capsys, "scan-time", "--N", "7", "--class", "omega1",
+                         "--t-max", "100", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "threads" in err
+
+
 def test_fidelity_general_is_closed_form(capsys):
     chain = ("--N", "7", "--h", "5", "--t", "41.2")
     code, out, _ = run(capsys, "fidelity", *chain, "--class", "general")

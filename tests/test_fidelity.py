@@ -5,12 +5,14 @@ import pytest
 
 from spinbus import (
     SeededSampler,
+    SingleParticleHamiltonian,
     avg_fidelity_1q,
     avg_fidelity_1q_mc,
     avg_fidelity_mc,
     avg_fidelity_omega1,
     avg_fidelity_omega2,
     build_chain,
+    decompose,
     decompose_chain,
     evolve_receiver_pair,
     general_values,
@@ -19,9 +21,10 @@ from spinbus import (
     one_qubit_amplitude,
     one_qubit_values,
 )
-from spinbus.fidelity import _omega1_from_amplitudes, _omega2_from_amplitudes
+from spinbus.fidelity import _OMEGA1_FORM, _omega2_from_amplitudes
 from spinbus.oracle import haar_average
-from spinbus.spectral import propagator_minor
+from spinbus.scans import _CHUNK
+from spinbus.spectral import UniformGrid, propagator_minor, propagator_minor_grid
 
 
 def test_one_qubit_closed_form_limits():
@@ -50,15 +53,57 @@ def test_one_qubit_mc_agrees():
         assert abs(closed.value - mc.value) < 4 * mc.stderr, f"t={t}"
 
 
+def _omega1_entrywise(f_u1, f_v2, f_u2, f_v1):
+    # exact Haar average over b|01> + c|10> of <psi|rho|psi>, entry by entry
+    return ((np.abs(f_u1) ** 2 + np.abs(f_v2) ** 2
+             + 0.5 * np.abs(f_u2) ** 2 + 0.5 * np.abs(f_v1) ** 2) / 3.0
+            + np.real(f_v2 * np.conj(f_u1)) / 3.0)
+
+
+def _omega1_from_form(f_u1, f_v2, f_u2, f_v1):
+    # the sum of squares omega1_values evaluates, on one minor
+    rows = _OMEGA1_FORM @ np.array([f_u1, f_u2, f_v1, f_v2], dtype=complex)
+    return float(np.sum(np.abs(rows) ** 2))
+
+
 def test_omega_slice_formulas():
     # worked examples evaluated by hand from the sector averages
-    assert _omega1_from_amplitudes(1.0, 1.0, 0.0, 0.0) == pytest.approx(1.0)
-    assert _omega1_from_amplitudes(0.0, 0.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
-    assert _omega1_from_amplitudes(0.0, 0.0, 0.0, 0.0) == pytest.approx(0.0)
+    for omega1 in (_omega1_entrywise, _omega1_from_form):
+        assert omega1(1.0, 1.0, 0.0, 0.0) == pytest.approx(1.0)
+        assert omega1(0.0, 0.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
+        assert omega1(0.0, 0.0, 0.0, 0.0) == pytest.approx(0.0)
     assert _omega2_from_amplitudes(1.0, 0.0) == pytest.approx(1.0)
     assert _omega2_from_amplitudes(-1.0, 0.0) == pytest.approx(1.0 / 3.0)
     assert _omega2_from_amplitudes(0.0, 0.0) == pytest.approx(0.5)
     assert _omega2_from_amplitudes(0.0, 1.0) == pytest.approx(1.0 / 3.0)
+
+
+def _pair_chain(n_sites, field):
+    # block-2 barrier chains from N = 7; shorter chains carry the field on
+    # sites 2 and N-1, built directly, so that N = 4 can have one too
+    if n_sites >= 7:
+        return decompose_chain(build_chain(n_sites, 2, field))
+    diag = np.zeros(n_sites)
+    diag[[1, n_sites - 2]] = -2.0 * field
+    return decompose(SingleParticleHamiltonian(diag, np.full(n_sites - 1, -2.0)))
+
+
+@pytest.mark.parametrize("field", [0.0, 5.0, 20.0, 200.0])
+@pytest.mark.parametrize("n_sites", [4, 7, 8, 11, 40])
+def test_folded_omega1_matches_entrywise_formula(n_sites, field):
+    """The form folded into the GEMM weights equals the entrywise formula on F.
+
+    Grids: a whole scan chunk, one mid-window chunk shorter than a phase
+    block, and a time array out to the longest scan window.
+    """
+    dec = _pair_chain(n_sites, field)
+    step = np.pi / (4.0 * dec.spectral_range)
+    pair = ((n_sites - 1, n_sites), (1, 2))
+    for ts in (UniformGrid(step, 0, _CHUNK), UniformGrid(step, 123457, 100),
+               np.array([0.0, 0.7, 13.0, 1234.5, 2.0e4, 6.0e4])):
+        m = propagator_minor_grid(dec, *pair, ts)
+        want = _omega1_entrywise(m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0])
+        assert np.abs(omega1_values(dec, ts) - want).max() <= 2e-15, ts
 
 
 def test_omega_closed_forms_match_monte_carlo():

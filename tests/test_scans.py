@@ -179,14 +179,38 @@ def test_threshold_scans_each_field_once(monkeypatch):
         assert len(fields) == len(set(fields)), fields
 
 
+@pytest.mark.parametrize("h_cap, h_resolution, top", [
+    (0.16, 0.1, 1), (0.3, 0.1, 3), (0.25, 0.05, 5), (0.05, 0.1, 0),
+])
+def test_threshold_scans_no_field_above_the_cap(monkeypatch, h_cap, h_resolution, top):
+    """The cap is the largest grid field at or below h_cap, never a rounded-up one."""
+    from spinbus import scans
+
+    fields = []
+    scan = scans.max_over_time
+
+    def recorded(request):
+        fields.append(request.chain.field)
+        return scan(request)
+
+    monkeypatch.setattr(scans, "max_over_time", recorded)
+    res = threshold_field(_omega1_template(100.0), (7,), target=1.0,
+                          h_resolution=h_resolution, h_cap=h_cap)
+    assert res[0].field is None
+    assert max(fields) == top * h_resolution
+    assert sorted(set(fields)) == sorted(fields) and max(fields) <= h_cap * (1 + 1e-9)
+
+
 def test_request_validation():
     chain = build_chain(7, 2, 5.0)
     with pytest.raises(ValueError):
         ScanRequest(chain, fidelity_class="bogus")
     with pytest.raises(ValueError):
         ScanRequest(chain, t_max=0.0)
-    with pytest.raises(ValueError):
-        ScanRequest(chain, threads=0)
+    for threads in (0, -1, 2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="threads"):
+            ScanRequest(chain, threads=threads)
+    assert ScanRequest(chain, threads=np.int64(2)).threads == 2
     for step in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ScanRequest(chain, grid_step=step)

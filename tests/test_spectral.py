@@ -1,5 +1,8 @@
 """Eigendecomposition and single-particle propagator elements."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from spinbus import (
     propagator_minor,
     propagator_minor_grid,
 )
+from spinbus import spectral
+from spinbus.fidelity import GRID_VALUES
 from spinbus.scans import _CHUNK
 from spinbus.spectral import SpectralDecomposition, UniformGrid
 
@@ -146,6 +151,50 @@ def test_uniform_grid_matches_time_array(n_sites, field):
             t_end = step * (start + count - 1)
             tol = 1e-14 + 2.0 * np.finfo(float).eps * lam_max * t_end
             assert np.abs(blocked - direct).max() <= tol, (start, count)
+
+
+def test_phase_plan_never_leaks_between_chains_or_steps():
+    """Chunks of three chains, two steps and every class, interleaved in one
+    thread and on a thread pool, equal each chunk evaluated alone.
+
+    The second chain is the first one shifted by a constant on-site energy:
+    the same eigenvectors, so the same weights, with other eigenvalues.
+    Each of the three orders below changes one of chain, class and grid
+    between neighbouring chunks; the grids alternate between the steps and
+    end on a chunk shorter than a phase block.
+    """
+    first = decompose_chain(build_chain(8, 2, 20.0))
+    decs = (first, SpectralDecomposition(first.eigenvalues + 1.0, first.eigenvectors),
+            decompose_chain(build_chain(8, 2, 5.0)))
+    steps = (np.pi / (4.0 * first.spectral_range), 0.7 * np.pi / (4.0 * first.spectral_range))
+    grids = []
+    for k, (start, count) in enumerate(((0, 4096), (4096, 4096), (8192, 1000), (9192, 100))):
+        grids += [UniformGrid(step, start, count) for step in steps[::1 - 2 * (k % 2)]]
+    jobs = [(cls, dec, grid) for grid in grids for cls in GRID_VALUES for dec in decs]
+    jobs += [(cls, dec, grid) for grid in grids for dec in decs for cls in GRID_VALUES]
+    jobs += [(cls, dec, grid) for dec in decs for cls in GRID_VALUES for grid in grids]
+
+    def evaluate(job):
+        cls, dec, grid = job
+        return GRID_VALUES[cls](dec, grid)
+
+    def alone(job):
+        spectral._plan = None
+        return evaluate(job)
+
+    reference = [alone(job) for job in jobs]
+    for k, job in enumerate(jobs):
+        assert np.array_equal(evaluate(job), reference[k]), k
+    # more threads than cores, switching often, so a torn memo would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = list(pool.map(evaluate, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, values in enumerate(pooled):
+        assert np.array_equal(values, reference[k]), k
 
 
 def test_uniform_grid_length_is_its_count():
