@@ -14,6 +14,7 @@ b2 = N - n.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,20 @@ PROFILES = (UNIFORM, ENGINEERED, BALLISTIC)
 
 # endpoint prefactor that maximizes end-to-end transfer on long uniform chains
 BALLISTIC_C_DEFAULT = 1.030
+
+
+def whole_number(name, value, minimum) -> int:
+    """value as an int; a bool, a fraction or a value below minimum raises ValueError.
+
+    int() would truncate 7.9 to 7 and read True as 1; both are rejected instead.
+    """
+    # the exact type test spares the common case the slower check against the
+    # numbers ABC; bool is a subclass of int, so True does not pass it
+    integral = type(value) is int or (isinstance(value, numbers.Integral)
+                                      and not isinstance(value, bool))
+    if not integral or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -54,13 +69,11 @@ class ChainSpec:
     ballistic_c: float = BALLISTIC_C_DEFAULT
 
     def __post_init__(self):
-        if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
-            raise ValueError(f"need at least 2 sites, got {self.n_sites!r}")
+        object.__setattr__(self, "n_sites", whole_number("n_sites", self.n_sites, 2))
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}, expected one of {PROFILES}")
         if self.block is not None:
-            if not isinstance(self.block, (int, np.integer)) or self.block < 1:
-                raise ValueError(f"block length must be a positive integer, got {self.block!r}")
+            object.__setattr__(self, "block", whole_number("block", self.block, 1))
             if 2 * self.block + 2 > self.n_sites:
                 raise ValueError(
                     f"blocks of length {self.block} do not fit on {self.n_sites} sites"
@@ -111,8 +124,7 @@ class ChainSpec:
 def build_chain(n_sites, block=None, field=0.0, profile=UNIFORM,
                 ballistic_c=BALLISTIC_C_DEFAULT) -> ChainSpec:
     """Validate and assemble a ChainSpec."""
-    return ChainSpec(int(n_sites), None if block is None else int(block),
-                     float(field), profile, float(ballistic_c))
+    return ChainSpec(n_sites, block, float(field), profile, float(ballistic_c))
 
 
 @dataclass(frozen=True, eq=False)

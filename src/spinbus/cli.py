@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computation-domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .amplitudes import amplitude_rp
-from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain
+from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain, whole_number
 from .fidelity import CLASSES, GRID_VALUES, METHODS, AverageFidelity, avg_fidelity_mc, \
     general_values
 from .oracle import verification_battery
@@ -76,7 +77,14 @@ class _Usage(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a flag it cannot parse as a usage error, exit code 2."""
+    """Reports a flag it cannot parse as a usage error, exit code 2.
+
+    A flag must be spelled in full: --N is not read as --N-list, nor --h as
+    --h-list, so a command rejects every flag it does not declare.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"usage error: {message}\n{self.format_usage()}")
@@ -120,7 +128,7 @@ def _require_time(params) -> float:
 
 
 def _chain_from(params, state_class=None):
-    n_sites = int(_require(params, "N", "--N"))
+    n_sites = _require(params, "N", "--N")
     field = float(params.get("h", 0.0))
     block = params.get("n")
     if block is None and field > 0:
@@ -131,9 +139,13 @@ def _chain_from(params, state_class=None):
 
 
 def _parse_list(text, kind=float) -> list:
-    """Comma-separated values, or a list as stored in a config, as kind."""
+    """Comma-separated values as kind, or a list as stored in a config.
+
+    A config's integers are passed on as they stand: the library rejects 7.9
+    as a chain length or site, where int() would truncate it to 7.
+    """
     if isinstance(text, (list, tuple)):
-        return [kind(x) for x in text]
+        return list(text) if kind is int else [kind(x) for x in text]
     return [kind(x) for x in str(text).split(",") if x.strip()]
 
 
@@ -156,19 +168,18 @@ def cmd_amplitude(args) -> int:
     return 0
 
 
-def _parse_state(text, normalize) -> TwoQubitState:
+def _parse_state(text) -> TwoQubitState:
     vals = _parse_list(text)
     if len(vals) != 8:
         raise _Usage("--state needs eight comma-separated reals "
                      "(re,im pairs of the |00>,|01>,|10>,|11> amplitudes)")
     amps = [complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)]
-    return TwoQubitState.from_vector(amps, normalize=normalize)
+    return TwoQubitState.from_vector(amps)
 
 
 def cmd_rdm(args) -> int:
     params = _resolve(args)
-    state = _parse_state(_require(params, "state", "--state"),
-                         bool(params.get("normalize_state")))
+    state = _parse_state(_require(params, "state", "--state"))
     t = _require_time(params)
     dec = decompose_chain(_chain_from(params))
     rho = evolve_receiver_pair(dec, state, t)
@@ -195,7 +206,7 @@ def cmd_fidelity(args) -> int:
     t = _require_time(params)
     dec = decompose_chain(_chain_from(params, cls))
     if samples is not None:
-        sampler = SeededSampler(int(params.get("seed", 0)))
+        sampler = SeededSampler(params.get("seed", 0))
         result = avg_fidelity_mc(dec, t, samples, sampler, state_class=cls)
     elif phase_opt:
         result = AverageFidelity(float(general_values(dec, (t,), phase_opt=True)[0]),
@@ -215,15 +226,18 @@ def _scan_request(params, chain, cls) -> ScanRequest:
         chain,
         fidelity_class=cls,
         t_max=float(t_max),
-        grid_step=params.get("grid"),
         threads=params.get("threads", 1),
     )
 
 
-def _scan_row(chain, result, params):
+def _echoed_seed(params) -> int:
     # scans hold no randomness; the seed column only echoes the request
+    return whole_number("seed", params.get("seed", 0), 0)
+
+
+def _scan_row(chain, result, params):
     return (chain.n_sites, chain.block, result.field, result.t_star,
-            result.fbar_max, result.fidelity_class, int(params.get("seed", 0)))
+            result.fbar_max, result.fidelity_class, _echoed_seed(params))
 
 
 def cmd_scan_time(args) -> int:
@@ -238,34 +252,12 @@ def cmd_scan_time(args) -> int:
     return 0
 
 
-def _field_values(params) -> list[float]:
-    if params.get("h_list") is not None:
-        return _parse_list(params["h_list"])
-    if params.get("h_max") is not None:
-        lo = float(params.get("h_min", 0.0))
-        hi = float(params["h_max"])
-        step = float(params.get("h_step", 1.0))
-        if not step > 0 or hi < lo:
-            raise _Usage("--h-step must be positive and --h-max >= --h-min")
-        vals = []
-        k = 0
-        while lo + k * step <= hi + 1e-12:
-            vals.append(lo + k * step)
-            k += 1
-        return vals
-    raise _Usage("field sweep needs --h-list or --h-min/--h-max/--h-step")
-
-
 def cmd_scan_field(args) -> int:
     params = _resolve(args)
     cls = params.get("state_class", "general")
-    # the sweep sets the field; taking --h out of the parser would make
-    # argparse read it as an abbreviation of --h-list and the rest
-    if params.get("h") is not None:
-        raise _Usage("scan-field takes no --h: it sweeps --h-list or --h-min/--h-max")
-    fields = _field_values(params)
+    fields = _parse_list(_require(params, "h_list", "--h-list"))
     if not fields:
-        raise _Usage("field sweep needs at least one field value")
+        raise _Usage("--h-list needs at least one field value")
     chain = _chain_from(dict(params, h=max(fields)), cls)  # block placement only
     request = _scan_request(params, chain, cls)
     results = field_sweep(request, fields)
@@ -279,11 +271,6 @@ def cmd_scan_field(args) -> int:
 def cmd_threshold(args) -> int:
     params = _resolve(args)
     cls = params.get("state_class", "omega1")
-    # the search sets both; taking the flags out of the parser would make
-    # argparse read --N as an abbreviation of --N-list
-    for key in ("N", "h"):
-        if params.get(key) is not None:
-            raise _Usage(f"threshold takes no --{key}: it scans --N-list and searches the field")
     n_values = _parse_list(_require(params, "N_list", "--N-list"), int)
     if not n_values:
         raise _Usage("--N-list needs at least one chain length")
@@ -296,7 +283,7 @@ def cmd_threshold(args) -> int:
         target=float(params.get("target", 0.95)),
         h_resolution=float(params.get("h_resolution", 0.1)),
         h_cap=float(params.get("h_cap", 60.0)))
-    seed = int(params.get("seed", 0))
+    seed = _echoed_seed(params)
     rows = [(r.n_sites, chain.block, r.field, r.t_star, r.fbar_max, cls, seed)
             for r in results]
     params_out = dict(params, N_list=n_values, t_max=request.t_max)
@@ -312,7 +299,7 @@ _FIGURES = {
 
 def _run_as(command, params, out, figure) -> int:
     """Run another subcommand on params, each of which must be one of its options."""
-    args = _build_parser().parse_args([command])
+    args = _parser().parse_args([command])
     unknown = sorted(set(params) - set(vars(args)))
     if unknown:  # every key is one of reproduce's options, named after its flag
         flags = ", ".join("--" + key.replace("_", "-") for key in unknown)
@@ -341,20 +328,31 @@ def cmd_reproduce(args) -> int:
 
 def cmd_verify(args) -> int:
     params = _resolve(args)
-    checks = verification_battery(seed=int(params.get("seed", 0)))
+    checks = verification_battery(seed=params.get("seed", 0))
     for c in checks:
         status = "OK" if c.ok else "FAIL"
         print(f"max deviation {c.name}: {c.max_deviation:.3e} (tol {c.tolerance:.1e}) {status}")
     return 0 if all(c.ok for c in checks) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_CHAIN_FLAGS = {
+    "N": {"type": int, "help": "number of chain sites"},
+    "n": {"type": int, "help": "sender/receiver block length"},
+    "h": {"type": float, "help": "barrier field strength"},
+    "profile": {"choices": PROFILES},
+    "c": {"type": float, "help": "ballistic endpoint prefactor"},
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="spinbus",
         description="Exact state-transfer fidelities for XX chains with barrier fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, chain=True, seed=False, threads=False, out=False):
+    def add_common(p, chain=tuple(_CHAIN_FLAGS), seed=False, threads=False, out=False):
         p.add_argument("--config", help="JSON config or manifest; flags take precedence")
         if out:
             p.add_argument("--out", help="output CSV path (default: stdout, no manifest)")
@@ -362,12 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int)
         if threads:
             p.add_argument("--threads", type=int, help="scan worker threads (default 1)")
-        if chain:
-            p.add_argument("--N", type=int, help="number of chain sites")
-            p.add_argument("--n", type=int, help="sender/receiver block length")
-            p.add_argument("--h", type=float, help="barrier field strength")
-            p.add_argument("--profile", choices=PROFILES)
-            p.add_argument("--c", type=float, help="ballistic endpoint prefactor")
+        for name in chain:
+            p.add_argument("--" + name, **_CHAIN_FLAGS[name])
 
     p = sub.add_parser("spectrum", help="single-particle eigenvalues as CSV")
     add_common(p, out=True)
@@ -383,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rdm", help="receiver-pair density matrix as JSON")
     add_common(p)
     p.add_argument("--state", help="eight reals: re,im pairs of |00>,|01>,|10>,|11>")
-    p.add_argument("--normalize-state", action="store_true", default=None)
     p.add_argument("--t", type=float)
     p.set_defaults(func=cmd_rdm)
 
@@ -401,22 +394,18 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, seed=True, threads=True, out=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--grid", type=float, help="upper bound on the time-grid step")
     p.set_defaults(func=cmd_scan_time)
 
+    # the field sweep sets --h; the threshold search sets --N and --h
     p = sub.add_parser("scan-field", help="scan-time at several field values")
-    add_common(p, seed=True, threads=True, out=True)
+    add_common(p, chain=("N", "n", "profile", "c"), seed=True, threads=True, out=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--grid", type=float)
     p.add_argument("--h-list", dest="h_list", help="comma-separated field values")
-    p.add_argument("--h-min", dest="h_min", type=float)
-    p.add_argument("--h-max", dest="h_max", type=float)
-    p.add_argument("--h-step", dest="h_step", type=float)
     p.set_defaults(func=cmd_scan_field)
 
     p = sub.add_parser("threshold", help="smallest field reaching a target fidelity")
-    add_common(p, seed=True, threads=True, out=True)
+    add_common(p, chain=("n", "profile", "c"), seed=True, threads=True, out=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--N-list", dest="N_list", help="comma-separated chain lengths")
     p.add_argument("--target", type=float)
@@ -426,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("reproduce", help="canned sweeps behind the headline figures")
-    add_common(p, seed=True, threads=True, out=True)
+    add_common(p, chain=("N", "n", "profile", "c"), seed=True, threads=True, out=True)
     p.add_argument("--figure", choices=("4a", "4b", "5"))
     p.add_argument("--h-list", dest="h_list")
     p.add_argument("--N-list", dest="N_list")
@@ -437,16 +426,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("verify", help="cross-check determinants against sector evolution")
-    add_common(p, chain=False, seed=True)
+    add_common(p, chain=(), seed=True)
     p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def parse_and_dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

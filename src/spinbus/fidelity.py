@@ -31,11 +31,11 @@ and the sector tables of reduced.py, in fixed blocks of states.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import whole_number
 from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_minor, _pair_sites, \
     _receiver_kernel
 from .spectral import SpectralDecomposition, _minor_weights, _phase_products, amplitude_1p, \
@@ -168,9 +168,7 @@ CLASSES = tuple(GRID_VALUES)
 def _sample_count(samples) -> int:
     # a standard error needs two samples; a fractional count would draw
     # int(samples) states but divide by sqrt(samples)
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
-    return int(samples)
+    return whole_number("samples", samples, 2)
 
 
 def avg_fidelity_1q_mc(dec: SpectralDecomposition, t: float, samples: int,

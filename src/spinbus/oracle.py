@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, whole_number
 from .states import TwoQubitState
 
 _MAX_EXCITATIONS = 3
@@ -225,6 +225,7 @@ def verification_battery(seed: int = 0) -> list[CheckResult]:
     from .spectral import amplitude_row, decompose_chain
     from .states import SeededSampler, sample_haar_2q
 
+    seed = whole_number("seed", seed, 0)
     rng = np.random.default_rng(seed)
     results = []
 

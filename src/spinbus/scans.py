@@ -18,14 +18,13 @@ as one extra point after the last chunk.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, whole_number
 from .fidelity import CLASSES, GRID_VALUES
 from .spectral import UniformGrid, decompose_chain
 
@@ -50,7 +49,6 @@ class ScanRequest:
     chain: ChainSpec
     fidelity_class: str = "general"
     t_max: float = 2.0e4
-    grid_step: float | None = None
     threads: int = 1
 
     def __post_init__(self):
@@ -58,12 +56,8 @@ class ScanRequest:
             raise ValueError(f"unknown fidelity class {self.fidelity_class!r}")
         if not np.isfinite(self.t_max) or self.t_max <= 0:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
-        if self.grid_step is not None and not 0 < self.grid_step < math.inf:
-            raise ValueError(f"grid step must be positive and finite, got {self.grid_step!r}")
         # a float would reach range() in the thread pool; True would run as 1
-        if isinstance(self.threads, bool) or not isinstance(self.threads, numbers.Integral) \
-                or self.threads < 1:
-            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
+        whole_number("threads", self.threads, 1)
 
 
 @dataclass(frozen=True)
@@ -115,8 +109,6 @@ def max_over_time(request: ScanRequest) -> ScanResult:
 
     spread = max(dec.spectral_range, 1e-9)
     step = math.pi / (4.0 * spread)
-    if request.grid_step is not None:
-        step = min(step, request.grid_step)
     n_pts = int(math.floor(request.t_max / step)) + 1
 
     def run_chunk(start):
@@ -184,7 +176,12 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
 
     # the largest grid index whose field is at most h_cap, with a relative
     # slack so that 0.3 / 0.1 = 2.9999999999999996 still reaches 3
-    k_cap = math.floor(h_cap / h_resolution * (1.0 + _CAP_SLACK))
+    top = h_cap / h_resolution * (1.0 + _CAP_SLACK)
+    if not math.isfinite(top + 1.0 / h_resolution):  # the ladder starts at 1 / h_resolution
+        raise ValueError("h_resolution must be finite and positive and large enough that "
+                         "h_cap / h_resolution and 1 / h_resolution are finite, got "
+                         f"h_cap={h_cap}, h_resolution={h_resolution}")
+    k_cap = math.floor(top)
     results = []
     for n_sites in n_sites_values:
         scan_cache: dict[int, ScanResult] = {}

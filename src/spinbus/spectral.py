@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, SingleParticleHamiltonian, hamiltonian_matrix
+from .chain import ChainSpec, SingleParticleHamiltonian, hamiltonian_matrix, whole_number
 
 # relative cutoff below which a leading eigenvector component is treated as zero
 # when fixing the overall sign
@@ -95,8 +95,8 @@ def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
 
 
 def _site_index(dec: SpectralDecomposition, site) -> int:
-    s = int(site)
-    if s < 1 or s > dec.n_sites:
+    s = whole_number("site", site, 1)
+    if s > dec.n_sites:
         raise ValueError(f"site {site!r} outside 1..{dec.n_sites}")
     return s - 1
 

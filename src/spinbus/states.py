@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import whole_number
+
 _NORM_TOL = 1e-9
 
 
@@ -61,8 +63,8 @@ class SeededSampler:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if seed < 0 or seed >= 2 ** 64:
+        seed = whole_number("seed", seed, 0)
+        if seed >= 2 ** 64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
         self._rng = np.random.Generator(np.random.Philox(key=seed))

@@ -79,3 +79,13 @@ def test_requires_ordered_distinct_sites():
         amplitude_rp(dec, (2, 3), (1,), 1.0)
     with pytest.raises(ValueError):
         amplitude_rp(dec, (), (), 1.0)
+
+
+@pytest.mark.parametrize("targets, sources", [
+    ((6.5, 7), (1, 2)), ((6, 7.0), (1, 2)), ((6, 7), (True, 2)),
+])
+def test_sites_must_be_whole_numbers(targets, sources):
+    # int() would read 6.5 and 7.0 as sites 6 and 7, and True as site 1
+    dec = decompose_chain(build_chain(7, 2, 5.0))
+    with pytest.raises(ValueError, match="site"):
+        amplitude_rp(dec, targets, sources, 3.0)

@@ -77,3 +77,16 @@ def test_field_zero_block_optional():
     assert spec.site_fields().tolist() == [0.0] * 8
     ham = hamiltonian_matrix(spec)
     assert np.all(ham.diagonal == 0.0)
+
+
+@pytest.mark.parametrize("n_sites, block", [(7.9, 2), (7, 2.6), (7.0, 2), (7, True)])
+def test_lengths_must_be_whole_numbers(n_sites, block):
+    # int() would build 7.9 sites as 7 and a block of True as 1
+    with pytest.raises(ValueError, match="n_sites|block"):
+        build_chain(n_sites, block, 5.0)
+
+
+def test_numpy_integer_lengths_are_stored_as_int():
+    spec = build_chain(np.int64(7), np.int64(2), 5.0)
+    assert (spec.n_sites, spec.block) == (7, 2)
+    assert type(spec.n_sites) is int and type(spec.block) is int

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinbus import build_chain, decompose_chain, general_values
+from spinbus import cli
 from spinbus.cli import parse_and_dispatch
 
 
@@ -239,6 +240,7 @@ def test_scans_take_no_sample_count(capsys, argv):
     ("rdm", "--N", "7", "--state", "1,0,0,0,0,0,0,0", "--t", "3", "--out", "x.csv"),
     ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--out", "x.csv"),
     ("verify", "--out", "x.csv"),
+    ("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100", "--h", "3"),
 ])
 def test_options_that_do_not_apply_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -317,7 +319,7 @@ def test_explicit_zero_is_not_replaced_by_a_default(capsys, argv):
 
 @pytest.mark.parametrize("flag, value", [
     ("--h-cap", "inf"), ("--h-cap", "nan"), ("--h-resolution", "nan"),
-    ("--h-resolution", "inf"),
+    ("--h-resolution", "inf"), ("--h-resolution", "1e-320"),
 ])
 def test_threshold_field_bounds_must_be_finite(capsys, flag, value):
     code, _, err = run(capsys, "threshold", "--N-list", "7", "--t-max", "100", flag, value)
@@ -336,3 +338,105 @@ def test_state_parsing_rejects_short_input(capsys):
                        "--state", "1,0,0", "--t", "1")
     assert code == 2
     assert "eight" in err
+
+
+_OMEGA1_SCAN = ("--N", "7", "--class", "omega1", "--t-max", "100")
+
+
+@pytest.mark.parametrize("argv", [
+    # prefixes of declared flags
+    ("threshold", "--N-li", "7", "--t-max", "100", "--h-cap", "0.5"),
+    ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--samp", "100"),
+    # deleted flags
+    ("scan-time", *_OMEGA1_SCAN, "--grid", "0.1"),
+    ("scan-field", *_OMEGA1_SCAN, "--h-list", "0", "--grid", "0.1"),
+    ("scan-field", *_OMEGA1_SCAN, "--h-min", "0", "--h-max", "5", "--h-step", "5"),
+    ("rdm", "--N", "7", "--state", "2,0,0,0,0,0,0,0", "--t", "3", "--normalize-state"),
+])
+def test_undeclared_flags_are_rejected_by_the_parser(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("scan-time", "grid"), ("scan-field", "grid"), ("scan-field", "h_min"),
+    ("scan-field", "h_max"), ("scan-field", "h_step"),
+])
+def test_manifests_setting_deleted_options_are_usage_errors(tmp_path, capsys, command, key):
+    params = {"N": 7, "state_class": "omega1", "t_max": 100, key: 1.0}
+    if command == "scan-field":
+        params["h_list"] = [0.0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(params))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and repr(key) in err
+
+
+def test_reproduce_builds_no_parser_after_the_first_call(capsys, monkeypatch):
+    calls = [("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100"),
+             ("reproduce", "--figure", "5", "--N-list", "7", "--t-max", "100",
+              "--h-cap", "0.5")]
+    for argv in calls:
+        assert run(capsys, *argv)[0] == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for argv in calls:
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_reproduce_carries_no_state_between_calls(capsys):
+    """The shared parser leaves nothing behind: the same argv gives the same bytes."""
+    argv = ("reproduce", "--figure", "4a", "--h-list", "0,5", "--t-max", "300")
+    code, first, err = run(capsys, *argv)
+    assert code == 0, err
+    # in between, set options that argv leaves at their defaults
+    between = [
+        ("reproduce", "--figure", "4b", "--N", "9", "--n", "1", "--h-list", "3",
+         "--t-max", "200", "--threads", "2", "--seed", "4", "--profile", "engineered"),
+        ("reproduce", "--figure", "5", "--N-list", "8", "--t-max", "100", "--h-cap", "0.5",
+         "--target", "0.1", "--seed", "5"),
+        ("scan-field", "--N", "8", "--n", "1", "--class", "omega2", "--h-list", "2",
+         "--t-max", "100", "--seed", "9"),
+        ("threshold", "--N-list", "9", "--t-max", "100", "--h-cap", "0.5",
+         "--profile", "ballistic", "--c", "0.5"),
+    ]
+    for other in between:
+        code, _, err = run(capsys, *other)
+        assert code == 0, err
+    code, second, err = run(capsys, *argv)
+    assert code == 0, err
+    assert second == first
+
+
+_SCAN_TIME = ("scan-time", "--class", "omega1", "--t-max", "100")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (_SCAN_TIME, {"N": 7.9}),
+    ((*_SCAN_TIME, "--N", "7", "--h", "5"), {"n": 2.6}),
+    ((*_SCAN_TIME, "--N", "7", "--h", "5"), {"n": True}),
+    ((*_SCAN_TIME, "--N", "7"), {"seed": 3.9}),
+    ((*_SCAN_TIME, "--N", "7"), {"seed": True}),
+    (("threshold", "--t-max", "100", "--h-cap", "0.5"), {"N_list": [7.9]}),
+    (("reproduce", "--figure", "5", "--t-max", "100", "--h-cap", "0.5"), {"N_list": [7.9]}),
+    (("fidelity", "--N", "7", "--h", "5", "--t", "3", "--samples", "100"), {"seed": 2.5}),
+    (("verify",), {"seed": 2.5}),
+    (("amplitude", "--N", "7", "--t", "3"), {"sources": [1, 2], "targets": [6, 7.0]}),
+    (("amplitude", "--N", "7", "--t", "3"), {"sources": [1.5], "targets": [7]}),
+])
+def test_whole_numbers_from_a_config_are_not_truncated(tmp_path, capsys, argv, config):
+    # the integer flags parse only integers, so 7.9 or true comes from a config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "must be an integer" in err

@@ -42,8 +42,7 @@ def test_default_windows():
 
 
 def test_grid_step_honours_spectral_range():
-    req = ScanRequest(build_chain(7, 2, 20.0), fidelity_class="omega1",
-                      t_max=100.0, grid_step=10.0)
+    req = ScanRequest(build_chain(7, 2, 20.0), fidelity_class="omega1", t_max=100.0)
     res = max_over_time(req)
     dec_range = 0.0
     from spinbus import decompose_chain
@@ -211,15 +210,19 @@ def test_request_validation():
         with pytest.raises(ValueError, match="threads"):
             ScanRequest(chain, threads=threads)
     assert ScanRequest(chain, threads=np.int64(2)).threads == 2
-    for step in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            ScanRequest(chain, grid_step=step)
 
 
 @pytest.mark.parametrize("name, value", [
     ("h_cap", math.inf), ("h_cap", math.nan), ("h_cap", 0.0),
     ("h_resolution", math.nan), ("h_resolution", math.inf), ("h_resolution", -0.1),
+    ("h_resolution", 1e-320),  # h_cap / h_resolution overflows
 ])
 def test_threshold_field_bounds_must_be_finite_and_positive(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         threshold_field(_omega1_template(100.0), (7,), **{name: value})
+
+
+def test_threshold_ladder_start_must_not_overflow():
+    """h_cap / h_resolution = 1e20 is finite; the ladder's first index 1 / h_resolution is not."""
+    with pytest.raises(ValueError, match="h_cap=1e-300, h_resolution=1e-320"):
+        threshold_field(_omega1_template(100.0), (7,), h_cap=1e-300, h_resolution=1e-320)

@@ -104,3 +104,10 @@ def test_invalid_seed_rejected():
         SeededSampler(-1)
     with pytest.raises(ValueError):
         SeededSampler(1 << 64)
+
+
+@pytest.mark.parametrize("seed", [2.5, 3.0, True, "3"])
+def test_seed_must_be_a_whole_number(seed):
+    # int() would key 2.5 as seed 2 and True as seed 1
+    with pytest.raises(ValueError, match="seed"):
+        SeededSampler(seed)
