@@ -42,6 +42,16 @@ def whole_number(name, value, minimum) -> int:
     return int(value)
 
 
+def real_number(name, value) -> float:
+    """value as a float; a bool or anything but a real number raises ValueError.
+
+    float() would read True as 1.0 and "3" as 3.0; both are rejected instead.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Geometry and field layout of an open XX chain.

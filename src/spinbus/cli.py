@@ -21,7 +21,8 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .amplitudes import amplitude_rp
-from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain, whole_number
+from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain, real_number, \
+    whole_number
 from .fidelity import CLASSES, GRID_VALUES, METHODS, AverageFidelity, avg_fidelity_mc, \
     general_values
 from .oracle import verification_battery
@@ -121,7 +122,7 @@ def _require(params, key, flag) -> object:
 
 
 def _require_time(params) -> float:
-    t = float(_require(params, "t", "--t"))
+    t = real_number("t", _require(params, "t", "--t"))
     if not math.isfinite(t):
         raise _Usage(f"--t must be finite, got {t}")
     return t
@@ -129,23 +130,24 @@ def _require_time(params) -> float:
 
 def _chain_from(params, state_class=None):
     n_sites = _require(params, "N", "--N")
-    field = float(params.get("h", 0.0))
+    field = real_number("h", params.get("h", 0.0))
     block = params.get("n")
     if block is None and field > 0:
         block = 1 if state_class == "one-qubit" else 2
     return build_chain(n_sites, block, field,
                        params.get("profile", UNIFORM),
-                       params.get("c", BALLISTIC_C_DEFAULT))
+                       real_number("c", params.get("c", BALLISTIC_C_DEFAULT)))
 
 
-def _parse_list(text, kind=float) -> list:
+def _parse_list(name, text, kind=float) -> list:
     """Comma-separated values as kind, or a list as stored in a config.
 
     A config's integers are passed on as they stand: the library rejects 7.9
-    as a chain length or site, where int() would truncate it to 7.
+    as a chain length or site, where int() would truncate it to 7.  A config's
+    reals must be JSON numbers: float() would read true as 1.0.
     """
     if isinstance(text, (list, tuple)):
-        return list(text) if kind is int else [kind(x) for x in text]
+        return list(text) if kind is int else [real_number(name, x) for x in text]
     return [kind(x) for x in str(text).split(",") if x.strip()]
 
 
@@ -159,8 +161,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_amplitude(args) -> int:
     params = _resolve(args)
-    sources = _parse_list(_require(params, "sources", "--sources"), int)
-    targets = _parse_list(_require(params, "targets", "--targets"), int)
+    sources = _parse_list("sources", _require(params, "sources", "--sources"), int)
+    targets = _parse_list("targets", _require(params, "targets", "--targets"), int)
     t = _require_time(params)
     dec = decompose_chain(_chain_from(params))
     amp = amplitude_rp(dec, targets, sources, t)
@@ -169,7 +171,7 @@ def cmd_amplitude(args) -> int:
 
 
 def _parse_state(text) -> TwoQubitState:
-    vals = _parse_list(text)
+    vals = _parse_list("state", text)
     if len(vals) != 8:
         raise _Usage("--state needs eight comma-separated reals "
                      "(re,im pairs of the |00>,|01>,|10>,|11> amplitudes)")
@@ -225,7 +227,7 @@ def _scan_request(params, chain, cls) -> ScanRequest:
     return ScanRequest(
         chain,
         fidelity_class=cls,
-        t_max=float(t_max),
+        t_max=real_number("t_max", t_max),
         threads=params.get("threads", 1),
     )
 
@@ -255,7 +257,7 @@ def cmd_scan_time(args) -> int:
 def cmd_scan_field(args) -> int:
     params = _resolve(args)
     cls = params.get("state_class", "general")
-    fields = _parse_list(_require(params, "h_list", "--h-list"))
+    fields = _parse_list("h_list", _require(params, "h_list", "--h-list"))
     if not fields:
         raise _Usage("--h-list needs at least one field value")
     chain = _chain_from(dict(params, h=max(fields)), cls)  # block placement only
@@ -271,7 +273,7 @@ def cmd_scan_field(args) -> int:
 def cmd_threshold(args) -> int:
     params = _resolve(args)
     cls = params.get("state_class", "omega1")
-    n_values = _parse_list(_require(params, "N_list", "--N-list"), int)
+    n_values = _parse_list("N_list", _require(params, "N_list", "--N-list"), int)
     if not n_values:
         raise _Usage("--N-list needs at least one chain length")
     params.setdefault("t_max", 1.3e4)
@@ -280,9 +282,9 @@ def cmd_threshold(args) -> int:
     request = _scan_request(params, chain, cls)
     results = threshold_field(
         request, n_values,
-        target=float(params.get("target", 0.95)),
-        h_resolution=float(params.get("h_resolution", 0.1)),
-        h_cap=float(params.get("h_cap", 60.0)))
+        target=real_number("target", params.get("target", 0.95)),
+        h_resolution=real_number("h_resolution", params.get("h_resolution", 0.1)),
+        h_cap=real_number("h_cap", params.get("h_cap", 60.0)))
     seed = _echoed_seed(params)
     rows = [(r.n_sites, chain.block, r.field, r.t_star, r.fbar_max, cls, seed)
             for r in results]

@@ -17,7 +17,11 @@ perfect transfer; both are invariant under a global phase of the
 odd-excitation sector.  The omega1 average is a Hermitian form in F, so it
 is computed as a sum of squares: the form's four rows are folded into the
 weights of the phase GEMM (spectral._phase_products), and the values are
-the squared norms of its output rows, on grids and at single times alike.
+the squared norms of its output rows.  It is also a Hermitian form
+x^H G x in the mode phases x_k = exp(-i lam_k t) with a real G, and on the
+scan grids of chains up to _SERIES_MAX_SITES sites it is evaluated as that
+form's real cosine series (spectral._cosine_series), one real GEMM with no
+complex output.
 The general average is exact too: of the Kraus
 operators, one per bulk configuration, only the bulk-empty one has a nonzero
 diagonal, (1, f_v2, f_u1, g_uv), so Fbar = (4 F_e + 1)/5 with
@@ -38,8 +42,8 @@ import numpy as np
 from .chain import whole_number
 from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_minor, _pair_sites, \
     _receiver_kernel
-from .spectral import SpectralDecomposition, _minor_weights, _phase_products, amplitude_1p, \
-    propagator_minor_grid
+from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _minor_weights, \
+    _phase_products, amplitude_1p, propagator_minor_grid
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
 
@@ -98,6 +102,13 @@ _OMEGA1_FORM = np.array([[1 / 2, 0.0, 0.0, 1 / 2],
                          [0.0, 0.0, 1 / np.sqrt(6), 0.0]])
 _OMEGA1_FORM.flags.writeable = False
 
+# the longest chain whose omega1 scan grids are evaluated as a cosine series:
+# its N (N - 1) real terms per point grow faster than the phase products'
+# four complex columns per mode, and a 32768-point chunk costs the same both
+# ways at N = 12 to 13 (one BLAS thread on a 2-vCPU VM); at N = 40 the series
+# would cost 5 times as much
+_SERIES_MAX_SITES = 12
+
 
 def _omega2_from_amplitudes(g_uv, traced_weight):
     # exact Haar average over a|00> + d|11>; traced_weight is
@@ -118,11 +129,15 @@ def avg_fidelity_omega2(dec: SpectralDecomposition, t: float) -> AverageFidelity
 def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized omega1 average over a time grid.
 
-    _OMEGA1_FORM is folded into the pair minor's weights, so the phase GEMM
-    yields the four rows of the form and the average is their sum of squares,
-    taken over the real and imaginary parts of the GEMM output.
+    With W the pair minor's weights with _OMEGA1_FORM folded in, the phase
+    products yield the four rows of the form and the average is their sum of
+    squares.  It is also the Hermitian form x^H G x in the mode phases
+    x_k = exp(-i lam_k t) with the real G = W W^T, and on the uniform grid of
+    a scan of a short chain it is evaluated as that form's cosine series.
     """
     weights = _minor_weights(dec, *_pair_sites(dec)) @ _OMEGA1_FORM.T
+    if isinstance(ts, UniformGrid) and dec.n_sites <= _SERIES_MAX_SITES:
+        return _cosine_series(dec, weights @ weights.T, ts)
     rows = _phase_products(dec, weights, ts).view(float)
     return np.einsum("ij,ij->i", rows, rows)
 

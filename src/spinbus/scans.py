@@ -8,11 +8,18 @@ closed form in the propagator, so a scan holds no randomness.
 
 The grid is cut into chunks of _CHUNK points anchored on the point index,
 step * (k * _CHUNK + j), and no array of times is ever built: each chunk is
-evaluated as a spectral.UniformGrid.  Chunks run `threads` at a time and are
-reduced in chunk order as each wave completes, so a scan holds at most one
-wave of values (memory bounded by the chunk size, not by the window) and its
-result is independent of the worker count.  An off-grid t_max is evaluated
+evaluated as a spectral.UniformGrid.  Chunks run `threads` at a time, each
+is reduced to its best point where it is evaluated, and the bests are
+combined in chunk order, so a scan holds at most one chunk of values per
+thread (memory bounded by the chunk size, not by the window) and its result
+is independent of the worker count.  An off-grid t_max is evaluated
 as one extra point after the last chunk.
+
+A scan is a walk (_walk) that yields its running best after each chunk and
+can be stopped and resumed.  max_over_time runs it to the end.  A threshold
+search only asks each field whether its scan reaches the target, so its
+decision scans stop at their first hit; the reported field's walk is then
+resumed, so every row is the one a full scan gives.
 """
 
 from __future__ import annotations
@@ -102,8 +109,16 @@ def _golden_refine(evaluate, lo, hi, tol):
     return mid, float(evaluate(np.array([mid]))[0])
 
 
-def max_over_time(request: ScanRequest) -> ScanResult:
-    """Maximize the requested average fidelity over t in [0, t_max]."""
+def _walk(request: ScanRequest):
+    """A scan as a resumable walk: yields its running best as a ScanResult.
+
+    One result after each chunk of the grid, in chunk order with the
+    _chunk_best tie-break, then the final one after the off-grid end point
+    and the golden refinement.  The running best never falls, so the first
+    result to reach a value says the scan reaches it; the last result is the
+    scan's.  A walk stopped early and resumed gives the same results as one
+    run straight through.
+    """
     dec = decompose_chain(request.chain)
     evaluate = partial(GRID_VALUES[request.fidelity_class], dec)
 
@@ -112,14 +127,18 @@ def max_over_time(request: ScanRequest) -> ScanResult:
     n_pts = int(math.floor(request.t_max / step)) + 1
 
     def run_chunk(start):
-        return evaluate(UniformGrid(step, start, min(_CHUNK, n_pts - start)))
+        # reduced where it is evaluated: a stopped walk holds no chunk values
+        return _chunk_best(evaluate(UniformGrid(step, start, min(_CHUNK, n_pts - start))))
+
+    def result():
+        return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step)
 
     starts = range(0, n_pts, _CHUNK)
     best_t, best_f = 0.0, -math.inf
-    for start, vals in zip(starts, _in_waves(run_chunk, starts, request.threads)):
-        idx, f_c = _chunk_best(vals)
+    for start, (idx, f_c) in zip(starts, _in_waves(run_chunk, starts, request.threads)):
         if f_c > best_f + _TIE_EPS:
             best_t, best_f = step * (start + idx), f_c
+        yield result()
     if step * (n_pts - 1) < request.t_max:
         f_end = float(evaluate(np.array([request.t_max]))[0])
         if f_end > best_f + _TIE_EPS:
@@ -131,9 +150,14 @@ def max_over_time(request: ScanRequest) -> ScanResult:
     t_ref, f_ref = _golden_refine(evaluate, lo, hi, tol)
     if f_ref > best_f:
         best_t, best_f = t_ref, f_ref
+    yield result()
 
-    return ScanResult(request.chain.field, best_t, best_f,
-                      request.fidelity_class, step)
+
+def max_over_time(request: ScanRequest) -> ScanResult:
+    """Maximize the requested average fidelity over t in [0, t_max]."""
+    for result in _walk(request):
+        pass
+    return result
 
 
 def field_sweep(request: ScanRequest, fields) -> list[ScanResult]:
@@ -165,8 +189,15 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
     over n_sites_values and the field over the grid h = k*h_resolution up to
     h_cap.  The search brackets on a doubling ladder plus bisection, assuming
     the reachable side is monotone: the field returned is the first grid point
-    above one already known to miss the target.  Each field is scanned at
-    most once per chain length.
+    above one already known to miss the target.
+
+    Each field's scan is a decision: it stops at the first chunk whose running
+    best reaches the target, skipping the end point and the refinement, which
+    could only raise it; a miss walks, evaluates the end point and refines as
+    max_over_time does.  Either way it decides as a full scan would.  The
+    reported field's walk (the field found, or the cap's) is resumed from its
+    next chunk, so its row equals max_over_time's and each field's grid is
+    walked at most once per chain length.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
@@ -184,41 +215,53 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
     k_cap = math.floor(top)
     results = []
     for n_sites in n_sites_values:
-        scan_cache: dict[int, ScanResult] = {}
+        walks = {}  # field index -> (its walk, the walk's last result)
 
-        def scan_at(k: int) -> ScanResult:
-            if k not in scan_cache:
+        def reaches(k: int) -> bool:
+            # walk field k until its running best reaches the target, or to the end
+            if k not in walks:
                 chain = replace(request.chain, n_sites=n_sites, field=k * h_resolution)
-                scan_cache[k] = max_over_time(replace(request, chain=chain))
-            return scan_cache[k]
+                walk = _walk(replace(request, chain=chain))
+                for result in walk:
+                    if result.fbar_max >= target:
+                        break
+                walks[k] = (walk, result)
+            return walks[k][1].fbar_max >= target
 
-        found = None
-        if scan_at(0).fbar_max >= target:
-            found = 0
-        else:
-            # bracket on a doubling ladder, then bisect on the grid
-            ladder = []
-            k = max(int(round(1.0 / h_resolution)), 1)
-            while k < k_cap:
-                ladder.append(k)
-                k *= 2
-            ladder.append(k_cap)
-            lo, hi = 0, None
-            for k in ladder:
-                if scan_at(k).fbar_max >= target:
-                    hi = k
-                    break
-                lo = k
-            if hi is not None:
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if scan_at(mid).fbar_max >= target:
-                        hi = mid
-                    else:
-                        lo = mid
-                found = hi
+        try:
+            found = None
+            if reaches(0):
+                found = 0
+            else:
+                # bracket on a doubling ladder, then bisect on the grid
+                ladder = []
+                k = max(int(round(1.0 / h_resolution)), 1)
+                while k < k_cap:
+                    ladder.append(k)
+                    k *= 2
+                ladder.append(k_cap)
+                lo, hi = 0, None
+                for k in ladder:
+                    if reaches(k):
+                        hi = k
+                        break
+                    lo = k
+                if hi is not None:
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        if reaches(mid):
+                            hi = mid
+                        else:
+                            lo = mid
+                    found = hi
 
-        best = scan_at(k_cap if found is None else found)
+            # the reported field's walk resumes from the chunk after its decision
+            walk, best = walks[k_cap if found is None else found]
+            for best in walk:
+                pass
+        finally:
+            for stopped, _ in walks.values():
+                stopped.close()  # frees the thread pool of a walk stopped at its hit
         field = None if found is None else found * h_resolution
         results.append(ThresholdResult(n_sites, field, best.t_star, best.fbar_max))
     return results

@@ -440,3 +440,41 @@ def test_whole_numbers_from_a_config_are_not_truncated(tmp_path, capsys, argv, c
     code, out, err = run(capsys, *argv, "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "must be an integer" in err
+
+
+_SCAN_7 = ("scan-time", "--N", "7", "--n", "2", "--class", "omega1")
+_THRESHOLD_7 = ("threshold", "--N-list", "7", "--t-max", "100", "--h-cap", "0.5")
+
+
+@pytest.mark.parametrize("argv, config", [
+    ((*_SCAN_7, "--h", "5"), {"t_max": True}),
+    ((*_SCAN_7, "--t-max", "100"), {"h": True}),
+    ((*_SCAN_7, "--t-max", "100"), {"h": "5"}),
+    (("scan-time", "--N", "7", "--profile", "ballistic", "--t-max", "100"), {"c": True}),
+    (("scan-field", "--N", "7", "--class", "omega1", "--t-max", "100"),
+     {"h_list": [True, False]}),
+    (("scan-field", "--N", "7", "--class", "omega1", "--t-max", "100"), {"h_list": ["5"]}),
+    (("fidelity", "--N", "7", "--h", "5"), {"t": True}),
+    (("amplitude", "--N", "7", "--sources", "1", "--targets", "7"), {"t": "3"}),
+    (("rdm", "--N", "7", "--t", "3"), {"state": [True, 0, 0, 0, 0, 0, 0, 0]}),
+    (_THRESHOLD_7, {"target": True}),
+    (("threshold", "--N-list", "7", "--t-max", "100"), {"h_cap": True}),
+    (_THRESHOLD_7, {"h_resolution": True}),
+])
+def test_reals_from_a_config_must_be_numbers(tmp_path, capsys, argv, config):
+    # the real flags parse only numbers, so true or "5" comes from a config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    key = next(iter(config))
+    assert err.startswith("error:") and f"{key} must be a real number" in err
+
+
+def test_integer_reals_from_a_config_are_numbers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_max": 100, "h_list": [0, 5]}))
+    argv = ("scan-field", "--N", "7", "--class", "omega1")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0, err
+    assert out == run(capsys, *argv, "--t-max", "100.0", "--h-list", "0.0,5.0")[1]

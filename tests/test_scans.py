@@ -10,6 +10,7 @@ import pytest
 from spinbus import (
     ScanRequest,
     SeededSampler,
+    ThresholdResult,
     avg_fidelity_mc,
     build_chain,
     decompose_chain,
@@ -21,7 +22,7 @@ from spinbus import (
     threshold_field,
 )
 from spinbus.fidelity import _sample_fidelities
-from spinbus.scans import _CHUNK
+from spinbus.scans import _CHUNK, _walk
 from spinbus.spectral import UniformGrid
 
 
@@ -160,17 +161,23 @@ def test_threshold_known_value():
     assert res[0].fbar_max >= 0.9
 
 
-def test_threshold_scans_each_field_once(monkeypatch):
+def _record_walked_fields(monkeypatch):
+    """Patch scans._walk to record the field of every walk started; return the list."""
     from spinbus import scans
 
     fields = []
-    scan = scans.max_over_time
+    walk = scans._walk
 
-    def counted(request):
+    def recorded(request):
         fields.append(request.chain.field)
-        return scan(request)
+        return walk(request)
 
-    monkeypatch.setattr(scans, "max_over_time", counted)
+    monkeypatch.setattr(scans, "_walk", recorded)
+    return fields
+
+
+def test_threshold_scans_each_field_once(monkeypatch):
+    fields = _record_walked_fields(monkeypatch)
     for target in (0.0, 0.8):
         fields.clear()
         res = threshold_field(_omega1_template(1000.0), (7,), target=target, h_cap=20.0)
@@ -183,21 +190,72 @@ def test_threshold_scans_each_field_once(monkeypatch):
 ])
 def test_threshold_scans_no_field_above_the_cap(monkeypatch, h_cap, h_resolution, top):
     """The cap is the largest grid field at or below h_cap, never a rounded-up one."""
-    from spinbus import scans
-
-    fields = []
-    scan = scans.max_over_time
-
-    def recorded(request):
-        fields.append(request.chain.field)
-        return scan(request)
-
-    monkeypatch.setattr(scans, "max_over_time", recorded)
+    fields = _record_walked_fields(monkeypatch)
     res = threshold_field(_omega1_template(100.0), (7,), target=1.0,
                           h_resolution=h_resolution, h_cap=h_cap)
     assert res[0].field is None
     assert max(fields) == top * h_resolution
     assert sorted(set(fields)) == sorted(fields) and max(fields) <= h_cap * (1 + 1e-9)
+
+
+def _threshold_by_full_scans(request, n_sites, target, h_resolution, h_cap):
+    """threshold_field's ladder and bisection, deciding every field by a full scan."""
+    def scan(k):
+        chain = dataclasses.replace(request.chain, n_sites=n_sites, field=k * h_resolution)
+        return max_over_time(dataclasses.replace(request, chain=chain))
+
+    k_cap = math.floor(h_cap / h_resolution * (1 + 1e-9))
+    lo, hi = 0, None
+    if scan(0).fbar_max >= target:
+        hi = 0
+    else:
+        k = round(1.0 / h_resolution)
+        while hi is None and lo < k_cap:
+            k = min(k, k_cap)
+            if scan(k).fbar_max >= target:
+                hi = k
+            else:
+                lo, k = k, 2 * k
+        while hi is not None and hi - lo > 1:
+            mid = (lo + hi) // 2
+            if scan(mid).fbar_max >= target:
+                hi = mid
+            else:
+                lo = mid
+    best = scan(k_cap if hi is None else hi)
+    field = None if hi is None else hi * h_resolution
+    return ThresholdResult(n_sites, field, best.t_star, best.fbar_max)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("fidelity_class, target", [
+    ("omega1", 0.9), ("general", 0.92), ("omega1", 0.999),
+])
+def test_decision_scans_match_full_scans(fidelity_class, target, threads):
+    """Stopping a field's walk at its first hit, and resuming the reported one,
+    gives the search and the rows that full scans of every field give."""
+    request = ScanRequest(build_chain(7, 2), fidelity_class=fidelity_class,
+                          t_max=6000.0, threads=threads)
+    got = threshold_field(request, (7, 8), target=target, h_resolution=0.5, h_cap=12.0)
+    want = [_threshold_by_full_scans(request, n, target, 0.5, 12.0) for n in (7, 8)]
+    assert got == want
+    assert (got[0].field is None) == (target == 0.999)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_resumed_walk_matches_max_over_time(threads):
+    """A walk stopped in its first, a middle or its last chunk and then resumed
+    ends on max_over_time's result, bit for bit."""
+    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=6000.0,
+                      threads=threads)
+    full = max_over_time(req)
+    n_chunks = math.floor(req.t_max / full.grid_step) // _CHUNK + 1
+    assert n_chunks == 5
+    for stop in (1, 3, n_chunks):
+        walk = _walk(req)
+        running = [next(walk) for _ in range(stop)]
+        assert [r.fbar_max for r in running] == sorted(r.fbar_max for r in running)
+        assert list(walk)[-1] == full
 
 
 def test_request_validation():
