@@ -104,9 +104,10 @@ _OMEGA1_FORM.flags.writeable = False
 
 # the longest chain whose omega1 scan grids are evaluated as a cosine series:
 # its N (N - 1) real terms per point grow faster than the phase products'
-# four complex columns per mode, and a 32768-point chunk costs the same both
-# ways at N = 12 to 13 (one BLAS thread on a 2-vCPU VM); at N = 40 the series
-# would cost 5 times as much
+# four complex columns per mode.  The cutoff rests on one microbenchmark of a
+# 32768-point chunk (one BLAS thread, 2-vCPU VM): both ways cost the same at
+# N = 12 to 13, and the series took 5 times as long at N = 40.  The benchmark
+# scans no omega1 chain longer than 11 sites, so it checks neither.
 _SERIES_MAX_SITES = 12
 
 

@@ -15,17 +15,18 @@ thread (memory bounded by the chunk size, not by the window) and its result
 is independent of the worker count.  An off-grid t_max is evaluated
 as one extra point after the last chunk.
 
-A scan is a walk (_walk) that yields its running best after each chunk and
-can be stopped and resumed.  max_over_time runs it to the end.  A threshold
-search only asks each field whether its scan reaches the target, so its
-decision scans stop at their first hit; the reported field's walk is then
-resumed, so every row is the one a full scan gives.
+A scan given a value to reach is a decision scan: it stops at the first
+chunk whose running best reaches that value, and a later scan can resume it
+from the next chunk.  A threshold search only asks each field whether its
+scan reaches the target, so its scans stop at their first hit; only the
+field found is resumed to the end, so every row is the one a full scan gives.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -109,15 +110,19 @@ def _golden_refine(evaluate, lo, hi, tol):
     return mid, float(evaluate(np.array([mid]))[0])
 
 
-def _walk(request: ScanRequest):
-    """A scan as a resumable walk: yields its running best as a ScanResult.
+def max_over_time(request: ScanRequest, reach: float | None = None,
+                  resume: ScanResult | None = None) -> ScanResult:
+    """Maximize the requested average fidelity over t in [0, t_max].
 
-    One result after each chunk of the grid, in chunk order with the
-    _chunk_best tie-break, then the final one after the off-grid end point
-    and the golden refinement.  The running best never falls, so the first
-    result to reach a value says the scan reaches it; the last result is the
-    scan's.  A walk stopped early and resumed gives the same results as one
-    run straight through.
+    With reach given, this is a decision scan: it stops at the first chunk
+    whose running best is at least reach and returns that running best,
+    skipping the rest of the grid, the end point and the refinement, which
+    could only raise it.  Its fbar_max therefore reaches reach exactly when a
+    full scan's does; a scan that never reaches it is the full scan.
+
+    resume is such a stopped decision scan of the same request.  Its best
+    point lies in the chunk where it stopped, so the scan goes on from the
+    next chunk with that running best and returns the full scan's result.
     """
     dec = decompose_chain(request.chain)
     evaluate = partial(GRID_VALUES[request.fidelity_class], dec)
@@ -127,18 +132,24 @@ def _walk(request: ScanRequest):
     n_pts = int(math.floor(request.t_max / step)) + 1
 
     def run_chunk(start):
-        # reduced where it is evaluated: a stopped walk holds no chunk values
+        # reduced where it is evaluated: a wave holds bests, not chunk values
         return _chunk_best(evaluate(UniformGrid(step, start, min(_CHUNK, n_pts - start))))
 
     def result():
         return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step)
 
-    starts = range(0, n_pts, _CHUNK)
-    best_t, best_f = 0.0, -math.inf
-    for start, (idx, f_c) in zip(starts, _in_waves(run_chunk, starts, request.threads)):
-        if f_c > best_f + _TIE_EPS:
-            best_t, best_f = step * (start + idx), f_c
-        yield result()
+    best_t, best_f, first = 0.0, -math.inf, 0
+    if resume is not None:
+        best_t, best_f = resume.t_star, resume.fbar_max
+        first = (round(best_t / step) // _CHUNK + 1) * _CHUNK
+    starts = range(first, n_pts, _CHUNK)
+    # closing: a decision scan that stops early shuts its thread pool down here
+    with closing(_in_waves(run_chunk, starts, request.threads)) as bests:
+        for start, (idx, f_c) in zip(starts, bests):
+            if f_c > best_f + _TIE_EPS:
+                best_t, best_f = step * (start + idx), f_c
+                if reach is not None and best_f >= reach:
+                    return result()
     if step * (n_pts - 1) < request.t_max:
         f_end = float(evaluate(np.array([request.t_max]))[0])
         if f_end > best_f + _TIE_EPS:
@@ -150,14 +161,7 @@ def _walk(request: ScanRequest):
     t_ref, f_ref = _golden_refine(evaluate, lo, hi, tol)
     if f_ref > best_f:
         best_t, best_f = t_ref, f_ref
-    yield result()
-
-
-def max_over_time(request: ScanRequest) -> ScanResult:
-    """Maximize the requested average fidelity over t in [0, t_max]."""
-    for result in _walk(request):
-        pass
-    return result
+    return result()
 
 
 def field_sweep(request: ScanRequest, fields) -> list[ScanResult]:
@@ -191,13 +195,11 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
     the reachable side is monotone: the field returned is the first grid point
     above one already known to miss the target.
 
-    Each field's scan is a decision: it stops at the first chunk whose running
-    best reaches the target, skipping the end point and the refinement, which
-    could only raise it; a miss walks, evaluates the end point and refines as
-    max_over_time does.  Either way it decides as a full scan would.  The
-    reported field's walk (the field found, or the cap's) is resumed from its
-    next chunk, so its row equals max_over_time's and each field's grid is
-    walked at most once per chain length.
+    Each field is decided once per chain length, by a decision scan
+    (max_over_time with reach=target) that stops at its first hit; a miss is
+    the full scan.  The field found is then resumed from the chunk after its
+    hit, so every decision and row equals the one full scans give and each
+    field's grid is walked at most once.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
@@ -215,53 +217,45 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
     k_cap = math.floor(top)
     results = []
     for n_sites in n_sites_values:
-        walks = {}  # field index -> (its walk, the walk's last result)
+        decided: dict[int, ScanResult] = {}
+
+        def scan_at(k: int, **how) -> ScanResult:
+            chain = replace(request.chain, n_sites=n_sites, field=k * h_resolution)
+            return max_over_time(replace(request, chain=chain), **how)
 
         def reaches(k: int) -> bool:
-            # walk field k until its running best reaches the target, or to the end
-            if k not in walks:
-                chain = replace(request.chain, n_sites=n_sites, field=k * h_resolution)
-                walk = _walk(replace(request, chain=chain))
-                for result in walk:
-                    if result.fbar_max >= target:
-                        break
-                walks[k] = (walk, result)
-            return walks[k][1].fbar_max >= target
+            if k not in decided:
+                decided[k] = scan_at(k, reach=target)
+            return decided[k].fbar_max >= target
 
-        try:
-            found = None
-            if reaches(0):
-                found = 0
-            else:
-                # bracket on a doubling ladder, then bisect on the grid
-                ladder = []
-                k = max(int(round(1.0 / h_resolution)), 1)
-                while k < k_cap:
-                    ladder.append(k)
-                    k *= 2
-                ladder.append(k_cap)
-                lo, hi = 0, None
-                for k in ladder:
-                    if reaches(k):
-                        hi = k
-                        break
-                    lo = k
-                if hi is not None:
-                    while hi - lo > 1:
-                        mid = (lo + hi) // 2
-                        if reaches(mid):
-                            hi = mid
-                        else:
-                            lo = mid
-                    found = hi
+        found = None
+        if reaches(0):
+            found = 0
+        else:
+            # bracket on a doubling ladder, then bisect on the grid
+            ladder = []
+            k = max(int(round(1.0 / h_resolution)), 1)
+            while k < k_cap:
+                ladder.append(k)
+                k *= 2
+            ladder.append(k_cap)
+            lo, hi = 0, None
+            for k in ladder:
+                if reaches(k):
+                    hi = k
+                    break
+                lo = k
+            if hi is not None:
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if reaches(mid):
+                        hi = mid
+                    else:
+                        lo = mid
+                found = hi
 
-            # the reported field's walk resumes from the chunk after its decision
-            walk, best = walks[k_cap if found is None else found]
-            for best in walk:
-                pass
-        finally:
-            for stopped, _ in walks.values():
-                stopped.close()  # frees the thread pool of a walk stopped at its hit
+        # the cap's decision missed, so it is a full scan; a hit stopped early
+        best = decided[k_cap] if found is None else scan_at(found, resume=decided[found])
         field = None if found is None else found * h_resolution
         results.append(ThresholdResult(n_sites, field, best.t_star, best.fbar_max))
     return results

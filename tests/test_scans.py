@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,8 @@ from spinbus import (
     sample_haar_2q,
     threshold_field,
 )
-from spinbus.fidelity import _sample_fidelities
-from spinbus.scans import _CHUNK, _walk
+from spinbus.fidelity import GRID_VALUES, _sample_fidelities
+from spinbus.scans import _CHUNK
 from spinbus.spectral import UniformGrid
 
 
@@ -161,28 +162,35 @@ def test_threshold_known_value():
     assert res[0].fbar_max >= 0.9
 
 
-def _record_walked_fields(monkeypatch):
-    """Patch scans._walk to record the field of every walk started; return the list."""
+def _record_scans(monkeypatch):
+    """Patch scans.max_over_time to record (field, reach, resume, result) of every
+    scan; return the list."""
     from spinbus import scans
 
-    fields = []
-    walk = scans._walk
+    made = []
+    scan = scans.max_over_time
 
-    def recorded(request):
-        fields.append(request.chain.field)
-        return walk(request)
+    def recorded(request, reach=None, resume=None):
+        result = scan(request, reach, resume)
+        made.append((request.chain.field, reach, resume, result))
+        return result
 
-    monkeypatch.setattr(scans, "_walk", recorded)
-    return fields
+    monkeypatch.setattr(scans, "max_over_time", recorded)
+    return made
 
 
 def test_threshold_scans_each_field_once(monkeypatch):
-    fields = _record_walked_fields(monkeypatch)
+    """Each field is decided at most once; only the field found is resumed, from
+    its own decision, so no part of a field's grid is walked twice."""
+    made = _record_scans(monkeypatch)
     for target in (0.0, 0.8):
-        fields.clear()
+        made.clear()
         res = threshold_field(_omega1_template(1000.0), (7,), target=target, h_cap=20.0)
         assert res[0].field is not None
-        assert len(fields) == len(set(fields)), fields
+        decided = {h: result for h, reach, _, result in made if reach is not None}
+        assert len(decided) == sum(reach is not None for _, reach, _, _ in made), made
+        resumed = [(h, resume) for h, reach, resume, _ in made if reach is None]
+        assert resumed == [(res[0].field, decided[res[0].field])], made
 
 
 @pytest.mark.parametrize("h_cap, h_resolution, top", [
@@ -190,10 +198,13 @@ def test_threshold_scans_each_field_once(monkeypatch):
 ])
 def test_threshold_scans_no_field_above_the_cap(monkeypatch, h_cap, h_resolution, top):
     """The cap is the largest grid field at or below h_cap, never a rounded-up one."""
-    fields = _record_walked_fields(monkeypatch)
+    made = _record_scans(monkeypatch)
     res = threshold_field(_omega1_template(100.0), (7,), target=1.0,
                           h_resolution=h_resolution, h_cap=h_cap)
     assert res[0].field is None
+    # the cap's miss is its full scan, so nothing is resumed
+    assert all(reach == 1.0 and resume is None for _, reach, resume, _ in made)
+    fields = [h for h, _, _, _ in made]
     assert max(fields) == top * h_resolution
     assert sorted(set(fields)) == sorted(fields) and max(fields) <= h_cap * (1 + 1e-9)
 
@@ -232,8 +243,8 @@ def _threshold_by_full_scans(request, n_sites, target, h_resolution, h_cap):
     ("omega1", 0.9), ("general", 0.92), ("omega1", 0.999),
 ])
 def test_decision_scans_match_full_scans(fidelity_class, target, threads):
-    """Stopping a field's walk at its first hit, and resuming the reported one,
-    gives the search and the rows that full scans of every field give."""
+    """Decision scans that stop at their first hit give the search and the rows
+    that full scans of every field give."""
     request = ScanRequest(build_chain(7, 2), fidelity_class=fidelity_class,
                           t_max=6000.0, threads=threads)
     got = threshold_field(request, (7, 8), target=target, h_resolution=0.5, h_cap=12.0)
@@ -243,19 +254,53 @@ def test_decision_scans_match_full_scans(fidelity_class, target, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_resumed_walk_matches_max_over_time(threads):
-    """A walk stopped in its first, a middle or its last chunk and then resumed
-    ends on max_over_time's result, bit for bit."""
-    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=6000.0,
-                      threads=threads)
+@pytest.mark.parametrize("fidelity_class, n_sites, field", [
+    ("general", 7, 3.0), ("omega1", 8, 2.0),
+])
+def test_decision_scan_stops_at_its_first_hit(fidelity_class, n_sites, field, threads):
+    """A decision scan returns the running best of the first chunk that reaches
+    its value, be it the first, a middle or the last chunk, and the full scan
+    when no chunk does.  Resumed, it ends on the full scan's result, bit for bit."""
+    req = ScanRequest(build_chain(n_sites, 2, field), fidelity_class=fidelity_class,
+                      t_max=8000.0, threads=threads)
     full = max_over_time(req)
-    n_chunks = math.floor(req.t_max / full.grid_step) // _CHUNK + 1
-    assert n_chunks == 5
-    for stop in (1, 3, n_chunks):
-        walk = _walk(req)
-        running = [next(walk) for _ in range(stop)]
-        assert [r.fbar_max for r in running] == sorted(r.fbar_max for r in running)
-        assert list(walk)[-1] == full
+    step = full.grid_step
+    n_pts = math.floor(req.t_max / step) + 1
+    dec = decompose_chain(req.chain)
+    chunk_max = [GRID_VALUES[fidelity_class](dec, UniformGrid(step, s, min(_CHUNK, n_pts - s)))
+                 .max() for s in range(0, n_pts, _CHUNK)]
+    # the chunks whose maximum raises the running best by far more than the tie margin
+    rises = [c for c, top in enumerate(chunk_max) if c == 0 or top > max(chunk_max[:c]) + 1e-6]
+    assert rises[0] == 0 and rises[-1] == len(chunk_max) - 1 and len(rises) >= 3
+    for c in rises:
+        reach = chunk_max[c] - 1e-9
+        hit = max_over_time(req, reach)
+        k = round(hit.t_star / step)
+        assert hit.t_star == step * k and k // _CHUNK == c
+        assert reach <= hit.fbar_max <= chunk_max[c]
+        assert hit == max_over_time(dataclasses.replace(req, threads=1), reach)
+        assert max_over_time(req, resume=hit) == full
+    assert max_over_time(req, full.fbar_max + 1e-9) == full
+
+
+def test_threshold_leaves_no_worker_threads(monkeypatch):
+    """A decision scan that stops in the middle of a wave shuts its thread pool
+    down before it returns, so no search holds more than one scan's threads."""
+    from spinbus import scans
+
+    before = threading.active_count()
+    live = []
+    scan = scans.max_over_time
+
+    def counted(request, reach=None, resume=None):
+        result = scan(request, reach, resume)
+        live.append(threading.active_count())
+        return result
+
+    monkeypatch.setattr(scans, "max_over_time", counted)
+    threshold_field(_omega1_template(8000.0, threads=3), (7, 8), target=0.9,
+                    h_resolution=0.5, h_cap=12.0)
+    assert live and set(live) == {before}
 
 
 def test_request_validation():
