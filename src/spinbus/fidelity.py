@@ -25,10 +25,15 @@ complex output.
 The general average is exact too: of the Kraus
 operators, one per bulk configuration, only the bulk-empty one has a nonzero
 diagonal, (1, f_v2, f_u1, g_uv), so Fbar = (4 F_e + 1)/5 with
-F_e = |1 + f_u1 + f_v2 + g_uv|^2/16 (Horodecki^3, PRA 60, 1888, 1999).  A
-phase p on the odd-excitation sector (a receiver-side correction knob) turns
-the trace into 1 + g_uv + p (f_u1 + f_v2), whose largest modulus over |p| = 1
-is |1 + g_uv| + |f_u1 + f_v2|.  Seeded Monte Carlo stays as the cross-check
+F_e = |1 + f_u1 + f_v2 + g_uv|^2/16 (Horodecki^3, PRA 60, 1888, 1999), and
+that trace is det(I + F).  It is evaluated as x y - z w from the four
+entries (x, z, w, y) of I + F, which the phase GEMM emits with the identity
+folded in as a zero-frequency mode (spectral._identity_plus_minor); on a scan
+grid each entry is a contiguous slab.  A phase p on the odd-excitation
+sector (a receiver-side correction knob) turns the trace into
+1 + g_uv + p s with s = f_u1 + f_v2 = x + y - 2, and 1 + g_uv is
+det(I + F) - s, so its largest modulus over |p| = 1 is
+|det(I + F) - s| + |s|.  Seeded Monte Carlo stays as the cross-check
 of the closed forms: it scores each drawn state through the receiver kernel
 and the sector tables of reduced.py, in fixed blocks of states.
 """
@@ -42,8 +47,8 @@ import numpy as np
 from .chain import whole_number
 from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_minor, _pair_sites, \
     _receiver_kernel
-from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _minor_weights, \
-    _phase_products, amplitude_1p, propagator_minor_grid
+from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, \
+    _identity_plus_minor, _minor_weights, _phase_products, amplitude_1p, propagator_minor_grid
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
 
@@ -153,16 +158,25 @@ def general_values(dec: SpectralDecomposition, ts: np.ndarray,
                    phase_opt: bool = False) -> np.ndarray:
     """Exact Haar average over all two-qubit sender states on a time grid.
 
-    With phase_opt, the average after the odd-excitation sector phase that
-    maximizes it at each time.
+    The average is 1/5 + |det(I + F)|^2/20.  With phase_opt, the average after
+    the odd-excitation sector phase that maximizes it at each time,
+    1/5 + (|det(I + F) - s| + |s|)^2/20 with s = f_u1 + f_v2.
     """
-    m = _pair_minor(dec, ts)
-    fu1, fu2, fv1, fv2 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-    g_uv = fu1 * fv2 - fu2 * fv1
+    entries = _identity_plus_minor(dec, *_pair_sites(dec), ts)
+    # (x, z; w, y) = I + F; on a grid each entry is an (A, B) slab
+    x, z, w, y = (entries[:, c] for c in range(4))
+    det = x * y
+    det -= z * w
     if phase_opt:
-        return 0.2 + (np.abs(1.0 + g_uv) + np.abs(fu1 + fv2)) ** 2 / 20.0
-    kraus_trace = 1.0 + fu1 + fv2 + g_uv
-    return 0.2 + np.abs(kraus_trace) ** 2 / 20.0
+        s = x + y - 2.0
+        norm = (np.abs(det - s) + np.abs(s)) ** 2
+    else:
+        # |det|^2 without np.abs, whose hypot is then squared back
+        norm = det.real * det.real
+        norm += det.imag * det.imag
+    norm /= 20.0
+    norm += 0.2
+    return norm.ravel()[:len(ts)]
 
 
 def one_qubit_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:

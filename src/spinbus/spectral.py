@@ -7,27 +7,34 @@ The propagator amplitude from site i to site j after time t is
 with (lam_k, U[:,k]) the eigenpairs of the single-particle matrix.  All site
 arguments are 1-based.
 
-Two kernels evaluate the phases exp(-i lam_k t).  _phase_products
-evaluates linear forms in F: it sums the phases against weight columns
-W[k, c], and propagator_minor_grid calls it with the weights of a minor,
-W[k, (p, q)] = U[targets[p], k] U[sources[q], k].  _cosine_series
-evaluates Hermitian forms x^H G x in the phases x_k = exp(-i lam_k t) with a
-real symmetric G on a scan grid: the form is the real series
+Three kernels evaluate the phases exp(-i lam_k t).  _phase_products sums
+them against weight columns W[k, c], one linear form in F per column, and
+propagator_minor_grid calls it with the weights of a minor,
+W[k, (p, q)] = U[targets[p], k] U[sources[q], k].  _identity_plus_minor
+adds the identity to a minor as one more mode of frequency 0, so that the
+entries of I + F come out of the GEMM itself (fidelity.general_values
+evaluates det(I + F) from them).  _cosine_series evaluates Hermitian forms
+x^H G x in the phases x_k = exp(-i lam_k t) with a real symmetric G on a
+scan grid: the form is the real series
 tr G + sum_{k<l} 2 G[k, l] cos((lam_l - lam_k) t), one real term per mode
 pair and no complex output (fidelity.omega1_values uses it on short chains).
 
-_phase_products takes either an array of times, evaluated point by point,
-or a UniformGrid, the times step * (start + j) of a scan; _cosine_series
+The first two take either an array of times, evaluated point by point, or
+a UniformGrid, the times step * (start + j) of a scan; _cosine_series
 takes a UniformGrid.  On a uniform grid the phase factorizes,
 exp(-i lam step (start + a B + j)) = anchor[a] * base[j] for blocks of B
 points: the base phases folded into the weights (or, for a series, the
 cosines and sines of a block's offsets folded into the coefficients) form
 the plan, and the whole grid is one product of the (count/B, .) anchor
 table with it, costing count/B + B phase evaluations per mode or pair
-instead of count.  A plan depends only on the
-decomposition, the weights or G, the step and B, so it is built once per
-scan and shared, read-only, by every chunk and pool thread (a one-entry
-memo).  Anchors are computed from the integer index, never accumulated, so
+instead of count.  The plan's columns are laid out by what the caller reads:
+point-major, (block offset, column), for _phase_products, whose output is
+one row per point; entry-major, (column, block offset), for
+_identity_plus_minor, whose output (A, C, B) holds each entry as a slab of
+contiguous rows for the elementwise work that follows.  A plan depends only
+on the decomposition, what it folds in (the weights, the sites, or G), the
+step and B, so it is built once per scan and shared, read-only, by
+every chunk and pool thread (a one-entry memo).  Anchors are computed from the integer index, never accumulated, so
 the rounding of a point's phase is bounded by a few eps * |lam| * t, as on
 the array path.  The values depend only on (step, start, count), so a fixed
 chunk layout gives the same values at any thread count.
@@ -174,10 +181,11 @@ def _phase_products(dec: SpectralDecomposition, weights, ts) -> np.ndarray:
 
 # The plan of the last uniform grid evaluated: (key, plan).  A plan depends
 # on its key alone (the kernel, the decomposition, the step, the block length
-# and the weights or Gram matrix), so every chunk of a scan shares it, and a
-# rebuilt plan is bit-identical to a kept one: no caller can tell a hit from
-# a miss.  It is replaced in one assignment, so a pool thread reads either
-# the old pair or the new one, never a mix.
+# and what it folds in: the weights, the sites or the Gram matrix), so
+# every chunk of a scan shares it, and a rebuilt plan is
+# bit-identical to a kept one: no caller can tell a hit from a miss.  It is
+# replaced in one assignment, so a pool thread reads either the old pair or
+# the new one, never a mix.
 _memo = None
 
 
@@ -211,6 +219,41 @@ def _uniform_products(dec, weights, grid: UniformGrid) -> np.ndarray:
     folded = _phase_plan(dec, weights, grid.step, block)
     anchors = np.exp(-1j * np.outer(_anchor_times(grid, block), dec.eigenvalues))
     return (anchors @ folded).reshape(-1, weights.shape[1])[:grid.count]
+
+
+def _identity_plus_minor(dec: SpectralDecomposition, targets, sources, ts) -> np.ndarray:
+    """Entries of I + F over ts, F the minor f_{targets[p], sources[q]}(t).
+
+    I (ones where p = q) is one more mode, of frequency 0 and weights I, so it
+    costs one more column of the phase GEMM, not a pass over the output.
+    Entry (p, q) is index c = p Q + q of axis 1: on an array of times the
+    result is (len(ts), P Q); on a UniformGrid the plan is entry-major,
+    (modes, entry, block offset), and the result is (A, P Q, B) for the
+    grid's A blocks of B points, so that entry c is the slab [:, c] of
+    contiguous rows and point a B + j of it is [a, c, j] (the last block may
+    run past the count).  The weights are built with the plan, once per scan.
+    """
+    targets, sources = tuple(targets), tuple(sources)
+
+    def modes():
+        lam = np.append(dec.eigenvalues, 0.0)
+        identity = np.eye(len(targets), len(sources)).ravel()
+        return lam, np.vstack([_minor_weights(dec, targets, sources), identity])
+
+    if not isinstance(ts, UniformGrid):
+        lam, weights = modes()
+        return np.exp(-1j * np.outer(np.asarray(ts, dtype=float), lam)) @ weights
+    block = min(_BLOCK, ts.count)
+
+    def build():
+        lam, weights = modes()
+        base = np.exp(-1j * np.outer(lam, ts.step * np.arange(block)))
+        plan = (weights[:, :, None] * base[:, None, :]).reshape(lam.size, -1)
+        return _read_only(lam), _read_only(plan)
+
+    lam, plan = _memoized(("identity-plus", dec, ts.step, block, targets, sources), build)
+    anchors = np.exp(-1j * np.outer(_anchor_times(ts, block), lam))
+    return (anchors @ plan).reshape(anchors.shape[0], -1, block)
 
 
 def _anchor_times(grid: UniformGrid, block: int) -> np.ndarray:

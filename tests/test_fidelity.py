@@ -16,6 +16,7 @@ from spinbus import (
     decompose_chain,
     evolve_receiver_pair,
     general_values,
+    hamiltonian_matrix,
     omega1_values,
     omega2_values,
     one_qubit_amplitude,
@@ -168,6 +169,59 @@ def test_engineered_mirror_is_crossed():
     assert avg_fidelity_omega1(dec, t).value == pytest.approx(1.0 / 3.0, abs=1e-10)
     mc = avg_fidelity_mc(dec, t, 20000, SeededSampler(9))
     assert mc.value < 0.5
+
+
+def _general_from_determinant(m):
+    # 1/5 + |det(I + F)|^2/20 on a stack of minors, by LAPACK's determinant
+    return 0.2 + np.abs(np.linalg.det(np.eye(2) + m)) ** 2 / 20.0
+
+
+def _general_cases():
+    # every (block, field) that fits on each chain length, for every profile
+    for n_sites in (4, 5, 8, 11, 16, 40):
+        for profile in ("uniform", "engineered", "ballistic"):
+            for block in (1, 2):
+                for field in (0.0, 3.0, 20.0, 200.0):
+                    if 2 * block + 2 <= n_sites and (field == 0 or n_sites >= 2 * block + 3):
+                        yield pytest.param(
+                            hamiltonian_matrix(build_chain(n_sites, block, field, profile)),
+                            id=f"N{n_sites}-{profile}-n{block}-h{field:g}")
+
+
+# couplings and on-site energies without mirror symmetry, so that f_u1 != f_v2
+_ASYMMETRIC = SingleParticleHamiltonian(
+    np.array([0.3, -1.0, 0.0, 2.0, 0.5, -0.7, 0.0, 1.1]),
+    np.array([-2.0, -1.3, -2.0, -0.6, -2.0, -1.7, -0.9]))
+
+
+@pytest.mark.parametrize("ham", [*_general_cases(), pytest.param(_ASYMMETRIC, id="asymmetric")])
+def test_general_grid_is_the_determinant(ham):
+    """On scan chunks general_values is 1/5 + |det(I + F)|^2/20 with F the
+    pair minor at the same times (the array path, one time per row).
+
+    Chunks start at 0 and at a chunk boundary near the end of the longest
+    scan window (6e4), with a count below one phase block and one that is
+    not a multiple of it.  With phase_opt the grid equals the array path and
+    never falls below the plain average.
+    """
+    dec = decompose(ham)
+    n = dec.n_sites
+    step = np.pi / (4.0 * dec.spectral_range)
+    last = int(6.0e4 / step) // _CHUNK * _CHUNK
+    lam_max = np.abs(dec.eigenvalues).max()
+    for start, count in ((0, 1000), (0, 100), (last, 1000), (last, 100)):
+        grid = UniformGrid(step, start, count)
+        ts = step * (start + np.arange(count))
+        m = propagator_minor_grid(dec, (n - 1, n), (1, 2), ts)
+        tol = 1e-14 + 2.0 * np.finfo(float).eps * lam_max * ts[-1]
+        plain = general_values(dec, grid)
+        assert plain.shape == (count,)
+        assert np.abs(plain - _general_from_determinant(m)).max() <= tol, (start, count)
+        opt = general_values(dec, grid, phase_opt=True)
+        assert np.abs(opt - general_values(dec, ts, phase_opt=True)).max() <= tol, (start, count)
+        assert np.all(opt >= plain - 1e-15), (start, count)
+    if ham is _ASYMMETRIC:
+        assert np.abs(m[:, 0, 0] - m[:, 1, 1]).max() > 0.1
 
 
 def test_phase_opt_never_hurts():
