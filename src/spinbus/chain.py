@@ -88,6 +88,8 @@ class ChainSpec:
                 raise ValueError(
                     f"blocks of length {self.block} do not fit on {self.n_sites} sites"
                 )
+        object.__setattr__(self, "field", real_number("field", self.field))
+        object.__setattr__(self, "ballistic_c", real_number("ballistic_c", self.ballistic_c))
         if not np.isfinite(self.field) or self.field < 0:
             raise ValueError(f"barrier field must be >= 0, got {self.field!r}")
         if self.field > 0:
@@ -134,7 +136,7 @@ class ChainSpec:
 def build_chain(n_sites, block=None, field=0.0, profile=UNIFORM,
                 ballistic_c=BALLISTIC_C_DEFAULT) -> ChainSpec:
     """Validate and assemble a ChainSpec."""
-    return ChainSpec(n_sites, block, float(field), profile, float(ballistic_c))
+    return ChainSpec(n_sites, block, field, profile, ballistic_c)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,10 +14,13 @@ GRID_VALUES names the function that evaluates each class on a time grid;
 scans and single-time queries both go through it.  The omega1 and omega2
 averages are exact slice-Haar integrals of <psi|rho(t)|psi> and hit 1 at
 perfect transfer; both are invariant under a global phase of the
-odd-excitation sector.  The omega1 average is a Hermitian form in F, so it
-is computed as a sum of squares: the form's four rows are folded into the
-weights of the phase GEMM (spectral._phase_products), and the values are
-the squared norms of its output rows.  It is also a Hermitian form
+odd-excitation sector.  Two kernels of spectral.py evaluate them all:
+the complex phase GEMM _phase_products, whose output holds each entry it
+emits as a contiguous slab that the classes read elementwise, and the real
+_cosine_series.  The omega1 average is a Hermitian form in F, so it is
+computed as a sum of squares: the form's four rows are folded into the
+weights of the phase GEMM, and the values are the sums of the squared
+moduli of its four output slabs.  It is also a Hermitian form
 x^H G x in the mode phases x_k = exp(-i lam_k t) with a real G, and on the
 scan grids of chains up to _SERIES_MAX_SITES sites it is evaluated as that
 form's real cosine series (spectral._cosine_series), one real GEMM with no
@@ -28,10 +31,9 @@ diagonal, (1, f_v2, f_u1, g_uv), so Fbar = (4 F_e + 1)/5 with
 F_e = |1 + f_u1 + f_v2 + g_uv|^2/16 (Horodecki^3, PRA 60, 1888, 1999), and
 that trace is det(I + F).  It is evaluated as x y - z w from the four
 entries (x, z, w, y) of I + F, which the phase GEMM emits with the identity
-folded in as a zero-frequency mode (spectral._identity_plus_minor); on a scan
-grid each entry is a contiguous slab.  A phase p on the odd-excitation
-sector (a receiver-side correction knob) turns the trace into
-1 + g_uv + p s with s = f_u1 + f_v2 = x + y - 2, and 1 + g_uv is
+folded in as a zero-frequency mode (_general_modes).  A phase p on the
+odd-excitation sector (a receiver-side correction knob) turns the trace
+into 1 + g_uv + p s with s = f_u1 + f_v2 = x + y - 2, and 1 + g_uv is
 det(I + F) - s, so its largest modulus over |p| = 1 is
 |det(I + F) - s| + |s|.  Seeded Monte Carlo stays as the cross-check
 of the closed forms: it scores each drawn state through the receiver kernel
@@ -40,15 +42,16 @@ and the sector tables of reduced.py, in fixed blocks of states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import whole_number
-from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_minor, _pair_sites, \
+from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_entries, _pair_sites, \
     _receiver_kernel
-from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, \
-    _identity_plus_minor, _minor_weights, _phase_products, amplitude_1p, propagator_minor_grid
+from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _minor_weights, \
+    _phase_products, _read_only, amplitude_1p, propagator_minor_grid
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
 
@@ -82,8 +85,8 @@ def avg_fidelity_1q(f) -> AverageFidelity:
     assumes the arrival phase has been compensated.
     """
     m = abs(f)
-    if m > 1.0 + _AMP_TOL:
-        raise ValueError(f"|f| = {m} exceeds 1")
+    if not m <= 1.0 + _AMP_TOL:  # also rejects NaN
+        raise ValueError(f"|f| = {m} exceeds 1 or is not a number")
     return AverageFidelity(_one_qubit_from_modulus(min(m, 1.0)), METHODS["one-qubit"])
 
 
@@ -132,26 +135,47 @@ def avg_fidelity_omega2(dec: SpectralDecomposition, t: float) -> AverageFidelity
     return AverageFidelity(float(omega2_values(dec, (t,))[0]), METHODS["omega2"])
 
 
+@functools.lru_cache(maxsize=1)
+def _omega1_weights(dec: SpectralDecomposition) -> np.ndarray:
+    """The pair minor's weights with _OMEGA1_FORM folded in, once per decomposition."""
+    return _read_only(_minor_weights(dec, *_pair_sites(dec)) @ _OMEGA1_FORM.T)
+
+
 def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized omega1 average over a time grid.
 
-    With W the pair minor's weights with _OMEGA1_FORM folded in, the phase
-    products yield the four rows of the form and the average is their sum of
-    squares.  It is also the Hermitian form x^H G x in the mode phases
-    x_k = exp(-i lam_k t) with the real G = W W^T, and on the uniform grid of
-    a scan of a short chain it is evaluated as that form's cosine series.
+    With W = _omega1_weights(dec), the phase products yield the four rows of
+    the form and the average is their sum of squares.  It is also the
+    Hermitian form x^H G x in the mode phases x_k = exp(-i lam_k t) with the
+    real G = W W^T, and on the uniform grid of a scan of a short chain it is
+    evaluated as that form's cosine series.
     """
-    weights = _minor_weights(dec, *_pair_sites(dec)) @ _OMEGA1_FORM.T
+    weights = _omega1_weights(dec)
     if isinstance(ts, UniformGrid) and dec.n_sites <= _SERIES_MAX_SITES:
         return _cosine_series(dec, weights @ weights.T, ts)
-    rows = _phase_products(dec, weights, ts).view(float)
-    return np.einsum("ij,ij->i", rows, rows)
+    # the float view of the (A, 4, B) rows is (A, 4, 2B), re and im interleaved
+    rows = _phase_products(dec.eigenvalues, weights, ts).view(float)
+    squares = np.einsum("acb,acb->ab", rows, rows)
+    return (squares[:, 0::2] + squares[:, 1::2]).ravel()[:len(ts)]
 
 
 def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized omega2 average over a time grid."""
-    w, gram, _ = _receiver_kernel(_pair_minor(dec, ts))
-    return _omega2_from_amplitudes(w[1], np.real(gram[0, 0] + gram[1, 1]))
+    w, gram, _ = _receiver_kernel(*_pair_entries(dec, ts))
+    values = _omega2_from_amplitudes(w[1], np.real(gram[0, 0] + gram[1, 1]))
+    return values.ravel()[:len(ts)]
+
+
+@functools.lru_cache(maxsize=1)
+def _general_modes(dec: SpectralDecomposition):
+    """The pair minor's modes and one more, of frequency 0 and weights I.
+
+    Their phase products are the entries of I + F.  Built once per
+    decomposition, not per chunk of a scan.
+    """
+    lam = np.append(dec.eigenvalues, 0.0)
+    weights = np.vstack([_minor_weights(dec, *_pair_sites(dec)), np.eye(2).ravel()])
+    return _read_only(lam), _read_only(weights)
 
 
 def general_values(dec: SpectralDecomposition, ts: np.ndarray,
@@ -162,8 +186,8 @@ def general_values(dec: SpectralDecomposition, ts: np.ndarray,
     the odd-excitation sector phase that maximizes it at each time,
     1/5 + (|det(I + F) - s| + |s|)^2/20 with s = f_u1 + f_v2.
     """
-    entries = _identity_plus_minor(dec, *_pair_sites(dec), ts)
-    # (x, z; w, y) = I + F; on a grid each entry is an (A, B) slab
+    entries = _phase_products(*_general_modes(dec), ts)
+    # (x, z; w, y) = I + F, each entry an (A, B) slab
     x, z, w, y = (entries[:, c] for c in range(4))
     det = x * y
     det -= z * w
@@ -265,7 +289,7 @@ def _sample_fidelities(dec, states, t):
     transposed amplitudes, so every product is a row operation on a (6, B)
     or (4, B) block and only the (k,) scores grow with k.
     """
-    w, gram, weight = (a[..., 0] for a in _receiver_kernel(_pair_minor(dec, (t,))))
+    w, gram, weight = (a[..., 0, 0] for a in _receiver_kernel(*_pair_entries(dec, (t,))))
     out = np.empty(len(states))
     for i in range(0, len(states), _SCORE_BLOCK):
         p = states[i:i + _SCORE_BLOCK].T

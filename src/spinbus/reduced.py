@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, propagator_minor_grid
+from .spectral import SpectralDecomposition, _minor_weights, _phase_products
 from .states import TwoQubitState
 
 RECEIVER_BASIS = ("11", "10", "01", "00")
@@ -48,20 +48,26 @@ def _pair_sites(dec: SpectralDecomposition):
     return (n - 1, n), (1, 2)
 
 
-def _pair_minor(dec: SpectralDecomposition, ts) -> np.ndarray:
-    """Minors F(t) = f_{(N-1,N),(1,2)}(t) over a time grid, shape (T, 2, 2)."""
-    return propagator_minor_grid(dec, *_pair_sites(dec), ts)
+def _pair_entries(dec: SpectralDecomposition, ts):
+    """Entries (f_u1, f_u2, f_v1, f_v2) of F(t) = f_{(N-1,N),(1,2)}(t) over ts.
 
-
-def _receiver_kernel(f: np.ndarray):
-    """Bulk-traced ingredients of the receiver state for a stack of minors F.
-
-    f has shape (T, 2, 2); time is the last axis of every result:
-      w      (6, T): bulk-empty amplitudes (1, g_uv, f_u1, f_u2, f_v1, f_v2)
-      gram   (4, 4, T): gram[i, j] = sum over bulk m of conj(v_m[i]) v_m[j]
-      weight (T,): total weight of pair configurations inside the bulk
+    Each is a slab of spectral._phase_products, shape (A, B), with point
+    a B + j of ts at [a, j] (the last block of a UniformGrid may run past
+    its count).
     """
-    fu1, fu2, fv1, fv2 = f[:, 0, 0], f[:, 0, 1], f[:, 1, 0], f[:, 1, 1]
+    entries = _phase_products(dec.eigenvalues, _minor_weights(dec, *_pair_sites(dec)), ts)
+    return tuple(entries[:, c] for c in range(4))
+
+
+def _receiver_kernel(fu1, fu2, fv1, fv2):
+    """Bulk-traced ingredients of the receiver state from the entries of F.
+
+    The entries are arrays of one shape S (slabs of _pair_entries); the
+    leading axes of every result index the ingredient and S follows:
+      w      (6, *S): bulk-empty amplitudes (1, g_uv, f_u1, f_u2, f_v1, f_v2)
+      gram   (4, 4, *S): gram[i, j] = sum over bulk m of conj(v_m[i]) v_m[j]
+      weight S: total weight of pair configurations inside the bulk
+    """
     g_uv = fu1 * fv2 - fu2 * fv1
     w = np.array([np.ones_like(g_uv), g_uv, fu1, fu2, fv1, fv2])
     # S = I - F^H F, written out: batched 2 x 2 products are slow in numpy
@@ -106,11 +112,11 @@ def _sector_maps(state: np.ndarray):
 def evolve_receiver_pair(dec: SpectralDecomposition, state: TwoQubitState,
                          t: float) -> np.ndarray:
     """Receiver-pair density matrix at time t, basis (|11>, |10>, |01>, |00>)."""
-    w, gram, weight = _receiver_kernel(_pair_minor(dec, (t,)))
+    w, gram, weight = (a[..., 0, 0] for a in _receiver_kernel(*_pair_entries(dec, (t,))))
     e, d = _sector_maps(state.vector())
-    vac = e @ w[:, 0]
-    rho = np.outer(vac, vac.conj()) + d @ gram[:, :, 0].T @ d.conj().T
-    rho[3, 3] += abs(state.a11) ** 2 * weight[0]
+    vac = e @ w
+    rho = np.outer(vac, vac.conj()) + d @ gram.T @ d.conj().T
+    rho[3, 3] += abs(state.a11) ** 2 * weight
     # gram is Hermitian only to rounding; return an exactly Hermitian rho
     return (rho + rho.conj().T) / 2
 

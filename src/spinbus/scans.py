@@ -166,7 +166,7 @@ def max_over_time(request: ScanRequest, reach: float | None = None,
 
 def field_sweep(request: ScanRequest, fields) -> list[ScanResult]:
     """max_over_time at each barrier field value, same chain otherwise."""
-    return [max_over_time(replace(request, chain=replace(request.chain, field=float(h))))
+    return [max_over_time(replace(request, chain=replace(request.chain, field=h)))
             for h in fields]
 
 

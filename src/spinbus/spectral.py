@@ -7,36 +7,35 @@ The propagator amplitude from site i to site j after time t is
 with (lam_k, U[:,k]) the eigenpairs of the single-particle matrix.  All site
 arguments are 1-based.
 
-Three kernels evaluate the phases exp(-i lam_k t).  _phase_products sums
-them against weight columns W[k, c], one linear form in F per column, and
-propagator_minor_grid calls it with the weights of a minor,
-W[k, (p, q)] = U[targets[p], k] U[sources[q], k].  _identity_plus_minor
-adds the identity to a minor as one more mode of frequency 0, so that the
-entries of I + F come out of the GEMM itself (fidelity.general_values
-evaluates det(I + F) from them).  _cosine_series evaluates Hermitian forms
-x^H G x in the phases x_k = exp(-i lam_k t) with a real symmetric G on a
-scan grid: the form is the real series
+Two kernels evaluate the phases exp(-i lam_k t).  _phase_products sums
+them against weight columns W[k, c] for given frequencies lam_k, one linear
+form per column.  propagator_minor_grid calls it with the eigenvalues and
+the weights of a minor, W[k, (p, q)] = U[targets[p], k] U[sources[q], k];
+fidelity.general_values adds one more mode, of frequency 0 and weights I,
+so that the entries of I + F come out of the GEMM itself.  _cosine_series
+evaluates Hermitian forms x^H G x in the phases x_k = exp(-i lam_k t) with
+a real symmetric G on a scan grid: the form is the real series
 tr G + sum_{k<l} 2 G[k, l] cos((lam_l - lam_k) t), one real term per mode
 pair and no complex output (fidelity.omega1_values uses it on short chains).
 
-The first two take either an array of times, evaluated point by point, or
-a UniformGrid, the times step * (start + j) of a scan; _cosine_series
-takes a UniformGrid.  On a uniform grid the phase factorizes,
-exp(-i lam step (start + a B + j)) = anchor[a] * base[j] for blocks of B
-points: the base phases folded into the weights (or, for a series, the
-cosines and sines of a block's offsets folded into the coefficients) form
-the plan, and the whole grid is one product of the (count/B, .) anchor
-table with it, costing count/B + B phase evaluations per mode or pair
-instead of count.  The plan's columns are laid out by what the caller reads:
-point-major, (block offset, column), for _phase_products, whose output is
-one row per point; entry-major, (column, block offset), for
-_identity_plus_minor, whose output (A, C, B) holds each entry as a slab of
-contiguous rows for the elementwise work that follows.  A plan depends only
-on the decomposition, what it folds in (the weights, the sites, or G), the
-step and B, so it is built once per scan and shared, read-only, by
-every chunk and pool thread (a one-entry memo).  Anchors are computed from the integer index, never accumulated, so
-the rounding of a point's phase is bounded by a few eps * |lam| * t, as on
-the array path.  The values depend only on (step, start, count), so a fixed
+_phase_products takes either an array of times, evaluated point by point,
+or a UniformGrid, the times step * (start + j) of a scan; _cosine_series
+takes a UniformGrid.  Its output has one layout, (A, C, B) for A blocks of
+B points: point a B + j sits at [a, :, j], so each column is a slab [:, c]
+of contiguous rows for the elementwise work that follows, and an array of
+times is A = len(ts) blocks of one point.  On a uniform grid the phase
+factorizes, exp(-i lam step (start + a B + j)) = anchor[a] * base[j]: the
+base phases folded into the weights (or, for a series, the cosines and
+sines of a block's offsets folded into the coefficients) form the plan, and
+the whole grid is one product of the (count/B, .) anchor table with it,
+costing count/B + B phase evaluations per mode or pair instead of count.
+The plan is entry-major, (mode, column, block offset), which is what gives
+the output its layout.  A plan depends only on the frequencies, what it
+folds in (the weights or G), the step and B, so it is built once per scan
+and shared, read-only, by every chunk and pool thread (a one-entry memo).
+Anchors are computed from the integer index, never accumulated, so the
+rounding of a point's phase is bounded by a few eps * |lam| * t, as on the
+array path.  The values depend only on (step, start, count), so a fixed
 chunk layout gives the same values at any thread count.
 
 decompose diagonalizes the dense N x N matrix with np.linalg.eigh, so the
@@ -159,8 +158,9 @@ def propagator_minor_grid(dec: SpectralDecomposition, targets, sources,
     GEMM of a phase table against W[k, (p, q)] = U[targets[p], k] * U[sources[q], k].
     """
     targets, sources = tuple(targets), tuple(sources)
-    minors = _phase_products(dec, _minor_weights(dec, targets, sources), ts)
-    return minors.reshape(len(ts), len(targets), len(sources))
+    minors = _phase_products(dec.eigenvalues, _minor_weights(dec, targets, sources), ts)
+    # (A, C, B) to one row per point: a view on an array of times (B = 1)
+    return minors.transpose(0, 2, 1).reshape(-1, len(targets), len(sources))[:len(ts)]
 
 
 def _minor_weights(dec: SpectralDecomposition, targets, sources) -> np.ndarray:
@@ -171,18 +171,35 @@ def _minor_weights(dec: SpectralDecomposition, targets, sources) -> np.ndarray:
     return (u[tj][:, None, :] * u[si][None, :, :]).reshape(-1, dec.n_sites).T
 
 
-def _phase_products(dec: SpectralDecomposition, weights, ts) -> np.ndarray:
-    """sum_k exp(-i lam_k t) weights[k, c] for each t in ts, shape (len(ts), C)."""
-    if isinstance(ts, UniformGrid):
-        return _uniform_products(dec, weights, ts)
-    ts = np.asarray(ts, dtype=float)
-    return np.exp(-1j * np.outer(ts, dec.eigenvalues)) @ weights
+def _phase_products(lam, weights, ts) -> np.ndarray:
+    """sum_k exp(-i lam[k] t) weights[k, c] for each t in ts, shape (A, C, B).
+
+    Point a B + j of ts is [a, :, j], so column c is the slab [:, c] of
+    contiguous rows.  An array of times is A = len(ts) blocks of B = 1 point;
+    a UniformGrid is blocks of B = min(_BLOCK, count) points, the last of
+    which may run past the count.  A non-finite time raises ValueError.
+    """
+    if not isinstance(ts, UniformGrid):
+        ts = np.asarray(ts, dtype=float)
+        if not np.isfinite(ts).all():
+            raise ValueError(f"times must be finite, got {ts!r}")
+        return (np.exp(-1j * np.outer(ts, lam)) @ weights)[:, :, None]
+    block = min(_BLOCK, ts.count)
+
+    def build():
+        # entry-major: (mode, column, block offset)
+        base = np.exp(-1j * np.outer(lam, ts.step * np.arange(block)))
+        return _read_only((weights[:, :, None] * base[:, None, :]).reshape(lam.size, -1))
+
+    plan = _memoized(("phase", lam.tobytes(), ts.step, block, weights.tobytes()), build)
+    anchors = np.exp(-1j * np.outer(_anchor_times(ts, block), lam))
+    return (anchors @ plan).reshape(anchors.shape[0], -1, block)
 
 
 # The plan of the last uniform grid evaluated: (key, plan).  A plan depends
-# on its key alone (the kernel, the decomposition, the step, the block length
-# and what it folds in: the weights, the sites or the Gram matrix), so
-# every chunk of a scan shares it, and a rebuilt plan is
+# on its key alone (the kernel, the frequencies or the decomposition, the
+# step, the block length and what it folds in: the weights or the Gram
+# matrix), so every chunk of a scan shares it, and a rebuilt plan is
 # bit-identical to a kept one: no caller can tell a hit from a miss.  It is
 # replaced in one assignment, so a pool thread reads either the old pair or
 # the new one, never a mix.
@@ -201,59 +218,6 @@ def _memoized(key, build):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _phase_plan(dec, weights, step, block) -> np.ndarray:
-    """Base phases of one block folded into the weights: (N, block * C), read-only."""
-    def build():
-        lam = dec.eigenvalues
-        base = np.exp(-1j * np.outer(step * np.arange(block), lam))
-        return _read_only((base.T[:, :, None] * weights[:, None, :]).reshape(lam.size, -1))
-
-    return _memoized(("phase", dec, step, block, weights.tobytes()), build)
-
-
-def _uniform_products(dec, weights, grid: UniformGrid) -> np.ndarray:
-    """(count, C) products on a uniform grid: anchors (A, N) @ phase plan (N, B C)."""
-    block = min(_BLOCK, grid.count)
-    folded = _phase_plan(dec, weights, grid.step, block)
-    anchors = np.exp(-1j * np.outer(_anchor_times(grid, block), dec.eigenvalues))
-    return (anchors @ folded).reshape(-1, weights.shape[1])[:grid.count]
-
-
-def _identity_plus_minor(dec: SpectralDecomposition, targets, sources, ts) -> np.ndarray:
-    """Entries of I + F over ts, F the minor f_{targets[p], sources[q]}(t).
-
-    I (ones where p = q) is one more mode, of frequency 0 and weights I, so it
-    costs one more column of the phase GEMM, not a pass over the output.
-    Entry (p, q) is index c = p Q + q of axis 1: on an array of times the
-    result is (len(ts), P Q); on a UniformGrid the plan is entry-major,
-    (modes, entry, block offset), and the result is (A, P Q, B) for the
-    grid's A blocks of B points, so that entry c is the slab [:, c] of
-    contiguous rows and point a B + j of it is [a, c, j] (the last block may
-    run past the count).  The weights are built with the plan, once per scan.
-    """
-    targets, sources = tuple(targets), tuple(sources)
-
-    def modes():
-        lam = np.append(dec.eigenvalues, 0.0)
-        identity = np.eye(len(targets), len(sources)).ravel()
-        return lam, np.vstack([_minor_weights(dec, targets, sources), identity])
-
-    if not isinstance(ts, UniformGrid):
-        lam, weights = modes()
-        return np.exp(-1j * np.outer(np.asarray(ts, dtype=float), lam)) @ weights
-    block = min(_BLOCK, ts.count)
-
-    def build():
-        lam, weights = modes()
-        base = np.exp(-1j * np.outer(lam, ts.step * np.arange(block)))
-        plan = (weights[:, :, None] * base[:, None, :]).reshape(lam.size, -1)
-        return _read_only(lam), _read_only(plan)
-
-    lam, plan = _memoized(("identity-plus", dec, ts.step, block, targets, sources), build)
-    anchors = np.exp(-1j * np.outer(_anchor_times(ts, block), lam))
-    return (anchors @ plan).reshape(anchors.shape[0], -1, block)
 
 
 def _anchor_times(grid: UniformGrid, block: int) -> np.ndarray:

@@ -89,7 +89,7 @@ def sample_haar_2q(sampler: SeededSampler, size=None):
     With size=None returns one TwoQubitState; otherwise an array of shape
     (size, 4) whose rows are [a00, a01, a10, a11].
     """
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else whole_number("size", size, 0)
     v = _normalize_rows(sampler.complex_normals((n, 4)))
     if size is None:
         return TwoQubitState(*v[0])
@@ -98,14 +98,14 @@ def sample_haar_2q(sampler: SeededSampler, size=None):
 
 def sample_haar_1q(sampler: SeededSampler, size=None):
     """Haar-random single-qubit amplitude pairs [a, b]."""
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else whole_number("size", size, 0)
     v = _normalize_rows(sampler.complex_normals((n, 2)))
     return v[0] if size is None else v
 
 
 def _draw(sampler: SeededSampler, size, slots):
     """Haar samples from the slice spanned by two basis slots, others zero."""
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else whole_number("size", size, 0)
     v = np.zeros((n, 4), dtype=complex)
     v[:, slots] = sample_haar_1q(sampler, n)
     if size is None:

@@ -90,3 +90,20 @@ def test_numpy_integer_lengths_are_stored_as_int():
     spec = build_chain(np.int64(7), np.int64(2), 5.0)
     assert (spec.n_sites, spec.block) == (7, 2)
     assert type(spec.n_sites) is int and type(spec.block) is int
+
+
+@pytest.mark.parametrize("field, ballistic_c", [(True, 1.03), ("5", 1.03), (5.0, True),
+                                                (5.0, "1.03"), (None, 1.03)])
+def test_field_and_prefactor_must_be_real_numbers(field, ballistic_c):
+    # float() would read True as 1.0 and "5" as 5.0
+    with pytest.raises(ValueError, match="field|ballistic_c"):
+        build_chain(7, 2, field, ballistic_c=ballistic_c)
+    with pytest.raises(ValueError, match="field|ballistic_c"):
+        ChainSpec(7, 2, field, ballistic_c=ballistic_c)
+
+
+def test_real_fields_are_stored_as_float():
+    for field in (5, np.float32(5.0), np.int64(5)):
+        spec = ChainSpec(7, 2, field, ballistic_c=1)
+        assert (spec.field, spec.ballistic_c) == (5.0, 1.0)
+        assert type(spec.field) is float and type(spec.ballistic_c) is float

@@ -6,6 +6,10 @@ import pytest
 from spinbus import (
     SeededSampler,
     SingleParticleHamiltonian,
+    TwoQubitState,
+    amplitude_1p,
+    amplitude_row,
+    amplitude_rp,
     avg_fidelity_1q,
     avg_fidelity_1q_mc,
     avg_fidelity_mc,
@@ -284,3 +288,46 @@ def test_perfect_transfer_chain_general_average():
     vals = [avg_fidelity_mc(dec, t, 3000, SeededSampler(2)).value
             for t in (np.pi / 4, np.pi / 2)]
     assert max(vals) < 0.99
+
+
+_STATE = TwoQubitState(0.5, 0.5, 0.5, 0.5)
+_PAIR = ((7, 8), (1, 2))
+# every entry point that takes a time, called at t (a grid's at (0.5, t))
+_TIME_ENTRY_POINTS = {
+    "amplitude_1p": lambda dec, t: amplitude_1p(dec, 8, 1, t),
+    "amplitude_row": lambda dec, t: amplitude_row(dec, 1, t),
+    "propagator_minor": lambda dec, t: propagator_minor(dec, *_PAIR, t),
+    "propagator_minor_grid": lambda dec, t: propagator_minor_grid(dec, *_PAIR, (0.5, t)),
+    "amplitude_rp": lambda dec, t: amplitude_rp(dec, *_PAIR, t),
+    "evolve_receiver_pair": lambda dec, t: evolve_receiver_pair(dec, _STATE, t),
+    "one_qubit_amplitude": lambda dec, t: one_qubit_amplitude(dec, t),
+    "avg_fidelity_omega1": lambda dec, t: avg_fidelity_omega1(dec, t),
+    "avg_fidelity_omega2": lambda dec, t: avg_fidelity_omega2(dec, t),
+    "avg_fidelity_mc": lambda dec, t: avg_fidelity_mc(dec, t, 10, SeededSampler(0)),
+    "avg_fidelity_1q_mc": lambda dec, t: avg_fidelity_1q_mc(dec, t, 10, SeededSampler(0)),
+    "one_qubit_values": lambda dec, t: one_qubit_values(dec, (0.5, t)),
+    "omega1_values": lambda dec, t: omega1_values(dec, (0.5, t)),
+    "omega2_values": lambda dec, t: omega2_values(dec, (0.5, t)),
+    "general_values": lambda dec, t: general_values(dec, (0.5, t)),
+    "general_values_phase_opt": lambda dec, t: general_values(dec, (0.5, t), phase_opt=True),
+}
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", _TIME_ENTRY_POINTS)
+def test_non_finite_times_raise(entry, t):
+    """A non-finite time is an error, not a NaN value: the array path of the
+    phase products checks it, and every entry point that takes a time goes
+    through it."""
+    dec = decompose_chain(build_chain(8, 2, 9.0))
+    call = _TIME_ENTRY_POINTS[entry]
+    call(dec, 31.0)
+    with pytest.raises(ValueError, match="finite"):
+        call(dec, t)
+
+
+@pytest.mark.parametrize("f", [np.nan, complex(np.nan, 0.0), np.inf])
+def test_one_qubit_average_rejects_non_numbers(f):
+    # min(nan, 1.0) is nan, so a NaN modulus must fail the bound check itself
+    with pytest.raises(ValueError):
+        avg_fidelity_1q(f)

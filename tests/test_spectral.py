@@ -153,6 +153,31 @@ def test_uniform_grid_matches_time_array(n_sites, field):
             assert np.abs(blocked - direct).max() <= tol, (start, count)
 
 
+@pytest.mark.parametrize("cls", GRID_VALUES)
+@pytest.mark.parametrize("field", [0.0, 20.0])
+@pytest.mark.parametrize("n_sites", [4, 8, 16, 40])
+def test_grid_values_match_time_array(n_sites, field, cls):
+    """Every class on a UniformGrid equals its time-array path to the phase
+    rounding, eps * |lam| * t at the grid's last time.
+
+    Grids: a whole scan chunk from 0, a tail shorter than one phase block
+    after it, and a start in the middle of the longest scan window (6e4)
+    with a count that is not a multiple of the block.
+    """
+    dec = decompose(_barrier_hamiltonian(n_sites, field))
+    lam_max = np.abs(dec.eigenvalues).max()
+    step = np.pi / (4.0 * dec.spectral_range)
+    middle = int(3.0e4 / step)
+    values = GRID_VALUES[cls]
+    for start, count in ((0, _CHUNK), (_CHUNK, 100), (middle, 1000)):
+        ts = step * (start + np.arange(count))
+        blocked = values(dec, UniformGrid(step, start, count))
+        direct = values(dec, ts)
+        assert blocked.shape == direct.shape == (count,)
+        tol = 1e-14 + 2.0 * np.finfo(float).eps * lam_max * ts[-1]
+        assert np.abs(blocked - direct).max() <= tol, (start, count)
+
+
 def test_phase_plan_never_leaks_between_chains_or_steps(monkeypatch):
     """Chunks of three chains, two steps and every class, interleaved in one
     thread and on a thread pool, equal each chunk evaluated alone.

@@ -111,3 +111,18 @@ def test_seed_must_be_a_whole_number(seed):
     # int() would key 2.5 as seed 2 and True as seed 1
     with pytest.raises(ValueError, match="seed"):
         SeededSampler(seed)
+
+
+@pytest.mark.parametrize("draw", [sample_haar_2q, sample_haar_1q, sample_omega1, sample_omega2])
+@pytest.mark.parametrize("size", [2.7, 2.0, True, -1, "3"])
+def test_sample_size_must_be_a_whole_number(draw, size):
+    # int() would draw 2 rows for a size of 2.7 and 1 for True
+    with pytest.raises(ValueError, match="size"):
+        draw(SeededSampler(0), size=size)
+
+
+@pytest.mark.parametrize("draw", [sample_haar_2q, sample_haar_1q, sample_omega1, sample_omega2])
+def test_sample_size_takes_zero_and_numpy_integers(draw):
+    assert len(draw(SeededSampler(0), size=0)) == 0
+    rows = draw(SeededSampler(0), size=np.int64(3))
+    assert np.array_equal(rows, draw(SeededSampler(0), size=3))
