@@ -11,10 +11,15 @@ general   : Haar-random two-qubit states.
 
 Every average is a closed form in the sender-to-receiver minor F(t), and
 GRID_VALUES names the function that evaluates each class on a time grid;
-scans and single-time queries both go through it.  The omega1 and omega2
-averages are exact slice-Haar integrals of <psi|rho(t)|psi> and hit 1 at
-perfect transfer; both are invariant under a global phase of the
-odd-excitation sector.  Two kernels of spectral.py evaluate them all:
+scans and single-time queries both go through it, and interval_bound gives
+scans a bound on each average's second derivative, carried from its
+entries' mode weights through the closed form by the product rule.  The
+omega1 and omega2 averages are exact slice-Haar integrals of
+<psi|rho(t)|psi> and hit 1 at perfect transfer; both are invariant under a
+global phase of the odd-excitation sector.  By column orthonormality of the
+propagator the omega2 average is also
+1/2 - ||F||^2/6 + |g_uv|^2/2 + Re(g_uv)/3, the form its bound uses.
+Two kernels of spectral.py evaluate them all:
 the complex phase GEMM _phase_products, whose output holds each entry it
 emits as a contiguous slab that the classes read elementwise, and the real
 _cosine_series.  The omega1 average is a Hermitian form in F, so it is
@@ -48,10 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import whole_number
-from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_entries, _pair_sites, \
+from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_entries, _pair_weights, \
     _receiver_kernel
 from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _minor_weights, \
-    _phase_products, _read_only, amplitude_1p, propagator_minor_grid
+    _phase_products, _read_only, amplitude_1p
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
 
@@ -138,7 +143,7 @@ def avg_fidelity_omega2(dec: SpectralDecomposition, t: float) -> AverageFidelity
 @functools.lru_cache(maxsize=1)
 def _omega1_weights(dec: SpectralDecomposition) -> np.ndarray:
     """The pair minor's weights with _OMEGA1_FORM folded in, once per decomposition."""
-    return _read_only(_minor_weights(dec, *_pair_sites(dec)) @ _OMEGA1_FORM.T)
+    return _read_only(_pair_weights(dec) @ _OMEGA1_FORM.T)
 
 
 def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
@@ -174,7 +179,7 @@ def _general_modes(dec: SpectralDecomposition):
     decomposition, not per chunk of a scan.
     """
     lam = np.append(dec.eigenvalues, 0.0)
-    weights = np.vstack([_minor_weights(dec, *_pair_sites(dec)), np.eye(2).ravel()])
+    weights = np.vstack([_pair_weights(dec), np.eye(2).ravel()])
     return _read_only(lam), _read_only(weights)
 
 
@@ -203,9 +208,15 @@ def general_values(dec: SpectralDecomposition, ts: np.ndarray,
     return norm.ravel()[:len(ts)]
 
 
+@functools.lru_cache(maxsize=1)
+def _end_weights(dec: SpectralDecomposition) -> np.ndarray:
+    """The weights of the end-to-end amplitude f_{N,1}, (N, 1), once per decomposition."""
+    return _read_only(_minor_weights(dec, (dec.n_sites,), (1,)))
+
+
 def one_qubit_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized one-qubit average over a time grid."""
-    m = np.abs(propagator_minor_grid(dec, (dec.n_sites,), (1,), ts)[:, 0, 0])
+    m = np.abs(_phase_products(dec.eigenvalues, _end_weights(dec), ts)[:, 0].ravel()[:len(ts)])
     return _one_qubit_from_modulus(m)
 
 
@@ -217,6 +228,90 @@ GRID_VALUES = {
     "omega2": omega2_values,
 }
 CLASSES = tuple(GRID_VALUES)
+
+
+# Curvature bounds.  An entry e(t) = sum_k W[k] exp(-i lam_k t) of a phase
+# product has |e| <= A = sum |W|, |e'| <= B1 = sum |lam W| and
+# |e''| <= B2 = sum lam^2 |W|.  Every average is a polynomial in the entries,
+# and the product rule carries the three bounds through it to a bound on its
+# second derivative.
+
+def _entry_bounds(lam, weights):
+    """(A, B1, B2), one value per column of the weights."""
+    w = np.abs(weights)
+    lam = np.abs(lam)[:, None]
+    return w.sum(0), (lam * w).sum(0), (lam * lam * w).sum(0)
+
+
+def _product_bounds(p, q):
+    """Bounds on |pq|, |(pq)'| and |(pq)''| from those on p and on q."""
+    return p[0] * q[0], p[1] * q[0] + p[0] * q[1], p[2] * q[0] + 2.0 * p[1] * q[1] + p[0] * q[2]
+
+
+def _square_curvature(a, b1, b2):
+    """A bound on (|e|^2)'' = 2 Re(e'' conj(e)) + 2 |e'|^2 from bounds on |e|, |e'|, |e''|."""
+    return 2.0 * a * b2 + 2.0 * b1 * b1
+
+
+def _det_bounds(a, b1, b2):
+    """Bounds on the first two derivatives of x y - z w from the entry bounds of (x, z, w, y)."""
+    x, z, w, y = ((a[c], b1[c], b2[c]) for c in range(4))
+    p, q = _product_bounds(x, y), _product_bounds(z, w)
+    return p[1] + q[1], p[2] + q[2]
+
+
+def _general_curvature(dec):
+    # 1/5 + |det(I + F)|^2/20, and |det(I + F)| <= ||I + F||^2 <= 4
+    return _square_curvature(4.0, *_det_bounds(*_entry_bounds(*_general_modes(dec)))) / 20.0
+
+
+def _omega1_curvature(dec):
+    # the sum of squares of the four rows of the form
+    return _square_curvature(*_entry_bounds(dec.eigenvalues, _omega1_weights(dec))).sum()
+
+
+def _omega2_curvature(dec):
+    # column orthonormality of the propagator turns the traced weight into
+    # ||F||^2 - 2 |g_uv|^2, so the average is 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3
+    # with g = g_uv = det F, and |g| <= 1
+    bounds = _entry_bounds(dec.eigenvalues, _pair_weights(dec))
+    t1, t2 = _det_bounds(*bounds)
+    return _square_curvature(*bounds).sum() / 6.0 + _square_curvature(1.0, t1, t2) / 2.0 \
+        + t2 / 3.0
+
+
+def _end_curvature(dec):
+    # q = |f_{N,1}|^2, whose map to the one-qubit average is increasing
+    return _square_curvature(*_entry_bounds(dec.eigenvalues, _end_weights(dec)))[0]
+
+
+_CURVATURES = {
+    "one-qubit": _end_curvature,
+    "general": _general_curvature,
+    "omega1": _omega1_curvature,
+    "omega2": _omega2_curvature,
+}
+
+
+def _one_qubit_squared_modulus(average):
+    # |f|^2 from the average 1/2 + m/3 + m^2/6, m = |f|, non-decreasing in it
+    m = np.sqrt(np.maximum(6.0 * average - 2.0, 1.0)) - 1.0
+    return m * m
+
+
+def interval_bound(dec: SpectralDecomposition, fidelity_class: str):
+    """(K, smooth): the bound a certified scan of the class works with.
+
+    smooth maps the class's average to a quantity q of which the average is
+    an increasing function: the average itself, or for one-qubit q = |f|^2
+    (the average has a kink where f = 0).  K >= |q''(t)| at every t, so on
+    an interval of width w, q lies below its chord plus K w^2/8 (Piyavskii
+    1972; Shubert 1972).
+    """
+    k = float(_CURVATURES[fidelity_class](dec))
+    if fidelity_class == "one-qubit":
+        return k, _one_qubit_squared_modulus
+    return k, lambda average: average
 
 
 def _sample_count(samples) -> int:

@@ -32,9 +32,11 @@ with them, one (6, B) and one (4, B) product per block.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .spectral import SpectralDecomposition, _minor_weights, _phase_products
+from .spectral import SpectralDecomposition, _minor_weights, _phase_products, _read_only
 from .states import TwoQubitState
 
 RECEIVER_BASIS = ("11", "10", "01", "00")
@@ -48,6 +50,12 @@ def _pair_sites(dec: SpectralDecomposition):
     return (n - 1, n), (1, 2)
 
 
+@functools.lru_cache(maxsize=1)
+def _pair_weights(dec: SpectralDecomposition) -> np.ndarray:
+    """The weights of F's entries (f_u1, f_u2, f_v1, f_v2), (N, 4), once per decomposition."""
+    return _read_only(_minor_weights(dec, *_pair_sites(dec)))
+
+
 def _pair_entries(dec: SpectralDecomposition, ts):
     """Entries (f_u1, f_u2, f_v1, f_v2) of F(t) = f_{(N-1,N),(1,2)}(t) over ts.
 
@@ -55,7 +63,7 @@ def _pair_entries(dec: SpectralDecomposition, ts):
     a B + j of ts at [a, j] (the last block of a UniformGrid may run past
     its count).
     """
-    entries = _phase_products(dec.eigenvalues, _minor_weights(dec, *_pair_sites(dec)), ts)
+    entries = _phase_products(dec.eigenvalues, _pair_weights(dec), ts)
     return tuple(entries[:, c] for c in range(4))
 
 

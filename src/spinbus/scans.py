@@ -1,25 +1,50 @@
-"""Transfer-time and field scans: grid search, refinement, thresholds.
+"""Transfer-time and field scans: certified maxima, field sweeps, thresholds.
 
-A scan evaluates an average-fidelity curve on a uniform time grid whose
-spacing respects the fastest frequency in the dynamics (the spectral range of
-the chain), takes the grid maximum with a smallest-time tie-break, and
-refines the peak by golden-section search.  Every class is a
-closed form in the propagator, so a scan holds no randomness.
+A scan finds the maximum of an average-fidelity curve over a time window to
+within _GAP, and proves it: no time in the window does better by more.  It
+is a Piyavskii-Shubert branch and bound (Piyavskii 1972; Shubert, SIAM J.
+Numer. Anal. 9, 379, 1972) on a smooth quantity q, the average itself or,
+for one-qubit, |f|^2, of which the average is an increasing function (so
+there the gap holds for |f|^2).  fidelity.interval_bound gives a K >= |q''|
+from the chain's modes, so no interval of width w can rise more than
+K w^2/8 above its higher end (its ceiling).  K is 30 to 35 for the general
+class at every chain length and field tried, so the coarse step
+sqrt(8 _COARSE_MARGIN / K) does not shrink as the barrier field grows, as a
+step set by the spectral range would.  The coarse points are evaluated, and
+the intervals whose ceiling lies above the best value are cut level by
+level, each step's new points evaluated as one array of times, and pruned
+again, until no interval's ceiling lies more than _GAP above the best value.
+The best evaluated value is the scan's; exact ties go to the earliest time.
+Every class is a closed form in the propagator, so a scan holds no
+randomness.  A stretch where the curve stays within _GAP of its maximum
+must be sampled finely all along to be certified: an omega2 window shorter
+than the arrival time, whose maximum is the t = 0 value 1/2, costs seconds.
 
-The grid is cut into chunks of _CHUNK points anchored on the point index,
-step * (k * _CHUNK + j), and no array of times is ever built: each chunk is
-evaluated as a spectral.UniformGrid.  Chunks run `threads` at a time, each
-is reduced to its best point where it is evaluated, and the bests are
-combined in chunk order, so a scan holds at most one chunk of values per
-thread (memory bounded by the chunk size, not by the window) and its result
-is independent of the worker count.  An off-grid t_max is evaluated
-as one extra point after the last chunk.
+The coarse grid is cut into chunks of _CHUNK points anchored on the point
+index, step * (k * _CHUNK + j), each evaluated as a spectral.UniformGrid
+with one more point, the next chunk's first, so that the chunks' intervals
+tile the window; the last chunk ends on t_max, evaluated as one extra point
+when it is off the grid.  Chunks run `threads` at a time, and each is
+reduced where it is evaluated to its best point and the intervals whose
+ceiling lies above it.  The main thread searches them in chunk order.  A
+chunk's search prunes against the chunk's own best alone, so the points it
+evaluates depend on the chunk and nothing else, level by level; the running
+best of earlier chunks only stops it early, once no interval left can reach
+that best.  So a scan holds one chunk of values per thread and a few
+batches of a chunk's intervals (memory bounded by the chunk size, not by
+the window), and its result is the best of every chunk's points whatever
+the worker count.
 
-A scan given a value to reach is a decision scan: it stops at the first
-chunk whose running best reaches that value, and a later scan can resume it
-from the next chunk.  A threshold search only asks each field whether its
-scan reaches the target, so its scans stop at their first hit; only the
-field found is resumed to the end, so every row is the one a full scan gives.
+A scan given a value to reach is a decision scan.  It stops as soon as a
+point it evaluates reaches that value (a hit), and stops searching a
+chunk once no interval's ceiling reaches it, so a miss is certified: the
+window maximum is below the value, or within _GAP above it with no point of
+the full scan reaching it.  Either way the decision is the one a full scan's
+value gives.  A hit is resumed from its own chunk with its point as the
+running best: every earlier chunk holds points below it, so the resumed scan
+ends on the full scan's result, bit for bit.  A threshold search only asks
+each field whether its scan reaches the target; only the field found is
+resumed to the end, and a search that finds none scans the cap in full.
 """
 
 from __future__ import annotations
@@ -33,13 +58,21 @@ from functools import partial
 import numpy as np
 
 from .chain import ChainSpec, whole_number
-from .fidelity import CLASSES, GRID_VALUES
+from .fidelity import CLASSES, GRID_VALUES, interval_bound
 from .spectral import UniformGrid, decompose_chain
 
-_TIE_EPS = 1e-12
 _CHUNK = 32768
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_REFINE_REL_TOL = 1e-6
+# the coarse grid's ceiling margin K step^2/8, which sets its step; chosen on
+# the Fig. 5 threshold search and the Fig. 4b sweep (CHANGES.md), where a
+# finer grid costs coarse points and a coarser one costs search points
+_COARSE_MARGIN = 0.1
+# the certified gap: an interval is searched only while its ceiling lies more
+# than this above the best value.  A peak of curvature c is then placed to
+# within about sqrt(2 _GAP / c) in time, 1e-6 at c = 2.
+_GAP = 1e-12
+# the new points a search step aims at, and the most intervals it cuts; see _refine
+_LEVEL_POINTS = 64
+_BATCH = 4096
 _CAP_SLACK = 1e-9
 
 
@@ -70,20 +103,13 @@ class ScanRequest:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Maximum found by a scan."""
+    """Maximum found by a scan; grid_step is the step of its coarse grid."""
 
     field: float
     t_star: float
     fbar_max: float
     fidelity_class: str
     grid_step: float
-
-
-def _chunk_best(vals):
-    # smallest index wins among values within _TIE_EPS of the chunk maximum
-    top = vals.max()
-    idx = int(np.flatnonzero(vals >= top - _TIE_EPS)[0])
-    return idx, float(vals[idx])
 
 
 def _in_waves(run, items, threads):
@@ -96,72 +122,121 @@ def _in_waves(run, items, threads):
             yield from pool.map(run, items[w:w + threads])
 
 
-def _golden_refine(evaluate, lo, hi, tol):
-    a, b = lo, hi
-    while b - a > tol:
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = evaluate(np.array([c, d]))
-        if fc >= fd:
-            b = d
-        else:
-            a = c
-    mid = 0.5 * (a + b)
-    return mid, float(evaluate(np.array([mid]))[0])
+def _live(curvature, ts, qs, best):
+    """The intervals whose ceiling lies more than _GAP above best, and their
+    ceilings; row j of ts holds interval j's ends (lo, hi) and row j of qs the
+    smooth quantity there, and the ceiling is max(qs[j]) + K (hi - lo)^2/8."""
+    top = np.maximum(qs[:, 0], qs[:, 1]) + curvature / 8.0 * (ts[:, 1] - ts[:, 0]) ** 2
+    keep = top > best + _GAP
+    return ts[keep], qs[keep], top[keep]
+
+
+def _refine(evaluate, bound, chunk, floor, goal):
+    """A chunk's best point (t, f) once its live intervals are searched.
+
+    Each step cuts a batch of at most _BATCH live intervals into equal
+    parts, evaluates all the new points in one array, and prunes the parts
+    against the chunk's best so far.  A batch is cut into 2 parts each while
+    it holds many intervals and into up to 16 when it holds few, where a
+    step's cost, not its points', dominates.  Batches are searched depth
+    first, the earliest first, so the stack holds a few batches per level,
+    not a whole level, even where the curve is flat.  The search stops early
+    once no interval's ceiling reaches floor, or once its best reaches goal.
+    """
+    curvature, smooth = bound
+    t, f, (ts, qs, top) = chunk
+    floor = smooth(floor)
+    # batches (ts, qs, top, max(top)), the earliest on top of the stack
+    stack = [(ts, qs, top, top.max())] if top.size else []
+    while stack and f < goal and max(b[3] for b in stack) >= floor:
+        ts, qs, top, _ = stack.pop()
+        if top.size > _BATCH:
+            rest = slice(_BATCH, None)
+            stack.append((ts[rest], qs[rest], top[rest], top[rest].max()))
+            ts, qs, top = ts[:_BATCH], qs[:_BATCH], top[:_BATCH]
+        keep = top > smooth(f) + _GAP  # the best may have risen since the batch was made
+        ts, qs = ts[keep], qs[keep]
+        if not ts.size:
+            continue
+        n = ts.shape[0]
+        parts = min(16, max(2, _LEVEL_POINTS // n))
+        inner = ts[:, :1] + (ts[:, 1:] - ts[:, :1]) * (np.arange(1, parts) / parts)
+        f_inner = evaluate(inner.ravel()).reshape(n, parts - 1)
+        # row by row, the new points are in time order
+        k = np.unravel_index(np.argmax(f_inner), f_inner.shape)
+        if f_inner[k] > f or (f_inner[k] == f and inner[k] < t):
+            t, f = float(inner[k]), float(f_inner[k])
+        edges_t = np.concatenate((ts[:, :1], inner, ts[:, 1:]), axis=1)
+        edges_q = np.concatenate((qs[:, :1], smooth(f_inner), qs[:, 1:]), axis=1)
+        ts = np.stack((edges_t[:, :-1], edges_t[:, 1:]), axis=2).reshape(-1, 2)
+        qs = np.stack((edges_q[:, :-1], edges_q[:, 1:]), axis=2).reshape(-1, 2)
+        ts, qs, top = _live(curvature, ts, qs, smooth(f))
+        if top.size:
+            stack.append((ts, qs, top, top.max()))
+    return t, f
 
 
 def max_over_time(request: ScanRequest, reach: float | None = None,
                   resume: ScanResult | None = None) -> ScanResult:
     """Maximize the requested average fidelity over t in [0, t_max].
 
-    With reach given, this is a decision scan: it stops at the first chunk
-    whose running best is at least reach and returns that running best,
-    skipping the rest of the grid, the end point and the refinement, which
-    could only raise it.  Its fbar_max therefore reaches reach exactly when a
-    full scan's does; a scan that never reaches it is the full scan.
+    The result is within _GAP of the window maximum.  With reach given, this
+    is a decision scan: it returns its best point as soon as that reaches
+    reach, and otherwise the best point it evaluated, whose value is then
+    below reach.  Its fbar_max reaches reach exactly when a full scan's does.
 
-    resume is such a stopped decision scan of the same request.  Its best
-    point lies in the chunk where it stopped, so the scan goes on from the
-    next chunk with that running best and returns the full scan's result.
+    resume is a hit of such a decision scan of the same request: the scan
+    goes on from the chunk of its point, with that point as the running best,
+    and returns the full scan's result.
     """
     dec = decompose_chain(request.chain)
     evaluate = partial(GRID_VALUES[request.fidelity_class], dec)
-
-    spread = max(dec.spectral_range, 1e-9)
-    step = math.pi / (4.0 * spread)
-    n_pts = int(math.floor(request.t_max / step)) + 1
+    bound = curvature, smooth = interval_bound(dec, request.fidelity_class)
+    t_max = request.t_max
+    step = math.sqrt(8.0 * _COARSE_MARGIN / curvature)
+    margin = curvature / 8.0 * step * step
+    n_pts = int(math.floor(t_max / step)) + 1
 
     def run_chunk(start):
-        # reduced where it is evaluated: a wave holds bests, not chunk values
-        return _chunk_best(evaluate(UniformGrid(step, start, min(_CHUNK, n_pts - start))))
-
-    def result():
-        return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step)
+        # the chunk's points and the first of the next chunk, or t_max
+        count = min(_CHUNK, n_pts - start)
+        last = start + count == n_pts
+        vals = evaluate(UniformGrid(step, start, count + (not last)))
+        end = t_max if last and step * (n_pts - 1) < t_max else None
+        if end is not None:
+            vals = np.append(vals, evaluate(np.array([end])))
+        own = vals.size if last else count
+        i = int(np.argmax(vals[:own]))
+        t = end if i == n_pts - start else step * (start + i)
+        # reduced where it is evaluated: a wave holds live intervals, not values
+        qs = smooth(vals)
+        hot = qs > qs[i] + _GAP - margin
+        cells = np.flatnonzero(hot[:-1] | hot[1:])
+        ts = step * (start + np.stack((cells, cells + 1), axis=1))
+        if end is not None and cells.size and cells[-1] == vals.size - 2:
+            ts[-1, 1] = end
+        qs = np.stack((qs[cells], qs[cells + 1]), axis=1)
+        return t, float(vals[i]), _live(curvature, ts, qs, smooth(vals[i]))
 
     best_t, best_f, first = 0.0, -math.inf, 0
     if resume is not None:
         best_t, best_f = resume.t_star, resume.fbar_max
-        first = (round(best_t / step) // _CHUNK + 1) * _CHUNK
+        i = round(best_t / step)
+        if step * i != best_t:  # a search point, or t_max
+            i = math.floor(best_t / step)
+        first = min(i, n_pts - 1) // _CHUNK * _CHUNK
+    goal = math.inf if reach is None else reach
     starts = range(first, n_pts, _CHUNK)
     # closing: a decision scan that stops early shuts its thread pool down here
-    with closing(_in_waves(run_chunk, starts, request.threads)) as bests:
-        for start, (idx, f_c) in zip(starts, bests):
-            if f_c > best_f + _TIE_EPS:
-                best_t, best_f = step * (start + idx), f_c
-                if reach is not None and best_f >= reach:
-                    return result()
-    if step * (n_pts - 1) < request.t_max:
-        f_end = float(evaluate(np.array([request.t_max]))[0])
-        if f_end > best_f + _TIE_EPS:
-            best_t, best_f = request.t_max, f_end
-
-    tol = _REFINE_REL_TOL * max(best_t, 1.0)
-    lo = max(best_t - step, 0.0)
-    hi = min(best_t + step, request.t_max)
-    t_ref, f_ref = _golden_refine(evaluate, lo, hi, tol)
-    if f_ref > best_f:
-        best_t, best_f = t_ref, f_ref
-    return result()
+    with closing(_in_waves(run_chunk, starts, request.threads)) as chunks:
+        for chunk in chunks:
+            floor = best_f if reach is None else max(best_f, reach)
+            t, f = _refine(evaluate, bound, chunk, floor, goal)
+            if f > best_f or (f == best_f and t < best_t):
+                best_t, best_f = t, f
+            if best_f >= goal:
+                break
+    return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step)
 
 
 def field_sweep(request: ScanRequest, fields) -> list[ScanResult]:
@@ -196,10 +271,11 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
     above one already known to miss the target.
 
     Each field is decided once per chain length, by a decision scan
-    (max_over_time with reach=target) that stops at its first hit; a miss is
-    the full scan.  The field found is then resumed from the chunk after its
-    hit, so every decision and row equals the one full scans give and each
-    field's grid is walked at most once.
+    (max_over_time with reach=target) that stops at its first hit and
+    certifies a miss without refining what cannot reach the target.  The
+    field found is then resumed from the chunk of its hit; when no field
+    reaches the target, the cap is scanned in full.  So every decision and
+    row equals the one full scans give.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
@@ -254,8 +330,8 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
                         lo = mid
                 found = hi
 
-        # the cap's decision missed, so it is a full scan; a hit stopped early
-        best = decided[k_cap] if found is None else scan_at(found, resume=decided[found])
+        # a hit stopped early, and a miss refined only what could reach the target
+        best = scan_at(k_cap) if found is None else scan_at(found, resume=decided[found])
         field = None if found is None else found * h_resolution
         results.append(ThresholdResult(n_sites, field, best.t_star, best.fbar_max))
     return results

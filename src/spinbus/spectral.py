@@ -46,11 +46,13 @@ runs once per chain.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, SingleParticleHamiltonian, hamiltonian_matrix, whole_number
+from .chain import ChainSpec, SingleParticleHamiltonian, hamiltonian_matrix, real_number, \
+    whole_number
 
 # relative cutoff below which a leading eigenvector component is treated as zero
 # when fixing the overall sign
@@ -136,6 +138,8 @@ class UniformGrid:
 
     The start is an integer index, so a scan cut into chunks places every
     point at the same time whatever the chunking.  len() is the point count.
+    The step must be finite and positive, the start a whole number >= 0 and
+    the count a whole number >= 1.
     """
 
     step: float
@@ -143,8 +147,12 @@ class UniformGrid:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"a grid needs at least one point, got {self.count!r}")
+        step = real_number("step", self.step)
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step!r}")
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "start", whole_number("start", self.start, 0))
+        object.__setattr__(self, "count", whole_number("count", self.count, 1))
 
     def __len__(self) -> int:
         return self.count

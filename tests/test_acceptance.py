@@ -134,9 +134,9 @@ def test_06_barrier_field_trends():
     Part (a) requires the largest swept field to remove at least 90 % of the
     bare chain's infidelity on BOTH chains: (F_h - F_0) / (1 - F_0) >= 0.9.
     It replaced an absolute gain F_h - F_0 >= 0.2, which no correct program
-    can meet at N = 8: the bare N = 8 scan below peaks at t = 5287.291, where
-    the exact Haar average built from the sector oracle alone is 0.80105
-    (pinned in tests/test_oracle.py), so unitarity caps any gain there at
+    can meet at N = 8: at t = 5287.291 the exact Haar average built from the
+    sector oracle alone is 0.80105 (pinned in tests/test_oracle.py), so the
+    bare N = 8 scan below reads at least that and unitarity caps any gain at
     1 - 0.80105 = 0.19895.  The normalized form still fails a weak barrier
     (N = 8 reads 0.20 at h = 2 and 0.88 at h = 10) and asks N = 7 for a gain
     of at least 0.596 rather than 0.2.  The detail line prints F_0, F_h, the

@@ -119,9 +119,9 @@ def test_oracle_rdm_matches_fermionic_path():
 def test_bare_n8_exact_haar_average_exceeds_0_8_at_scan_maximum():
     """Exact general-class average of the bare N = 8 chain, oracle only.
 
-    t = 5287.291 is where the scan of acceptance 6 puts the bare N = 8
-    maximum.  The Haar average there is above 0.8, so no barrier can lift
-    that chain by 0.2.  haar_average builds it from oracle_rdm alone by the
+    t = 5287.291 is one of the bare N = 8 chain's near-maximal peaks.  The
+    Haar average there is above 0.8, so the chain's window maximum is too and
+    no barrier can lift that chain by 0.2.  haar_average builds it from oracle_rdm alone by the
     4-design identity and polarization; the closed form general_values must
     agree with it.
     """

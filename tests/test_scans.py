@@ -18,12 +18,11 @@ from spinbus import (
     default_t_max,
     field_sweep,
     max_over_time,
-    omega1_values,
     sample_haar_2q,
     threshold_field,
 )
-from spinbus.fidelity import GRID_VALUES, _sample_fidelities
-from spinbus.scans import _CHUNK
+from spinbus.fidelity import GRID_VALUES, _sample_fidelities, interval_bound
+from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP
 from spinbus.spectral import UniformGrid
 
 
@@ -43,18 +42,24 @@ def test_default_windows():
     assert default_t_max(9, "one-qubit") == pytest.approx(2.0e4)
 
 
-def test_grid_step_honours_spectral_range():
-    req = ScanRequest(build_chain(7, 2, 20.0), fidelity_class="omega1", t_max=100.0)
-    res = max_over_time(req)
-    dec_range = 0.0
-    from spinbus import decompose_chain
-    dec_range = decompose_chain(req.chain).spectral_range
-    assert res.grid_step <= np.pi / (4.0 * dec_range) + 1e-15
+def test_coarse_step_does_not_shrink_with_the_field():
+    """The coarse step comes from the curvature bound, not the spectral range,
+    whose step pi/(4 * range) would shrink 25-fold from h = 0 to h = 200."""
+    steps = []
+    for h in (0.0, 20.0, 200.0):
+        req = ScanRequest(build_chain(8, 2, h), fidelity_class="general", t_max=10.0)
+        dec = decompose_chain(req.chain)
+        curvature, _ = interval_bound(dec, "general")
+        steps.append(max_over_time(req).grid_step)
+        assert steps[-1] == math.sqrt(8.0 * _COARSE_MARGIN / curvature)
+    assert max(steps) <= 1.1 * min(steps)
 
 
 def test_thread_count_does_not_change_result():
     # five grid chunks, the last one partial, and t_max between grid points
-    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=6000.0)
+    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=1.0)
+    step = max_over_time(req).grid_step
+    req = dataclasses.replace(req, t_max=step * (4.5 * _CHUNK + 0.3))
     r1 = max_over_time(req)
     n_pts = math.floor(req.t_max / r1.grid_step) + 1
     assert n_pts > 4 * _CHUNK and (n_pts - 1) * r1.grid_step < req.t_max
@@ -111,21 +116,83 @@ def test_monte_carlo_scorer_memory_is_flat_in_the_sample_count():
 
 
 def test_ties_resolve_to_earliest_time():
-    from spinbus.scans import _chunk_best
+    """Of two points of exactly the same value the earlier is the best, whether
+    it is found first or last."""
+    from spinbus.scans import _live, _refine
 
-    idx, v = _chunk_best(np.array([0.2, 0.7, 0.7 + 1e-14, 0.1]))
-    assert idx == 1 and v == pytest.approx(0.7)
-    idx, _ = _chunk_best(np.array([0.5, 0.5, 0.5, 0.5]))
-    assert idx == 0
+    def evaluate(ts):  # exact maxima 0 at t = 0.5 and 2.5, and |f''| <= 23 on [0, 3]
+        return -((ts - 0.5) * (ts - 2.5)) ** 2
+
+    bound = (23.0, lambda f: f)
+    for cells in ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.5, 3.0]]):
+        ts = np.array(cells)
+        best = 2.5 if cells[1][0] == 2.5 else 0.0
+        chunk = (best, float(evaluate(np.array([best]))[0]), _live(23.0, ts, evaluate(ts), -1.0))
+        assert _refine(evaluate, bound, chunk, -math.inf, math.inf) == (0.5, 0.0)
 
 
-def test_refinement_never_loses_to_grid():
-    req = ScanRequest(build_chain(7, 2, 12.0), fidelity_class="omega1",
-                      t_max=2500.0)
-    refined = max_over_time(req)
-    n_pts = math.floor(req.t_max / refined.grid_step) + 1
-    grid = omega1_values(decompose_chain(req.chain), UniformGrid(refined.grid_step, 0, n_pts))
-    assert refined.fbar_max >= grid.max()
+def _dense_maximum(dec, fidelity_class, t_max, step):
+    """Brute-force window maximum: a dense grid, then a fine local grid around
+    every dense point that the curvature bound cannot rule out."""
+    evaluate = GRID_VALUES[fidelity_class]
+    n = math.floor(t_max / step) + 1
+    values = evaluate(dec, step * np.arange(n))
+    curvature, smooth = interval_bound(dec, fidelity_class)
+    qs = smooth(values)
+    best = -math.inf
+    for i in np.flatnonzero(qs + curvature / 2.0 * step * step >= qs.max()):
+        ts = np.linspace(max(step * (i - 1), 0.0), min(step * (i + 1), t_max), 20001)
+        best = max(best, float(evaluate(dec, ts).max()))
+    return best
+
+
+@pytest.mark.parametrize("fidelity_class, n_sites, field", [
+    ("general", 7, 12.0), ("omega1", 8, 4.0), ("omega2", 7, 2.0), ("one-qubit", 9, 6.0),
+])
+def test_scan_is_within_its_gap_of_a_brute_force_maximum(fidelity_class, n_sites, field):
+    """The certified value lies within _GAP below the window maximum, found here
+    by a dense grid (step 2e-3) polished on a 1e-7 grid."""
+    req = ScanRequest(build_chain(n_sites, 2, field), fidelity_class=fidelity_class, t_max=300.0)
+    res = max_over_time(req)
+    reference = _dense_maximum(decompose_chain(req.chain), fidelity_class, req.t_max, 2e-3)
+    assert reference - _GAP - 1e-13 <= res.fbar_max <= reference + 1e-13
+    value = GRID_VALUES[fidelity_class](decompose_chain(req.chain), np.array([res.t_star]))
+    assert abs(value[0] - res.fbar_max) <= 1e-13
+
+
+@pytest.mark.parametrize("n_sites, field, fidelity_class, t_max, at_least", [
+    (9, 0.0, "omega1", 1.3e4, 0.691243),  # the pi/(4 * range) grid reported 0.690058
+    (8, 20.0, "general", 6.0e4, 0.9907934),  # and golden section stopped at 0.9907809
+    (8, 200.0, "general", 6.0e4, 0.9782461),  # and the grid walked 30.7M points
+])
+def test_scan_finds_the_window_maxima_the_grid_missed(n_sites, field, fidelity_class, t_max,
+                                                      at_least):
+    req = ScanRequest(build_chain(n_sites, 2, field), fidelity_class=fidelity_class, t_max=t_max)
+    assert max_over_time(req).fbar_max >= at_least
+
+
+def test_bare_even_chain_peaks_late_in_the_window():
+    """N = 8 at h = 0: the maximum over 6e4 is at t = 25161, not at 5287.3,
+    where the pi/(4 * range) grid put it."""
+    res = max_over_time(ScanRequest(build_chain(8, 2), fidelity_class="general", t_max=6.0e4))
+    assert abs(res.t_star - 25161.0) < 1.0
+
+
+@pytest.mark.parametrize("field", [20.0, 200.0])
+def test_strong_field_scans_stay_cheap(monkeypatch, field):
+    """The coarse step does not shrink with the field, so N = 8 over 6e4
+    evaluates under 2M points at h = 20 and at h = 200."""
+    points = []
+    values = GRID_VALUES["general"]
+
+    def counted(dec, ts):
+        points.append(len(ts))
+        return values(dec, ts)
+
+    monkeypatch.setitem(GRID_VALUES, "general", counted)
+    req = ScanRequest(build_chain(8, 2, field), fidelity_class="general", t_max=6.0e4)
+    max_over_time(req)
+    assert 0 < sum(points) < 2_000_000
 
 
 def test_field_sweep_orders_results():
@@ -202,9 +269,12 @@ def test_threshold_scans_no_field_above_the_cap(monkeypatch, h_cap, h_resolution
     res = threshold_field(_omega1_template(100.0), (7,), target=1.0,
                           h_resolution=h_resolution, h_cap=h_cap)
     assert res[0].field is None
-    # the cap's miss is its full scan, so nothing is resumed
-    assert all(reach == 1.0 and resume is None for _, reach, resume, _ in made)
-    fields = [h for h, _, _, _ in made]
+    # every field missed, so nothing is resumed; the row is the cap's full scan
+    *decisions, (cap, reach, resume, full) = made
+    assert (cap, reach, resume) == (top * h_resolution, None, None)
+    assert (res[0].t_star, res[0].fbar_max) == (full.t_star, full.fbar_max)
+    assert all(reach == 1.0 and resume is None for _, reach, resume, _ in decisions)
+    fields = [h for h, _, _, _ in decisions]
     assert max(fields) == top * h_resolution
     assert sorted(set(fields)) == sorted(fields) and max(fields) <= h_cap * (1 + 1e-9)
 
@@ -258,29 +328,39 @@ def test_decision_scans_match_full_scans(fidelity_class, target, threads):
     ("general", 7, 3.0), ("omega1", 8, 2.0),
 ])
 def test_decision_scan_stops_at_its_first_hit(fidelity_class, n_sites, field, threads):
-    """A decision scan returns the running best of the first chunk that reaches
-    its value, be it the first, a middle or the last chunk, and the full scan
-    when no chunk does.  Resumed, it ends on the full scan's result, bit for bit."""
+    """A decision scan returns the first point it evaluates that reaches its
+    value, in the first, a middle or the last chunk, and a point below the
+    value exactly when the full scan's value is below it.  Resumed, a hit ends
+    on the full scan's result, bit for bit."""
     req = ScanRequest(build_chain(n_sites, 2, field), fidelity_class=fidelity_class,
-                      t_max=8000.0, threads=threads)
+                      t_max=2.0e4, threads=threads)
     full = max_over_time(req)
     step = full.grid_step
     n_pts = math.floor(req.t_max / step) + 1
+    n_chunks = -(-n_pts // _CHUNK)
     dec = decompose_chain(req.chain)
-    chunk_max = [GRID_VALUES[fidelity_class](dec, UniformGrid(step, s, min(_CHUNK, n_pts - s)))
-                 .max() for s in range(0, n_pts, _CHUNK)]
-    # the chunks whose maximum raises the running best by far more than the tie margin
-    rises = [c for c, top in enumerate(chunk_max) if c == 0 or top > max(chunk_max[:c]) + 1e-6]
-    assert rises[0] == 0 and rises[-1] == len(chunk_max) - 1 and len(rises) >= 3
-    for c in rises:
-        reach = chunk_max[c] - 1e-9
+    evaluate = GRID_VALUES[fidelity_class]
+
+    def chunk_of(t):
+        i = round(t / step)
+        return min(i if step * i == t else math.floor(t / step), n_pts - 1) // _CHUNK
+
+    first_chunk = evaluate(dec, UniformGrid(step, 0, _CHUNK)).max()
+    assert chunk_of(full.t_star) == n_chunks - 1 >= 2
+    chunks = set()
+    for reach in np.linspace(first_chunk, full.fbar_max, 16):
         hit = max_over_time(req, reach)
-        k = round(hit.t_star / step)
-        assert hit.t_star == step * k and k // _CHUNK == c
-        assert reach <= hit.fbar_max <= chunk_max[c]
+        assert reach <= hit.fbar_max <= full.fbar_max
+        assert abs(evaluate(dec, np.array([hit.t_star]))[0] - hit.fbar_max) <= 1e-9
         assert hit == max_over_time(dataclasses.replace(req, threads=1), reach)
         assert max_over_time(req, resume=hit) == full
-    assert max_over_time(req, full.fbar_max + 1e-9) == full
+        chunks.add(chunk_of(hit.t_star))
+    assert {0, n_chunks - 1} <= chunks and len(chunks) >= 3
+    # the full scan's best point is where a decision at its value stops
+    hit = max_over_time(req, full.fbar_max)
+    assert (hit.t_star, hit.fbar_max) == (full.t_star, full.fbar_max)
+    miss = max_over_time(req, full.fbar_max + 1e-9)
+    assert miss.fbar_max < full.fbar_max + 1e-9
 
 
 def test_threshold_leaves_no_worker_threads(monkeypatch):

@@ -1,5 +1,6 @@
 """Eigendecomposition and single-particle propagator elements."""
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -228,6 +229,25 @@ def test_uniform_grid_length_is_its_count():
     assert len(UniformGrid(0.25, 0, 1)) == 1
     with pytest.raises(ValueError):
         UniformGrid(0.25, 0, 0)
+
+
+@pytest.mark.parametrize("step, start, count, name", [
+    (math.nan, 0, 3, "step"), (math.inf, 0, 3, "step"), (0.0, 0, 3, "step"),
+    (-0.25, 0, 3, "step"), (True, 0, 3, "step"), ("0.25", 0, 3, "step"),
+    (0.25, -1, 3, "start"), (0.25, 1.5, 3, "start"), (0.25, 2.0, 3, "start"),
+    (0.25, True, 3, "start"), (0.25, 0, 2.5, "count"), (0.25, 0, 0, "count"),
+    (0.25, 0, False, "count"),
+])
+def test_uniform_grid_rejects_what_is_not_a_grid(step, start, count, name):
+    """A finite positive step, a whole start >= 0 and a whole count >= 1."""
+    with pytest.raises(ValueError, match=name):
+        UniformGrid(step, start, count)
+
+
+def test_uniform_grid_takes_numpy_numbers():
+    grid = UniformGrid(np.float64(0.25), np.int64(7), np.int32(3))
+    assert (grid.step, grid.start, grid.count) == (0.25, 7, 3)
+    assert type(grid.start) is int and type(grid.count) is int
 
 
 def test_site_index_validation():
