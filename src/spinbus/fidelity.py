@@ -13,7 +13,9 @@ Every average is a closed form in the sender-to-receiver minor F(t), and
 GRID_VALUES names the function that evaluates each class on a time grid;
 scans and single-time queries both go through it, and interval_bound gives
 scans a bound on each average's second derivative, carried from its
-entries' mode weights through the closed form by the product rule.  The
+entries' mode weights through the closed form by the product rule;
+onset_curvature gives a sharper one over [0, t] near t = 0, from the Dyson
+series of the propagator in the hopping.  The
 omega1 and omega2 averages are exact slice-Haar integrals of
 <psi|rho(t)|psi> and hit 1 at perfect transfer; both are invariant under a
 global phase of the odd-excitation sector.  By column orthonormality of the
@@ -48,13 +50,14 @@ and the sector tables of reduced.py, in fixed blocks of states.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import whole_number
-from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_entries, _pair_weights, \
-    _receiver_kernel
+from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_entries, _pair_sites, \
+    _pair_weights, _receiver_kernel
 from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _minor_weights, \
     _phase_products, _read_only, amplitude_1p
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
@@ -234,7 +237,8 @@ CLASSES = tuple(GRID_VALUES)
 # product has |e| <= A = sum |W|, |e'| <= B1 = sum |lam W| and
 # |e''| <= B2 = sum lam^2 |W|.  Every average is a polynomial in the entries,
 # and the product rule carries the three bounds through it to a bound on its
-# second derivative.
+# second derivative.  Each bound below takes (A, B1, B2) for the entries its
+# class reads, as arrays of one row per entry (and any trailing shape).
 
 def _entry_bounds(lam, weights):
     """(A, B1, B2), one value per column of the weights."""
@@ -260,36 +264,45 @@ def _det_bounds(a, b1, b2):
     return p[1] + q[1], p[2] + q[2]
 
 
-def _general_curvature(dec):
-    # 1/5 + |det(I + F)|^2/20, and |det(I + F)| <= ||I + F||^2 <= 4
-    return _square_curvature(4.0, *_det_bounds(*_entry_bounds(*_general_modes(dec)))) / 20.0
+def _general_curvature(a, b1, b2):
+    # 1/5 + |det(I + F)|^2/20 from the entries of I + F, and |det(I + F)| <= ||I + F||^2 <= 4
+    return _square_curvature(4.0, *_det_bounds(a, b1, b2)) / 20.0
 
 
-def _omega1_curvature(dec):
+def _omega1_curvature(a, b1, b2):
     # the sum of squares of the four rows of the form
-    return _square_curvature(*_entry_bounds(dec.eigenvalues, _omega1_weights(dec))).sum()
+    return _square_curvature(a, b1, b2).sum(0)
 
 
-def _omega2_curvature(dec):
+def _omega2_curvature(a, b1, b2):
     # column orthonormality of the propagator turns the traced weight into
     # ||F||^2 - 2 |g_uv|^2, so the average is 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3
     # with g = g_uv = det F, and |g| <= 1
-    bounds = _entry_bounds(dec.eigenvalues, _pair_weights(dec))
-    t1, t2 = _det_bounds(*bounds)
-    return _square_curvature(*bounds).sum() / 6.0 + _square_curvature(1.0, t1, t2) / 2.0 \
+    t1, t2 = _det_bounds(a, b1, b2)
+    return _square_curvature(a, b1, b2).sum(0) / 6.0 + _square_curvature(1.0, t1, t2) / 2.0 \
         + t2 / 3.0
 
 
-def _end_curvature(dec):
+def _end_curvature(a, b1, b2):
     # q = |f_{N,1}|^2, whose map to the one-qubit average is increasing
-    return _square_curvature(*_entry_bounds(dec.eigenvalues, _end_weights(dec)))[0]
+    return _square_curvature(a, b1, b2)[0]
 
 
-_CURVATURES = {
-    "one-qubit": _end_curvature,
-    "general": _general_curvature,
-    "omega1": _omega1_curvature,
-    "omega2": _omega2_curvature,
+_ABS_OMEGA1_FORM = np.abs(_OMEGA1_FORM)
+_IDENTITY_ENTRIES = np.eye(2).reshape(4, 1)
+
+# per class: its curvature bound; the modes (lam, weights) of the entries it
+# reads; and the map from bounds on F's entries (f_u1, f_u2, f_v1, f_v2), or
+# on f_{N,1} for one-qubit, to bounds on those entries
+_BOUNDS = {
+    "one-qubit": (_end_curvature, lambda dec: (dec.eigenvalues, _end_weights(dec)),
+                  lambda a, b1, b2: (a, b1, b2)),
+    "general": (_general_curvature, _general_modes,
+                lambda a, b1, b2: (a + _IDENTITY_ENTRIES, b1, b2)),
+    "omega1": (_omega1_curvature, lambda dec: (dec.eigenvalues, _omega1_weights(dec)),
+               lambda a, b1, b2: tuple(_ABS_OMEGA1_FORM @ x for x in (a, b1, b2))),
+    "omega2": (_omega2_curvature, lambda dec: (dec.eigenvalues, _pair_weights(dec)),
+               lambda a, b1, b2: (a, b1, b2)),
 }
 
 
@@ -308,10 +321,101 @@ def interval_bound(dec: SpectralDecomposition, fidelity_class: str):
     an interval of width w, q lies below its chord plus K w^2/8 (Piyavskii
     1972; Shubert 1972).
     """
-    k = float(_CURVATURES[fidelity_class](dec))
+    curvature, modes, _ = _BOUNDS[fidelity_class]
+    k = float(curvature(*_entry_bounds(*modes(dec))))
     if fidelity_class == "one-qubit":
         return k, _one_qubit_squared_modulus
     return k, lambda average: average
+
+
+def _hopping(dec: SpectralDecomposition):
+    """|T|'s off-diagonal, the hopping part of the chain's matrix read back from
+    the decomposition, and its largest row sum (its norm on nonnegative vectors)."""
+    u, lam = dec.eigenvectors, dec.eigenvalues
+    hop = np.abs(np.einsum("ik,k,ik->i", u[:-1], lam, u[1:]))
+    rows = np.zeros(dec.n_sites)
+    rows[:-1] += hop
+    rows[1:] += hop
+    return hop, rows.max()
+
+
+def _hopping_series(dec: SpectralDecomposition, sources, t_max):
+    """The terms d_m = |T|^m e_s t_max^m / m! of the sources' columns,
+    m = 0 .. M, and r with sum_{m > M} d_m x^m <= r x^M for x <= 1.
+
+    sum_m d_m x^m is the Dyson bound P at t = x t_max, so it is evaluated
+    with no power of t_max that could overflow.
+    """
+    hop, tau = _hopping(dec)
+    # past M, each term is at most half the one before, so the rest is below d_M
+    order = int(math.ceil(2.0 * tau * t_max)) + 1
+    terms = np.zeros((order + 1, dec.n_sites, len(sources)))
+    terms[0, [s - 1 for s in sources], range(len(sources))] = 1.0
+    for m in range(1, order + 1):
+        prev = terms[m - 1] * (t_max / m)
+        terms[m, 1:] += hop[:, None] * prev[:-1]
+        terms[m, :-1] += hop[:, None] * prev[1:]
+    return terms, terms[order].max()
+
+
+def _onset_sites(dec: SpectralDecomposition, fidelity_class: str):
+    """The receiver and sender sites of the entries the class reads."""
+    n = dec.n_sites
+    return ((n,), (1,)) if fidelity_class == "one-qubit" else _pair_sites(dec)
+
+
+def onset_horizon(dec: SpectralDecomposition, fidelity_class: str) -> float:
+    """A time past which onset_curvature is of no use: (d + 1)/tau, with d the
+    distance from the nearest sender to the nearest receiver and tau the
+    largest row sum of |T|.  There the leading term (tau t)^d/d! of the
+    nearest entry's bound is far above 1."""
+    targets, sources = _onset_sites(dec, fidelity_class)
+    _, tau = _hopping(dec)
+    return (min(targets) - max(sources) + 1) / tau
+
+
+def onset_curvature(dec: SpectralDecomposition, fidelity_class: str, ts) -> np.ndarray:
+    """Bounds K(t) >= |q''| on all of [0, t], one per t of ts, at most interval_bound's K.
+
+    Near t = 0 the entries of F are small: with the chain's matrix split as
+    D + T into on-site energies and hopping, the Dyson series of exp(-iHt)
+    in T gives |exp(-iHt)_ij| <= P_ij(t) = sum_m (|T|^m)_ij t^m/m!, whose
+    terms below the distance |i - j| vanish (so P is of order t^|i-j|), and
+    exp(-iHt)' = -iH exp(-iHt) gives |d/dt exp(-iHt)| <= |H| P and
+    |d^2/dt^2 exp(-iHt)| <= |H|^2 P entrywise.  P grows with t, so these
+    bound F's entries on all of [0, t], and the class's product rule turns
+    them into K(t), non-decreasing in t.  A window shorter than the arrival
+    time, where the average stays within rounding of its t = 0 value, is then
+    certified from a few points.
+    """
+    ts = np.asarray(ts, dtype=float)
+    k, _ = interval_bound(dec, fidelity_class)
+    if not ts.size:
+        return np.empty(0)
+    curvature, _, entries = _BOUNDS[fidelity_class]
+    n = dec.n_sites
+    targets, sources = _onset_sites(dec, fidelity_class)
+    t_max = float(ts.max())
+    # far past the horizon the series overflows: an infinite bound is still a
+    # bound, and fmin below reads the NaN of 0 * inf as one too
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms, tail = _hopping_series(dec, sources, t_max)
+        x = (ts / t_max)[None, :, None] if t_max > 0 else np.zeros((1, ts.size, 1))
+        p = np.zeros((n, ts.size, len(sources)))  # (N, len(ts), S), by Horner's rule in x
+        for d in terms[::-1]:
+            p *= x
+            p += d[:, None, :]
+        p += tail * x ** (len(terms) - 1)
+        # |H| P and |H|^2 P from the matrix read back from the decomposition
+        u, lam = dec.eigenvectors, dec.eigenvalues
+        h = np.abs((u * lam) @ u.T)
+        h[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1] = 0.0
+        p1 = np.einsum("ij,jts->its", h, p)
+        p2 = np.einsum("ij,jts->its", h, p1)
+        rows = [r - 1 for r in targets]
+        # (entries, len(ts)) in the order (f_u1, f_u2, f_v1, f_v2), or f_{N,1}
+        a, b1, b2 = (m[rows].transpose(0, 2, 1).reshape(-1, len(ts)) for m in (p, p1, p2))
+        return np.fmin(curvature(*entries(a, b1, b2)), k)
 
 
 def _sample_count(samples) -> int:

@@ -14,11 +14,26 @@ step set by the spectral range would.  The coarse points are evaluated, and
 the intervals whose ceiling lies above the best value are cut level by
 level, each step's new points evaluated as one array of times, and pruned
 again, until no interval's ceiling lies more than _GAP above the best value.
-The best evaluated value is the scan's; exact ties go to the earliest time.
-Every class is a closed form in the propagator, so a scan holds no
-randomness.  A stretch where the curve stays within _GAP of its maximum
-must be sampled finely all along to be certified: an omega2 window shorter
-than the arrival time, whose maximum is the t = 0 value 1/2, costs seconds.
+The best evaluated value is the scan's.  Every class is a closed form in the
+propagator, so a scan holds no randomness.
+
+Near t = 0 an interval's ceiling uses fidelity.onset_curvature, a bound on
+|q''| over [0, hi] that falls off as a power of hi set by the
+sender-receiver distance, instead of K: before the arrival time the curve stays within
+rounding of its t = 0 value, and K alone would have it sampled at about
+1e-7 all along.  Elsewhere a stretch where the curve stays just below its
+best, as a window shorter than the transfer time across a strong barrier
+has, is sampled that finely still; a chunk's search stops after
+_SEARCH_POINTS points, and what it left is certified only to its ceilings.
+
+Values within _TIE_EPS of the maximum are ties, and t_star is the earliest
+time found among them.  Each chunk's search keeps what may hold a tie: the
+points within _TIE_EPS of its best, as a front of the points no earlier
+point is as high as, and the intervals whose ceiling lies within _TIE_EPS
+below its best but neither of whose ends does.  Once the maximum is known,
+the chunks are asked in order for their earliest point within _TIE_EPS of
+it, cutting those intervals in two, the earliest first, and the first
+chunk that has one gives t_star.
 
 The coarse grid is cut into chunks of _CHUNK points anchored on the point
 index, step * (k * _CHUNK + j), each evaluated as a spectral.UniformGrid
@@ -26,14 +41,15 @@ with one more point, the next chunk's first, so that the chunks' intervals
 tile the window; the last chunk ends on t_max, evaluated as one extra point
 when it is off the grid.  Chunks run `threads` at a time, and each is
 reduced where it is evaluated to its best point and the intervals whose
-ceiling lies above it.  The main thread searches them in chunk order.  A
-chunk's search prunes against the chunk's own best alone, so the points it
-evaluates depend on the chunk and nothing else, level by level; the running
-best of earlier chunks only stops it early, once no interval left can reach
-that best.  So a scan holds one chunk of values per thread and a few
-batches of a chunk's intervals (memory bounded by the chunk size, not by
-the window), and its result is the best of every chunk's points whatever
-the worker count.
+ceiling lies above it or within _TIE_EPS below it.  The main thread
+searches them in chunk order.  A chunk's search prunes against the chunk's
+own best alone, so the points it evaluates depend on the chunk and nothing
+else, level by level; the running best of earlier chunks only stops it
+early, once no interval left can come within _TIE_EPS of that best.  So a
+scan holds one chunk of values per thread, a few batches of a chunk's
+intervals and the few points and intervals kept for ties (memory bounded by
+the chunk size, not by the window), and its result does not depend on the
+worker count.
 
 A scan given a value to reach is a decision scan.  It stops as soon as a
 point it evaluates reaches that value (a hit), and stops searching a
@@ -42,14 +58,17 @@ window maximum is below the value, or within _GAP above it with no point of
 the full scan reaching it.  Either way the decision is the one a full scan's
 value gives.  A hit is resumed from its own chunk with its point as the
 running best: every earlier chunk holds points below it, so the resumed scan
-ends on the full scan's result, bit for bit.  A threshold search only asks
-each field whether its scan reaches the target; only the field found is
-resumed to the end, and a search that finds none scans the cap in full.
+ends on the full scan's result, bit for bit, unless the maximum lies within
+_TIE_EPS + _GAP of the hit, when an earlier chunk may hold a tie and the
+window is scanned again in full.  A threshold search only asks each field
+whether its scan reaches the target; only the field found is resumed to the
+end, and a search that finds none scans the cap in full.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -58,7 +77,7 @@ from functools import partial
 import numpy as np
 
 from .chain import ChainSpec, whole_number
-from .fidelity import CLASSES, GRID_VALUES, interval_bound
+from .fidelity import CLASSES, GRID_VALUES, interval_bound, onset_curvature, onset_horizon
 from .spectral import UniformGrid, decompose_chain
 
 _CHUNK = 32768
@@ -70,9 +89,20 @@ _COARSE_MARGIN = 0.1
 # than this above the best value.  A peak of curvature c is then placed to
 # within about sqrt(2 _GAP / c) in time, 1e-6 at c = 2.
 _GAP = 1e-12
+# values within this of the maximum are ties: the earliest time among them is reported
+_TIE_EPS = 1e-12
+_ROUNDING = 1e-13
 # the new points a search step aims at, and the most intervals it cuts; see _refine
 _LEVEL_POINTS = 64
 _BATCH = 4096
+# the most points a chunk's search, or its search for its earliest tie,
+# evaluates.  The figures' scans need at most 32279 (Fig. 4a), and an
+# engineered chain with a perfect revival every pi/2 about 270000.  A stretch
+# where the curve stays within about 1e-8 below its best for long, such as a
+# window shorter than the transfer time across a strong barrier, needs more:
+# the search stops there, and the points it left are certified only to the
+# ceilings left.
+_SEARCH_POINTS = 4 * _CHUNK
 _CAP_SLACK = 1e-9
 
 
@@ -103,7 +133,12 @@ class ScanRequest:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Maximum found by a scan; grid_step is the step of its coarse grid."""
+    """Maximum found by a scan; grid_step is the step of its coarse grid.
+
+    fbar_max is the window maximum, to within _GAP where no chunk's search
+    ran out of _SEARCH_POINTS; t_star is the earliest time the scan found
+    whose value lies within _TIE_EPS of it.
+    """
 
     field: float
     t_star: float
@@ -122,16 +157,68 @@ def _in_waves(run, items, threads):
             yield from pool.map(run, items[w:w + threads])
 
 
-def _live(curvature, ts, qs, best):
-    """The intervals whose ceiling lies more than _GAP above best, and their
-    ceilings; row j of ts holds interval j's ends (lo, hi) and row j of qs the
-    smooth quantity there, and the ceiling is max(qs[j]) + K (hi - lo)^2/8."""
-    top = np.maximum(qs[:, 0], qs[:, 1]) + curvature / 8.0 * (ts[:, 1] - ts[:, 0]) ** 2
-    keep = top > best + _GAP
-    return ts[keep], qs[keep], top[keep]
+class _Bound:
+    """The ceilings of one scan's intervals.
+
+    An interval [lo, hi] with averages fs at its ends has the ceiling
+    max(smooth(fs)) + K(hi) (hi - lo)^2/8, where K(hi) >= |q''| on [0, hi].
+    Below fidelity.onset_horizon, K(hi) is fidelity.onset_curvature's bound
+    at the coarse point (k + 1) step just past hi, and past it K.  The table
+    is built, once, the first time an interval below the horizon needs it,
+    so a scan whose search stays away from the start never builds it; its
+    values do not depend on when, so neither do the ceilings.
+    """
+
+    def __init__(self, dec, fidelity_class):
+        self.curvature, self.smooth = interval_bound(dec, fidelity_class)
+        self.step = math.sqrt(8.0 * _COARSE_MARGIN / self.curvature)
+        self._cells = math.ceil(onset_horizon(dec, fidelity_class) / self.step)
+        self._horizon = self._cells * self.step
+        self._onset = partial(onset_curvature, dec, fidelity_class,
+                              self.step * np.arange(1, self._cells + 1))
+        self._table = None
+        self._lock = threading.Lock()
+
+    def ceilings(self, ts, fs):
+        """The ceiling of each interval: row j of ts holds its ends (lo, hi),
+        row j of fs the averages there."""
+        qs = self.smooth(fs)
+        top = np.maximum(qs[:, 0], qs[:, 1])
+        width2 = (ts[:, 1] - ts[:, 0]) ** 2 / 8.0
+        if not ts.size or ts[:, 1].min() >= self._horizon:
+            return top + self.curvature * width2
+        with self._lock:
+            if self._table is None:
+                self._table = np.append(self._onset(), self.curvature)
+        cell = np.minimum(ts[:, 1] // self.step, self._cells).astype(np.intp)
+        return top + self._table[cell] * width2
 
 
-def _refine(evaluate, bound, chunk, floor, goal):
+def _split(ts, fs, top, live_above, tie_from=None):
+    """The intervals whose ceiling lies above live_above, to search, and the
+    ones whose ceiling lies in [tie_from, live_above], which may hold a tie
+    (None without tie_from)."""
+    live = top > live_above
+    if tie_from is None:
+        return (ts[live], fs[live], top[live]), None
+    tie = ~live & (top >= tie_from)
+    return (ts[live], fs[live], top[live]), (ts[tie], fs[tie], top[tie])
+
+
+def _cut(evaluate, ts, fs, parts):
+    """Each interval cut into equal parts: the new points (n, parts - 1), their
+    averages, and the parts' ends and averages, in time order."""
+    n = ts.shape[0]
+    inner = ts[:, :1] + (ts[:, 1:] - ts[:, :1]) * (np.arange(1, parts) / parts)
+    f_inner = evaluate(inner.ravel()).reshape(n, parts - 1)
+    edges_t = np.concatenate((ts[:, :1], inner, ts[:, 1:]), axis=1)
+    edges_f = np.concatenate((fs[:, :1], f_inner, fs[:, 1:]), axis=1)
+    return (inner, f_inner,
+            np.stack((edges_t[:, :-1], edges_t[:, 1:]), axis=2).reshape(-1, 2),
+            np.stack((edges_f[:, :-1], edges_f[:, 1:]), axis=2).reshape(-1, 2))
+
+
+def _refine(evaluate, bound, chunk, floor, goal, ties):
     """A chunk's best point (t, f) once its live intervals are searched.
 
     Each step cuts a batch of at most _BATCH live intervals into equal
@@ -142,48 +229,144 @@ def _refine(evaluate, bound, chunk, floor, goal):
     first, the earliest first, so the stack holds a few batches per level,
     not a whole level, even where the curve is flat.  The search stops early
     once no interval's ceiling reaches floor, or once its best reaches goal.
+
+    ties is a _Ties, or None: the pruned intervals whose ceiling lies within
+    _TIE_EPS below the best are added to it.
     """
-    curvature, smooth = bound
-    t, f, (ts, qs, top) = chunk
+    smooth = bound.smooth
+    t, f, (ts, fs, top) = chunk
     floor = smooth(floor)
-    # batches (ts, qs, top, max(top)), the earliest on top of the stack
-    stack = [(ts, qs, top, top.max())] if top.size else []
-    while stack and f < goal and max(b[3] for b in stack) >= floor:
-        ts, qs, top, _ = stack.pop()
+    # batches (ts, fs, top, max(top)), the earliest on top of the stack
+    stack = [(ts, fs, top, top.max())] if top.size else []
+    points = 0
+    while stack and f < goal and points < _SEARCH_POINTS \
+            and max(b[3] for b in stack) >= floor:
+        ts, fs, top, _ = stack.pop()
         if top.size > _BATCH:
             rest = slice(_BATCH, None)
-            stack.append((ts[rest], qs[rest], top[rest], top[rest].max()))
-            ts, qs, top = ts[:_BATCH], qs[:_BATCH], top[:_BATCH]
-        keep = top > smooth(f) + _GAP  # the best may have risen since the batch was made
-        ts, qs = ts[keep], qs[keep]
+            stack.append((ts[rest], fs[rest], top[rest], top[rest].max()))
+            ts, fs, top = ts[:_BATCH], fs[:_BATCH], top[:_BATCH]
+        # the best may have risen since the batch was made
+        tie_from = None if ties is None else smooth(f - _TIE_EPS)
+        (ts, fs, _), tie = _split(ts, fs, top, smooth(f) + _GAP, tie_from)
+        if ties is not None:
+            ties.add(tie, f)
         if not ts.size:
             continue
-        n = ts.shape[0]
-        parts = min(16, max(2, _LEVEL_POINTS // n))
-        inner = ts[:, :1] + (ts[:, 1:] - ts[:, :1]) * (np.arange(1, parts) / parts)
-        f_inner = evaluate(inner.ravel()).reshape(n, parts - 1)
+        parts = min(16, max(2, _LEVEL_POINTS // ts.shape[0]))
+        inner, f_inner, ts, fs = _cut(evaluate, ts, fs, parts)
+        points += inner.size
         # row by row, the new points are in time order
         k = np.unravel_index(np.argmax(f_inner), f_inner.shape)
         if f_inner[k] > f or (f_inner[k] == f and inner[k] < t):
             t, f = float(inner[k]), float(f_inner[k])
-        edges_t = np.concatenate((ts[:, :1], inner, ts[:, 1:]), axis=1)
-        edges_q = np.concatenate((qs[:, :1], smooth(f_inner), qs[:, 1:]), axis=1)
-        ts = np.stack((edges_t[:, :-1], edges_t[:, 1:]), axis=2).reshape(-1, 2)
-        qs = np.stack((edges_q[:, :-1], edges_q[:, 1:]), axis=2).reshape(-1, 2)
-        ts, qs, top = _live(curvature, ts, qs, smooth(f))
-        if top.size:
-            stack.append((ts, qs, top, top.max()))
+        tie_from = None if ties is None else smooth(f - _TIE_EPS)
+        live, tie = _split(ts, fs, bound.ceilings(ts, fs), smooth(f) + _GAP, tie_from)
+        if ties is not None:
+            ties.add(tie, f)
+        if live[2].size:
+            stack.append(live + (live[2].max(),))
     return t, f
+
+
+class _Ties:
+    """What a chunk keeps of its search for its earliest tie.
+
+    The search prunes an interval whose ceiling lies within _TIE_EPS below
+    its best f (and at most _GAP above it).  If an end of it lies within
+    _TIE_EPS/2 of f, the earliest such end is kept as a point, in a front of
+    the points no earlier point is as high as; otherwise the interval is
+    kept.  So a stretch where the curve stays within _TIE_EPS/2 of its best
+    keeps a few points, not one interval per cut.
+    """
+
+    def __init__(self):
+        self.points = (np.empty(0), np.empty(0))
+        self.intervals = []
+
+    def add(self, tie, f):
+        ts, fs, top = tie
+        if not top.size:
+            return
+        # an end kept as a point stays within _TIE_EPS of the maximum unless
+        # that lies more than _TIE_EPS/2 above f, which revivals of equal height
+        # found later do not do
+        reach = fs >= f - _TIE_EPS / 2.0
+        ends = reach.any(axis=1)
+        if not ends.all():
+            self.intervals.append((ts[~ends], fs[~ends], top[~ends]))
+        if not ends.any():
+            return
+        first = np.where(reach[ends, 0], 0, 1)
+        self.add_points(ts[ends][np.arange(first.size), first],
+                        fs[ends][np.arange(first.size), first])
+
+    def add_points(self, ts, fs):
+        """Merge points (times ts, averages fs) into the front."""
+        t = np.concatenate((self.points[0], ts))
+        v = np.concatenate((self.points[1], fs))
+        order = np.argsort(t, kind="stable")
+        t, v = t[order], v[order]
+        higher = v > np.concatenate(([-math.inf], np.maximum.accumulate(v)[:-1]))
+        self.points = (t[higher], v[higher])
+
+    def compact(self, floor):
+        """Drop the intervals whose ceiling lies below floor."""
+        ts, fs, top = (np.concatenate(x) for x in zip(*self.intervals)) if self.intervals \
+            else (np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
+        keep = top >= floor
+        self.intervals = [(ts[keep], fs[keep], top[keep])]
+        return self
+
+    def may_reach(self, reach):
+        """Whether a point kept reaches reach or an interval is left."""
+        return bool((self.points[1] >= reach).any() or self.intervals[0][2].size)
+
+    def earliest(self, evaluate, bound, reach):
+        """The earliest point found whose average reaches reach, or None.
+
+        The intervals before the earliest point known that may hold a point
+        reaching reach, none of whose ends reaches it, are cut in two, all in
+        one array per step, until none is left.  A point reaching reach lies
+        on a peak within reach's distance of its top, about
+        sqrt(2 _TIE_EPS / c) in time on a peak of curvature c.
+        """
+        t, f = math.inf, None
+        high = np.flatnonzero(self.points[1] >= reach)
+        if high.size:
+            t, f = float(self.points[0][high[0]]), float(self.points[1][high[0]])
+        floor = bound.smooth(reach)
+        ts, fs, top = self.compact(floor).intervals[0]
+        points = 0
+        while points < _SEARCH_POINTS:
+            keep = (top >= floor) & (ts[:, 0] < t) \
+                & (ts[:, 1] - ts[:, 0] > _ROUNDING * ts[:, 1])  # not as narrow as rounding
+            ts, fs = ts[keep], fs[keep]
+            if not ts.size:
+                return None if f is None else (t, f)
+            _, _, ts, fs = _cut(evaluate, ts, fs, 2)
+            points += ts.shape[0] // 2
+            hit = fs >= reach
+            if hit.any():
+                i, j = np.unravel_index(np.argmin(np.where(hit, ts, math.inf)), ts.shape)
+                if ts[i, j] < t:
+                    t, f = float(ts[i, j]), float(fs[i, j])
+            # an interval with an end that reaches reach holds no earlier point found
+            ts, fs = ts[~hit.any(axis=1)], fs[~hit.any(axis=1)]
+            top = bound.ceilings(ts, fs)
+        return None if f is None else (t, f)
 
 
 def max_over_time(request: ScanRequest, reach: float | None = None,
                   resume: ScanResult | None = None) -> ScanResult:
     """Maximize the requested average fidelity over t in [0, t_max].
 
-    The result is within _GAP of the window maximum.  With reach given, this
-    is a decision scan: it returns its best point as soon as that reaches
-    reach, and otherwise the best point it evaluated, whose value is then
-    below reach.  Its fbar_max reaches reach exactly when a full scan's does.
+    fbar_max is within _GAP of the window maximum, and t_star the earliest
+    time found whose value is within _TIE_EPS of fbar_max.  With reach given,
+    this is a decision scan: it returns the first point it evaluates that
+    reaches reach, and otherwise the best point it evaluated, whose value is
+    then below reach.  Its fbar_max reaches reach exactly when a full scan's
+    does.
 
     resume is a hit of such a decision scan of the same request: the scan
     goes on from the chunk of its point, with that point as the running best,
@@ -191,10 +374,10 @@ def max_over_time(request: ScanRequest, reach: float | None = None,
     """
     dec = decompose_chain(request.chain)
     evaluate = partial(GRID_VALUES[request.fidelity_class], dec)
-    bound = curvature, smooth = interval_bound(dec, request.fidelity_class)
     t_max = request.t_max
-    step = math.sqrt(8.0 * _COARSE_MARGIN / curvature)
-    margin = curvature / 8.0 * step * step
+    bound = _Bound(dec, request.fidelity_class)
+    smooth, step = bound.smooth, bound.step
+    margin = bound.curvature / 8.0 * step * step
     n_pts = int(math.floor(t_max / step)) + 1
 
     def run_chunk(start):
@@ -208,15 +391,18 @@ def max_over_time(request: ScanRequest, reach: float | None = None,
         own = vals.size if last else count
         i = int(np.argmax(vals[:own]))
         t = end if i == n_pts - start else step * (start + i)
-        # reduced where it is evaluated: a wave holds live intervals, not values
-        qs = smooth(vals)
-        hot = qs > qs[i] + _GAP - margin
+        # reduced where it is evaluated: a wave holds intervals, not values.
+        # A cell whose ends lie more than margin below the best (below the
+        # ties, in a full scan) can neither beat it nor hold a tie.
+        tie_from = None if reach is not None else smooth(vals[i] - _TIE_EPS)
+        hot = smooth(vals) >= (smooth(vals[i]) if tie_from is None else tie_from) - margin
         cells = np.flatnonzero(hot[:-1] | hot[1:])
         ts = step * (start + np.stack((cells, cells + 1), axis=1))
         if end is not None and cells.size and cells[-1] == vals.size - 2:
             ts[-1, 1] = end
-        qs = np.stack((qs[cells], qs[cells + 1]), axis=1)
-        return t, float(vals[i]), _live(curvature, ts, qs, smooth(vals[i]))
+        fs = np.stack((vals[cells], vals[cells + 1]), axis=1)
+        live, tie = _split(ts, fs, bound.ceilings(ts, fs), smooth(vals[i]) + _GAP, tie_from)
+        return t, float(vals[i]), live, tie
 
     best_t, best_f, first = 0.0, -math.inf, 0
     if resume is not None:
@@ -226,15 +412,38 @@ def max_over_time(request: ScanRequest, reach: float | None = None,
             i = math.floor(best_t / step)
         first = min(i, n_pts - 1) // _CHUNK * _CHUNK
     goal = math.inf if reach is None else reach
+    # the _Ties of each chunk that may hold the reported point
+    found = []
     starts = range(first, n_pts, _CHUNK)
     # closing: a decision scan that stops early shuts its thread pool down here
     with closing(_in_waves(run_chunk, starts, request.threads)) as chunks:
-        for chunk in chunks:
-            floor = best_f if reach is None else max(best_f, reach)
-            t, f = _refine(evaluate, bound, chunk, floor, goal)
+        for t, f, live, tie in chunks:
+            ties = None
+            if reach is None:
+                ties = _Ties()
+                ties.add(tie, f)
+            # a chunk that cannot come within _TIE_EPS of the best is cut short
+            floor = best_f - _TIE_EPS if reach is None else max(best_f, reach)
+            t, f = _refine(evaluate, bound, (t, f, live), floor, goal, ties)
+            if ties is not None:  # a search stopped at its budget may not have kept it
+                ties.add_points(np.array([t]), np.array([f]))
             if f > best_f or (f == best_f and t < best_t):
                 best_t, best_f = t, f
             if best_f >= goal:
+                break
+            if ties is not None:
+                # keep the chunks, and their intervals, that may still hold a tie
+                found.append(ties)
+                floor = smooth(best_f - _TIE_EPS)
+                found = [c for c in found if c.compact(floor).may_reach(best_f - _TIE_EPS)]
+    if reach is None:
+        if resume is not None and smooth(best_f - _TIE_EPS) <= smooth(resume.fbar_max) + _GAP:
+            # a chunk before the hit's, whose values lie below the hit's, may hold a tie
+            return max_over_time(request)
+        for ties in found:
+            tie = ties.earliest(evaluate, bound, best_f - _TIE_EPS)
+            if tie is not None:
+                best_t = tie[0]
                 break
     return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step)
 

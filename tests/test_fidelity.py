@@ -26,7 +26,8 @@ from spinbus import (
     one_qubit_amplitude,
     one_qubit_values,
 )
-from spinbus.fidelity import _OMEGA1_FORM, _omega2_from_amplitudes
+from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, _omega2_from_amplitudes, \
+    interval_bound, onset_curvature
 from spinbus.oracle import haar_average
 from spinbus.scans import _CHUNK
 from spinbus.spectral import UniformGrid, propagator_minor, propagator_minor_grid
@@ -331,3 +332,46 @@ def test_one_qubit_average_rejects_non_numbers(f):
     # min(nan, 1.0) is nan, so a NaN modulus must fail the bound check itself
     with pytest.raises(ValueError):
         avg_fidelity_1q(f)
+
+
+_BOUND_CHAINS = [
+    (7, 0.0, "uniform"), (8, 20.0, "uniform"), (8, 200.0, "uniform"), (16, 5.0, "ballistic"),
+    (7, 0.0, "engineered"), (11, 3.0, "engineered"), (40, 0.0, "uniform"),
+]
+
+
+@pytest.mark.parametrize("fidelity_class", ["general", "omega1", "omega2", "one-qubit"])
+@pytest.mark.parametrize("n_sites, field, profile", _BOUND_CHAINS)
+def test_curvature_bounds_hold(fidelity_class, n_sites, field, profile):
+    """|q''| stays within interval_bound's K everywhere and within
+    onset_curvature's K(t) on [0, t], as centred second differences of q on a
+    2e-3 grid show, up to the rounding of those differences."""
+    dec = decompose_chain(build_chain(n_sites, 2, field, profile))
+    k, smooth = interval_bound(dec, fidelity_class)
+    d = 2e-3
+    grid = d * np.arange(int(12.0 / d) + 1)
+    q = smooth(GRID_VALUES[fidelity_class](dec, grid))
+    second = np.abs(q[2:] - 2.0 * q[1:-1] + q[:-2]) / (d * d)
+    rounding = 1e-9
+    assert second.max() <= k + rounding
+    ts = np.linspace(0.25, 12.0, 48)
+    onset = onset_curvature(dec, fidelity_class, ts)
+    assert np.all(onset <= k) and np.all(np.diff(onset) >= 0)
+    # the differences whose stencil [g - d, g + d] lies inside [0, t]
+    inside = np.maximum.accumulate(second)[np.searchsorted(grid[2:], ts, side="right") - 1]
+    assert np.all(inside <= onset + rounding)
+    # the bound reads the start of a long chain as flat
+    if n_sites == 40:
+        assert onset[0] < 1e-20
+
+
+@pytest.mark.parametrize("n_sites, field", [(4, 0.0), (8, 20.0), (11, 5.0), (16, 200.0)])
+def test_omega2_average_in_the_pair_minor(n_sites, field):
+    """The omega2 average is 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with g = det F,
+    the form its curvature bound is built on."""
+    dec = decompose_chain(build_chain(n_sites, 1, field))
+    ts = np.linspace(0.0, 50.0, 101)
+    f = propagator_minor_grid(dec, (n_sites - 1, n_sites), (1, 2), ts)
+    g = np.linalg.det(f)
+    form = 0.5 - (np.abs(f) ** 2).sum(axis=(1, 2)) / 6.0 + np.abs(g) ** 2 / 2.0 + g.real / 3.0
+    assert np.max(np.abs(form - omega2_values(dec, ts))) < 1e-14
