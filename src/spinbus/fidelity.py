@@ -12,15 +12,15 @@ general   : Haar-random two-qubit states.
 Every average is a closed form in the sender-to-receiver minor F(t), and
 GRID_VALUES names the function that evaluates each class on a time grid;
 scans and single-time queries both go through it, and interval_bound gives
-scans a bound on each average's second derivative, carried from its
-entries' mode weights through the closed form by the product rule;
-onset_curvature gives a sharper one over [0, t] near t = 0, from the Dyson
-series of the propagator in the hopping.  The
+scans a bound K on how fast each average can bend down, -Fbar'' <= K,
+carried from its entries' mode weights through the closed form by the
+product rule; onset_curvature gives a sharper one over [0, t] near t = 0,
+from the Dyson series of the propagator in the hopping.  The
 omega1 and omega2 averages are exact slice-Haar integrals of
 <psi|rho(t)|psi> and hit 1 at perfect transfer; both are invariant under a
 global phase of the odd-excitation sector.  By column orthonormality of the
-propagator the omega2 average is also
-1/2 - ||F||^2/6 + |g_uv|^2/2 + Re(g_uv)/3, the form its bound uses.
+propagator the omega2 average is 1/2 - ||F||^2/6 + |g_uv|^2/2 + Re(g_uv)/3,
+read off the four slabs of F's entries, and its bound uses the same form.
 Two kernels of spectral.py evaluate them all:
 the complex phase GEMM _phase_products, whose output holds each entry it
 emits as a contiguous slab that the classes read elementwise, and the real
@@ -43,8 +43,8 @@ odd-excitation sector (a receiver-side correction knob) turns the trace
 into 1 + g_uv + p s with s = f_u1 + f_v2 = x + y - 2, and 1 + g_uv is
 det(I + F) - s, so its largest modulus over |p| = 1 is
 |det(I + F) - s| + |s|.  Seeded Monte Carlo stays as the cross-check
-of the closed forms: it scores each drawn state through the receiver kernel
-and the sector tables of reduced.py, in fixed blocks of states.
+of the closed forms: reduced._sample_fidelities scores each drawn state
+through the receiver kernel and the sector tables, in fixed blocks of states.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import whole_number
-from .reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_entries, _pair_sites, \
-    _pair_weights, _receiver_kernel
+from .reduced import _pair_entries, _pair_sites, _pair_weights, _sample_fidelities
 from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _minor_weights, \
     _phase_products, _read_only, amplitude_1p
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
@@ -127,12 +126,6 @@ _OMEGA1_FORM.flags.writeable = False
 _SERIES_MAX_SITES = 12
 
 
-def _omega2_from_amplitudes(g_uv, traced_weight):
-    # exact Haar average over a|00> + d|11>; traced_weight is
-    # sum_m (|g_{m,N-1}|^2 + |g_{m,N}|^2) over bulk sites m
-    return 0.5 - traced_weight / 6.0 + np.abs(g_uv) ** 2 / 6.0 + np.real(g_uv) / 3.0
-
-
 def avg_fidelity_omega1(dec: SpectralDecomposition, t: float) -> AverageFidelity:
     """Exact average fidelity over the one-excitation sender slice."""
     return AverageFidelity(float(omega1_values(dec, (t,))[0]), METHODS["omega1"])
@@ -168,9 +161,17 @@ def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
 
 
 def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
-    """Vectorized omega2 average over a time grid."""
-    w, gram, _ = _receiver_kernel(*_pair_entries(dec, ts))
-    values = _omega2_from_amplitudes(w[1], np.real(gram[0, 0] + gram[1, 1]))
+    """Vectorized omega2 average over a time grid.
+
+    The average is 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with
+    g = det F = f_u1 f_v2 - f_u2 f_v1, evaluated on the slabs of F's entries.
+    """
+    fu1, fu2, fv1, fv2 = entries = _pair_entries(dec, ts)
+    g = fu1 * fv2 - fu2 * fv1
+    # squared moduli without np.abs, whose hypot is then squared back
+    values = 0.5 + (g.real * g.real + g.imag * g.imag) / 2.0 + g.real / 3.0
+    for e in entries:
+        values -= (e.real * e.real + e.imag * e.imag) / 6.0
     return values.ravel()[:len(ts)]
 
 
@@ -233,12 +234,14 @@ GRID_VALUES = {
 CLASSES = tuple(GRID_VALUES)
 
 
-# Curvature bounds.  An entry e(t) = sum_k W[k] exp(-i lam_k t) of a phase
-# product has |e| <= A = sum |W|, |e'| <= B1 = sum |lam W| and
-# |e''| <= B2 = sum lam^2 |W|.  Every average is a polynomial in the entries,
-# and the product rule carries the three bounds through it to a bound on its
-# second derivative.  Each bound below takes (A, B1, B2) for the entries its
-# class reads, as arrays of one row per entry (and any trailing shape).
+# Curvature bounds.  A certified scan needs only -Fbar'' <= K: how fast the
+# average can bend down.  An entry e(t) = sum_k W[k] exp(-i lam_k t) of a
+# phase product has |e| <= A = sum |W|, |e'| <= B1 = sum |lam W| and
+# |e''| <= B2 = sum lam^2 |W|.  The two-qubit averages are polynomials in the
+# entries, and the product rule carries the three bounds through them to a
+# bound on |Fbar''|, which bounds it from below too.  Each bound below takes
+# (A, B1, B2) for the entries its class reads, as arrays of one row per entry
+# (and any trailing shape).
 
 def _entry_bounds(lam, weights):
     """(A, B1, B2), one value per column of the weights."""
@@ -275,17 +278,17 @@ def _omega1_curvature(a, b1, b2):
 
 
 def _omega2_curvature(a, b1, b2):
-    # column orthonormality of the propagator turns the traced weight into
-    # ||F||^2 - 2 |g_uv|^2, so the average is 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3
-    # with g = g_uv = det F, and |g| <= 1
+    # 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with g = g_uv = det F, and |g| <= 1
     t1, t2 = _det_bounds(a, b1, b2)
     return _square_curvature(a, b1, b2).sum(0) / 6.0 + _square_curvature(1.0, t1, t2) / 2.0 \
         + t2 / 3.0
 
 
 def _end_curvature(a, b1, b2):
-    # q = |f_{N,1}|^2, whose map to the one-qubit average is increasing
-    return _square_curvature(a, b1, b2)[0]
+    # Fbar = 1/2 + m/3 + m^2/6 with m = |f_{N,1}| <= 1, so
+    # Fbar'' = (1 + m) m''/3 + m'^2/3.  Where f != 0, m'' >= -|f''|, as
+    # |f'| >= |m'|; at a zero of f, m has a convex kink
+    return (1.0 + np.minimum(a[0], 1.0)) * b2[0] / 3.0
 
 
 _ABS_OMEGA1_FORM = np.abs(_OMEGA1_FORM)
@@ -306,26 +309,12 @@ _BOUNDS = {
 }
 
 
-def _one_qubit_squared_modulus(average):
-    # |f|^2 from the average 1/2 + m/3 + m^2/6, m = |f|, non-decreasing in it
-    m = np.sqrt(np.maximum(6.0 * average - 2.0, 1.0)) - 1.0
-    return m * m
-
-
-def interval_bound(dec: SpectralDecomposition, fidelity_class: str):
-    """(K, smooth): the bound a certified scan of the class works with.
-
-    smooth maps the class's average to a quantity q of which the average is
-    an increasing function: the average itself, or for one-qubit q = |f|^2
-    (the average has a kink where f = 0).  K >= |q''(t)| at every t, so on
-    an interval of width w, q lies below its chord plus K w^2/8 (Piyavskii
-    1972; Shubert 1972).
-    """
+def interval_bound(dec: SpectralDecomposition, fidelity_class: str) -> float:
+    """The bound K a certified scan of the class works with: -Fbar''(t) <= K
+    at every t, so on an interval of width w the average lies below its chord
+    plus K w^2/8 (Piyavskii 1972; Shubert 1972)."""
     curvature, modes, _ = _BOUNDS[fidelity_class]
-    k = float(curvature(*_entry_bounds(*modes(dec))))
-    if fidelity_class == "one-qubit":
-        return k, _one_qubit_squared_modulus
-    return k, lambda average: average
+    return float(curvature(*_entry_bounds(*modes(dec))))
 
 
 def _hopping(dec: SpectralDecomposition):
@@ -375,7 +364,7 @@ def onset_horizon(dec: SpectralDecomposition, fidelity_class: str) -> float:
 
 
 def onset_curvature(dec: SpectralDecomposition, fidelity_class: str, ts) -> np.ndarray:
-    """Bounds K(t) >= |q''| on all of [0, t], one per t of ts, at most interval_bound's K.
+    """Bounds K(t) >= -Fbar'' on all of [0, t], one per t of ts, at most interval_bound's K.
 
     Near t = 0 the entries of F are small: with the chain's matrix split as
     D + T into on-site energies and hopping, the Dyson series of exp(-iHt)
@@ -389,7 +378,7 @@ def onset_curvature(dec: SpectralDecomposition, fidelity_class: str, ts) -> np.n
     certified from a few points.
     """
     ts = np.asarray(ts, dtype=float)
-    k, _ = interval_bound(dec, fidelity_class)
+    k = interval_bound(dec, fidelity_class)
     if not ts.size:
         return np.empty(0)
     curvature, _, entries = _BOUNDS[fidelity_class]
@@ -464,38 +453,3 @@ def avg_fidelity_mc(dec: SpectralDecomposition, t: float, samples: int,
     vals = _sample_fidelities(dec, states, t)
     return AverageFidelity(float(vals.mean()), f"monte-carlo-{state_class}",
                            float(vals.std(ddof=1) / np.sqrt(samples)))
-
-
-# <psi| in the receiver basis is conj(states[:, ::-1]), so the receiver row r
-# of a sector-table entry pairs with the sender slot 3 - r of the target
-_E_TARGET, _D_TARGET = 3 - _E_ROWS, 3 - _D_ROWS
-
-# states scored per block, so the block's temporaries (at most 6 x 2048
-# complex values, 196 kB, each) stay in cache; timed over the benchmark's
-# point queries, 4096 gave back most of the gain over unblocked scoring and
-# 512 or 1024 were no faster
-_SCORE_BLOCK = 2048
-
-
-def _sample_fidelities(dec, states, t):
-    """<psi|rho(t)|psi> for each sender state, from the receiver kernel at t.
-
-    With kernel values (w, gram, weight) at t,
-    <psi|rho|psi> = |w . x|^2 + sum_ij conj(y_i) gram_ij y_j + |a00 a11|^2 weight,
-    where each entry of the sector tables of reduced.py contributes one
-    product of a target and a sender amplitude: 6 of them make x, 4 make y.
-    The states (k, 4) are scored in blocks of _SCORE_BLOCK columns of the
-    transposed amplitudes, so every product is a row operation on a (6, B)
-    or (4, B) block and only the (k,) scores grow with k.
-    """
-    w, gram, weight = (a[..., 0, 0] for a in _receiver_kernel(*_pair_entries(dec, (t,))))
-    out = np.empty(len(states))
-    for i in range(0, len(states), _SCORE_BLOCK):
-        p = states[i:i + _SCORE_BLOCK].T
-        c = p.conj()
-        x = c[_E_TARGET] * p[_E_SLOTS]
-        y = c[_D_TARGET] * p[_D_SLOTS]
-        bulk = (y.conj() * (gram @ y)).sum(0)
-        out[i:i + p.shape[1]] = (np.abs(w @ x) ** 2 + bulk.real
-                                 + np.abs(p[0] * p[3]) ** 2 * weight)
-    return out

@@ -26,8 +26,7 @@ from spinbus import (
     one_qubit_amplitude,
     one_qubit_values,
 )
-from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, _omega2_from_amplitudes, \
-    interval_bound, onset_curvature
+from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, interval_bound, onset_curvature
 from spinbus.oracle import haar_average
 from spinbus.scans import _CHUNK
 from spinbus.spectral import UniformGrid, propagator_minor, propagator_minor_grid
@@ -78,10 +77,6 @@ def test_omega_slice_formulas():
         assert omega1(1.0, 1.0, 0.0, 0.0) == pytest.approx(1.0)
         assert omega1(0.0, 0.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
         assert omega1(0.0, 0.0, 0.0, 0.0) == pytest.approx(0.0)
-    assert _omega2_from_amplitudes(1.0, 0.0) == pytest.approx(1.0)
-    assert _omega2_from_amplitudes(-1.0, 0.0) == pytest.approx(1.0 / 3.0)
-    assert _omega2_from_amplitudes(0.0, 0.0) == pytest.approx(0.5)
-    assert _omega2_from_amplitudes(0.0, 1.0) == pytest.approx(1.0 / 3.0)
 
 
 def _pair_chain(n_sites, field):
@@ -343,15 +338,18 @@ _BOUND_CHAINS = [
 @pytest.mark.parametrize("fidelity_class", ["general", "omega1", "omega2", "one-qubit"])
 @pytest.mark.parametrize("n_sites, field, profile", _BOUND_CHAINS)
 def test_curvature_bounds_hold(fidelity_class, n_sites, field, profile):
-    """|q''| stays within interval_bound's K everywhere and within
-    onset_curvature's K(t) on [0, t], as centred second differences of q on a
-    2e-3 grid show, up to the rounding of those differences."""
+    """-Fbar'' stays within interval_bound's K everywhere and within
+    onset_curvature's K(t) on [0, t], as centred second differences of the
+    average on a 2e-3 grid show, up to the rounding of those differences.
+    The one-qubit average has convex kinks where f = 0 and is bounded from
+    below alone; the other classes' K bound |Fbar''|."""
     dec = decompose_chain(build_chain(n_sites, 2, field, profile))
-    k, smooth = interval_bound(dec, fidelity_class)
+    k = interval_bound(dec, fidelity_class)
     d = 2e-3
     grid = d * np.arange(int(12.0 / d) + 1)
-    q = smooth(GRID_VALUES[fidelity_class](dec, grid))
-    second = np.abs(q[2:] - 2.0 * q[1:-1] + q[:-2]) / (d * d)
+    q = GRID_VALUES[fidelity_class](dec, grid)
+    second = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / (d * d)
+    second = -second if fidelity_class == "one-qubit" else np.abs(second)
     rounding = 1e-9
     assert second.max() <= k + rounding
     ts = np.linspace(0.25, 12.0, 48)
@@ -363,6 +361,23 @@ def test_curvature_bounds_hold(fidelity_class, n_sites, field, profile):
     # the bound reads the start of a long chain as flat
     if n_sites == 40:
         assert onset[0] < 1e-20
+
+
+@pytest.mark.parametrize("n_sites, block, field, profile, expected", [
+    (7, None, 0.0, "uniform", 8.0 / 3.0), (9, None, 0.0, "uniform", 8.0 / 3.0),
+    (40, None, 0.0, "uniform", 8.0 / 3.0), (7, 1, 10.0, "uniform", 8.0 / 3.0),
+    (9, 1, 10.0, "uniform", 8.0 / 3.0), (7, None, 0.0, "engineered", 8.0 * 6 / 3.0),
+    (9, None, 0.0, "engineered", 8.0 * 8 / 3.0), (40, None, 0.0, "engineered", 8.0 * 39 / 3.0),
+])
+def test_one_qubit_bound_from_the_spectrum(n_sites, block, field, profile, expected):
+    """The one-qubit K is (1 + A) B2/3 for f_{N,1} = sum_k u_1k u_Nk exp(-i lam_k t).
+    On a mirror chain u_Nk = +-u_1k, so A = 1 and B2 = (H^2)_11: K = 2 (H^2)_11/3,
+    8/3 on uniform chains and 8 (N - 1)/3 on engineered ones."""
+    chain = build_chain(n_sites, block, field, profile)
+    h = hamiltonian_matrix(chain)
+    k = interval_bound(decompose_chain(chain), "one-qubit")
+    assert k == pytest.approx(2.0 * (h.diagonal[0] ** 2 + h.offdiagonal[0] ** 2) / 3.0, rel=1e-12)
+    assert k == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_sites, field", [(4, 0.0), (8, 20.0), (11, 5.0), (16, 200.0)])

@@ -20,8 +20,8 @@ from spinbus import (
     sample_omega1,
     sample_omega2,
 )
-from spinbus.fidelity import _SCORE_BLOCK, _sample_fidelities
-from spinbus.reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _pair_entries, _receiver_kernel
+from spinbus.reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _SCORE_BLOCK, \
+    _receiver_kernel, _sample_fidelities
 
 
 def _random_states(seed, count):
@@ -109,7 +109,7 @@ def test_batch_fidelity_matches_loop(draw, chain):
 
 def _unblocked_scores(dec, states, t):
     """The Monte Carlo score of every state at once, from one (k, 4) table."""
-    w, gram, weight = (a[..., 0, 0] for a in _receiver_kernel(*_pair_entries(dec, (t,))))
+    w, gram, weight = _receiver_kernel(dec, t)
     x = np.conj(states[:, 3 - _E_ROWS]) * states[:, _E_SLOTS]
     y = np.conj(states[:, 3 - _D_ROWS]) * states[:, _D_SLOTS]
     bulk = np.einsum("ki,ij,kj->k", y.conj(), gram, y)

@@ -21,7 +21,8 @@ from spinbus import (
     sample_haar_2q,
     threshold_field,
 )
-from spinbus.fidelity import GRID_VALUES, _sample_fidelities, interval_bound
+from spinbus.fidelity import GRID_VALUES, interval_bound
+from spinbus.reduced import _sample_fidelities
 from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _TIE_EPS
 from spinbus.spectral import UniformGrid
 
@@ -49,7 +50,7 @@ def test_coarse_step_does_not_shrink_with_the_field():
     for h in (0.0, 20.0, 200.0):
         req = ScanRequest(build_chain(8, 2, h), fidelity_class="general", t_max=10.0)
         dec = decompose_chain(req.chain)
-        curvature, _ = interval_bound(dec, "general")
+        curvature = interval_bound(dec, "general")
         steps.append(max_over_time(req).grid_step)
         assert steps[-1] == math.sqrt(8.0 * _COARSE_MARGIN / curvature)
     assert max(steps) <= 1.1 * min(steps)
@@ -160,10 +161,6 @@ class _ToyBound:
     """The ceilings of a toy curve with |f''| <= 0.5, for the search's parts."""
 
     step = 0.25
-
-    @staticmethod
-    def smooth(f):
-        return f
 
     @staticmethod
     def ceilings(ts, fs):
@@ -312,6 +309,22 @@ def test_bare_even_chain_peaks_late_in_the_window():
     where the pi/(4 * range) grid put it."""
     res = max_over_time(ScanRequest(build_chain(8, 2), fidelity_class="general", t_max=6.0e4))
     assert abs(res.t_star - 25161.0) < 1.0
+
+
+def test_one_qubit_scan_bounds_the_average_itself(monkeypatch):
+    """The one-qubit bound is taken on the average, whose kink at f = 0 is
+    convex, so its K is 8/3 on the uniform N = 9 chain and its scan over 2e4
+    evaluates under 50k points (83k with K = 13.5 on |f|^2)."""
+    points = []
+    values = GRID_VALUES["one-qubit"]
+
+    def counted(dec, ts):
+        points.append(len(ts))
+        return values(dec, ts)
+
+    monkeypatch.setitem(GRID_VALUES, "one-qubit", counted)
+    max_over_time(ScanRequest(build_chain(9), fidelity_class="one-qubit", t_max=2.0e4))
+    assert 0 < sum(points) < 50_000
 
 
 @pytest.mark.parametrize("field", [20.0, 200.0])
@@ -529,6 +542,16 @@ def test_request_validation():
         with pytest.raises(ValueError, match="threads"):
             ScanRequest(chain, threads=threads)
     assert ScanRequest(chain, threads=np.int64(2)).threads == 2
+    # t_max is a real number: True would scan [0, 1] and "5" fail in np.isfinite
+    for t_max in (True, "5", None, math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="t_max"):
+            ScanRequest(chain, t_max=t_max)
+    request = ScanRequest(chain, fidelity_class="omega1", t_max=np.float32(20.0))
+    assert type(request.t_max) is float and request.t_max == 20.0
+    # so is a decision scan's reach: a NaN one would return the coarse best unsearched
+    for reach in (math.nan, True, "0.9"):
+        with pytest.raises(ValueError, match="reach"):
+            max_over_time(request, reach=reach)
 
 
 @pytest.mark.parametrize("name, value", [
