@@ -13,9 +13,10 @@ Every average is a closed form in the sender-to-receiver minor F(t), and
 GRID_VALUES names the function that evaluates each class on a time grid;
 scans and single-time queries both go through it, and interval_bound gives
 scans a bound K on how fast each average can bend down, -Fbar'' <= K,
-carried from its entries' mode weights through the closed form by the
-product rule; onset_curvature gives a sharper one over [0, t] near t = 0,
-from the Dyson series of the propagator in the hopping.  The
+read off the exact coefficients of each two-qubit average's trigonometric
+series in the eigenfrequencies; onset_curvature gives a sharper one over
+[0, t] near t = 0, from the Dyson series of the propagator in the hopping,
+carried through the closed form by the product rule.  The
 omega1 and omega2 averages are exact slice-Haar integrals of
 <psi|rho(t)|psi> and hit 1 at perfect transfer; both are invariant under a
 global phase of the odd-excitation sector.  By column orthonormality of the
@@ -58,7 +59,7 @@ import numpy as np
 from .chain import whole_number
 from .reduced import _pair_entries, _pair_sites, _pair_weights, _sample_fidelities
 from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _minor_weights, \
-    _phase_products, _read_only, amplitude_1p
+    _mode_pairs, _phase_products, _read_only, amplitude_1p
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
 
@@ -235,13 +236,87 @@ CLASSES = tuple(GRID_VALUES)
 
 
 # Curvature bounds.  A certified scan needs only -Fbar'' <= K: how fast the
-# average can bend down.  An entry e(t) = sum_k W[k] exp(-i lam_k t) of a
+# average can bend down.  Each two-qubit average is a real trigonometric
+# series in the chain's eigenfrequencies, Fbar = sum_j a_j cos(w_j t + phi_j),
+# so |Fbar''| <= sum_j |a_j| w_j^2.  Read off the series' exact coefficients,
+# this keeps the cancellations between the rows of a form or the terms of a
+# product that bounds on each entry lose.  The one-qubit average is not a
+# polynomial in its entry, and onset_curvature bounds the entries
+# themselves; both carry bounds on the entries through the closed form by
+# the product rule.  An entry e(t) = sum_k W[k] exp(-i lam_k t) of a
 # phase product has |e| <= A = sum |W|, |e'| <= B1 = sum |lam W| and
-# |e''| <= B2 = sum lam^2 |W|.  The two-qubit averages are polynomials in the
-# entries, and the product rule carries the three bounds through them to a
-# bound on |Fbar''|, which bounds it from below too.  Each bound below takes
+# |e''| <= B2 = sum lam^2 |W|.  Each product-rule bound below takes
 # (A, B1, B2) for the entries its class reads, as arrays of one row per entry
 # (and any trailing shape).
+
+def _form_bound(dec: SpectralDecomposition, gram) -> float:
+    """sum_{k<l} 2 |gram[k, l]| (lam_l - lam_k)^2, a bound on the second
+    derivative of the form x^H gram x, x_k = exp(-i lam_k t), read off its
+    cosine series (spectral._cosine_series) for a real symmetric gram."""
+    lam = dec.eigenvalues
+    k, l = _mode_pairs(lam.size)
+    return 2.0 * float(np.abs(gram[k, l]) @ (lam[l] - lam[k]) ** 2)
+
+
+def _squared_series_bound(c, nu) -> float:
+    """A bound on the second derivative of |s|^2, s = sum_m c_m exp(-i nu_m t)
+    with real c.  |s|^2 = sum_{m,n} c_m c_n cos((nu_m - nu_n) t), so it is
+    sum_{m,n} |c_m c_n| (nu_m - nu_n)^2 = 2 (S0 S2 - S1^2) with
+    S_p = sum |c| nu^p, evaluated as 2 S0 sum |c| (nu - S1/S0)^2, which does
+    not cancel."""
+    a = np.abs(c)
+    s0 = a.sum()
+    if s0 == 0.0:
+        return 0.0
+    return 2.0 * float(s0 * (a @ (nu - (a @ nu) / s0) ** 2))
+
+
+def _pair_det_series(dec: SpectralDecomposition):
+    """g_uv = det F as sum_{k<l} D_kl exp(-i (lam_k + lam_l) t): (D, lam_k + lam_l).
+
+    By Cauchy-Binet, D_kl = (U_uk U_vl - U_ul U_vk)(U_1k U_2l - U_1l U_2k);
+    the terms k = l cancel.
+    """
+    (u, v), (s1, s2) = _pair_sites(dec)
+    vec, lam = dec.eigenvectors, dec.eigenvalues
+    k, l = _mode_pairs(lam.size)
+    receivers = vec[u - 1, k] * vec[v - 1, l] - vec[u - 1, l] * vec[v - 1, k]
+    senders = vec[s1 - 1, k] * vec[s2 - 1, l] - vec[s1 - 1, l] * vec[s2 - 1, k]
+    return receivers * senders, lam[k] + lam[l]
+
+
+def _general_series(dec: SpectralDecomposition):
+    """det(I + F) = 1 + (f_u1 + f_v2) + g_uv as sum_m c_m exp(-i nu_m t), over
+    the frequencies 0, lam_k and lam_k + lam_l (k < l): (c, nu)."""
+    weights = _pair_weights(dec)
+    d, nu = _pair_det_series(dec)
+    return (np.concatenate(([1.0], weights[:, 0] + weights[:, 3], d)),
+            np.concatenate(([0.0], dec.eigenvalues, nu)))
+
+
+def _general_bound(dec: SpectralDecomposition) -> float:
+    # 1/5 + |det(I + F)|^2/20
+    return _squared_series_bound(*_general_series(dec)) / 20.0
+
+
+def _omega1_bound(dec: SpectralDecomposition) -> float:
+    # the form x^H G x with G = W W^T, not its four rows one by one: the rows cancel
+    weights = _omega1_weights(dec)
+    return _form_bound(dec, weights @ weights.T)
+
+
+def _omega2_bound(dec: SpectralDecomposition) -> float:
+    # 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3, with ||F||^2 the form of the pair
+    # weights' Gram and g = g_uv = det F
+    weights = _pair_weights(dec)
+    d, nu = _pair_det_series(dec)
+    return _form_bound(dec, weights @ weights.T) / 6.0 \
+        + _squared_series_bound(d, nu) / 2.0 + float(np.abs(d) @ nu ** 2) / 3.0
+
+
+def _one_qubit_bound(dec: SpectralDecomposition) -> float:
+    return float(_end_curvature(*_entry_bounds(dec.eigenvalues, _end_weights(dec))))
+
 
 def _entry_bounds(lam, weights):
     """(A, B1, B2), one value per column of the weights."""
@@ -294,27 +369,27 @@ def _end_curvature(a, b1, b2):
 _ABS_OMEGA1_FORM = np.abs(_OMEGA1_FORM)
 _IDENTITY_ENTRIES = np.eye(2).reshape(4, 1)
 
-# per class: its curvature bound; the modes (lam, weights) of the entries it
-# reads; and the map from bounds on F's entries (f_u1, f_u2, f_v1, f_v2), or
-# on f_{N,1} for one-qubit, to bounds on those entries
+# per class: interval_bound's K from the chain's decomposition; the
+# product-rule bound of onset_curvature; and the map from bounds on F's
+# entries (f_u1, f_u2, f_v1, f_v2), or on f_{N,1} for one-qubit, to bounds
+# on the entries that bound reads
 _BOUNDS = {
-    "one-qubit": (_end_curvature, lambda dec: (dec.eigenvalues, _end_weights(dec)),
-                  lambda a, b1, b2: (a, b1, b2)),
-    "general": (_general_curvature, _general_modes,
+    "one-qubit": (_one_qubit_bound, _end_curvature, lambda a, b1, b2: (a, b1, b2)),
+    "general": (_general_bound, _general_curvature,
                 lambda a, b1, b2: (a + _IDENTITY_ENTRIES, b1, b2)),
-    "omega1": (_omega1_curvature, lambda dec: (dec.eigenvalues, _omega1_weights(dec)),
+    "omega1": (_omega1_bound, _omega1_curvature,
                lambda a, b1, b2: tuple(_ABS_OMEGA1_FORM @ x for x in (a, b1, b2))),
-    "omega2": (_omega2_curvature, lambda dec: (dec.eigenvalues, _pair_weights(dec)),
-               lambda a, b1, b2: (a, b1, b2)),
+    "omega2": (_omega2_bound, _omega2_curvature, lambda a, b1, b2: (a, b1, b2)),
 }
 
 
 def interval_bound(dec: SpectralDecomposition, fidelity_class: str) -> float:
     """The bound K a certified scan of the class works with: -Fbar''(t) <= K
     at every t, so on an interval of width w the average lies below its chord
-    plus K w^2/8 (Piyavskii 1972; Shubert 1972)."""
-    curvature, modes, _ = _BOUNDS[fidelity_class]
-    return float(curvature(*_entry_bounds(*modes(dec))))
+    plus K w^2/8 (Piyavskii 1972; Shubert 1972).  For the two-qubit classes
+    it is read off the exact coefficients of the average's trigonometric
+    series, and it bounds |Fbar''| too."""
+    return _BOUNDS[fidelity_class][0](dec)
 
 
 def _hopping(dec: SpectralDecomposition):
@@ -381,7 +456,7 @@ def onset_curvature(dec: SpectralDecomposition, fidelity_class: str, ts) -> np.n
     k = interval_bound(dec, fidelity_class)
     if not ts.size:
         return np.empty(0)
-    curvature, _, entries = _BOUNDS[fidelity_class]
+    _, curvature, entries = _BOUNDS[fidelity_class]
     n = dec.n_sites
     targets, sources = _onset_sites(dec, fidelity_class)
     t_max = float(ts.max())

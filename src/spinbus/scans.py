@@ -6,10 +6,11 @@ is a Piyavskii-Shubert branch and bound (Piyavskii 1972; Shubert, SIAM J.
 Numer. Anal. 9, 379, 1972) on the average itself.  fidelity.interval_bound
 gives a K >= -Fbar'' from the chain's modes, a bound on how fast the average
 can bend down, so no interval of width w can rise more than K w^2/8 above
-its higher end (its ceiling).  K is 30 to 35 for the general class at every
-chain length and field tried, so the coarse step sqrt(8 _COARSE_MARGIN / K)
-does not shrink as the barrier field grows, as a step set by the spectral
-range would.  The coarse points are evaluated, and
+its higher end (its ceiling).  K is read off the exact coefficients of the
+average's trigonometric series, and for the general class it is 3 to 5.5 at
+every chain length and field tried (N = 7 to 40, h up to 200), so the coarse
+step sqrt(8 _COARSE_MARGIN / K) does not shrink as the barrier field grows,
+as a step set by the spectral range would.  The coarse points are evaluated, and
 the intervals whose ceiling lies above the best value are cut level by
 level, each step's new points evaluated as one array of times, and pruned
 again, until no interval's ceiling lies more than _GAP above the best value.
@@ -81,8 +82,11 @@ from .spectral import UniformGrid, decompose_chain
 
 _CHUNK = 32768
 # the coarse grid's ceiling margin K step^2/8, which sets its step; chosen on
-# the Fig. 5 threshold search and the Fig. 4b sweep (CHANGES.md), where a
-# finer grid costs coarse points and a coarser one costs search points
+# the Fig. 5 threshold search and the Fig. 4b sweep, where a finer grid costs
+# coarse points and a coarser one costs search points.  In-process CPU time,
+# medians of 15 interleaved rounds, twice (one BLAS thread, Fig. 4b at two
+# threads, 2-vCPU VM): Fig. 4b 0.104/0.104 s at 0.05, 0.084/0.083 s at 0.1,
+# 0.085/0.081 s at 0.2; Fig. 5 0.129/0.124 s, 0.129/0.128 s, 0.138/0.134 s
 _COARSE_MARGIN = 0.1
 # the certified gap: an interval is searched only while its ceiling lies more
 # than this above the best value.  A peak of curvature c is then placed to
@@ -98,8 +102,9 @@ _ROUNDING = 1e-13
 _LEVEL_POINTS = 64
 _BATCH = 4096
 # the most points a chunk's search, or its search for its earliest tie,
-# evaluates.  The figures' scans need at most 32279 (Fig. 4a), and an
-# engineered chain with a perfect revival every pi/2 about 270000.  A stretch
+# evaluates.  The figures' scans need at most 36346 (Fig. 4a), and the
+# general scan of the engineered N = 7 chain over 2e4, with a perfect revival
+# every pi/2, about 391000 (measured with no budget).  A stretch
 # where the curve stays within about 1e-8 below its best for long, such as a
 # window shorter than the transfer time across a strong barrier, needs more:
 # the search stops there, and the points it left are certified only to the
@@ -173,9 +178,14 @@ class _Bound:
     values do not depend on when, so neither do the ceilings.
     """
 
-    def __init__(self, dec, fidelity_class):
+    def __init__(self, dec, fidelity_class, t_max):
         self.curvature = interval_bound(dec, fidelity_class)
-        self.step = math.sqrt(8.0 * _COARSE_MARGIN / self.curvature)
+        # no longer than the window, which an average with no time dependence
+        # (K = 0) is certified on from its two ends
+        if self.curvature * t_max * t_max <= 8.0 * _COARSE_MARGIN:
+            self.step = t_max
+        else:
+            self.step = math.sqrt(8.0 * _COARSE_MARGIN / self.curvature)
         self._cells = math.ceil(onset_horizon(dec, fidelity_class) / self.step)
         self._horizon = self._cells * self.step
         self._onset = partial(onset_curvature, dec, fidelity_class,
@@ -380,7 +390,7 @@ def max_over_time(request: ScanRequest, reach: float | None = None,
     dec = decompose_chain(request.chain)
     evaluate = partial(GRID_VALUES[request.fidelity_class], dec)
     t_max = request.t_max
-    bound = _Bound(dec, request.fidelity_class)
+    bound = _Bound(dec, request.fidelity_class, t_max)
     step = bound.step
     margin = bound.curvature / 8.0 * step * step
     n_pts = int(math.floor(t_max / step)) + 1

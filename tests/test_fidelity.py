@@ -26,7 +26,8 @@ from spinbus import (
     one_qubit_amplitude,
     one_qubit_values,
 )
-from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, interval_bound, onset_curvature
+from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, _general_series, _pair_det_series, \
+    _squared_series_bound, interval_bound, onset_curvature
 from spinbus.oracle import haar_average
 from spinbus.scans import _CHUNK
 from spinbus.spectral import UniformGrid, propagator_minor, propagator_minor_grid
@@ -361,6 +362,49 @@ def test_curvature_bounds_hold(fidelity_class, n_sites, field, profile):
     # the bound reads the start of a long chain as flat
     if n_sites == 40:
         assert onset[0] < 1e-20
+    if fidelity_class == "one-qubit":
+        return
+    # and at late times, where each value carries the rounding of its phases,
+    # about eps |lam| t each
+    ts = np.random.default_rng(0).uniform(12.0, 2.0e4, 4000)
+    q = [GRID_VALUES[fidelity_class](dec, ts + s) for s in (-d, 0.0, d)]
+    second = np.abs(q[0] - 2.0 * q[1] + q[2]) / (d * d)
+    late_rounding = 1e-9 + 8.0 * np.finfo(float).eps * np.abs(dec.eigenvalues).max() * 2.0e4 \
+        / (d * d)
+    assert second.max() <= k + late_rounding
+
+
+@pytest.mark.parametrize("n_sites, field, profile", [
+    (6, 0.0, "uniform"), (8, 20.0, "uniform"), (11, 3.0, "engineered"),
+])
+def test_curvature_series_are_exact(n_sites, field, profile):
+    """The series that K is read off reproduce det F and det(I + F),
+    and the bound on the second derivative of |s|^2 for s = sum_m c_m
+    exp(-i nu_m t) equals the sum over coefficient pairs it stands for,
+    sum_{m,n} |c_m c_n| (nu_m - nu_n)^2."""
+    dec = decompose_chain(build_chain(n_sites, 2, field, profile))
+    ts = np.linspace(0.0, 50.0, 11)
+    f = propagator_minor_grid(dec, (n_sites - 1, n_sites), (1, 2), ts)
+    for (c, nu), want in ((_pair_det_series(dec), np.linalg.det(f)),
+                          (_general_series(dec), np.linalg.det(np.eye(2) + f))):
+        assert np.max(np.abs(np.exp(-1j * np.outer(ts, nu)) @ c - want)) < 1e-13
+        a = np.abs(c)
+        pairs = (np.outer(a, a) * np.subtract.outer(nu, nu) ** 2).sum()
+        assert _squared_series_bound(c, nu) == pytest.approx(pairs, rel=1e-12)
+
+
+@pytest.mark.parametrize("fidelity_class, n_sites, fields, at_most", [
+    ("general", 8, (0.0, 2.0, 5.0, 10.0, 15.0, 20.0, 200.0), 6.0),  # Fig. 4b and h = 200
+    ("omega1", 7, (5.2,), 7.0), ("omega1", 8, (7.1,), 7.0), ("omega1", 9, (5.9,), 7.0),
+    ("omega1", 10, (7.1,), 7.0), ("omega1", 11, (6.0,), 7.0),  # the Fig. 5 thresholds
+])
+def test_series_curvature_bounds_are_tight(fidelity_class, n_sites, fields, at_most):
+    """K comes from the coefficients of the average's trigonometric series, so
+    the terms that cancel in it do not add up: the product rule on the
+    entries gave 32 to 34 for general and about 24 for omega1 on these chains."""
+    for h in fields:
+        dec = decompose_chain(build_chain(n_sites, 2, h))
+        assert interval_bound(dec, fidelity_class) <= at_most
 
 
 @pytest.mark.parametrize("n_sites, block, field, profile, expected", [

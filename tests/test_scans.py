@@ -85,13 +85,14 @@ def test_onset_table_is_built_once_across_threads(monkeypatch):
         return onset(*args)
 
     monkeypatch.setattr(scans, "onset_curvature", counted)
-    dec = decompose_chain(build_chain(16, 2))
+    # long enough that the onset bound at two coarse steps is far below 1e-12
+    dec = decompose_chain(build_chain(20, 2))
     threads, rounds = 16, 8
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(rounds):
-            bound = scans._Bound(dec, "omega2")
+            bound = scans._Bound(dec, "omega2", 100.0)
             ts = np.array([[0.0, bound.step], [bound.step, 2.0 * bound.step]])
             fs = np.full((2, 2), 0.5)
             start = threading.Barrier(threads)
@@ -112,18 +113,34 @@ def test_onset_table_is_built_once_across_threads(monkeypatch):
 
 def test_scan_memory_does_not_grow_with_the_window():
     """Chunks are reduced as they arrive: a scan never holds its whole grid."""
-    def peak_bytes(t_max):
-        req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=t_max)
+    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=100.0)
+    step = max_over_time(req).grid_step  # also the first-call allocations of the scan path
+
+    def peak_bytes(chunks):
+        # the last chunk half full
+        scan = dataclasses.replace(req, t_max=step * (chunks - 0.5) * _CHUNK)
         tracemalloc.start()
         try:
-            max_over_time(req)
+            max_over_time(scan)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak_bytes(100.0)  # first-call allocations of numpy and of the scan path
-    short = peak_bytes(6000.0)  # five chunks
-    assert peak_bytes(12000.0) <= 1.1 * short
+    assert peak_bytes(10) <= 1.1 * peak_bytes(5)
+
+
+def test_an_average_with_no_time_dependence_is_scanned_from_its_ends(monkeypatch):
+    """K = 0 gives a coarse step of the whole window, not a division by zero,
+    and the scan returns the constant value at t = 0."""
+    from spinbus import scans
+
+    monkeypatch.setattr(scans, "interval_bound", lambda dec, fidelity_class: 0.0)
+    monkeypatch.setitem(GRID_VALUES, "omega2", lambda dec, ts: np.full(len(ts), 0.5))
+    for t_max in (3.0, 2.0e4):
+        res = max_over_time(ScanRequest(build_chain(16, 2, 200.0), fidelity_class="omega2",
+                                        t_max=t_max))
+        assert res.grid_step == t_max
+        assert (res.t_star, res.fbar_max) == (0.0, 0.5)
 
 
 def test_monte_carlo_memory_per_sample():
@@ -474,17 +491,19 @@ def test_decision_scans_match_full_scans(fidelity_class, target, threads):
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("fidelity_class, n_sites, field", [
-    ("general", 7, 3.0), ("omega1", 8, 2.0),
+    ("general", 7, 4.0), ("omega1", 8, 5.5),
 ])
 def test_decision_scan_stops_at_its_first_hit(fidelity_class, n_sites, field, threads):
     """A decision scan returns the first point it evaluates that reaches its
     value, in the first, a middle or the last chunk, and a point below the
     value exactly when the full scan's value is below it.  Resumed, a hit ends
-    on the full scan's result, bit for bit."""
+    on the full scan's result, bit for bit.  Over three chunks each of these
+    curves peaks higher in every chunk than in the one before."""
     req = ScanRequest(build_chain(n_sites, 2, field), fidelity_class=fidelity_class,
-                      t_max=2.0e4, threads=threads)
+                      t_max=1.0, threads=threads)
+    step = max_over_time(req).grid_step
+    req = dataclasses.replace(req, t_max=step * (3 * _CHUNK - 0.5))
     full = max_over_time(req)
-    step = full.grid_step
     n_pts = math.floor(req.t_max / step) + 1
     n_chunks = -(-n_pts // _CHUNK)
     dec = decompose_chain(req.chain)
