@@ -14,9 +14,10 @@ GRID_VALUES names the function that evaluates each class on a time grid;
 scans and single-time queries both go through it, and interval_bound gives
 scans a bound K on how fast each average can bend down, -Fbar'' <= K,
 read off the exact coefficients of each two-qubit average's trigonometric
-series in the eigenfrequencies; onset_curvature gives a sharper one over
-[0, t] near t = 0, from the Dyson series of the propagator in the hopping,
-carried through the closed form by the product rule.  The
+series in the eigenfrequencies, and series_ceiling a bound on the average
+itself at every time from the same coefficients; onset_curvature gives a
+sharper K over [0, t] near t = 0, from the Dyson series of the propagator
+in the hopping, carried through the closed form by the product rule.  The
 omega1 and omega2 averages are exact slice-Haar integrals of
 <psi|rho(t)|psi> and hit 1 at perfect transfer; both are invariant under a
 global phase of the odd-excitation sector.  By column orthonormality of the
@@ -366,20 +367,49 @@ def _end_curvature(a, b1, b2):
     return (1.0 + np.minimum(a[0], 1.0)) * b2[0] / 3.0
 
 
+# All-time ceilings.  The same series bound each average at every time: a
+# real series c_0 + sum_j a_j cos(w_j t + phi_j) never exceeds c_0 + sum_j |a_j|.
+
+def _general_ceiling(dec: SpectralDecomposition) -> float:
+    # |det(I + F)| <= sum |c_m|, and <= ||I + F||^2 <= 4
+    c, _ = _general_series(dec)
+    return 0.2 + min(4.0, float(np.abs(c).sum())) ** 2 / 20.0
+
+
+def _omega1_ceiling(dec: SpectralDecomposition) -> float:
+    # tr G + sum_{k<l} 2 |G_kl|, the constant and coefficients of the cosine series
+    weights = _omega1_weights(dec)
+    return float(np.abs(weights @ weights.T).sum())
+
+
+def _omega2_ceiling(dec: SpectralDecomposition) -> float:
+    # |g| = |det F| <= ||F||^2/2, so Re(g)/3 - ||F||^2/6 <= 0; and |g| <= 1
+    d, _ = _pair_det_series(dec)
+    return 0.5 + min(1.0, float(np.abs(d).sum())) ** 2 / 2.0
+
+
+def _one_qubit_ceiling(dec: SpectralDecomposition) -> float:
+    # 1/2 + m/3 + m^2/6 grows with m = |f_{N,1}| <= min(1, sum |W|)
+    return _one_qubit_from_modulus(min(1.0, float(np.abs(_end_weights(dec)).sum())))
+
+
 _ABS_OMEGA1_FORM = np.abs(_OMEGA1_FORM)
 _IDENTITY_ENTRIES = np.eye(2).reshape(4, 1)
 
 # per class: interval_bound's K from the chain's decomposition; the
-# product-rule bound of onset_curvature; and the map from bounds on F's
+# product-rule bound of onset_curvature; the map from bounds on F's
 # entries (f_u1, f_u2, f_v1, f_v2), or on f_{N,1} for one-qubit, to bounds
-# on the entries that bound reads
+# on the entries that bound reads; and series_ceiling
 _BOUNDS = {
-    "one-qubit": (_one_qubit_bound, _end_curvature, lambda a, b1, b2: (a, b1, b2)),
+    "one-qubit": (_one_qubit_bound, _end_curvature, lambda a, b1, b2: (a, b1, b2),
+                  _one_qubit_ceiling),
     "general": (_general_bound, _general_curvature,
-                lambda a, b1, b2: (a + _IDENTITY_ENTRIES, b1, b2)),
+                lambda a, b1, b2: (a + _IDENTITY_ENTRIES, b1, b2), _general_ceiling),
     "omega1": (_omega1_bound, _omega1_curvature,
-               lambda a, b1, b2: tuple(_ABS_OMEGA1_FORM @ x for x in (a, b1, b2))),
-    "omega2": (_omega2_bound, _omega2_curvature, lambda a, b1, b2: (a, b1, b2)),
+               lambda a, b1, b2: tuple(_ABS_OMEGA1_FORM @ x for x in (a, b1, b2)),
+               _omega1_ceiling),
+    "omega2": (_omega2_bound, _omega2_curvature, lambda a, b1, b2: (a, b1, b2),
+               _omega2_ceiling),
 }
 
 
@@ -390,6 +420,15 @@ def interval_bound(dec: SpectralDecomposition, fidelity_class: str) -> float:
     it is read off the exact coefficients of the average's trigonometric
     series, and it bounds |Fbar''| too."""
     return _BOUNDS[fidelity_class][0](dec)
+
+
+def series_ceiling(dec: SpectralDecomposition, fidelity_class: str) -> float:
+    """A bound on the class's average at every time, from the coefficients
+    interval_bound reads: each average is a real series
+    c_0 + sum_j a_j cos(w_j t + phi_j), or grows with the modulus of one, and
+    that never exceeds c_0 + sum_j |a_j|.  A decision scan whose value to
+    reach lies above it is a miss without evaluating the window."""
+    return _BOUNDS[fidelity_class][3](dec)
 
 
 def _hopping(dec: SpectralDecomposition):
@@ -456,7 +495,7 @@ def onset_curvature(dec: SpectralDecomposition, fidelity_class: str, ts) -> np.n
     k = interval_bound(dec, fidelity_class)
     if not ts.size:
         return np.empty(0)
-    _, curvature, entries = _BOUNDS[fidelity_class]
+    _, curvature, entries, _ = _BOUNDS[fidelity_class]
     n = dec.n_sites
     targets, sources = _onset_sites(dec, fidelity_class)
     t_max = float(ts.max())

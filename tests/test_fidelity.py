@@ -27,7 +27,7 @@ from spinbus import (
     one_qubit_values,
 )
 from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, _general_series, _pair_det_series, \
-    _squared_series_bound, interval_bound, onset_curvature
+    _squared_series_bound, interval_bound, onset_curvature, series_ceiling
 from spinbus.oracle import haar_average
 from spinbus.scans import _CHUNK
 from spinbus.spectral import UniformGrid, propagator_minor, propagator_minor_grid
@@ -405,6 +405,31 @@ def test_series_curvature_bounds_are_tight(fidelity_class, n_sites, fields, at_m
     for h in fields:
         dec = decompose_chain(build_chain(n_sites, 2, h))
         assert interval_bound(dec, fidelity_class) <= at_most
+
+
+@pytest.mark.parametrize("fidelity_class", ["general", "omega1", "omega2", "one-qubit"])
+@pytest.mark.parametrize("n_sites, field, profile", _BOUND_CHAINS)
+def test_series_ceiling_holds(fidelity_class, n_sites, field, profile):
+    """No value on a 0.05 grid over [0, 2e4], nor at 4000 random times in it,
+    exceeds series_ceiling by more than the rounding of its phases."""
+    dec = decompose_chain(build_chain(n_sites, 2, field, profile))
+    ceiling = series_ceiling(dec, fidelity_class)
+    evaluate = GRID_VALUES[fidelity_class]
+    t_max = 2.0e4
+    rounding = 1e-13 + 16.0 * np.finfo(float).eps * np.abs(dec.eigenvalues).max() * t_max
+    n_pts = int(t_max / 0.05) + 1
+    top = max(evaluate(dec, UniformGrid(0.05, start, min(_CHUNK, n_pts - start))).max()
+              for start in range(0, n_pts, _CHUNK))
+    top = max(top, evaluate(dec, np.random.default_rng(1).uniform(0.0, t_max, 4000)).max())
+    assert top <= ceiling + rounding
+
+
+@pytest.mark.parametrize("n_sites", range(7, 12))
+def test_omega1_ceiling_decides_the_weak_fields_of_fig5(n_sites):
+    """Below h = 5 the omega1 average of every Fig. 5 chain stays below the
+    0.95 target at every time: the ceiling alone decides those fields."""
+    for h in (0.0, 1.0, 2.0, 4.0):
+        assert series_ceiling(decompose_chain(build_chain(n_sites, 2, h)), "omega1") < 0.95
 
 
 @pytest.mark.parametrize("n_sites, block, field, profile, expected", [

@@ -10,6 +10,7 @@ import pytest
 
 from spinbus import (
     ScanRequest,
+    ScanResult,
     SeededSampler,
     ThresholdResult,
     avg_fidelity_mc,
@@ -21,7 +22,7 @@ from spinbus import (
     sample_haar_2q,
     threshold_field,
 )
-from spinbus.fidelity import GRID_VALUES, interval_bound
+from spinbus.fidelity import GRID_VALUES, interval_bound, series_ceiling
 from spinbus.reduced import _sample_fidelities
 from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _TIE_EPS
 from spinbus.spectral import UniformGrid
@@ -531,6 +532,99 @@ def test_decision_scan_stops_at_its_first_hit(fidelity_class, n_sites, field, th
     assert miss.fbar_max < full.fbar_max + 1e-9
 
 
+def _count_grids(monkeypatch, fidelity_class):
+    """Patch the class's GRID_VALUES to count its calls; return the list of
+    whether each call's times were a UniformGrid."""
+    grids = []
+    values = GRID_VALUES[fidelity_class]
+
+    def counted(dec, ts, *args):
+        grids.append(isinstance(ts, UniformGrid))
+        return values(dec, ts, *args)
+
+    monkeypatch.setitem(GRID_VALUES, fidelity_class, counted)
+    return grids
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_miss_below_the_ceiling_walks_no_grid(monkeypatch, threads):
+    """The omega1 average of the bare N = 7 chain never exceeds its series
+    ceiling, 0.738, so a decision at 0.95 is a miss before any chunk is
+    evaluated: it returns the one point it evaluates, t = 0."""
+    req = ScanRequest(build_chain(7, 2, 0.0), fidelity_class="omega1", t_max=1.3e4,
+                      threads=threads)
+    dec = decompose_chain(req.chain)
+    assert series_ceiling(dec, "omega1") < 0.74
+    grids = _count_grids(monkeypatch, "omega1")
+    miss = max_over_time(req, 0.95)
+    assert grids == [False]
+    f0 = GRID_VALUES["omega1"](dec, np.zeros(1))[0]
+    assert miss == ScanResult(0.0, 0.0, f0, "omega1", max_over_time(req).grid_step)
+    assert miss.fbar_max < 0.95
+    assert miss == max_over_time(dataclasses.replace(req, threads=1), 0.95)
+
+
+def test_a_reach_below_the_ceiling_walks_the_grid(monkeypatch):
+    """A reach between the window maximum and the ceiling is not decided by
+    the ceiling: the scan walks its grid and certifies the miss there."""
+    req = ScanRequest(build_chain(7, 2, 5.0), fidelity_class="omega1", t_max=1.3e4)
+    full = max_over_time(req)
+    ceiling = series_ceiling(decompose_chain(req.chain), "omega1")
+    assert full.fbar_max < ceiling - 0.005
+    grids = _count_grids(monkeypatch, "omega1")
+    miss = max_over_time(req, (full.fbar_max + ceiling) / 2.0)
+    assert miss.fbar_max < (full.fbar_max + ceiling) / 2.0
+    assert grids.count(True) == 2  # both chunks of the window
+
+
+@pytest.mark.parametrize("fidelity_class, n_sites, field, t_max", [
+    ("omega1", 7, 5.2, 1.3e4), ("general", 7, 12.0, 2.0e4),
+])
+def test_decisions_near_the_ceiling_match_the_full_scan(fidelity_class, n_sites, field,
+                                                        t_max):
+    """Reaches from 0.02 below the ceiling to 0.02 above it, hits, misses the
+    grid certifies and misses the ceiling certifies, decide as the full scan's
+    value does."""
+    req = ScanRequest(build_chain(n_sites, 2, field), fidelity_class=fidelity_class,
+                      t_max=t_max)
+    full = max_over_time(req)
+    ceiling = series_ceiling(decompose_chain(req.chain), fidelity_class)
+    reaches = np.linspace(ceiling - 0.02, ceiling + 0.02, 9)
+    assert reaches[0] < full.fbar_max < ceiling
+    for reach in reaches:
+        assert (max_over_time(req, reach).fbar_max >= reach) == (full.fbar_max >= reach)
+
+
+def test_fig5_thresholds_do_not_depend_on_the_ceiling(monkeypatch):
+    """The Fig. 5 search gives the same rows with no ceiling (+inf) as with it,
+    though the ceiling decides 20 of its 52 fields without a grid."""
+    from spinbus import scans
+
+    request = _omega1_template(1.3e4)
+    made = _record_scans(monkeypatch)
+    got = threshold_field(request, range(7, 12))
+    certified = [result for _, reach, _, result in made
+                 if reach is not None and result.t_star == 0.0]
+    assert (len(made), len(certified)) == (57, 20)
+    assert [r.field for r in got] == pytest.approx([5.2, 7.1, 5.9, 7.1, 6.0])
+    monkeypatch.setattr(scans, "series_ceiling", lambda dec, fidelity_class: math.inf)
+    assert threshold_field(request, range(7, 12)) == got
+
+
+def test_a_cap_every_field_below_is_certified_at_is_scanned_in_full(monkeypatch):
+    """When the ceiling decides every field up to the cap, the row is still
+    the cap's full scan."""
+    made = _record_scans(monkeypatch)
+    res = threshold_field(_omega1_template(1.3e4), (7,), h_cap=4.0)
+    *decisions, (cap, reach, resume, full) = made
+    assert [h for h, _, _, _ in decisions] == [0.0, 1.0, 2.0, 4.0]
+    assert all(result.t_star == 0.0 for _, _, _, result in decisions)
+    assert (cap, reach, resume) == (4.0, None, None)
+    assert full == max_over_time(dataclasses.replace(
+        _omega1_template(1.3e4), chain=build_chain(7, 2, 4.0)))
+    assert res == [ThresholdResult(7, None, full.t_star, full.fbar_max)]
+
+
 def test_threshold_leaves_no_worker_threads(monkeypatch):
     """A decision scan that stops in the middle of a wave shuts its thread pool
     down before it returns, so no search holds more than one scan's threads."""
@@ -580,6 +674,16 @@ def test_request_validation():
 ])
 def test_threshold_field_bounds_must_be_finite_and_positive(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        threshold_field(_omega1_template(100.0), (7,), **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("target", True), ("target", "0.9"), ("target", None),
+    ("h_resolution", True), ("h_resolution", "0.1"), ("h_cap", True), ("h_cap", "60"),
+])
+def test_threshold_arguments_are_real_numbers(name, value):
+    """True would run as 1.0, and a string fail in a comparison."""
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
         threshold_field(_omega1_template(100.0), (7,), **{name: value})
 
 
