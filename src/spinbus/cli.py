@@ -128,11 +128,14 @@ def _require_time(params) -> float:
     return t
 
 
-def _chain_from(params, state_class=None):
+def _chain_from(params, state_class=None, barrier=False):
+    """The chain params describe.  Without --n, a chain with a barrier field,
+    or one whose field a search sets (barrier), gets the blocks of
+    state_class: one site for one-qubit, two for the two-qubit classes."""
     n_sites = _require(params, "N", "--N")
     field = real_number("h", params.get("h", 0.0))
     block = params.get("n")
-    if block is None and field > 0:
+    if block is None and (barrier or field > 0):
         block = 1 if state_class == "one-qubit" else 2
     return build_chain(n_sites, block, field,
                        params.get("profile", UNIFORM),
@@ -277,14 +280,11 @@ def cmd_threshold(args) -> int:
     if not n_values:
         raise _Usage("--N-list needs at least one chain length")
     params.setdefault("t_max", 1.3e4)
-    # the template of every scan; threshold_field sets each length and field
-    chain = _chain_from(dict(params, N=n_values[0], n=params.get("n", 2)), cls)
+    # the template of every scan, at h = 0; threshold_field sets each length and field
+    chain = _chain_from(dict(params, N=n_values[0]), cls, barrier=True)
     request = _scan_request(params, chain, cls)
-    results = threshold_field(
-        request, n_values,
-        target=real_number("target", params.get("target", 0.95)),
-        h_resolution=real_number("h_resolution", params.get("h_resolution", 0.1)),
-        h_cap=real_number("h_cap", params.get("h_cap", 60.0)))
+    results = threshold_field(request, n_values, **{
+        key: params[key] for key in ("target", "h_resolution", "h_cap") if key in params})
     seed = _echoed_seed(params)
     rows = [(r.n_sites, chain.block, r.field, r.t_star, r.fbar_max, cls, seed)
             for r in results]

@@ -61,13 +61,9 @@ point it evaluates reaches that value (a hit), and stops searching a
 chunk once no interval's ceiling reaches it, so a miss is certified: the
 window maximum is below the value, or within _GAP above it with no point of
 the full scan reaching it.  Either way the decision is the one a full scan's
-value gives.  A hit is resumed from its own chunk with its point as the
-running best: every earlier chunk holds points below it, so the resumed scan
-ends on the full scan's result, bit for bit, unless the maximum lies within
-_TIE_EPS + _GAP of the hit, when an earlier chunk may hold a tie and the
-window is scanned again in full.  A threshold search only asks each field
-whether its scan reaches the target; only the field found is resumed to the
-end, and a search that finds none scans the cap in full.
+value gives.  A threshold search only asks each field whether its scan
+reaches the target, and then scans in full the field it found, or the cap
+when it found none.
 """
 
 from __future__ import annotations
@@ -378,8 +374,7 @@ class _Ties:
         return None if f is None else (t, f)
 
 
-def max_over_time(request: ScanRequest, reach: float | None = None,
-                  resume: ScanResult | None = None) -> ScanResult:
+def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResult:
     """Maximize the requested average fidelity over t in [0, t_max].
 
     fbar_max is within _GAP of the window maximum, and t_star the earliest
@@ -390,10 +385,6 @@ def max_over_time(request: ScanRequest, reach: float | None = None,
     (fidelity.series_ceiling) evaluates one point, t = 0, and returns
     (t_star, fbar_max) = (0.0, Fbar(0)).  Its fbar_max reaches reach exactly
     when a full scan's does.
-
-    resume is a hit of such a decision scan of the same request: the scan
-    goes on from the chunk of its point, with that point as the running best,
-    and returns the full scan's result.
     """
     if reach is not None:
         reach = real_number("reach", reach)
@@ -404,7 +395,7 @@ def max_over_time(request: ScanRequest, reach: float | None = None,
     t_max = request.t_max
     bound = _Bound(dec, request.fidelity_class, t_max)
     step = bound.step
-    if reach is not None and resume is None:
+    if reach is not None:
         # no value the scan could evaluate reaches reach, with the rounding of
         # its phases and, in _ROUNDING, of its sums
         slack = _ROUNDING + _PHASE_ROUNDOFF * float(np.abs(dec.eigenvalues).max()) * t_max
@@ -438,19 +429,12 @@ def max_over_time(request: ScanRequest, reach: float | None = None,
         live, tie = _split(ts, fs, bound.ceilings(ts, fs), vals[i] + _GAP, tie_from)
         return t, float(vals[i]), live, tie
 
-    best_t, best_f, first = 0.0, -math.inf, 0
-    if resume is not None:
-        best_t, best_f = resume.t_star, resume.fbar_max
-        i = round(best_t / step)
-        if step * i != best_t:  # a search point, or t_max
-            i = math.floor(best_t / step)
-        first = min(i, n_pts - 1) // _CHUNK * _CHUNK
+    best_t, best_f = 0.0, -math.inf
     goal = math.inf if reach is None else reach
     # the _Ties of each chunk that may hold the reported point
     found = []
-    starts = range(first, n_pts, _CHUNK)
     # closing: a decision scan that stops early shuts its thread pool down here
-    with closing(_in_waves(run_chunk, starts, request.threads)) as chunks:
+    with closing(_in_waves(run_chunk, range(0, n_pts, _CHUNK), request.threads)) as chunks:
         for t, f, live, tie in chunks:
             ties = None
             if reach is None:
@@ -471,9 +455,6 @@ def max_over_time(request: ScanRequest, reach: float | None = None,
                 floor = best_f - _TIE_EPS
                 found = [c for c in found if c.compact(floor).may_reach(floor)]
     if reach is None:
-        if resume is not None and best_f - _TIE_EPS <= resume.fbar_max + _GAP:
-            # a chunk before the hit's, whose values lie below the hit's, may hold a tie
-            return max_over_time(request)
         for ties in found:
             tie = ties.earliest(evaluate, bound, best_f - _TIE_EPS)
             if tie is not None:
@@ -516,9 +497,9 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
     Each field is decided once per chain length, by a decision scan
     (max_over_time with reach=target) that stops at its first hit and
     certifies a miss without refining what cannot reach the target.  The
-    field found is then resumed from the chunk of its hit; when no field
-    reaches the target, the cap is scanned in full.  So every decision and
-    row equals the one full scans give.
+    row is a full scan of the field found, or of the cap when no field
+    reaches the target.  So every decision and row equals the one full
+    scans give.
     """
     # True would run as 1.0 and "0.9" fail in a comparison
     target = real_number("target", target)
@@ -538,47 +519,35 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
                          "h_cap / h_resolution and 1 / h_resolution are finite, got "
                          f"h_cap={h_cap}, h_resolution={h_resolution}")
     k_cap = math.floor(top)
+    # the doubling ladder [0, k0, 2 k0, ..., k_cap], each grid index once
+    ladder = [0]
+    k = max(int(round(1.0 / h_resolution)), 1)
+    while k < k_cap:
+        ladder.append(k)
+        k *= 2
+    if k_cap > 0:
+        ladder.append(k_cap)
     results = []
     for n_sites in n_sites_values:
-        decided: dict[int, ScanResult] = {}
-
-        def scan_at(k: int, **how) -> ScanResult:
+        def scan_at(k: int, reach=None) -> ScanResult:
             chain = replace(request.chain, n_sites=n_sites, field=k * h_resolution)
-            return max_over_time(replace(request, chain=chain), **how)
+            return max_over_time(replace(request, chain=chain), reach)
 
-        def reaches(k: int) -> bool:
-            if k not in decided:
-                decided[k] = scan_at(k, reach=target)
-            return decided[k].fbar_max >= target
-
-        found = None
-        if reaches(0):
-            found = 0
-        else:
-            # bracket on a doubling ladder, then bisect on the grid
-            ladder = []
-            k = max(int(round(1.0 / h_resolution)), 1)
-            while k < k_cap:
-                ladder.append(k)
-                k *= 2
-            ladder.append(k_cap)
-            lo, hi = 0, None
-            for k in ladder:
-                if reaches(k):
-                    hi = k
-                    break
-                lo = k
-            if hi is not None:
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if reaches(mid):
-                        hi = mid
-                    else:
-                        lo = mid
-                found = hi
-
-        # a hit stopped early, and a miss refined only what could reach the target
-        best = scan_at(k_cap) if found is None else scan_at(found, resume=decided[found])
-        field = None if found is None else found * h_resolution
+        # bracket on the ladder, then bisect on the grid strictly between the
+        # last miss and the first hit, where no field has been decided
+        lo, hi = 0, None
+        for k in ladder:
+            if scan_at(k, target).fbar_max >= target:
+                hi = k
+                break
+            lo = k
+        while hi is not None and hi - lo > 1:
+            mid = (lo + hi) // 2
+            if scan_at(mid, target).fbar_max >= target:
+                hi = mid
+            else:
+                lo = mid
+        best = scan_at(k_cap if hi is None else hi)
+        field = None if hi is None else hi * h_resolution
         results.append(ThresholdResult(n_sites, field, best.t_star, best.fbar_max))
     return results

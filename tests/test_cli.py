@@ -277,6 +277,29 @@ def test_threshold_chain_options_reach_the_scans(capsys):
     assert rows["1.0"][3:5] == scan[3:5]
 
 
+@pytest.mark.parametrize("cls, target, block", [("one-qubit", "0.97", "1"), ("omega1", "0.8", "2")])
+def test_threshold_places_the_blocks_scan_field_does(capsys, cls, target, block):
+    """Without --n, threshold's chains take the block scan-field gives the class,
+    so its row at the field found is scan-field's row there."""
+    code, out, err = run(capsys, "threshold", "--class", cls, "--N-list", "9", "--t-max", "100",
+                         "--h-cap", "10", "--target", target)
+    assert code == 0, err
+    row = out.strip().split("\n")[1].split(",")
+    assert float(row[2]) > 0 and row[1] == block
+    code, out, err = run(capsys, "scan-field", "--class", cls, "--N", "9", "--t-max", "100",
+                         "--h-list", row[2])
+    assert code == 0, err
+    assert out.strip().split("\n")[1].split(",") == row
+
+
+@pytest.mark.parametrize("cls, n_sites", [("one-qubit", "4"), ("omega1", "6")])
+def test_threshold_at_zero_field_runs_on_chains_too_short_for_a_barrier(capsys, cls, n_sites):
+    code, out, err = run(capsys, "threshold", "--class", cls, "--N-list", n_sites,
+                         "--t-max", "100", "--target", "0")
+    assert code == 0, err
+    assert out.strip().split("\n")[1].split(",")[2] == "0"
+
+
 def test_reproduce_shrunk(tmp_path, capsys):
     out = tmp_path / "fig.csv"
     code, _, _ = run(capsys, "reproduce", "--figure", "4a", "--h-list", "0,10",

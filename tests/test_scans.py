@@ -228,10 +228,9 @@ def test_perfect_revivals_report_the_first(threads):
     req = dataclasses.replace(req, t_max=step * 2.5 * _CHUNK)
     full = max_over_time(req)
     assert abs(full.t_star - np.pi / 4) < 1e-5 and full.fbar_max > 1.0 - 1e-12
-    # a decision hit in a later chunk resumes to the same first revival
+    # a decision scan just below the maximum stops at a later revival
     hit = max_over_time(req, reach=full.fbar_max - 2e-12)
     assert hit.t_star > np.pi
-    assert max_over_time(req, resume=hit) == full
 
 
 def _dense_maximum(dec, fidelity_class, t_max, step):
@@ -397,16 +396,16 @@ def test_threshold_known_value():
 
 
 def _record_scans(monkeypatch):
-    """Patch scans.max_over_time to record (field, reach, resume, result) of every
+    """Patch scans.max_over_time to record (field, reach, result) of every
     scan; return the list."""
     from spinbus import scans
 
     made = []
     scan = scans.max_over_time
 
-    def recorded(request, reach=None, resume=None):
-        result = scan(request, reach, resume)
-        made.append((request.chain.field, reach, resume, result))
+    def recorded(request, reach=None):
+        result = scan(request, reach)
+        made.append((request.chain.field, reach, result))
         return result
 
     monkeypatch.setattr(scans, "max_over_time", recorded)
@@ -414,17 +413,18 @@ def _record_scans(monkeypatch):
 
 
 def test_threshold_scans_each_field_once(monkeypatch):
-    """Each field is decided at most once; only the field found is resumed, from
-    its own decision, so no part of a field's grid is walked twice."""
+    """Each field is decided at most once, and the only full scan is the
+    found field's, whose result is the row."""
     made = _record_scans(monkeypatch)
     for target in (0.0, 0.8):
         made.clear()
         res = threshold_field(_omega1_template(1000.0), (7,), target=target, h_cap=20.0)
         assert res[0].field is not None
-        decided = {h: result for h, reach, _, result in made if reach is not None}
-        assert len(decided) == sum(reach is not None for _, reach, _, _ in made), made
-        resumed = [(h, resume) for h, reach, resume, _ in made if reach is None]
-        assert resumed == [(res[0].field, decided[res[0].field])], made
+        decided = [h for h, reach, _ in made if reach is not None]
+        assert len(set(decided)) == len(decided), made
+        full = [(h, result) for h, reach, result in made if reach is None]
+        assert [h for h, _ in full] == [res[0].field], made
+        assert (res[0].t_star, res[0].fbar_max) == (full[0][1].t_star, full[0][1].fbar_max)
 
 
 @pytest.mark.parametrize("h_cap, h_resolution, top", [
@@ -436,12 +436,12 @@ def test_threshold_scans_no_field_above_the_cap(monkeypatch, h_cap, h_resolution
     res = threshold_field(_omega1_template(100.0), (7,), target=1.0,
                           h_resolution=h_resolution, h_cap=h_cap)
     assert res[0].field is None
-    # every field missed, so nothing is resumed; the row is the cap's full scan
-    *decisions, (cap, reach, resume, full) = made
-    assert (cap, reach, resume) == (top * h_resolution, None, None)
+    # every field missed, so the row is the cap's full scan
+    *decisions, (cap, reach, full) = made
+    assert (cap, reach) == (top * h_resolution, None)
     assert (res[0].t_star, res[0].fbar_max) == (full.t_star, full.fbar_max)
-    assert all(reach == 1.0 and resume is None for _, reach, resume, _ in decisions)
-    fields = [h for h, _, _, _ in decisions]
+    assert all(reach == 1.0 for _, reach, _ in decisions)
+    fields = [h for h, _, _ in decisions]
     assert max(fields) == top * h_resolution
     assert sorted(set(fields)) == sorted(fields) and max(fields) <= h_cap * (1 + 1e-9)
 
@@ -476,18 +476,31 @@ def _threshold_by_full_scans(request, n_sites, target, h_resolution, h_cap):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-@pytest.mark.parametrize("fidelity_class, target", [
-    ("omega1", 0.9), ("general", 0.92), ("omega1", 0.999),
+@pytest.mark.parametrize("fidelity_class, target, chunks", [
+    pytest.param("omega1", 0.9, None, id="omega1-0.9"),
+    pytest.param("general", 0.92, None, id="general-0.92"),
+    pytest.param("omega1", 0.999, None, id="omega1-0.999"),
+    pytest.param("general", 0.92, 2.5, id="general-0.92-2.5chunks"),
 ])
-def test_decision_scans_match_full_scans(fidelity_class, target, threads):
+def test_decision_scans_match_full_scans(monkeypatch, fidelity_class, target, chunks,
+                                         threads):
     """Decision scans that stop at their first hit give the search and the rows
-    that full scans of every field give."""
+    that full scans of every field give, also over 2.5 chunks of the coarse
+    grid, where the field found at N = 7 first reaches the target past chunk 0."""
     request = ScanRequest(build_chain(7, 2), fidelity_class=fidelity_class,
                           t_max=6000.0, threads=threads)
+    if chunks is not None:
+        step = max_over_time(dataclasses.replace(request, t_max=1.0)).grid_step
+        request = dataclasses.replace(request, t_max=chunks * _CHUNK * step)
+    made = _record_scans(monkeypatch)
     got = threshold_field(request, (7, 8), target=target, h_resolution=0.5, h_cap=12.0)
     want = [_threshold_by_full_scans(request, n, target, 0.5, 12.0) for n in (7, 8)]
     assert got == want
     assert (got[0].field is None) == (target == 0.999)
+    if chunks is not None:
+        # N = 7 is searched first, so its decision is the first at its field
+        hit = next(r for h, reach, r in made if h == got[0].field and reach is not None)
+        assert hit.fbar_max >= target and hit.t_star >= _CHUNK * hit.grid_step
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -497,9 +510,8 @@ def test_decision_scans_match_full_scans(fidelity_class, target, threads):
 def test_decision_scan_stops_at_its_first_hit(fidelity_class, n_sites, field, threads):
     """A decision scan returns the first point it evaluates that reaches its
     value, in the first, a middle or the last chunk, and a point below the
-    value exactly when the full scan's value is below it.  Resumed, a hit ends
-    on the full scan's result, bit for bit.  Over three chunks each of these
-    curves peaks higher in every chunk than in the one before."""
+    value exactly when the full scan's value is below it.  Over three chunks
+    each of these curves peaks higher in every chunk than in the one before."""
     req = ScanRequest(build_chain(n_sites, 2, field), fidelity_class=fidelity_class,
                       t_max=1.0, threads=threads)
     step = max_over_time(req).grid_step
@@ -522,7 +534,6 @@ def test_decision_scan_stops_at_its_first_hit(fidelity_class, n_sites, field, th
         assert reach <= hit.fbar_max <= full.fbar_max
         assert abs(evaluate(dec, np.array([hit.t_star]))[0] - hit.fbar_max) <= 1e-9
         assert hit == max_over_time(dataclasses.replace(req, threads=1), reach)
-        assert max_over_time(req, resume=hit) == full
         chunks.add(chunk_of(hit.t_star))
     assert {0, n_chunks - 1} <= chunks and len(chunks) >= 3
     # a decision at the full scan's value stops on its best point
@@ -603,9 +614,10 @@ def test_fig5_thresholds_do_not_depend_on_the_ceiling(monkeypatch):
     request = _omega1_template(1.3e4)
     made = _record_scans(monkeypatch)
     got = threshold_field(request, range(7, 12))
-    certified = [result for _, reach, _, result in made
+    certified = [result for _, reach, result in made
                  if reach is not None and result.t_star == 0.0]
     assert (len(made), len(certified)) == (57, 20)
+    assert sum(reach is None for _, reach, _ in made) == 5  # one full scan per row
     assert [r.field for r in got] == pytest.approx([5.2, 7.1, 5.9, 7.1, 6.0])
     monkeypatch.setattr(scans, "series_ceiling", lambda dec, fidelity_class: math.inf)
     assert threshold_field(request, range(7, 12)) == got
@@ -616,10 +628,10 @@ def test_a_cap_every_field_below_is_certified_at_is_scanned_in_full(monkeypatch)
     the cap's full scan."""
     made = _record_scans(monkeypatch)
     res = threshold_field(_omega1_template(1.3e4), (7,), h_cap=4.0)
-    *decisions, (cap, reach, resume, full) = made
-    assert [h for h, _, _, _ in decisions] == [0.0, 1.0, 2.0, 4.0]
-    assert all(result.t_star == 0.0 for _, _, _, result in decisions)
-    assert (cap, reach, resume) == (4.0, None, None)
+    *decisions, (cap, reach, full) = made
+    assert [h for h, _, _ in decisions] == [0.0, 1.0, 2.0, 4.0]
+    assert all(result.t_star == 0.0 for _, _, result in decisions)
+    assert (cap, reach) == (4.0, None)
     assert full == max_over_time(dataclasses.replace(
         _omega1_template(1.3e4), chain=build_chain(7, 2, 4.0)))
     assert res == [ThresholdResult(7, None, full.t_star, full.fbar_max)]
@@ -634,8 +646,8 @@ def test_threshold_leaves_no_worker_threads(monkeypatch):
     live = []
     scan = scans.max_over_time
 
-    def counted(request, reach=None, resume=None):
-        result = scan(request, reach, resume)
+    def counted(request, reach=None):
+        result = scan(request, reach)
         live.append(threading.active_count())
         return result
 
