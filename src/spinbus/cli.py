@@ -251,7 +251,7 @@ def cmd_scan_time(args) -> int:
     chain = _chain_from(params, cls)
     request = _scan_request(params, chain, cls)
     result = max_over_time(request)
-    params_out = dict(params, t_max=request.t_max, threads=request.threads)
+    params_out = dict(params, t_max=request.t_max)
     _emit_csv(args.out, "scan-time", params_out, _SCAN_HEADER,
               [_scan_row(chain, result, params)])
     return 0
@@ -279,7 +279,12 @@ def cmd_threshold(args) -> int:
     n_values = _parse_list("N_list", _require(params, "N_list", "--N-list"), int)
     if not n_values:
         raise _Usage("--N-list needs at least one chain length")
-    params.setdefault("t_max", 1.3e4)
+    if "t_max" not in params:
+        # the lengths' default windows, which must agree
+        windows = {default_t_max(whole_number("N_list", n, 2), cls) for n in n_values}
+        if len(windows) > 1:
+            raise _Usage("the lengths in --N-list get different default windows "
+                         f"{sorted(windows)}; give --t-max")
     # the template of every scan, at h = 0; threshold_field sets each length and field
     chain = _chain_from(dict(params, N=n_values[0]), cls, barrier=True)
     request = _scan_request(params, chain, cls)
@@ -361,7 +366,8 @@ def _parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int)
         if threads:
-            p.add_argument("--threads", type=int, help="scan worker threads (default 1)")
+            p.add_argument("--threads", type=int, help="scans run at once (the fields of a "
+                           "sweep, the lengths of a threshold search)")
         for name in chain:
             p.add_argument("--" + name, **_CHAIN_FLAGS[name])
 
@@ -393,7 +399,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("scan-time", help="maximize fidelity over a time window")
-    add_common(p, seed=True, threads=True, out=True)
+    add_common(p, seed=True, out=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)
     p.set_defaults(func=cmd_scan_time)

@@ -382,12 +382,6 @@ def _omega1_ceiling(dec: SpectralDecomposition) -> float:
     return float(np.abs(weights @ weights.T).sum())
 
 
-def _omega2_ceiling(dec: SpectralDecomposition) -> float:
-    # |g| = |det F| <= ||F||^2/2, so Re(g)/3 - ||F||^2/6 <= 0; and |g| <= 1
-    d, _ = _pair_det_series(dec)
-    return 0.5 + min(1.0, float(np.abs(d).sum())) ** 2 / 2.0
-
-
 def _one_qubit_ceiling(dec: SpectralDecomposition) -> float:
     # 1/2 + m/3 + m^2/6 grows with m = |f_{N,1}| <= min(1, sum |W|)
     return _one_qubit_from_modulus(min(1.0, float(np.abs(_end_weights(dec)).sum())))
@@ -408,8 +402,9 @@ _BOUNDS = {
     "omega1": (_omega1_bound, _omega1_curvature,
                lambda a, b1, b2: tuple(_ABS_OMEGA1_FORM @ x for x in (a, b1, b2)),
                _omega1_ceiling),
+    # an average fidelity never exceeds 1, and omega2's series gives 1 on mirror-symmetric chains
     "omega2": (_omega2_bound, _omega2_curvature, lambda a, b1, b2: (a, b1, b2),
-               _omega2_ceiling),
+               lambda dec: 1.0),
 }
 
 

@@ -39,24 +39,24 @@ The coarse grid is cut into chunks of _CHUNK points anchored on the point
 index, step * (k * _CHUNK + j), each evaluated as a spectral.UniformGrid
 with one more point, the next chunk's first, so that the chunks' intervals
 tile the window; the last chunk ends on t_max, evaluated as one extra point
-when it is off the grid.  Chunks run `threads` at a time, and each is
-reduced where it is evaluated to its best point and the intervals whose
-ceiling lies above it or within _TIE_EPS below it.  The main thread
-searches them in chunk order.  A chunk's search prunes against the chunk's
-own best alone, so the points it evaluates depend on the chunk and nothing
-else, level by level; the running best of earlier chunks only stops it
-early, once no interval left can come within _TIE_EPS of that best.  So a
-scan holds one chunk of values per thread, a few batches of a chunk's
-intervals and the few points and intervals kept for ties (memory bounded by
-the chunk size, not by the window), and its result does not depend on the
-worker count.
+when it is off the grid.  Chunks are evaluated in time order on the calling
+thread, and each is reduced as it is evaluated to its best point and the
+intervals whose ceiling lies above it or within _TIE_EPS below it, then
+searched.  A chunk's search prunes against the chunk's own best alone, so
+the points it evaluates depend on the chunk and nothing else, level by
+level; the running best of earlier chunks only stops it early, once no
+interval left can come within _TIE_EPS of that best.  So a scan holds one
+chunk of values, a few batches of a chunk's intervals and the few points
+and intervals kept for ties (memory bounded by the chunk size, not by the
+window).  A scan starts no thread: ScanRequest.threads is how many of a
+sweep's fields or a threshold search's lengths run at once.
 
 A scan given a value to reach is a decision scan.  Before it evaluates any
 grid it asks fidelity.series_ceiling, a bound on the average at every time
 read off the coefficients of its trigonometric series: when that ceiling,
 plus the rounding of any phase the scan could evaluate, lies below the
 value, the scan is a miss, and it returns its one point, t = 0, without a
-plan, a chunk or a thread pool.  Otherwise it stops as soon as a
+plan or a chunk.  Otherwise it stops as soon as a
 point it evaluates reaches that value (a hit), and stops searching a
 chunk once no interval's ceiling reaches it, so a miss is certified: the
 window maximum is below the value, or within _GAP above it with no point of
@@ -69,9 +69,7 @@ when it found none.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -128,7 +126,8 @@ def default_t_max(n_sites: int, fidelity_class: str) -> float:
 
 @dataclass(frozen=True)
 class ScanRequest:
-    """One maximum-fidelity search over a time window."""
+    """One maximum-fidelity search over a time window; threads is how many
+    scans field_sweep and threshold_field run at once (max_over_time runs one)."""
 
     chain: ChainSpec
     fidelity_class: str = "general"
@@ -142,7 +141,7 @@ class ScanRequest:
         if not math.isfinite(t_max) or t_max <= 0:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max!r}")
         object.__setattr__(self, "t_max", t_max)
-        # a float would reach range() in the thread pool; True would run as 1
+        # a float would reach the thread pool's size; True would run as 1
         whole_number("threads", self.threads, 1)
 
 
@@ -162,16 +161,6 @@ class ScanResult:
     grid_step: float
 
 
-def _in_waves(run, items, threads):
-    """run(item) for each item, yielded in order, at most `threads` held at once."""
-    if threads == 1 or len(items) == 1:
-        yield from map(run, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for w in range(0, len(items), threads):
-            yield from pool.map(run, items[w:w + threads])
-
-
 class _Bound:
     """The ceilings of one scan's intervals.
 
@@ -179,7 +168,7 @@ class _Bound:
     max(fs) + K(hi) (hi - lo)^2/8, where K(hi) >= -Fbar'' on [0, hi].
     Below fidelity.onset_horizon, K(hi) is fidelity.onset_curvature's bound
     at the coarse point (k + 1) step just past hi, and past it K.  The table
-    is built, once, the first time an interval below the horizon needs it,
+    is built once, the first time an interval below the horizon needs it,
     so a scan whose search stays away from the start never builds it; its
     values do not depend on when, so neither do the ceilings.
     """
@@ -197,7 +186,6 @@ class _Bound:
         self._onset = partial(onset_curvature, dec, fidelity_class,
                               self.step * np.arange(1, self._cells + 1))
         self._table = None
-        self._lock = threading.Lock()
 
     def ceilings(self, ts, fs):
         """The ceiling of each interval: row j of ts holds its ends (lo, hi),
@@ -207,9 +195,8 @@ class _Bound:
         width2 = (ts[:, 1] - ts[:, 0]) ** 2 / 8.0
         if not ts.size or ts[:, 1].min() >= self._horizon:
             return top + self.curvature * width2
-        with self._lock:
-            if self._table is None:
-                self._table = np.append(self._onset(), self.curvature)
+        if self._table is None:
+            self._table = np.append(self._onset(), self.curvature)
         cell = np.minimum(ts[:, 1] // self.step, self._cells).astype(np.intp)
         return top + self._table[cell] * width2
 
@@ -416,7 +403,7 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
         own = vals.size if last else count
         i = int(np.argmax(vals[:own]))
         t = end if i == n_pts - start else step * (start + i)
-        # reduced where it is evaluated: a wave holds intervals, not values.
+        # reduced where it is evaluated: the scan holds intervals, not values.
         # A cell whose ends lie more than margin below the best (below the
         # ties, in a full scan) can neither beat it nor hold a tie.
         tie_from = None if reach is not None else vals[i] - _TIE_EPS
@@ -433,27 +420,26 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
     goal = math.inf if reach is None else reach
     # the _Ties of each chunk that may hold the reported point
     found = []
-    # closing: a decision scan that stops early shuts its thread pool down here
-    with closing(_in_waves(run_chunk, range(0, n_pts, _CHUNK), request.threads)) as chunks:
-        for t, f, live, tie in chunks:
-            ties = None
-            if reach is None:
-                ties = _Ties()
-                ties.add(tie, f)
-            # a chunk that cannot come within _TIE_EPS of the best is cut short
-            floor = best_f - _TIE_EPS if reach is None else max(best_f, reach)
-            t, f = _refine(evaluate, bound, (t, f, live), floor, goal, ties)
-            if ties is not None:  # a search stopped at its budget may not have kept it
-                ties.add_points(np.array([t]), np.array([f]))
-            if f > best_f or (f == best_f and t < best_t):
-                best_t, best_f = t, f
-            if best_f >= goal:
-                break
-            if ties is not None:
-                # keep the chunks, and their intervals, that may still hold a tie
-                found.append(ties)
-                floor = best_f - _TIE_EPS
-                found = [c for c in found if c.compact(floor).may_reach(floor)]
+    # lazily, so a decision scan that stops at a hit evaluates no later chunk
+    for t, f, live, tie in map(run_chunk, range(0, n_pts, _CHUNK)):
+        ties = None
+        if reach is None:
+            ties = _Ties()
+            ties.add(tie, f)
+        # a chunk that cannot come within _TIE_EPS of the best is cut short
+        floor = best_f - _TIE_EPS if reach is None else max(best_f, reach)
+        t, f = _refine(evaluate, bound, (t, f, live), floor, goal, ties)
+        if ties is not None:  # a search stopped at its budget may not have kept it
+            ties.add_points(np.array([t]), np.array([f]))
+        if f > best_f or (f == best_f and t < best_t):
+            best_t, best_f = t, f
+        if best_f >= goal:
+            break
+        if ties is not None:
+            # keep the chunks, and their intervals, that may still hold a tie
+            found.append(ties)
+            floor = best_f - _TIE_EPS
+            found = [c for c in found if c.compact(floor).may_reach(floor)]
     if reach is None:
         for ties in found:
             tie = ties.earliest(evaluate, bound, best_f - _TIE_EPS)
@@ -463,10 +449,20 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
     return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step)
 
 
+def _at_once(run, items, threads):
+    """[run(x) for x in items], at most `threads` of them running at once."""
+    items = list(items)
+    if threads == 1 or len(items) <= 1:
+        return [run(x) for x in items]
+    with ThreadPoolExecutor(min(threads, len(items))) as pool:
+        return list(pool.map(run, items))
+
+
 def field_sweep(request: ScanRequest, fields) -> list[ScanResult]:
-    """max_over_time at each barrier field value, same chain otherwise."""
-    return [max_over_time(replace(request, chain=replace(request.chain, field=h)))
-            for h in fields]
+    """max_over_time at each barrier field value, same chain otherwise;
+    request.threads fields are scanned at once."""
+    requests = [replace(request, chain=replace(request.chain, field=h)) for h in fields]
+    return _at_once(max_over_time, requests, request.threads)
 
 
 @dataclass(frozen=True)
@@ -488,11 +484,12 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
     """Smallest barrier field whose max-over-time fidelity reaches the target.
 
     request is the template of every scan: its chain's block, profile and
-    ballistic prefactor, its class, window and threads; the chain length runs
-    over n_sites_values and the field over the grid h = k*h_resolution up to
-    h_cap.  The search brackets on a doubling ladder plus bisection, assuming
-    the reachable side is monotone: the field returned is the first grid point
-    above one already known to miss the target.
+    ballistic prefactor, its class and window; the chain length runs over
+    n_sites_values and the field over the grid h = k*h_resolution up to
+    h_cap.  request.threads chain lengths are searched at once, each one's
+    scans in turn.  The search brackets on a doubling ladder plus bisection,
+    assuming the reachable side is monotone: the field returned is the first
+    grid point above one already known to miss the target.
 
     Each field is decided once per chain length, by a decision scan
     (max_over_time with reach=target) that stops at its first hit and
@@ -527,8 +524,8 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
         k *= 2
     if k_cap > 0:
         ladder.append(k_cap)
-    results = []
-    for n_sites in n_sites_values:
+
+    def search(n_sites) -> ThresholdResult:
         def scan_at(k: int, reach=None) -> ScanResult:
             chain = replace(request.chain, n_sites=n_sites, field=k * h_resolution)
             return max_over_time(replace(request, chain=chain), reach)
@@ -549,5 +546,6 @@ def threshold_field(request: ScanRequest, n_sites_values, target: float = 0.95,
                 lo = mid
         best = scan_at(k_cap if hi is None else hi)
         field = None if hi is None else hi * h_resolution
-        results.append(ThresholdResult(n_sites, field, best.t_star, best.fbar_max))
-    return results
+        return ThresholdResult(n_sites, field, best.t_star, best.fbar_max)
+
+    return _at_once(search, n_sites_values, request.threads)

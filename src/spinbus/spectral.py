@@ -32,11 +32,11 @@ costing count/B + B phase evaluations per mode or pair instead of count.
 The plan is entry-major, (mode, column, block offset), which is what gives
 the output its layout.  A plan depends only on the frequencies, what it
 folds in (the weights or G), the step and B, so it is built once per scan
-and shared, read-only, by every chunk and pool thread (a one-entry memo).
+and shared, read-only, by every chunk (a one-entry memo).
 Anchors are computed from the integer index, never accumulated, so the
 rounding of a point's phase is bounded by a few eps * |lam| * t, as on the
 array path.  The values depend only on (step, start, count), so a fixed
-chunk layout gives the same values at any thread count.
+chunk layout gives the same values however the scans run.
 
 decompose diagonalizes the dense N x N matrix with np.linalg.eigh, so the
 runtime needs numpy alone.  The solve is O(N^3), about 4 ms at N = 200, and
@@ -208,9 +208,10 @@ def _phase_products(lam, weights, ts) -> np.ndarray:
 # on its key alone (the kernel, the frequencies or the decomposition, the
 # step, the block length and what it folds in: the weights or the Gram
 # matrix), so every chunk of a scan shares it, and a rebuilt plan is
-# bit-identical to a kept one: no caller can tell a hit from a miss.  It is
-# replaced in one assignment, so a pool thread reads either the old pair or
-# the new one, never a mix.
+# bit-identical to a kept one: no caller can tell a hit from a miss.  Scans
+# of different chains run at once alternate it, which rebuilds the plan and
+# changes no value.  It is replaced in one assignment, so a thread reads
+# either the old pair or the new one, never a mix.
 _memo = None
 
 

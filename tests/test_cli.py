@@ -88,8 +88,8 @@ def test_scan_threads_must_be_a_whole_count(tmp_path, capsys, threads):
     # --threads parses only integers, so a fraction or a bool comes from a config
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threads": threads}))
-    code, out, err = run(capsys, "scan-time", "--N", "7", "--class", "omega1",
-                         "--t-max", "100", "--config", str(cfg))
+    code, out, err = run(capsys, "scan-field", "--N", "7", "--class", "omega1",
+                         "--h-list", "0,5", "--t-max", "100", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "threads" in err
 
@@ -227,6 +227,7 @@ def test_scans_take_no_sample_count(capsys, argv):
     ("rdm", "--N", "7", "--state", "1,0,0,0,0,0,0,0", "--t", "3", "--seed", "1"),
     ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--samples", "100", "--threads", "2"),
     ("verify", "--threads", "2"),
+    ("scan-time", "--N", "7", "--class", "omega1", "--t-max", "100", "--threads", "2"),
     ("amplitude", "--N", "7", "--sources", "1", "--targets", "7", "--t", "nan"),
     ("rdm", "--N", "7", "--state", "1,0,0,0,0,0,0,0", "--t", "inf"),
     ("fidelity", "--N", "7", "--h", "5", "--class", "omega1", "--t", "-inf"),
@@ -257,6 +258,25 @@ def test_threshold_command(tmp_path, capsys):
     assert len(rows) == 2
     field = float(rows[1].split(",")[2])
     assert 0.0 <= field <= 20.0
+
+
+def test_threshold_defaults_to_the_window_of_its_lengths(tmp_path, capsys):
+    """Without --t-max, threshold scans each length's default window, as
+    scan-time and scan-field do, and asks for --t-max when the lengths'
+    defaults differ; the Fig. 5 search keeps the omega1 window."""
+    out = tmp_path / "g.csv"
+    argv = ("threshold", "--class", "general", "--target", "0.5", "--h-cap", "1")
+    code, _, err = run(capsys, *argv, "--N-list", "7", "--out", str(out))
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["params"]["t_max"] == 20000.0
+    code, _, err = run(capsys, *argv, "--N-list", "7,8")
+    assert code == 2 and "--t-max" in err
+    out = tmp_path / "fig5.csv"
+    code, _, err = run(capsys, "reproduce", "--figure", "5", "--out", str(out))
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "fig5.csv.manifest.json").read_text())
+    assert manifest["params"]["t_max"] == 13000.0
 
 
 def test_threshold_chain_options_reach_the_scans(capsys):
@@ -450,6 +470,8 @@ _SCAN_TIME = ("scan-time", "--class", "omega1", "--t-max", "100")
     ((*_SCAN_TIME, "--N", "7"), {"seed": 3.9}),
     ((*_SCAN_TIME, "--N", "7"), {"seed": True}),
     (("threshold", "--t-max", "100", "--h-cap", "0.5"), {"N_list": [7.9]}),
+    # without --t-max each length picks its default window first
+    (("threshold", "--class", "general", "--h-cap", "0.5"), {"N_list": ["7"]}),
     (("reproduce", "--figure", "5", "--t-max", "100", "--h-cap", "0.5"), {"N_list": [7.9]}),
     (("fidelity", "--N", "7", "--h", "5", "--t", "3", "--samples", "100"), {"seed": 2.5}),
     (("verify",), {"seed": 2.5}),

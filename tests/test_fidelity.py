@@ -381,8 +381,11 @@ def test_curvature_series_are_exact(n_sites, field, profile):
     """The series that K is read off reproduce det F and det(I + F),
     and the bound on the second derivative of |s|^2 for s = sum_m c_m
     exp(-i nu_m t) equals the sum over coefficient pairs it stands for,
-    sum_{m,n} |c_m c_n| (nu_m - nu_n)^2."""
+    sum_{m,n} |c_m c_n| (nu_m - nu_n)^2.  On a mirror-symmetric chain each
+    receiver minor of the eigenvectors is +- the sender one, so by
+    Cauchy-Binet det F's coefficients sum in modulus to det(I_2) = 1."""
     dec = decompose_chain(build_chain(n_sites, 2, field, profile))
+    assert np.abs(_pair_det_series(dec)[0]).sum() == pytest.approx(1)
     ts = np.linspace(0.0, 50.0, 11)
     f = propagator_minor_grid(dec, (n_sites - 1, n_sites), (1, 2), ts)
     for (c, nu), want in ((_pair_det_series(dec), np.linalg.det(f)),

@@ -58,58 +58,85 @@ def test_coarse_step_does_not_shrink_with_the_field():
 
 
 def test_thread_count_does_not_change_result():
-    # five grid chunks, the last one partial, and t_max between grid points
+    """A sweep's fields and a search's lengths give the same rows at any thread
+    count, over five grid chunks, the last one partial, and t_max between grid
+    points."""
     req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=1.0)
     step = max_over_time(req).grid_step
     req = dataclasses.replace(req, t_max=step * (4.5 * _CHUNK + 0.3))
     r1 = max_over_time(req)
     n_pts = math.floor(req.t_max / r1.grid_step) + 1
     assert n_pts > 4 * _CHUNK and (n_pts - 1) * r1.grid_step < req.t_max
+    fields = (9.0, 0.0, 20.0)
+    sweep = field_sweep(req, fields)
+    assert sweep[0] == r1
+    search = threshold_field(req, (7, 8, 9), target=0.9, h_resolution=1.0, h_cap=16.0)
+    assert all(r.field is not None for r in search)
     for threads in (2, 3, 8):
         rn = max_over_time(dataclasses.replace(req, threads=threads))
         assert (rn.t_star, rn.fbar_max) == (r1.t_star, r1.fbar_max)
+        assert field_sweep(dataclasses.replace(req, threads=threads), fields) == sweep
+        assert threshold_field(dataclasses.replace(req, threads=threads), (7, 8, 9),
+                               target=0.9, h_resolution=1.0, h_cap=16.0) == search
+
+
+def test_a_scan_starts_no_thread(monkeypatch):
+    """max_over_time evaluates its chunks on the calling thread whatever
+    request.threads is, and a sweep of one field, a search of one length or
+    either at one thread starts no pool."""
+    before = threading.active_count()
+    live = []
+    values = GRID_VALUES["general"]
+
+    def counted(dec, ts, *args):
+        live.append(threading.active_count())
+        return values(dec, ts, *args)
+
+    monkeypatch.setitem(GRID_VALUES, "general", counted)
+    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=1.0, threads=8)
+    req = dataclasses.replace(req, t_max=max_over_time(req).grid_step * 2.5 * _CHUNK)
+    full = max_over_time(req)
+    max_over_time(req, full.fbar_max)
+    field_sweep(req, (9.0,))
+    threshold_field(req, (8,), target=0.9, h_resolution=2.0, h_cap=8.0)
+    one = dataclasses.replace(req, threads=1)
+    field_sweep(one, (0.0, 9.0))
+    threshold_field(one, (7, 8), target=0.9, h_resolution=2.0, h_cap=8.0)
+    assert len(live) > 10 and set(live) == {before}
 
 
 def test_onset_table_is_built_once_across_threads(monkeypatch):
-    """Threads that need the onset table at once build it once and read the
-    same ceilings."""
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
+    """A scan builds the onset table at most once, whatever its thread count,
+    and only when its search reaches below the onset horizon; the table is
+    then read, not rebuilt."""
     from spinbus import scans
 
     calls = []
     onset = scans.onset_curvature
 
     def counted(*args):
-        calls.append(threading.get_ident())
+        calls.append(args)
         return onset(*args)
 
     monkeypatch.setattr(scans, "onset_curvature", counted)
+    # the bare N = 7 chain's omega2 average peaks within 0.1 of its start value,
+    # so three of this scan's ceiling calls reach below the horizon
+    max_over_time(ScanRequest(build_chain(7, 2), fidelity_class="omega2", t_max=100.0,
+                              threads=8))
+    assert len(calls) == 1
+    # at N = 20 the start lies more than 0.1 below the best, and the scan never does
+    calls.clear()
+    max_over_time(ScanRequest(build_chain(20, 2), fidelity_class="omega2", t_max=100.0,
+                              threads=8))
+    assert calls == []
     # long enough that the onset bound at two coarse steps is far below 1e-12
-    dec = decompose_chain(build_chain(20, 2))
-    threads, rounds = 16, 8
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(rounds):
-            bound = scans._Bound(dec, "omega2", 100.0)
-            ts = np.array([[0.0, bound.step], [bound.step, 2.0 * bound.step]])
-            fs = np.full((2, 2), 0.5)
-            start = threading.Barrier(threads)
-
-            def ceilings():
-                start.wait(timeout=60)
-                return bound.ceilings(ts, fs)
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(ceilings) for _ in range(threads)]
-                tops = [f.result(timeout=60) for f in futures]
-            assert all(np.array_equal(top, tops[0]) for top in tops)
-            assert np.all(tops[0] < 0.5 + 1e-12)  # the onset bound, not K, at the start
-    finally:
-        sys.setswitchinterval(switch)
-    assert len(calls) == rounds
+    bound = scans._Bound(decompose_chain(build_chain(20, 2)), "omega2", 100.0)
+    ts = np.array([[0.0, bound.step], [bound.step, 2.0 * bound.step]])
+    fs = np.full((2, 2), 0.5)
+    tops = [bound.ceilings(ts, fs) for _ in range(3)]
+    assert len(calls) == 1
+    assert all(np.array_equal(top, tops[0]) for top in tops)
+    assert np.all(tops[0] < 0.5 + 1e-12)  # the onset bound, not K, at the start
 
 
 def test_scan_memory_does_not_grow_with_the_window():
@@ -498,8 +525,10 @@ def test_decision_scans_match_full_scans(monkeypatch, fidelity_class, target, ch
     assert got == want
     assert (got[0].field is None) == (target == 0.999)
     if chunks is not None:
-        # N = 7 is searched first, so its decision is the first at its field
-        hit = next(r for h, reach, r in made if h == got[0].field and reach is not None)
+        # the decision at N = 7 and the field found there, which the search made
+        chain = dataclasses.replace(request.chain, field=got[0].field)
+        hit = max_over_time(dataclasses.replace(request, chain=chain), target)
+        assert (got[0].field, target, hit) in made
         assert hit.fbar_max >= target and hit.t_star >= _CHUNK * hit.grid_step
 
 
@@ -638,8 +667,8 @@ def test_a_cap_every_field_below_is_certified_at_is_scanned_in_full(monkeypatch)
 
 
 def test_threshold_leaves_no_worker_threads(monkeypatch):
-    """A decision scan that stops in the middle of a wave shuts its thread pool
-    down before it returns, so no search holds more than one scan's threads."""
+    """A search runs at most `threads` lengths at once, on a pool it shuts
+    down before it returns."""
     from spinbus import scans
 
     before = threading.active_count()
@@ -652,9 +681,10 @@ def test_threshold_leaves_no_worker_threads(monkeypatch):
         return result
 
     monkeypatch.setattr(scans, "max_over_time", counted)
-    threshold_field(_omega1_template(8000.0, threads=3), (7, 8), target=0.9,
+    threshold_field(_omega1_template(8000.0, threads=2), (7, 8, 9), target=0.9,
                     h_resolution=0.5, h_cap=12.0)
-    assert live and set(live) == {before}
+    assert live and before < max(live) <= before + 2
+    assert threading.active_count() == before
 
 
 def test_request_validation():
