@@ -46,7 +46,8 @@ into 1 + g_uv + p s with s = f_u1 + f_v2 = x + y - 2, and 1 + g_uv is
 det(I + F) - s, so its largest modulus over |p| = 1 is
 |det(I + F) - s| + |s|.  Seeded Monte Carlo stays as the cross-check
 of the closed forms: reduced._sample_fidelities scores each drawn state
-through the receiver kernel and the sector tables, in fixed blocks of states.
+from F at one time, its bulk term as the rank-2 form |u|^2 - |F u|^2, in
+fixed blocks of states.
 """
 
 from __future__ import annotations

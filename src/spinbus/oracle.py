@@ -213,15 +213,16 @@ class CheckResult:
 
 
 def verification_battery(seed: int = 0) -> list[CheckResult]:
-    """Cross-check amplitudes, the reduced state and the general average against sectors.
+    """Cross-check amplitudes, the reduced state and its scores against sectors.
 
-    Returns one CheckResult per check; all must pass for the library to be
+    The scores are the Monte Carlo scorer's and the general average.  Returns
+    one CheckResult per check; all must pass for the library to be
     considered healthy.  Runs in a few seconds.
     """
     from .amplitudes import amplitude_rp
     from .chain import build_chain
     from .fidelity import general_values
-    from .reduced import evolve_receiver_pair
+    from .reduced import _sample_fidelities, evolve_receiver_pair, fidelity_against
     from .spectral import amplitude_row, decompose_chain
     from .states import SeededSampler, sample_haar_2q
 
@@ -273,9 +274,10 @@ def verification_battery(seed: int = 0) -> list[CheckResult]:
             dev = max(dev, abs(det - sector[k]))
     results.append(CheckResult("three-excitation determinants", dev, 1e-10))
 
-    # receiver-pair reduced state, and the closed-form general average against
-    # the 4-design average of oracle_rdm at the last time on each chain
-    dev = dev_general = 0.0
+    # receiver-pair reduced state, the Monte Carlo scorer against the oracle
+    # state's fidelity, and the closed-form general average against the
+    # 4-design average of oracle_rdm at the last time on each chain
+    dev = dev_score = dev_general = 0.0
     sampler = SeededSampler(seed)
     for n_sites, field in ((7, 18.0), (8, 4.0)):
         spec = build_chain(n_sites, 2, field)
@@ -286,9 +288,12 @@ def verification_battery(seed: int = 0) -> list[CheckResult]:
             rho = evolve_receiver_pair(dec, state, t)
             ref = oracle_rdm(spec, state, t)
             dev = max(dev, float(np.abs(rho - ref).max()))
+            score = _sample_fidelities(dec, state.vector()[None], t)[0]
+            dev_score = max(dev_score, abs(score - fidelity_against(ref, state)))
         exact = haar_average(lambda state: oracle_rdm(spec, state, t))
         dev_general = max(dev_general, abs(general_values(dec, (t,))[0] - exact))
     results.append(CheckResult("receiver-pair reduced state", dev, 1e-10))
+    results.append(CheckResult("Monte Carlo scorer", dev_score, 1e-10))
     results.append(CheckResult("general Haar average", dev_general, 1e-10))
 
     # sector norm conservation

@@ -20,14 +20,15 @@ of C are (f_u2, -f_u1), (f_v2, -f_v1), (1, 0) and (0, 1).  Those sums are
 conj(C) S C^T with the bulk Gram S_ab = sum_m conj(f_{m,a}) f_{m,b}.  The
 propagator is unitary, so its columns f_{.,1} and f_{.,2} are orthonormal over
 all N sites and the bulk holds what the receiver rows leave: S = I - F^H F.
-Two-excitation unitarity gives the bulk-pair weight the same way.  No sum over
-sites is needed once F is known.
+Two-excitation unitarity gives the bulk-pair weight the same way,
+1 - ||F||_F^2 + |g_uv|^2.  No sum over sites is needed once F is known.
 
 Which receiver row each kernel amplitude lands on, and which sender amplitude
-multiplies it, is written down once, in the sector tables _E_* and _D_*.
-The rho assembly of evolve_receiver_pair and the Monte Carlo scorer
-_sample_fidelities both read them; the scorer gathers rows of a block of
-states with them, one (6, B) and one (4, B) product per block.
+multiplies it, is written down once, in the sector tables _E_* and _D_*; they
+now serve only the rho assembly of evolve_receiver_pair.  The Monte Carlo
+scorer _sample_fidelities needs only <psi|rho|psi>, in which the bulk block is
+a rank-2 form: for y the four products of a target and a sender amplitude
+that meet the bulk, y^H conj(C) S C^T y = |u|^2 - |F u|^2 with u = C^T y.
 """
 
 from __future__ import annotations
@@ -70,26 +71,21 @@ def _pair_entries(dec: SpectralDecomposition, ts):
 def _receiver_kernel(dec: SpectralDecomposition, t: float):
     """Bulk-traced ingredients of the receiver state at time t, from the entries of F.
 
-      w      (6,): bulk-empty amplitudes (1, g_uv, f_u1, f_u2, f_v1, f_v2)
-      gram   (4, 4): gram[i, j] = sum over bulk m of conj(v_m[i]) v_m[j]
+      f      (2, 2): F = [[f_u1, f_u2], [f_v1, f_v2]]
+      g_uv   complex: det F, the pair amplitude onto the receiver
+      s      (2, 2): the bulk Gram S = I - F^H F
       weight float: total weight of pair configurations inside the bulk
     """
-    # one-point arrays, not numpy scalars, whose arithmetic rounds differently
-    fu1, fu2, fv1, fv2 = (e[0] for e in _pair_entries(dec, (t,)))
-    g_uv = fu1 * fv2 - fu2 * fv1
-    w = np.array([np.ones_like(g_uv), g_uv, fu1, fu2, fv1, fv2])
-    # S = I - F^H F, written out
-    s00 = 1.0 - np.abs(fu1) ** 2 - np.abs(fv1) ** 2
-    s11 = 1.0 - np.abs(fu2) ** 2 - np.abs(fv2) ** 2
-    s01 = -(np.conj(fu1) * fu2 + np.conj(fv1) * fv2)
-    s10 = np.conj(s01)
-    # the two rows of S C^T, then conj(C) (S C^T) row by row
-    top = np.array([s00 * fu2 - s01 * fu1, s00 * fv2 - s01 * fv1, s00, s01])
-    bottom = np.array([s10 * fu2 - s11 * fu1, s10 * fv2 - s11 * fv1, s10, s11])
-    gram = np.array([np.conj(fu2) * top - np.conj(fu1) * bottom,
-                     np.conj(fv2) * top - np.conj(fv1) * bottom, top, bottom])
-    weight = 1.0 - np.real(gram[0, 0] + gram[1, 1]) - np.abs(g_uv) ** 2
-    return w[:, 0], gram[:, :, 0], weight[0]
+    f = np.reshape(_pair_entries(dec, (t,)), (2, 2))
+    g_uv = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
+    s = np.eye(2) - f.conj().T @ f
+    weight = 1.0 - np.vdot(f, f).real + abs(g_uv) ** 2
+    return f, g_uv, s, weight
+
+
+def _bulk_map(f: np.ndarray) -> np.ndarray:
+    """C, (4, 2), with v_m = C (f_m1, f_m2): rows (f_u2, -f_u1), (f_v2, -f_v1), (1, 0), (0, 1)."""
+    return np.vstack([f[:, ::-1] * [1, -1], np.eye(2)])
 
 
 # The sector tables.  Every kernel amplitude enters exactly one receiver row,
@@ -102,38 +98,57 @@ _E_ROWS, _E_SLOTS = np.array([3, 0, 1, 1, 2, 2]), np.array([0, 3, 2, 1, 2, 1])
 _D_ROWS, _D_SLOTS = np.array([1, 2, 3, 3]), np.array([3, 3, 2, 1])
 
 
-# <psi| in the receiver basis is conj(states[:, ::-1]), so the receiver row r
-# of a sector-table entry pairs with the sender slot 3 - r of the target
-_E_TARGET, _D_TARGET = 3 - _E_ROWS, 3 - _D_ROWS
-
-# states scored per block, so the block's temporaries (at most 6 x 2048
-# complex values, 196 kB, each) stay in cache; timed over the benchmark's
-# point queries, 4096 gave back most of the gain over unblocked scoring and
-# 512 or 1024 were no faster
-_SCORE_BLOCK = 2048
+# states scored per block, so the block's rows (18 rows of 1024 complex
+# values, 295 kB) stay in cache; over the benchmark's point queries, 2048
+# scored as fast, but with it the 10 000 states and the rows outgrew what
+# glibc's allocator keeps, and every call took about 350 fresh page faults
+_SCORE_BLOCK = 1024
 
 
 def _sample_fidelities(dec, states, t):
     """<psi|rho(t)|psi> for each sender state, from the receiver kernel at t.
 
-    With kernel values (w, gram, weight) at t,
-    <psi|rho|psi> = |w . x|^2 + sum_ij conj(y_i) gram_ij y_j + |a00 a11|^2 weight,
-    where each entry of the sector tables contributes one product of a
-    target and a sender amplitude: 6 of them make x, 4 make y.
-    The states (k, 4) are scored in blocks of _SCORE_BLOCK columns of the
-    transposed amplitudes, so every product is a row operation on a (6, B)
-    or (4, B) block and only the (k,) scores grow with k.
+    For psi = [a00, a01, a10, a11] and the kernel values (f, g_uv, s, weight),
+    <psi|rho|psi> = |vac|^2 + |u|^2 - |F u|^2 + |a00 a11|^2 weight, where
+      vac = |a00|^2 + g_uv |a11|^2 + q^H F q with q = (a10, a01) is the
+          bulk-empty overlap, psi^H M psi for M = 1 (+) F (+) g_uv on the
+          slots (a00, (a10, a01), a11);
+      u = C^T y with y = (conj(a10) a11, conj(a01) a11, conj(a00) a10,
+          conj(a00) a01), so that |u|^2 - |F u|^2 = u^H S u is the bulk block:
+          u0 = f_u2 conj(a10) a11 + f_v2 conj(a01) a11 + conj(a00) a10,
+          u1 = conj(a00) a01 - f_u1 conj(a10) a11 - f_v1 conj(a01) a11.
+    The states (k, 4) are scored in blocks of _SCORE_BLOCK: each block's
+    transposed amplitudes are copied once into contiguous rows, every product
+    is a row operation, and only the (k,) scores grow with k.
     """
-    w, gram, weight = _receiver_kernel(dec, t)
+    f, g_uv, _, weight = _receiver_kernel(dec, t)
+    c_t = _bulk_map(f).T
+    u_map = np.vstack([c_t, f @ c_t])  # (u, F u) = u_map @ y
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[3, 3] = 1.0, g_uv
+    m[2:0:-1, 2:0:-1] = f  # F acts on (a10, a01), slots 2 and 1
+    # the squared moduli of the rows w = (vac, a00 a11, u, F u) enter with these signs
+    signs = np.array([1.0, weight, 1.0, 1.0, -1.0, -1.0])
     out = np.empty(len(states))
+    # a block's 18 rows: the amplitudes p, their conjugates c, the products y and w
+    buf = np.empty(18 * min(len(states), _SCORE_BLOCK), dtype=complex)
     for i in range(0, len(states), _SCORE_BLOCK):
-        p = states[i:i + _SCORE_BLOCK].T
-        c = p.conj()
-        x = c[_E_TARGET] * p[_E_SLOTS]
-        y = c[_D_TARGET] * p[_D_SLOTS]
-        bulk = (y.conj() * (gram @ y)).sum(0)
-        out[i:i + p.shape[1]] = (np.abs(w @ x) ** 2 + bulk.real
-                                 + np.abs(p[0] * p[3]) ** 2 * weight)
+        block = states[i:i + _SCORE_BLOCK]
+        rows = buf[:18 * len(block)].reshape(18, len(block))
+        p, c, y, w = rows[:4], rows[4:8], rows[8:12], rows[12:]
+        p[...] = block.T
+        np.conj(p, out=c)
+        np.multiply(c[2:0:-1], p[3], out=y[:2])
+        np.multiply(p[2:0:-1], c[0], out=y[2:])
+        np.matmul(u_map, y, out=w[2:])
+        np.matmul(m, p, out=y)
+        y *= c
+        y.sum(axis=0, out=w[0])
+        np.multiply(p[0], p[3], out=w[1])
+        squares = w.view(float)
+        squares *= squares
+        pairs = signs @ squares  # (re^2, im^2) of each state, interleaved
+        np.add(pairs[0::2], pairs[1::2], out=out[i:i + len(block)])
     return out
 
 
@@ -155,12 +170,13 @@ def _sector_maps(state: np.ndarray):
 def evolve_receiver_pair(dec: SpectralDecomposition, state: TwoQubitState,
                          t: float) -> np.ndarray:
     """Receiver-pair density matrix at time t, basis (|11>, |10>, |01>, |00>)."""
-    w, gram, weight = _receiver_kernel(dec, t)
+    f, g_uv, s, weight = _receiver_kernel(dec, t)
     e, d = _sector_maps(state.vector())
-    vac = e @ w
-    rho = np.outer(vac, vac.conj()) + d @ gram.T @ d.conj().T
+    vac = e @ np.concatenate(([1.0, g_uv], f.ravel()))
+    dc = d @ _bulk_map(f)
+    rho = np.outer(vac, vac.conj()) + dc @ s.T @ dc.conj().T
     rho[3, 3] += abs(state.a11) ** 2 * weight
-    # gram is Hermitian only to rounding; return an exactly Hermitian rho
+    # the products are Hermitian only to rounding; return an exactly Hermitian rho
     return (rho + rho.conj().T) / 2
 
 

@@ -70,17 +70,34 @@ class SeededSampler:
         self._rng = np.random.Generator(np.random.Philox(key=seed))
 
     def complex_normals(self, shape) -> np.ndarray:
-        """Standard complex normal draws (real and imaginary parts N(0, 1))."""
-        re = self._rng.standard_normal(shape)
-        im = self._rng.standard_normal(shape)
-        return re + 1j * im
+        """Standard complex normal draws (real and imaginary parts N(0, 1)).
+
+        All real parts are drawn first, then all imaginary parts, through one
+        float buffer.
+        """
+        buf = self._rng.standard_normal(shape)
+        z = buf.astype(complex)
+        z.imag = self._rng.standard_normal(out=buf)
+        return z
 
     def __repr__(self):
         return f"SeededSampler(seed={self.seed})"
 
 
+# rows normalized per block, so the norm's temporaries stay a few hundred kB
+_NORM_BLOCK = 2048
+
+
 def _normalize_rows(z: np.ndarray) -> np.ndarray:
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+    """Scale each row of z to unit norm, in place.
+
+    The reciprocal multiply gives the same bits as z / norm, since numpy
+    divides a complex by a real through its reciprocal.
+    """
+    for i in range(0, len(z), _NORM_BLOCK):
+        rows = z[i:i + _NORM_BLOCK]
+        rows *= 1 / np.linalg.norm(rows, axis=-1, keepdims=True)
+    return z
 
 
 def sample_haar_2q(sampler: SeededSampler, size=None):

@@ -108,16 +108,23 @@ def test_batch_fidelity_matches_loop(draw, chain):
 
 
 def _unblocked_scores(dec, states, t):
-    """The Monte Carlo score of every state at once, from one (k, 4) table."""
-    w, gram, weight = _receiver_kernel(dec, t)
+    """The Monte Carlo score of every state at once, from one (k, 4) table.
+
+    The bulk Gram of the receiver rows is conj(C) S C^T, with C the map from
+    (f_m1, f_m2) to v_m = (g_mu, g_mv, f_m1, f_m2).
+    """
+    f, g_uv, s, weight = _receiver_kernel(dec, t)
+    w = np.array([1.0, g_uv, *f.ravel()])
+    c = np.array([[f[0, 1], -f[0, 0]], [f[1, 1], -f[1, 0]], [1.0, 0.0], [0.0, 1.0]])
+    gram = c.conj() @ s @ c.T
     x = np.conj(states[:, 3 - _E_ROWS]) * states[:, _E_SLOTS]
     y = np.conj(states[:, 3 - _D_ROWS]) * states[:, _D_SLOTS]
     bulk = np.einsum("ki,ij,kj->k", y.conj(), gram, y)
     return np.abs(x @ w) ** 2 + bulk.real + np.abs(states[:, 0] * states[:, 3]) ** 2 * weight
 
 
-@pytest.mark.parametrize("count", [1, _SCORE_BLOCK - 1, _SCORE_BLOCK, _SCORE_BLOCK + 1,
-                                   2 * _SCORE_BLOCK + 37])
+@pytest.mark.parametrize("count", [1, *(k * _SCORE_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)),
+                                   4 * _SCORE_BLOCK + 37])
 @pytest.mark.parametrize("draw", [sample_haar_2q, sample_omega1, sample_omega2],
                          ids=["haar", "omega1", "omega2"])
 def test_blocked_scores_across_block_boundaries(draw, count):

@@ -185,6 +185,21 @@ def test_monte_carlo_memory_per_sample():
     assert peak <= 512 * samples
 
 
+def test_monte_carlo_draws_and_scores_in_one_lean_pass():
+    """A general Monte Carlo call holds its draws, one float buffer and the
+    scores: the normalization and the scorer work in place on row blocks."""
+    dec = decompose_chain(build_chain(8, 2, 9.0))
+    samples = 40000
+    avg_fidelity_mc(dec, 31.0, 100, SeededSampler(1))  # first-call allocations
+    tracemalloc.start()
+    try:
+        avg_fidelity_mc(dec, 31.0, samples, SeededSampler(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * samples
+
+
 def test_monte_carlo_scorer_memory_is_flat_in_the_sample_count():
     """Samples are scored in fixed blocks: only the (k,) scores grow with k."""
     dec = decompose_chain(build_chain(8, 2, 9.0))

@@ -76,6 +76,36 @@ def test_restricted_samplers_zero_out_sectors():
     np.testing.assert_array_equal(v1[:, 1], v2[:, 0])
 
 
+def _reference_normals(seed, shape):
+    """The sampler's stream written out: all real parts, then all imaginary parts."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return re + 1j * im
+
+
+def _reference_haar(seed, n, width):
+    z = _reference_normals(seed, (n, width))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [1, 7, 2047, 2048, 2049, 10000])
+def test_draws_match_the_stream_written_out(n):
+    """The draws and their normalization, which run through one buffer and in
+    row blocks, give the bits of the plain recipe on either side of a block edge."""
+    seed = 7919 + n
+    np.testing.assert_array_equal(SeededSampler(seed).complex_normals((n, 4)),
+                                  _reference_normals(seed, (n, 4)))
+    np.testing.assert_array_equal(sample_haar_2q(SeededSampler(seed), size=n),
+                                  _reference_haar(seed, n, 4))
+    pair = _reference_haar(seed, n, 2)
+    np.testing.assert_array_equal(sample_haar_1q(SeededSampler(seed), size=n), pair)
+    for draw, slots in ((sample_omega1, [1, 2]), (sample_omega2, [0, 3])):
+        want = np.zeros((n, 4), dtype=complex)
+        want[:, slots] = pair
+        np.testing.assert_array_equal(draw(SeededSampler(seed), size=n), want)
+
+
 def test_haar_moments():
     n = 200000
     v = sample_haar_2q(SeededSampler(12), size=n)
