@@ -11,47 +11,40 @@ general   : Haar-random two-qubit states.
 
 Every average is a closed form in the sender-to-receiver minor F(t), and
 GRID_VALUES names the function that evaluates each class on a time grid;
-scans and single-time queries both go through it, and interval_bound gives
-scans a bound K on how fast each average can bend down, -Fbar'' <= K,
-read off the exact coefficients of each two-qubit average's trigonometric
-series in the eigenfrequencies, and series_ceiling a bound on the average
-itself at every time from the same coefficients; onset_curvature gives a
-sharper K over [0, t] near t = 0, from the Dyson series of the propagator
-in the hopping, carried through the closed form by the product rule.  The
-omega1 and omega2 averages are exact slice-Haar integrals of
-<psi|rho(t)|psi> and hit 1 at perfect transfer; both are invariant under a
-global phase of the odd-excitation sector.  By column orthonormality of the
-propagator the omega2 average is 1/2 - ||F||^2/6 + |g_uv|^2/2 + Re(g_uv)/3,
-read off the four slabs of F's entries, and its bound uses the same form.
-Two kernels of spectral.py evaluate them all:
-the complex phase GEMM _phase_products, whose output holds each entry it
-emits as a contiguous slab that the classes read elementwise, and the real
-_cosine_series.  The omega1 average is a Hermitian form in F, so it is
-computed as a sum of squares: the form's four rows are folded into the
-weights of the phase GEMM, and the values are the sums of the squared
-moduli of its four output slabs.  It is also a Hermitian form
-x^H G x in the mode phases x_k = exp(-i lam_k t) with a real G, and on the
-scan grids of chains up to _SERIES_MAX_SITES sites it is evaluated as that
-form's real cosine series (spectral._cosine_series), one real GEMM with no
-complex output.
-The general average is exact too: of the Kraus
-operators, one per bulk configuration, only the bulk-empty one has a nonzero
-diagonal, (1, f_v2, f_u1, g_uv), so Fbar = (4 F_e + 1)/5 with
-F_e = |1 + f_u1 + f_v2 + g_uv|^2/16 (Horodecki^3, PRA 60, 1888, 1999), and
-that trace is det(I + F).  It is evaluated as x y - z w from the four
-entries (x, z, w, y) of I + F, which the phase GEMM emits with the identity
-folded in as a zero-frequency mode (_general_modes).  A phase p on the
-odd-excitation sector (a receiver-side correction knob) turns the trace
-into 1 + g_uv + p s with s = f_u1 + f_v2 = x + y - 2, and 1 + g_uv is
-det(I + F) - s, so its largest modulus over |p| = 1 is
-|det(I + F) - s| + |s|.  Seeded Monte Carlo stays as the cross-check
-of the closed forms: reduced._sample_fidelities scores each drawn state
-from F at one time, its bulk term as the rank-2 form |u|^2 - |F u|^2, in
-fixed blocks of states.
+scans and single-time queries both go through it.  Two kernels of
+spectral.py evaluate them all: the complex phase GEMM _phase_products,
+whose output holds each entry it emits as a contiguous slab that the
+classes read elementwise, and the real _cosine_series.  omega1 is a
+Hermitian form in F, the sum of the squared moduli of its four rows, and on
+the scan grids of short chains that form's cosine series.  omega2 is
+1/2 - ||F||^2/6 + |g_uv|^2/2 + Re(g_uv)/3 with g_uv = det F, by column
+orthonormality of the propagator.  Both are exact slice-Haar integrals of
+<psi|rho(t)|psi>, hit 1 at perfect transfer and do not see a global phase
+of the odd-excitation sector.  general is 1/5 + |det(I + F)|^2/20: of the
+Kraus operators, one per bulk configuration, only the bulk-empty one has a
+nonzero diagonal, (1, f_v2, f_u1, g_uv), whose sum is det(I + F)
+(Horodecki^3, PRA 60, 1888, 1999), and the phase GEMM emits I + F with the
+identity folded in as a zero-frequency mode (_general_modes).  A phase p on
+the odd-excitation sector makes that trace 1 + g_uv + p (f_u1 + f_v2)
+(general_values' phase_opt).
+
+Each two-qubit average is also one finite series in the eigenfrequencies,
+a0 + sum a_j cos(w_j t) + |sum c_m exp(-i nu_m t)|^2 / s, built once per
+decomposition by series() with coinciding frequencies merged, and scans
+read two numbers off it: interval_bound's K >= -Fbar'', sum |a| w^2 plus the
+squared part's bound, and series_ceiling's bound on the average at every
+time, a0 + sum |a| + (sum |c|)^2 / s.  The one-qubit average is not such a
+series, and its K and ceiling come from bounds on its one entry.
+onset_curvature gives a sharper K over [0, t] near t = 0, from the Dyson
+series of the propagator in the hopping, carried through the closed form by
+the product rule.  Seeded Monte Carlo stays as the cross-check of the
+closed forms: reduced._sample_fidelities scores each drawn state from F at
+one time, its bulk term as the rank-2 form |u|^2 - |F u|^2.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -60,8 +53,8 @@ import numpy as np
 
 from .chain import whole_number
 from .reduced import _pair_entries, _pair_sites, _pair_weights, _sample_fidelities
-from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _minor_weights, \
-    _mode_pairs, _phase_products, _read_only, amplitude_1p
+from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _form_series, \
+    _minor_weights, _mode_pairs, _phase_products, _read_only, amplitude_1p
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
     sample_omega2
 
@@ -237,27 +230,73 @@ GRID_VALUES = {
 CLASSES = tuple(GRID_VALUES)
 
 
-# Curvature bounds.  A certified scan needs only -Fbar'' <= K: how fast the
-# average can bend down.  Each two-qubit average is a real trigonometric
-# series in the chain's eigenfrequencies, Fbar = sum_j a_j cos(w_j t + phi_j),
-# so |Fbar''| <= sum_j |a_j| w_j^2.  Read off the series' exact coefficients,
-# this keeps the cancellations between the rows of a form or the terms of a
-# product that bounds on each entry lose.  The one-qubit average is not a
-# polynomial in its entry, and onset_curvature bounds the entries
-# themselves; both carry bounds on the entries through the closed form by
-# the product rule.  An entry e(t) = sum_k W[k] exp(-i lam_k t) of a
-# phase product has |e| <= A = sum |W|, |e'| <= B1 = sum |lam W| and
-# |e''| <= B2 = sum lam^2 |W|.  Each product-rule bound below takes
-# (A, B1, B2) for the entries its class reads, as arrays of one row per entry
-# (and any trailing shape).
+# Fbar(t) = a0 + sum_j a_j cos(w_j t) + |sum_m c_m exp(-i nu_m t)|^2 / scale,
+# and the spread of its merged terms (see series)
+Series = collections.namedtuple("Series", "a0 a w c nu scale spread")
+# frequencies within this times max |lam| are merged, 64 eigenvalue roundings
+_MERGE_EPS = 64.0 * np.finfo(float).eps
+_NO_TERMS = _read_only(np.empty(0))
 
-def _form_bound(dec: SpectralDecomposition, gram) -> float:
-    """sum_{k<l} 2 |gram[k, l]| (lam_l - lam_k)^2, a bound on the second
-    derivative of the form x^H gram x, x_k = exp(-i lam_k t), read off its
-    cosine series (spectral._cosine_series) for a real symmetric gram."""
+
+def _merged(coef, freq, tol):
+    """coef summed over the runs of freq whose neighbours lie within tol, each
+    at its first term's place and frequency, and sum |coef_i| |freq_i - its
+    run's frequency|; with no run of two, the arrays themselves and 0."""
+    if freq.size < 2:
+        return coef, freq, 0.0
+    ordered = np.sort(freq)
+    gaps = ordered[1:] - ordered[:-1]
+    if gaps.min() > tol:
+        return coef, freq, 0.0
+    new = np.concatenate(([True], gaps > tol))
+    starts = np.flatnonzero(new)
+    order = np.argsort(freq, kind="stable")
+    first = np.minimum.reduceat(order, starts)
+    coef = coef[order]
+    spread = float(np.abs(coef) @ np.abs(ordered - freq[first][new.cumsum() - 1]))
+    place = np.argsort(first)
+    return np.add.reduceat(coef, starts)[place], freq[first[place]], spread
+
+
+@functools.lru_cache(maxsize=4)
+def series(dec: SpectralDecomposition, fidelity_class: str) -> Series:
+    """The two-qubit class's average as a Series, once per decomposition.
+
+    general is 1/5 + |det(I + F)|^2/20, det(I + F) = 1 + (f_u1 + f_v2) + g_uv
+    at the frequencies 0, lam_k and lam_k + lam_l; omega1 the form x^H G x,
+    G = W W^T (spectral._form_series); omega2 is 1/2 - ||F||^2/6 + |g_uv|^2/2
+    + Re(g_uv)/3 with g_uv = det F.  The squared part stays factored: O(N^2)
+    terms.  Terms whose frequencies (a cosine's in modulus) agree within
+    _MERGE_EPS * max |lam| are summed, so coinciding frequencies cancel, and
+    the average evaluated lies within spread * t of the series, spread being
+    sum |a_i| |w_i - w|, w the merged term's frequency, plus 2 sum |c| / scale
+    times that of the squared part: 0, and the arrays unmerged, if none merge.
+    """
     lam = dec.eigenvalues
-    k, l = _mode_pairs(lam.size)
-    return 2.0 * float(np.abs(gram[k, l]) @ (lam[l] - lam[k]) ** 2)
+    a0, a, w, c, nu, scale = 0.0, _NO_TERMS, _NO_TERMS, _NO_TERMS, _NO_TERMS, 1.0
+    if fidelity_class == "general":
+        weights = _pair_weights(dec)
+        d, dnu = _pair_det_series(dec)
+        a0, scale = 0.2, 20.0
+        c = np.concatenate(([1.0], weights[:, 0] + weights[:, 3], d))
+        nu = np.concatenate(([0.0], lam, dnu))
+    elif fidelity_class == "omega1":
+        weights = _omega1_weights(dec)
+        a0, a, w = _form_series(lam, weights @ weights.T)
+    elif fidelity_class == "omega2":
+        weights = _pair_weights(dec)
+        trace, a, w = _form_series(lam, weights @ weights.T)
+        c, nu = _pair_det_series(dec)
+        a0, scale = 0.5 - trace / 6.0, 2.0
+        a, w = np.concatenate((-a / 6.0, c / 3.0)), np.concatenate((w, np.abs(nu)))
+    else:
+        raise ValueError(f"no trigonometric series for the class {fidelity_class!r}")
+    tol = _MERGE_EPS * float(max(-lam[0], lam[-1]))  # the eigenvalues ascend
+    a, w, spread = _merged(a, w, tol)
+    merged, nu, moved = _merged(c, nu, tol)
+    if moved:
+        spread += 2.0 * float(np.abs(c).sum()) * moved / scale
+    return Series(a0, *map(_read_only, (a, w, merged, nu)), scale, spread)
 
 
 def _squared_series_bound(c, nu) -> float:
@@ -276,56 +315,48 @@ def _squared_series_bound(c, nu) -> float:
 def _pair_det_series(dec: SpectralDecomposition):
     """g_uv = det F as sum_{k<l} D_kl exp(-i (lam_k + lam_l) t): (D, lam_k + lam_l).
 
-    By Cauchy-Binet, D_kl = (U_uk U_vl - U_ul U_vk)(U_1k U_2l - U_1l U_2k);
-    the terms k = l cancel.
+    By Cauchy-Binet, D_kl = (U_uk U_vl - U_ul U_vk)(U_1k U_2l - U_1l U_2k),
+    each factor the (k, l) entry of P - P^T for P the outer product of two
+    rows of U; the terms k = l cancel.
     """
     (u, v), (s1, s2) = _pair_sites(dec)
     vec, lam = dec.eigenvectors, dec.eigenvalues
     k, l = _mode_pairs(lam.size)
-    receivers = vec[u - 1, k] * vec[v - 1, l] - vec[u - 1, l] * vec[v - 1, k]
-    senders = vec[s1 - 1, k] * vec[s2 - 1, l] - vec[s1 - 1, l] * vec[s2 - 1, k]
+    receivers, senders = (np.subtract(p, p.T)[k, l] for p in (
+        np.outer(vec[u - 1], vec[v - 1]), np.outer(vec[s1 - 1], vec[s2 - 1])))
     return receivers * senders, lam[k] + lam[l]
 
 
-def _general_series(dec: SpectralDecomposition):
-    """det(I + F) = 1 + (f_u1 + f_v2) + g_uv as sum_m c_m exp(-i nu_m t), over
-    the frequencies 0, lam_k and lam_k + lam_l (k < l): (c, nu)."""
-    weights = _pair_weights(dec)
-    d, nu = _pair_det_series(dec)
-    return (np.concatenate(([1.0], weights[:, 0] + weights[:, 3], d)),
-            np.concatenate(([0.0], dec.eigenvalues, nu)))
+def interval_bound(dec: SpectralDecomposition, fidelity_class: str) -> float:
+    """The bound K a certified scan of the class works with: -Fbar''(t) <= K
+    at every t, so on an interval of width w the average lies below its chord
+    plus K w^2/8 (Piyavskii 1972; Shubert 1972).  For a two-qubit class it is
+    sum |a_j| w_j^2 plus the squared part's bound, read off its series, and
+    bounds |Fbar''| too; for one-qubit, _end_curvature of f_{N,1}'s bounds."""
+    if fidelity_class == "one-qubit":
+        w = np.abs(_end_weights(dec))
+        return float(_end_curvature(w.sum(0), None, ((dec.eigenvalues ** 2)[:, None] * w).sum(0)))
+    s = series(dec, fidelity_class)
+    return float(np.abs(s.a) @ s.w ** 2) + _squared_series_bound(s.c, s.nu) / s.scale
 
 
-def _general_bound(dec: SpectralDecomposition) -> float:
-    # 1/5 + |det(I + F)|^2/20
-    return _squared_series_bound(*_general_series(dec)) / 20.0
+def series_ceiling(dec: SpectralDecomposition, fidelity_class: str) -> float:
+    """A bound on the class's average at every time: a series never exceeds
+    a0 + sum |a_j| + (sum |c_m|)^2 / scale, nor an average fidelity 1, and the
+    one-qubit average grows with |f_{N,1}| <= sum |W|.  A decision scan whose
+    value to reach lies above it is a miss without evaluating the window."""
+    if fidelity_class == "one-qubit":
+        return _one_qubit_from_modulus(min(1.0, float(np.abs(_end_weights(dec)).sum())))
+    s = series(dec, fidelity_class)
+    return min(1.0, s.a0 + float(np.abs(s.a).sum()) + float(np.abs(s.c).sum()) ** 2 / s.scale)
 
 
-def _omega1_bound(dec: SpectralDecomposition) -> float:
-    # the form x^H G x with G = W W^T, not its four rows one by one: the rows cancel
-    weights = _omega1_weights(dec)
-    return _form_bound(dec, weights @ weights.T)
-
-
-def _omega2_bound(dec: SpectralDecomposition) -> float:
-    # 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3, with ||F||^2 the form of the pair
-    # weights' Gram and g = g_uv = det F
-    weights = _pair_weights(dec)
-    d, nu = _pair_det_series(dec)
-    return _form_bound(dec, weights @ weights.T) / 6.0 \
-        + _squared_series_bound(d, nu) / 2.0 + float(np.abs(d) @ nu ** 2) / 3.0
-
-
-def _one_qubit_bound(dec: SpectralDecomposition) -> float:
-    return float(_end_curvature(*_entry_bounds(dec.eigenvalues, _end_weights(dec))))
-
-
-def _entry_bounds(lam, weights):
-    """(A, B1, B2), one value per column of the weights."""
-    w = np.abs(weights)
-    lam = np.abs(lam)[:, None]
-    return w.sum(0), (lam * w).sum(0), (lam * lam * w).sum(0)
-
+# Near t = 0, onset_curvature bounds the entries of F themselves and carries
+# those bounds through the closed form by the product rule.  Each
+# product-rule bound below takes bounds (A, B1, B2) on |e|, |e'| and |e''| for
+# the entries e its class reads, as arrays of one row per entry (and any
+# trailing shape).  An entry e(t) = sum_k W[k] exp(-i lam_k t) has
+# A = sum |W|, B1 = sum |lam W| and B2 = sum lam^2 |W|.
 
 def _product_bounds(p, q):
     """Bounds on |pq|, |(pq)'| and |(pq)''| from those on p and on q."""
@@ -344,16 +375,6 @@ def _det_bounds(a, b1, b2):
     return p[1] + q[1], p[2] + q[2]
 
 
-def _general_curvature(a, b1, b2):
-    # 1/5 + |det(I + F)|^2/20 from the entries of I + F, and |det(I + F)| <= ||I + F||^2 <= 4
-    return _square_curvature(4.0, *_det_bounds(a, b1, b2)) / 20.0
-
-
-def _omega1_curvature(a, b1, b2):
-    # the sum of squares of the four rows of the form
-    return _square_curvature(a, b1, b2).sum(0)
-
-
 def _omega2_curvature(a, b1, b2):
     # 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with g = g_uv = det F, and |g| <= 1
     t1, t2 = _det_bounds(a, b1, b2)
@@ -368,63 +389,21 @@ def _end_curvature(a, b1, b2):
     return (1.0 + np.minimum(a[0], 1.0)) * b2[0] / 3.0
 
 
-# All-time ceilings.  The same series bound each average at every time: a
-# real series c_0 + sum_j a_j cos(w_j t + phi_j) never exceeds c_0 + sum_j |a_j|.
-
-def _general_ceiling(dec: SpectralDecomposition) -> float:
-    # |det(I + F)| <= sum |c_m|, and <= ||I + F||^2 <= 4
-    c, _ = _general_series(dec)
-    return 0.2 + min(4.0, float(np.abs(c).sum())) ** 2 / 20.0
-
-
-def _omega1_ceiling(dec: SpectralDecomposition) -> float:
-    # tr G + sum_{k<l} 2 |G_kl|, the constant and coefficients of the cosine series
-    weights = _omega1_weights(dec)
-    return float(np.abs(weights @ weights.T).sum())
-
-
-def _one_qubit_ceiling(dec: SpectralDecomposition) -> float:
-    # 1/2 + m/3 + m^2/6 grows with m = |f_{N,1}| <= min(1, sum |W|)
-    return _one_qubit_from_modulus(min(1.0, float(np.abs(_end_weights(dec)).sum())))
-
-
 _ABS_OMEGA1_FORM = np.abs(_OMEGA1_FORM)
 _IDENTITY_ENTRIES = np.eye(2).reshape(4, 1)
 
-# per class: interval_bound's K from the chain's decomposition; the
-# product-rule bound of onset_curvature; the map from bounds on F's
-# entries (f_u1, f_u2, f_v1, f_v2), or on f_{N,1} for one-qubit, to bounds
-# on the entries that bound reads; and series_ceiling
+# onset_curvature's product-rule bound of each class, from the bounds on F's
+# entries (f_u1, f_u2, f_v1, f_v2), or on f_{N,1} for one-qubit
 _BOUNDS = {
-    "one-qubit": (_one_qubit_bound, _end_curvature, lambda a, b1, b2: (a, b1, b2),
-                  _one_qubit_ceiling),
-    "general": (_general_bound, _general_curvature,
-                lambda a, b1, b2: (a + _IDENTITY_ENTRIES, b1, b2), _general_ceiling),
-    "omega1": (_omega1_bound, _omega1_curvature,
-               lambda a, b1, b2: tuple(_ABS_OMEGA1_FORM @ x for x in (a, b1, b2)),
-               _omega1_ceiling),
-    # an average fidelity never exceeds 1, and omega2's series gives 1 on mirror-symmetric chains
-    "omega2": (_omega2_bound, _omega2_curvature, lambda a, b1, b2: (a, b1, b2),
-               lambda dec: 1.0),
+    "one-qubit": _end_curvature,
+    # 1/5 + |det(I + F)|^2/20 from the entries of I + F, and |det(I + F)| <= ||I + F||^2 <= 4
+    "general": lambda a, b1, b2:
+        _square_curvature(4.0, *_det_bounds(a + _IDENTITY_ENTRIES, b1, b2)) / 20.0,
+    # the sum of squares of the four rows of the form
+    "omega1": lambda a, b1, b2:
+        _square_curvature(*(_ABS_OMEGA1_FORM @ x for x in (a, b1, b2))).sum(0),
+    "omega2": _omega2_curvature,
 }
-
-
-def interval_bound(dec: SpectralDecomposition, fidelity_class: str) -> float:
-    """The bound K a certified scan of the class works with: -Fbar''(t) <= K
-    at every t, so on an interval of width w the average lies below its chord
-    plus K w^2/8 (Piyavskii 1972; Shubert 1972).  For the two-qubit classes
-    it is read off the exact coefficients of the average's trigonometric
-    series, and it bounds |Fbar''| too."""
-    return _BOUNDS[fidelity_class][0](dec)
-
-
-def series_ceiling(dec: SpectralDecomposition, fidelity_class: str) -> float:
-    """A bound on the class's average at every time, from the coefficients
-    interval_bound reads: each average is a real series
-    c_0 + sum_j a_j cos(w_j t + phi_j), or grows with the modulus of one, and
-    that never exceeds c_0 + sum_j |a_j|.  A decision scan whose value to
-    reach lies above it is a miss without evaluating the window."""
-    return _BOUNDS[fidelity_class][3](dec)
 
 
 def _hopping(dec: SpectralDecomposition):
@@ -446,8 +425,9 @@ def _hopping_series(dec: SpectralDecomposition, sources, t_max):
     with no power of t_max that could overflow.
     """
     hop, tau = _hopping(dec)
-    # past M, each term is at most half the one before, so the rest is below d_M
-    order = int(math.ceil(2.0 * tau * t_max)) + 1
+    # past M, each term is at most half the one before, so the rest is below
+    # d_M; and M >= N puts r x^M past the onset power x^|i-j| of every entry
+    order = max(int(math.ceil(2.0 * tau * t_max)) + 1, dec.n_sites)
     terms = np.zeros((order + 1, dec.n_sites, len(sources)))
     terms[0, [s - 1 for s in sources], range(len(sources))] = 1.0
     for m in range(1, order + 1):
@@ -491,7 +471,7 @@ def onset_curvature(dec: SpectralDecomposition, fidelity_class: str, ts) -> np.n
     k = interval_bound(dec, fidelity_class)
     if not ts.size:
         return np.empty(0)
-    _, curvature, entries, _ = _BOUNDS[fidelity_class]
+    curvature = _BOUNDS[fidelity_class]
     n = dec.n_sites
     targets, sources = _onset_sites(dec, fidelity_class)
     t_max = float(ts.max())
@@ -514,7 +494,7 @@ def onset_curvature(dec: SpectralDecomposition, fidelity_class: str, ts) -> np.n
         rows = [r - 1 for r in targets]
         # (entries, len(ts)) in the order (f_u1, f_u2, f_v1, f_v2), or f_{N,1}
         a, b1, b2 = (m[rows].transpose(0, 2, 1).reshape(-1, len(ts)) for m in (p, p1, p2))
-        return np.fmin(curvature(*entries(a, b1, b2)), k)
+        return np.fmin(curvature(a, b1, b2), k)
 
 
 def _sample_count(samples) -> int:

@@ -6,16 +6,17 @@ is a Piyavskii-Shubert branch and bound (Piyavskii 1972; Shubert, SIAM J.
 Numer. Anal. 9, 379, 1972) on the average itself.  fidelity.interval_bound
 gives a K >= -Fbar'' from the chain's modes, a bound on how fast the average
 can bend down, so no interval of width w can rise more than K w^2/8 above
-its higher end (its ceiling).  K is read off the exact coefficients of the
-average's trigonometric series, and for the general class it is 3 to 5.5 at
-every chain length and field tried (N = 7 to 40, h up to 200), so the coarse
-step sqrt(8 _COARSE_MARGIN / K) does not shrink as the barrier field grows,
-as a step set by the spectral range would.  The coarse points are evaluated, and
-the intervals whose ceiling lies above the best value are cut level by
-level, each step's new points evaluated as one array of times, and pruned
-again, until no interval's ceiling lies more than _GAP above the best value.
-The best evaluated value is the scan's.  Every class is a closed form in the
-propagator, so a scan holds no randomness.
+its higher end (its ceiling).  K is read off the average's series, merged
+(fidelity.series): for the general class on uniform chains 3 to 5.5 at every
+length and field tried (N = 7 to 40, h up to 200), less at h = 0, where
+frequencies coincide (3.7 at N = 7), and 16 to 72 on engineered chains.  So
+the coarse step sqrt(8 _COARSE_MARGIN / K) does not shrink as the barrier
+field grows, as a step set by the spectral range would.  The coarse points
+are evaluated, and the intervals whose ceiling lies above the best value are
+cut level by level, each step's new points evaluated as one array of times,
+and pruned again, until no interval's ceiling lies more than _GAP above the
+best value.  The best evaluated value is the scan's.  Every class is a
+closed form in the propagator, so a scan holds no randomness.
 
 Near t = 0 an interval's ceiling uses fidelity.onset_curvature, a bound on
 -Fbar'' over [0, hi] that falls off as a power of hi set by the
@@ -77,7 +78,7 @@ import numpy as np
 
 from .chain import ChainSpec, real_number, whole_number
 from .fidelity import CLASSES, GRID_VALUES, interval_bound, onset_curvature, onset_horizon, \
-    series_ceiling
+    series, series_ceiling
 from .spectral import UniformGrid, decompose_chain
 
 _CHUNK = 32768
@@ -171,16 +172,26 @@ class _Bound:
     is built once, the first time an interval below the horizon needs it,
     so a scan whose search stays away from the start never builds it; its
     values do not depend on when, so neither do the ceilings.
+
+    K is fidelity.interval_bound's, which sets the coarse step, plus what the
+    spread of the merged series allows the average evaluated: a term a moved
+    by d in frequency moves Fbar'' by at most |a| d (2 W + W^2 t), with
+    W = 4 max |lam| above every frequency of the series, its square expanded.
     """
 
     def __init__(self, dec, fidelity_class, t_max):
-        self.curvature = interval_bound(dec, fidelity_class)
+        k = interval_bound(dec, fidelity_class)
+        self.spread = 0.0 if fidelity_class == "one-qubit" else series(dec, fidelity_class).spread
+        self.lam_max = float(np.abs(dec.eigenvalues).max())
+        top = 4.0 * self.lam_max
+        self._allowance = self.spread * top * (2.0 + top * t_max)  # 0 with nothing merged
+        self.curvature = k + self._allowance
         # no longer than the window, which an average with no time dependence
         # (K = 0) is certified on from its two ends
-        if self.curvature * t_max * t_max <= 8.0 * _COARSE_MARGIN:
+        if k * t_max * t_max <= 8.0 * _COARSE_MARGIN:
             self.step = t_max
         else:
-            self.step = math.sqrt(8.0 * _COARSE_MARGIN / self.curvature)
+            self.step = math.sqrt(8.0 * _COARSE_MARGIN / k)
         self._cells = math.ceil(onset_horizon(dec, fidelity_class) / self.step)
         self._horizon = self._cells * self.step
         self._onset = partial(onset_curvature, dec, fidelity_class,
@@ -196,7 +207,7 @@ class _Bound:
         if not ts.size or ts[:, 1].min() >= self._horizon:
             return top + self.curvature * width2
         if self._table is None:
-            self._table = np.append(self._onset(), self.curvature)
+            self._table = np.append(self._onset() + self._allowance, self.curvature)
         cell = np.minimum(ts[:, 1] // self.step, self._cells).astype(np.intp)
         return top + self._table[cell] * width2
 
@@ -383,9 +394,9 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
     bound = _Bound(dec, request.fidelity_class, t_max)
     step = bound.step
     if reach is not None:
-        # no value the scan could evaluate reaches reach, with the rounding of
-        # its phases and, in _ROUNDING, of its sums
-        slack = _ROUNDING + _PHASE_ROUNDOFF * float(np.abs(dec.eigenvalues).max()) * t_max
+        # no value the scan could evaluate reaches reach, with the rounding of its
+        # phases and, in _ROUNDING, of its sums, and the spread of its series
+        slack = _ROUNDING + (_PHASE_ROUNDOFF * bound.lam_max + bound.spread) * t_max
         if series_ceiling(dec, request.fidelity_class) + slack < reach:
             return ScanResult(request.chain.field, 0.0, float(evaluate(np.zeros(1))[0]),
                               request.fidelity_class, step)

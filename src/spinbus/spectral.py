@@ -15,8 +15,9 @@ fidelity.general_values adds one more mode, of frequency 0 and weights I,
 so that the entries of I + F come out of the GEMM itself.  _cosine_series
 evaluates Hermitian forms x^H G x in the phases x_k = exp(-i lam_k t) with
 a real symmetric G on a scan grid: the form is the real series
-tr G + sum_{k<l} 2 G[k, l] cos((lam_l - lam_k) t), one real term per mode
-pair and no complex output (fidelity.omega1_values uses it on short chains).
+tr G + sum_{k<l} 2 G[k, l] cos((lam_l - lam_k) t) of _form_series (which
+fidelity.series reads too), one real term per mode pair and no complex
+output (fidelity.omega1_values uses it on short chains).
 
 _phase_products takes either an array of times, evaluated point by point,
 or a UniformGrid, the times step * (start + j) of a scan; _cosine_series
@@ -176,7 +177,7 @@ def _minor_weights(dec: SpectralDecomposition, targets, sources) -> np.ndarray:
     u = dec.eigenvectors
     tj = [_site_index(dec, s) for s in targets]
     si = [_site_index(dec, s) for s in sources]
-    return (u[tj][:, None, :] * u[si][None, :, :]).reshape(-1, dec.n_sites).T
+    return (u.take(tj, 0)[:, None, :] * u.take(si, 0)[None, :, :]).reshape(-1, dec.n_sites).T
 
 
 def _phase_products(lam, weights, ts) -> np.ndarray:
@@ -241,25 +242,31 @@ def _mode_pairs(n_modes: int):
     return tuple(_read_only(i) for i in np.triu_indices(n_modes, 1))
 
 
+def _form_series(lam, gram):
+    """x^H gram x, x_k = exp(-i lam_k t), for a real symmetric gram as the real
+    series c0 + sum_{k<l} a_kl cos(w_kl t): (c0, a, w) with c0 = tr gram,
+    a_kl = 2 gram[k, l] and w_kl = lam_l - lam_k."""
+    k, l = _mode_pairs(lam.size)
+    return float(gram.trace()), 2.0 * gram[k, l], lam[l] - lam[k]
+
+
 def _cosine_series(dec: SpectralDecomposition, gram, grid: UniformGrid) -> np.ndarray:
     """x^H gram x at each time of a uniform grid for a real symmetric gram, (count,).
 
     With x_k = exp(-i lam_k t) the form is the real cosine series
-    tr gram + sum_{k<l} a_kl cos(w_kl t), a_kl = 2 gram[k, l] and
-    w_kl = lam_l - lam_k, and the whole grid is one real GEMM of the anchor
-    table [cos w t_a | sin w t_a], (A, 2P), against the plan
-    [a cos w tau_j ; -a sin w tau_j], (2P, B), with tau_j the offsets of a
-    block's points and P = N (N - 1) / 2.
+    c0 + sum_{k<l} a_kl cos(w_kl t) of _form_series, and the whole grid is
+    one real GEMM of the anchor table [cos w t_a | sin w t_a], (A, 2P),
+    against the plan [a cos w tau_j ; -a sin w tau_j], (2P, B), with tau_j
+    the offsets of a block's points and P = N (N - 1) / 2.
     """
     lam = dec.eigenvalues
     block = min(_BLOCK, grid.count)
 
     def build():
-        k, l = _mode_pairs(lam.size)
-        omega, a = lam[l] - lam[k], 2.0 * gram[k, l]
+        c0, a, omega = _form_series(lam, gram)
         offsets = np.outer(omega, grid.step * np.arange(block))
         plan = np.concatenate([a[:, None] * np.cos(offsets), -a[:, None] * np.sin(offsets)])
-        return float(gram.trace()), _read_only(omega), _read_only(plan)
+        return c0, _read_only(omega), _read_only(plan)
 
     c0, omega, plan = _memoized(("cosine", dec, grid.step, block, gram.tobytes()), build)
     phases = np.outer(_anchor_times(grid, block), omega)

@@ -26,8 +26,9 @@ from spinbus import (
     one_qubit_amplitude,
     one_qubit_values,
 )
-from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, _general_series, _pair_det_series, \
-    _squared_series_bound, interval_bound, onset_curvature, series_ceiling
+from spinbus import fidelity
+from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, _pair_det_series, _squared_series_bound, \
+    interval_bound, onset_curvature, series, series_ceiling
 from spinbus.oracle import haar_average
 from spinbus.scans import _CHUNK
 from spinbus.spectral import UniformGrid, propagator_minor, propagator_minor_grid
@@ -378,22 +379,90 @@ def test_curvature_bounds_hold(fidelity_class, n_sites, field, profile):
     (6, 0.0, "uniform"), (8, 20.0, "uniform"), (11, 3.0, "engineered"),
 ])
 def test_curvature_series_are_exact(n_sites, field, profile):
-    """The series that K is read off reproduce det F and det(I + F),
-    and the bound on the second derivative of |s|^2 for s = sum_m c_m
-    exp(-i nu_m t) equals the sum over coefficient pairs it stands for,
-    sum_{m,n} |c_m c_n| (nu_m - nu_n)^2.  On a mirror-symmetric chain each
-    receiver minor of the eigenvectors is +- the sender one, so by
-    Cauchy-Binet det F's coefficients sum in modulus to det(I_2) = 1."""
+    """The series that K is read off reproduce det F and det(I + F) (the
+    general series' squared part, merged), and the bound on the second
+    derivative of |s|^2 for s = sum_m c_m exp(-i nu_m t) equals the sum over
+    coefficient pairs it stands for, sum_{m,n} |c_m c_n| (nu_m - nu_n)^2.  On
+    a mirror-symmetric chain each receiver minor of the eigenvectors is +-
+    the sender one, so by Cauchy-Binet det F's coefficients sum in modulus
+    to det(I_2) = 1."""
     dec = decompose_chain(build_chain(n_sites, 2, field, profile))
     assert np.abs(_pair_det_series(dec)[0]).sum() == pytest.approx(1)
     ts = np.linspace(0.0, 50.0, 11)
     f = propagator_minor_grid(dec, (n_sites - 1, n_sites), (1, 2), ts)
+    general = series(dec, "general")
     for (c, nu), want in ((_pair_det_series(dec), np.linalg.det(f)),
-                          (_general_series(dec), np.linalg.det(np.eye(2) + f))):
+                          ((general.c, general.nu), np.linalg.det(np.eye(2) + f))):
         assert np.max(np.abs(np.exp(-1j * np.outer(ts, nu)) @ c - want)) < 1e-13
         a = np.abs(c)
         pairs = (np.outer(a, a) * np.subtract.outer(nu, nu) ** 2).sum()
         assert _squared_series_bound(c, nu) == pytest.approx(pairs, rel=1e-12)
+
+
+def _series_values(s, ts):
+    # a0 + sum_j a_j cos(w_j t) + |sum_m c_m exp(-i nu_m t)|^2 / scale
+    squared = np.abs(np.exp(-1j * np.outer(ts, s.nu)) @ s.c) ** 2 / s.scale
+    return s.a0 + np.cos(np.outer(ts, s.w)) @ s.a + squared
+
+
+def _unmerged(monkeypatch):
+    # series with no merging: no two frequencies lie within a negative tolerance
+    monkeypatch.setattr(fidelity, "_MERGE_EPS", -1.0)
+    series.cache_clear()
+
+
+_SERIES_CHAINS = [(7, 0.0, "uniform"), (8, 0.0, "uniform"), (8, 20.0, "uniform"),
+                  (7, 0.0, "engineered"), (11, 3.0, "engineered")]
+
+
+@pytest.mark.parametrize("fidelity_class", ["general", "omega1", "omega2"])
+@pytest.mark.parametrize("n_sites, field, profile", _SERIES_CHAINS)
+def test_series_reproduce_the_averages(monkeypatch, fidelity_class, n_sites, field, profile):
+    """Each two-qubit series, merged, gives the class's average at t <= 50.
+    Every chain here but the engineered one at h = 3 has coinciding general
+    frequencies, merged into fewer terms: at h = 0 the spectrum is
+    +-symmetric (evenly spaced on engineered chains), and at N = 8 the bulk
+    has a mode at +-2.  With no coinciding frequencies the series is the
+    unmerged one, with spread 0."""
+    dec = decompose_chain(build_chain(n_sites, 2, field, profile))
+    ts = np.linspace(0.0, 50.0, 201)
+    merged = series(dec, fidelity_class)
+    assert np.abs(_series_values(merged, ts) - GRID_VALUES[fidelity_class](dec, ts)).max() < 1e-12
+    _unmerged(monkeypatch)
+    plain = series(dec, fidelity_class)
+    series.cache_clear()
+    assert plain.spread == 0.0
+    terms = (merged.a.size + merged.c.size, plain.a.size + plain.c.size)
+    if fidelity_class == "general":
+        assert (terms[0] < terms[1]) == ((n_sites, field, profile) != (11, 3.0, "engineered"))
+    if terms[0] == terms[1]:
+        assert merged.spread == 0.0
+        assert all(np.array_equal(x, y) for x, y in zip(merged, plain))
+
+
+@pytest.mark.parametrize("n_sites, profile, at_most", [
+    (7, "engineered", 17.0), (11, "engineered", 28.5), (7, "uniform", 3.7),
+])
+def test_merged_frequencies_cancel_in_k(n_sites, profile, at_most):
+    """At h = 0 coinciding frequencies merge, and their coefficients cancel
+    in the general K: unmerged it was 40.07, 69.89 and 5.40 on these chains."""
+    assert interval_bound(decompose_chain(build_chain(n_sites, 2, 0.0, profile)),
+                          "general") <= at_most
+
+
+def test_series_ceiling_never_rises_with_merging(monkeypatch):
+    """Merged coefficients sum to at most the sum of their moduli, so on the
+    Fig. 5 chains at weak fields no ceiling lies above the unmerged one by
+    more than the rounding of the reordered sum (two units in the last place)."""
+    chains = [decompose_chain(build_chain(n, 2, 0.1 * k)) for n in range(7, 12)
+              for k in range(31)]
+    classes = ("general", "omega1", "omega2")
+    merged = [[series_ceiling(dec, c) for c in classes] for dec in chains]
+    _unmerged(monkeypatch)
+    plain = [[series_ceiling(dec, c) for c in classes] for dec in chains]
+    series.cache_clear()
+    assert np.all(np.array(merged) <= np.array(plain) + 4.0 * np.finfo(float).eps)
+    assert np.any(np.array(merged) < np.array(plain) - 0.01)
 
 
 @pytest.mark.parametrize("fidelity_class, n_sites, fields, at_most", [
@@ -462,3 +531,15 @@ def test_omega2_average_in_the_pair_minor(n_sites, field):
     g = np.linalg.det(f)
     form = 0.5 - (np.abs(f) ** 2).sum(axis=(1, 2)) / 6.0 + np.abs(g) ** 2 / 2.0 + g.real / 3.0
     assert np.max(np.abs(form - omega2_values(dec, ts))) < 1e-14
+
+
+def test_onset_bound_falls_with_the_distance():
+    """The Dyson series is carried at least to order N, past every entry's
+    onset power, so its tail does not lift the far entries' bound: at the
+    same times it falls with the chain length."""
+    s = 0.346
+    onset = [onset_curvature(decompose_chain(build_chain(n, 2)), "omega2", [s, 2.0 * s])
+             for n in (16, 20, 24)]
+    assert onset[0][0] < 1e-19
+    assert all(later[0] < 1e-8 * earlier[0] for earlier, later in zip(onset, onset[1:]))
+    assert all(b[0] <= b[1] for b in onset)

@@ -22,7 +22,7 @@ from spinbus import (
     sample_haar_2q,
     threshold_field,
 )
-from spinbus.fidelity import GRID_VALUES, interval_bound, series_ceiling
+from spinbus.fidelity import GRID_VALUES, interval_bound, series, series_ceiling
 from spinbus.reduced import _sample_fidelities
 from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _TIE_EPS
 from spinbus.spectral import UniformGrid
@@ -55,6 +55,25 @@ def test_coarse_step_does_not_shrink_with_the_field():
         steps.append(max_over_time(req).grid_step)
         assert steps[-1] == math.sqrt(8.0 * _COARSE_MARGIN / curvature)
     assert max(steps) <= 1.1 * min(steps)
+
+
+def test_curvature_allows_for_merged_frequencies():
+    """The scan's K is interval_bound's, read off the merged series, plus what
+    the merge's spread allows the average evaluated over the window; a chain
+    with no coinciding frequencies gets interval_bound's K itself.  The
+    coarse step is set by interval_bound's K either way."""
+    from spinbus import scans
+
+    plain = decompose_chain(build_chain(7, 2, 5.0))
+    assert series(plain, "general").spread == 0.0
+    bound = scans._Bound(plain, "general", 2.0e4)
+    assert bound.curvature == interval_bound(plain, "general")
+    merged = decompose_chain(build_chain(8, 2, 20.0))  # its bulk mode at +-2 merges
+    k = interval_bound(merged, "general")
+    bound = scans._Bound(merged, "general", 6.0e4)
+    assert series(merged, "general").spread > 0.0
+    assert k < bound.curvature < k * (1.0 + 1e-6)
+    assert bound.step == math.sqrt(8.0 * _COARSE_MARGIN / k)
 
 
 def test_thread_count_does_not_change_result():
