@@ -115,10 +115,14 @@ _OMEGA1_FORM.flags.writeable = False
 
 # the longest chain whose omega1 scan grids are evaluated as a cosine series:
 # its N (N - 1) real terms per point grow faster than the phase products'
-# four complex columns per mode.  The cutoff rests on one microbenchmark of a
-# 32768-point chunk (one BLAS thread, 2-vCPU VM): both ways cost the same at
-# N = 12 to 13, and the series took 5 times as long at N = 40.  The benchmark
-# scans no omega1 chain longer than 11 sites, so it checks neither.
+# four complex columns per mode.  On a 32768-point chunk (one BLAS thread,
+# 2-vCPU VM), with the series' tables built from mode phases, the series
+# takes 0.17-0.35 ms against 0.45-0.55 ms for the phase products at
+# N = 10-16 (a scan's first chunk, which also builds the plan, 0.37-0.61
+# against 0.59-0.72 ms); the two cost the same near N = 20, and the series
+# takes twice as long at N = 40.  The cutoff was set at the crossover of
+# tables built from pair cosines and sines, N = 12 to 13.  The benchmark
+# scans no omega1 chain longer than 11 sites, so it checks neither side.
 _SERIES_MAX_SITES = 12
 
 
@@ -406,11 +410,13 @@ _BOUNDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def _hopping(dec: SpectralDecomposition):
     """|T|'s off-diagonal, the hopping part of the chain's matrix read back from
-    the decomposition, and its largest row sum (its norm on nonnegative vectors)."""
+    the decomposition, and its largest row sum (its norm on nonnegative vectors),
+    once per decomposition: a scan reads it for its horizon and its onset table."""
     u, lam = dec.eigenvectors, dec.eigenvalues
-    hop = np.abs(np.einsum("ik,k,ik->i", u[:-1], lam, u[1:]))
+    hop = _read_only(np.abs(np.einsum("ik,k,ik->i", u[:-1], lam, u[1:])))
     rows = np.zeros(dec.n_sites)
     rows[:-1] += hop
     rows[1:] += hop

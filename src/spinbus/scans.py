@@ -72,7 +72,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -168,10 +168,12 @@ class _Bound:
     An interval [lo, hi] with averages fs at its ends has the ceiling
     max(fs) + K(hi) (hi - lo)^2/8, where K(hi) >= -Fbar'' on [0, hi].
     Below fidelity.onset_horizon, K(hi) is fidelity.onset_curvature's bound
-    at the coarse point (k + 1) step just past hi, and past it K.  The table
-    is built once, the first time an interval below the horizon needs it,
-    so a scan whose search stays away from the start never builds it; its
-    values do not depend on when, so neither do the ceilings.
+    at the coarse point (k + 1) step just past hi, and past it K.  The
+    horizon is found at the first ceiling asked for, so a decision miss that
+    fidelity.series_ceiling certifies never finds it, and the table is built
+    once, the first time an interval below the horizon needs it, so a scan
+    whose search stays away from the start never builds it; its values do
+    not depend on when, so neither do the ceilings.
 
     K is fidelity.interval_bound's, which sets the coarse step, plus what the
     spread of the merged series allows the average evaluated: a term a moved
@@ -192,11 +194,12 @@ class _Bound:
             self.step = t_max
         else:
             self.step = math.sqrt(8.0 * _COARSE_MARGIN / k)
-        self._cells = math.ceil(onset_horizon(dec, fidelity_class) / self.step)
-        self._horizon = self._cells * self.step
-        self._onset = partial(onset_curvature, dec, fidelity_class,
-                              self.step * np.arange(1, self._cells + 1))
+        self._dec, self._class = dec, fidelity_class
         self._table = None
+
+    @cached_property
+    def _cells(self):
+        return math.ceil(onset_horizon(self._dec, self._class) / self.step)
 
     def ceilings(self, ts, fs):
         """The ceiling of each interval: row j of ts holds its ends (lo, hi),
@@ -204,10 +207,12 @@ class _Bound:
         # not fs.max(axis=1), which took 70 times as long on a (20000, 2) array
         top = np.maximum(fs[:, 0], fs[:, 1])
         width2 = (ts[:, 1] - ts[:, 0]) ** 2 / 8.0
-        if not ts.size or ts[:, 1].min() >= self._horizon:
+        if not ts.size or ts[:, 1].min() >= self._cells * self.step:
             return top + self.curvature * width2
         if self._table is None:
-            self._table = np.append(self._onset() + self._allowance, self.curvature)
+            onset = onset_curvature(self._dec, self._class,
+                                    self.step * np.arange(1, self._cells + 1))
+            self._table = np.append(onset + self._allowance, self.curvature)
         cell = np.minimum(ts[:, 1] // self.step, self._cells).astype(np.intp)
         return top + self._table[cell] * width2
 

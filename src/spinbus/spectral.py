@@ -29,9 +29,12 @@ factorizes, exp(-i lam step (start + a B + j)) = anchor[a] * base[j]: the
 base phases folded into the weights (or, for a series, the cosines and
 sines of a block's offsets folded into the coefficients) form the plan, and
 the whole grid is one product of the (count/B, .) anchor table with it,
-costing count/B + B phase evaluations per mode or pair instead of count.
-The plan is entry-major, (mode, column, block offset), which is what gives
-the output its layout.  A plan depends only on the frequencies, what it
+costing count/B + B phase evaluations per mode instead of count.  A
+series' tables hold a phase exp(i (lam_l - lam_k) t) per mode pair, but
+each is the product of two mode phases (_pair_phases), so a table time
+still costs N phase evaluations, plus one complex product per pair.
+The phase plan is entry-major, (mode, column, block offset), which is what
+gives the output its layout.  A plan depends only on the frequencies, what it
 folds in (the weights or G), the step and B, so it is built once per scan
 and shared, read-only, by every chunk (a one-entry memo).
 Anchors are computed from the integer index, never accumulated, so the
@@ -250,27 +253,49 @@ def _form_series(lam, gram):
     return float(gram.trace()), 2.0 * gram[k, l], lam[l] - lam[k]
 
 
+def _pair_phases(lam, ts) -> np.ndarray:
+    """exp(i w_kl t) for each t of ts and each mode pair k < l in _mode_pairs'
+    order, (len(ts), P) with P = N (N - 1) / 2.
+
+    Each is the product exp(i lam_l t) conj(exp(i lam_k t)): N complex phases
+    per time and one complex product per pair.  The phases are mode-major, so
+    the pairs (k, l > k) of one k are one row-wise multiply into the pair-major
+    view of the output.
+    """
+    n = lam.size
+    modes = np.exp(1j * np.outer(lam, ts))
+    conj = modes.conj()
+    pairs = np.empty((len(ts), n * (n - 1) // 2), dtype=complex)
+    rows, first = pairs.T, 0
+    for k in range(n - 1):
+        np.multiply(modes[k + 1:], conj[k], out=rows[first:first + n - 1 - k])
+        first += n - 1 - k
+    return pairs
+
+
 def _cosine_series(dec: SpectralDecomposition, gram, grid: UniformGrid) -> np.ndarray:
     """x^H gram x at each time of a uniform grid for a real symmetric gram, (count,).
 
     With x_k = exp(-i lam_k t) the form is the real cosine series
     c0 + sum_{k<l} a_kl cos(w_kl t) of _form_series, and the whole grid is
-    one real GEMM of the anchor table [cos w t_a | sin w t_a], (A, 2P),
-    against the plan [a cos w tau_j ; -a sin w tau_j], (2P, B), with tau_j
-    the offsets of a block's points and P = N (N - 1) / 2.
+    one real GEMM of the anchor table, (A, 2P), against the plan, (2P, B),
+    with P = N (N - 1) / 2.  The anchor table is the float view of the pair
+    phases exp(i w t_a) of _pair_phases, so its columns interleave
+    (cos w t_a, sin w t_a) pair by pair; the plan's rows interleave
+    (a cos w tau_j, -a sin w tau_j) the same way, with tau_j the offsets of
+    a block's points.  Each table time costs N complex phases, not 2P
+    cosines and sines of the pair frequencies.
     """
     lam = dec.eigenvalues
     block = min(_BLOCK, grid.count)
 
     def build():
-        c0, a, omega = _form_series(lam, gram)
-        offsets = np.outer(omega, grid.step * np.arange(block))
-        plan = np.concatenate([a[:, None] * np.cos(offsets), -a[:, None] * np.sin(offsets)])
-        return c0, _read_only(omega), _read_only(plan)
+        c0, a, _ = _form_series(lam, gram)
+        plan = _pair_phases(lam, grid.step * np.arange(block)).view(float)
+        plan *= np.stack((a, -a), axis=1).ravel()
+        return c0, _read_only(plan.T)
 
-    c0, omega, plan = _memoized(("cosine", dec, grid.step, block, gram.tobytes()), build)
-    phases = np.outer(_anchor_times(grid, block), omega)
-    anchors = np.concatenate([np.cos(phases), np.sin(phases)], axis=1)
-    values = anchors @ plan
+    c0, plan = _memoized(("cosine", dec, grid.step, block, gram.tobytes()), build)
+    values = _pair_phases(lam, _anchor_times(grid, block)).view(float) @ plan
     values += c0  # in place: a second chunk-sized temporary cost page faults per chunk
     return values.ravel()[:grid.count]

@@ -84,19 +84,34 @@ class SeededSampler:
         return f"SeededSampler(seed={self.seed})"
 
 
-# rows normalized per block, so the norm's temporaries stay a few hundred kB
+# rows normalized per block, so the squared moduli take one 128 kB buffer
 _NORM_BLOCK = 2048
 
 
 def _normalize_rows(z: np.ndarray) -> np.ndarray:
     """Scale each row of z to unit norm, in place.
 
-    The reciprocal multiply gives the same bits as z / norm, since numpy
-    divides a complex by a real through its reciprocal.
+    Bit for bit z / np.linalg.norm(z, axis=-1, keepdims=True).  Per block,
+    the squared moduli are the real part of conj(z) z, as in the norm, put
+    into one reused buffer; their columns are summed in order,
+    ((s0 + s1) + s2) + s3, as the norm's reduction sums a short row; and the
+    rows are scaled through their float view by the reciprocal of the norm,
+    which is how numpy divides a complex by a real.
     """
+    squares = np.empty((min(len(z), _NORM_BLOCK), z.shape[-1]), dtype=complex)
     for i in range(0, len(z), _NORM_BLOCK):
         rows = z[i:i + _NORM_BLOCK]
-        rows *= 1 / np.linalg.norm(rows, axis=-1, keepdims=True)
+        moduli = squares[:len(rows)]
+        np.conjugate(rows, out=moduli)
+        moduli *= rows
+        columns = moduli.real.T
+        norm = columns[0] + columns[1]
+        for column in columns[2:]:
+            norm += column
+        np.sqrt(norm, out=norm)
+        np.divide(1.0, norm, out=norm)
+        flat = rows.view(float)
+        flat *= norm[:, None]
     return z
 
 
@@ -123,8 +138,10 @@ def sample_haar_1q(sampler: SeededSampler, size=None):
 def _draw(sampler: SeededSampler, size, slots):
     """Haar samples from the slice spanned by two basis slots, others zero."""
     n = 1 if size is None else whole_number("size", size, 0)
+    # drawn first, so the draw's buffers are freed before the rows are made
+    pair = sample_haar_1q(sampler, n)
     v = np.zeros((n, 4), dtype=complex)
-    v[:, slots] = sample_haar_1q(sampler, n)
+    v[:, slots] = pair
     if size is None:
         return TwoQubitState(*v[0])
     return v

@@ -543,3 +543,18 @@ def test_onset_bound_falls_with_the_distance():
     assert onset[0][0] < 1e-19
     assert all(later[0] < 1e-8 * earlier[0] for earlier, later in zip(onset, onset[1:]))
     assert all(b[0] <= b[1] for b in onset)
+
+
+def test_hopping_is_read_back_once_per_decomposition():
+    """The hopping of the chain's matrix, read back from the decomposition for
+    the onset horizon and the onset table, is computed once per decomposition
+    and handed out read-only."""
+    spec = build_chain(9, 2, 6.0)
+    dec = decompose_chain(spec)
+    hop, tau = fidelity._hopping(dec)
+    assert fidelity._hopping(dec)[0] is hop
+    assert not hop.flags.writeable
+    matrix = np.abs(hamiltonian_matrix(spec).to_dense())
+    np.testing.assert_allclose(hop, np.diag(matrix, 1), rtol=1e-12)
+    off = matrix - np.diag(matrix.diagonal())
+    assert tau == pytest.approx(off.sum(axis=1).max(), rel=1e-12)

@@ -219,6 +219,23 @@ def test_monte_carlo_draws_and_scores_in_one_lean_pass():
     assert peak <= 128 * samples
 
 
+@pytest.mark.parametrize("state_class", ["omega1", "omega2"])
+def test_slice_monte_carlo_draws_before_it_widens(state_class):
+    """An omega1 or omega2 call draws its Haar pairs before it allocates the
+    four-amplitude rows, so it peaks like a general call (96 B per sample),
+    not with the draw's buffers beside the rows (112)."""
+    dec = decompose_chain(build_chain(8, 2, 9.0))
+    samples = 40000
+    avg_fidelity_mc(dec, 31.0, 100, SeededSampler(1), state_class)  # first-call allocations
+    tracemalloc.start()
+    try:
+        avg_fidelity_mc(dec, 31.0, samples, SeededSampler(1), state_class)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * samples
+
+
 def test_monte_carlo_scorer_memory_is_flat_in_the_sample_count():
     """Samples are scored in fixed blocks: only the (k,) scores grow with k."""
     dec = decompose_chain(build_chain(8, 2, 9.0))
@@ -636,6 +653,24 @@ def test_a_miss_below_the_ceiling_walks_no_grid(monkeypatch, threads):
     assert miss == ScanResult(0.0, 0.0, f0, "omega1", max_over_time(req).grid_step)
     assert miss.fbar_max < 0.95
     assert miss == max_over_time(dataclasses.replace(req, threads=1), 0.95)
+
+
+def test_a_miss_the_ceiling_certifies_finds_no_onset_horizon(monkeypatch):
+    """The onset horizon is found at a scan's first interval ceiling, so a
+    decision the series ceiling settles never finds it, and a scan that walks
+    its grid finds it once."""
+    from spinbus import scans
+
+    found = []
+    horizon = scans.onset_horizon
+    monkeypatch.setattr(scans, "onset_horizon",
+                        lambda *args: found.append(args) or horizon(*args))
+    req = ScanRequest(build_chain(7, 2, 0.0), fidelity_class="omega1", t_max=1.3e4)
+    assert max_over_time(req, 0.95).t_star == 0.0
+    assert found == []
+    hit = max_over_time(dataclasses.replace(req, chain=build_chain(7, 2, 5.2)), 0.95)
+    assert hit.fbar_max >= 0.95
+    assert len(found) == 1
 
 
 def test_a_reach_below_the_ceiling_walks_the_grid(monkeypatch):

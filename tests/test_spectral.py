@@ -18,7 +18,7 @@ from spinbus import (
     propagator_minor,
     propagator_minor_grid,
 )
-from spinbus import spectral
+from spinbus import fidelity, spectral
 from spinbus.fidelity import GRID_VALUES
 from spinbus.scans import _CHUNK
 from spinbus.spectral import SpectralDecomposition, UniformGrid
@@ -174,6 +174,47 @@ def test_grid_values_match_time_array(n_sites, field, cls):
         ts = step * (start + np.arange(count))
         blocked = values(dec, UniformGrid(step, start, count))
         direct = values(dec, ts)
+        assert blocked.shape == direct.shape == (count,)
+        tol = 1e-14 + 2.0 * np.finfo(float).eps * lam_max * ts[-1]
+        assert np.abs(blocked - direct).max() <= tol, (start, count)
+
+
+@pytest.mark.parametrize("field", [0.0, 6.0, 200.0])
+@pytest.mark.parametrize("n_sites", [2, 7, 11, 12])
+def test_pair_phases_are_the_pair_cosines(n_sites, field):
+    """exp(i w_kl t), built as exp(i lam_l t) conj(exp(i lam_k t)), is
+    cos and sin of w_kl t = (lam_l - lam_k) t to the rounding of the two mode
+    phases, 2 eps (|lam_k| + |lam_l|) t, pair by pair in _mode_pairs' order,
+    at times near 0 and up to the longest scan window (6e4)."""
+    dec = decompose(_barrier_hamiltonian(n_sites, field))
+    lam = dec.eigenvalues
+    k, l = spectral._mode_pairs(n_sites)
+    ts = np.concatenate([np.linspace(0.0, 10.0, 7), np.linspace(5.9e4, 6.0e4, 9)])
+    pairs = spectral._pair_phases(lam, ts)
+    assert pairs.shape == (ts.size, n_sites * (n_sites - 1) // 2)
+    angles = np.outer(ts, lam[l] - lam[k])
+    eps = np.finfo(float).eps
+    tol = 4.0 * eps + 2.0 * eps * np.outer(ts, np.abs(lam[k]) + np.abs(lam[l]))
+    assert np.all(np.abs(pairs.real - np.cos(angles)) <= tol)
+    assert np.all(np.abs(pairs.imag - np.sin(angles)) <= tol)
+
+
+@pytest.mark.parametrize("field", [0.0, 6.0, 20.0])
+@pytest.mark.parametrize("n_sites", [9, 10, 11, 12])
+def test_omega1_series_matches_time_array(n_sites, field):
+    """omega1 on a UniformGrid, a cosine series over the pair phases on
+    chains up to _SERIES_MAX_SITES, equals its time-array path to
+    test_grid_values_match_time_array's tolerance, on grids that start at 0,
+    in the middle and at the end of the longest scan window (6e4)."""
+    assert n_sites <= fidelity._SERIES_MAX_SITES  # the series' range
+    dec = decompose(_barrier_hamiltonian(n_sites, field))
+    lam_max = np.abs(dec.eigenvalues).max()
+    step = np.pi / (4.0 * dec.spectral_range)
+    window_end = int(6.0e4 / step)
+    for start, count in ((0, _CHUNK), (window_end // 2, 1000), (window_end - 300, 301)):
+        ts = step * (start + np.arange(count))
+        blocked = fidelity.omega1_values(dec, UniformGrid(step, start, count))
+        direct = fidelity.omega1_values(dec, ts)
         assert blocked.shape == direct.shape == (count,)
         tol = 1e-14 + 2.0 * np.finfo(float).eps * lam_max * ts[-1]
         assert np.abs(blocked - direct).max() <= tol, (start, count)
