@@ -5,11 +5,16 @@ evaluates multi-excitation transition amplitudes as determinants of
 single-particle propagator minors, and builds on those the receiver-block
 density matrices, average transfer fidelities, and the time/field scans used
 to locate high-fidelity operating points.
+
+Importing the package loads what every call path uses: chain, spectral,
+states, reduced and fidelity.  The names of scans (time and field scans),
+oracle (the sector-evolution cross-check) and amplitudes (multi-excitation
+amplitudes) load their module on first access, so a point query loads none
+of them.
 """
 
 __version__ = "0.1.0"
 
-from .amplitudes import amplitude_rp
 from .chain import (
     BALLISTIC,
     BALLISTIC_C_DEFAULT,
@@ -35,26 +40,10 @@ from .fidelity import (
     one_qubit_amplitude,
     one_qubit_values,
 )
-from .oracle import (
-    SectorBasis,
-    SectorEvolver,
-    field_constant,
-    oracle_rdm,
-    verification_battery,
-)
 from .reduced import (
     RECEIVER_BASIS,
     evolve_receiver_pair,
     fidelity_against,
-)
-from .scans import (
-    ScanRequest,
-    ScanResult,
-    ThresholdResult,
-    default_t_max,
-    field_sweep,
-    max_over_time,
-    threshold_field,
 )
 from .spectral import (
     SpectralDecomposition,
@@ -126,3 +115,35 @@ __all__ = [
     "threshold_field",
     "verification_battery",
 ]
+
+# the names whose module loads on first access, and that module
+_DEFERRED = {
+    "amplitude_rp": "amplitudes",
+    "SectorBasis": "oracle",
+    "SectorEvolver": "oracle",
+    "field_constant": "oracle",
+    "oracle_rdm": "oracle",
+    "verification_battery": "oracle",
+    "ScanRequest": "scans",
+    "ScanResult": "scans",
+    "ThresholdResult": "scans",
+    "default_t_max": "scans",
+    "field_sweep": "scans",
+    "max_over_time": "scans",
+    "threshold_field": "scans",
+}
+
+
+def __getattr__(name):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups find it without this call
+    return value
+
+
+def __dir__():
+    return list(__all__)

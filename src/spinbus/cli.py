@@ -25,7 +25,6 @@ from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain, real_num
     whole_number
 from .fidelity import CLASSES, GRID_VALUES, METHODS, AverageFidelity, avg_fidelity_mc, \
     general_values
-from .oracle import verification_battery
 from .reduced import RECEIVER_BASIS, evolve_receiver_pair
 from .scans import ScanRequest, default_t_max, field_sweep, max_over_time, threshold_field
 from .spectral import decompose_chain
@@ -147,11 +146,15 @@ def _parse_list(name, text, kind=float) -> list:
 
     A config's integers are passed on as they stand: the library rejects 7.9
     as a chain length or site, where int() would truncate it to 7.  A config's
-    reals must be JSON numbers: float() would read true as 1.0.
+    reals must be JSON numbers: float() would read true as 1.0.  An empty
+    item, as in 1,,2 or 2, is a usage error, not a value left out.
     """
     if isinstance(text, (list, tuple)):
         return list(text) if kind is int else [real_number(name, x) for x in text]
-    return [kind(x) for x in str(text).split(",") if x.strip()]
+    items = str(text).split(",")
+    if not all(x.strip() for x in items):
+        raise _Usage(f"--{name.replace('_', '-')} has an empty item: {text!r}")
+    return [kind(x) for x in items]
 
 
 def cmd_spectrum(args) -> int:
@@ -334,6 +337,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # here, not at the top: no other command uses the oracle
+    from .oracle import verification_battery
+
     params = _resolve(args)
     checks = verification_battery(seed=params.get("seed", 0))
     for c in checks:

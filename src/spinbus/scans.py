@@ -25,7 +25,8 @@ rounding of its t = 0 value, and K alone would have it sampled at about
 1e-7 all along.  Elsewhere a stretch where the curve stays just below its
 best, as a window shorter than the transfer time across a strong barrier
 has, is sampled that finely still; a chunk's search stops after
-_SEARCH_POINTS points, and what it left is certified only to its ceilings.
+_SEARCH_POINTS points, and what it left is certified only to its ceilings,
+which the result reports as capped.
 
 Values within _TIE_EPS of the maximum are ties, and t_star is the earliest
 time found among them.  Each chunk's search keeps what may hold a tie: the
@@ -70,7 +71,6 @@ when it found none.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -112,8 +112,8 @@ _BATCH = 4096
 # every pi/2, about 391000 (measured with no budget).  A stretch
 # where the curve stays within about 1e-8 below its best for long, such as a
 # window shorter than the transfer time across a strong barrier, needs more:
-# the search stops there, and the points it left are certified only to the
-# ceilings left.
+# the search stops there, the points it left are certified only to the
+# ceilings left, and ScanResult.capped says so.
 _SEARCH_POINTS = 4 * _CHUNK
 _CAP_SLACK = 1e-9
 
@@ -150,9 +150,12 @@ class ScanRequest:
 class ScanResult:
     """Maximum found by a scan; grid_step is the step of its coarse grid.
 
-    fbar_max is the window maximum of the class's average, to within _GAP
-    where no chunk's search ran out of _SEARCH_POINTS; t_star is the
-    earliest time the scan found whose value lies within _TIE_EPS of it.
+    fbar_max is the window maximum of the class's average, to within _GAP;
+    t_star is the earliest time the scan found whose value lies within
+    _TIE_EPS of it.  capped is True when a chunk's search, or the search for
+    the earliest tie, stopped at _SEARCH_POINTS with intervals left: fbar_max
+    is then certified only to the ceilings of those intervals, and t_star
+    may not be the earliest tie.
     """
 
     field: float
@@ -160,6 +163,7 @@ class ScanResult:
     fbar_max: float
     fidelity_class: str
     grid_step: float
+    capped: bool = False
 
 
 class _Bound:
@@ -196,6 +200,8 @@ class _Bound:
             self.step = math.sqrt(8.0 * _COARSE_MARGIN / k)
         self._dec, self._class = dec, fidelity_class
         self._table = None
+        # set by a search of the scan that stops at _SEARCH_POINTS with intervals left
+        self.capped = False
 
     @cached_property
     def _cells(self):
@@ -251,7 +257,8 @@ def _refine(evaluate, bound, chunk, floor, goal, ties):
     step's cost, not its points', dominates.  Batches are searched depth
     first, the earliest first, so the stack holds a few batches per level,
     not a whole level, even where the curve is flat.  The search stops early
-    once no interval's ceiling reaches floor, or once its best reaches goal.
+    once no interval's ceiling reaches floor, or once its best reaches goal,
+    and it sets bound.capped when it stops at _SEARCH_POINTS before either.
 
     ties is a _Ties, or None: the pruned intervals whose ceiling lies within
     _TIE_EPS below the best are added to it.
@@ -260,8 +267,10 @@ def _refine(evaluate, bound, chunk, floor, goal, ties):
     # batches (ts, fs, top, max(top)), the earliest on top of the stack
     stack = [(ts, fs, top, top.max())] if top.size else []
     points = 0
-    while stack and f < goal and points < _SEARCH_POINTS \
-            and max(b[3] for b in stack) >= floor:
+    while stack and f < goal and max(b[3] for b in stack) >= floor:
+        if points >= _SEARCH_POINTS:
+            bound.capped = True
+            break
         ts, fs, top, _ = stack.pop()
         if top.size > _BATCH:
             rest = slice(_BATCH, None)
@@ -350,7 +359,9 @@ class _Ties:
         reaching reach, none of whose ends reaches it, are cut in two, all in
         one array per step, until none is left.  A point reaching reach lies
         on a peak within reach's distance of its top, about
-        sqrt(2 _TIE_EPS / c) in time on a peak of curvature c.
+        sqrt(2 _TIE_EPS / c) in time on a peak of curvature c.  The search
+        stops after _SEARCH_POINTS points, and sets bound.capped if it then
+        has intervals left.
         """
         t, f = math.inf, None
         high = np.flatnonzero(self.points[1] >= reach)
@@ -358,11 +369,14 @@ class _Ties:
             t, f = float(self.points[0][high[0]]), float(self.points[1][high[0]])
         ts, fs, top = self.compact(reach).intervals[0]
         points = 0
-        while points < _SEARCH_POINTS:
+        while True:
             keep = (top >= reach) & (ts[:, 0] < t) \
                 & (ts[:, 1] - ts[:, 0] > _ROUNDING * ts[:, 1])  # not as narrow as rounding
             ts, fs = ts[keep], fs[keep]
             if not ts.size:
+                return None if f is None else (t, f)
+            if points >= _SEARCH_POINTS:
+                bound.capped = True
                 return None if f is None else (t, f)
             _, _, ts, fs = _cut(evaluate, ts, fs, 2)
             points += ts.shape[0] // 2
@@ -374,7 +388,6 @@ class _Ties:
             # an interval with an end that reaches reach holds no earlier point found
             ts, fs = ts[~hit.any(axis=1)], fs[~hit.any(axis=1)]
             top = bound.ceilings(ts, fs)
-        return None if f is None else (t, f)
 
 
 def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResult:
@@ -462,7 +475,8 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
             if tie is not None:
                 best_t = tie[0]
                 break
-    return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step)
+    return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step,
+                      bound.capped)
 
 
 def _at_once(run, items, threads):
@@ -470,6 +484,9 @@ def _at_once(run, items, threads):
     items = list(items)
     if threads == 1 or len(items) <= 1:
         return [run(x) for x in items]
+    # here, not at the top: it loads logging and queue, which no single scan needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(min(threads, len(items))) as pool:
         return list(pool.map(run, items))
 

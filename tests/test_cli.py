@@ -402,6 +402,21 @@ def test_undeclared_flags_are_rejected_by_the_parser(capsys, argv):
     assert err.startswith("usage error:") and "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan-field", *_OMEGA1_SCAN, "--h-list", "1,,2"),
+    ("scan-field", *_OMEGA1_SCAN, "--h-list", "2,"),
+    ("scan-field", *_OMEGA1_SCAN, "--h-list", ""),
+    ("threshold", "--N-list", "7,,8", "--t-max", "100", "--h-cap", "0.5"),
+    ("threshold", "--N-list", ",7", "--t-max", "100", "--h-cap", "0.5"),
+    ("reproduce", "--figure", "5", "--N-list", "7, ", "--t-max", "100"),
+])
+def test_empty_list_items_are_usage_errors(capsys, argv):
+    """An empty item is a mistake in the list, not a value to leave out."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "empty item" in err
+
+
 @pytest.mark.parametrize("command, key", [
     ("scan-time", "grid"), ("scan-field", "grid"), ("scan-field", "h_min"),
     ("scan-field", "h_max"), ("scan-field", "h_step"),

@@ -258,16 +258,19 @@ class _ToyBound:
 
     step = 0.25
 
+    def __init__(self):
+        self.capped = False
+
     @staticmethod
     def ceilings(ts, fs):
         return fs.max(axis=1) + 0.5 / 8.0 * (ts[:, 1] - ts[:, 0]) ** 2
 
 
-def _toy_search(evaluate):
-    """A chunk search of the toy curve on [0, 4], then its earliest tie."""
-    from spinbus.scans import _refine, _split, _Ties
+def _toy_chunk(evaluate, bound):
+    """The toy curve on [0, 4] as one chunk: its best point and live
+    intervals, and its ties."""
+    from spinbus.scans import _split, _Ties
 
-    bound = _ToyBound()
     ts = bound.step * np.arange(17)
     fs = evaluate(ts)
     i = int(np.argmax(fs))
@@ -275,7 +278,16 @@ def _toy_search(evaluate):
     live, tie = _split(cells, ends, bound.ceilings(cells, ends), fs[i] + _GAP, fs[i] - _TIE_EPS)
     ties = _Ties()
     ties.add(tie, fs[i])
-    best = _refine(evaluate, bound, (ts[i], fs[i], live), -math.inf, math.inf, ties)
+    return (ts[i], fs[i], live), ties
+
+
+def _toy_search(evaluate):
+    """A chunk search of the toy curve on [0, 4], then its earliest tie."""
+    from spinbus.scans import _refine
+
+    bound = _ToyBound()
+    chunk, ties = _toy_chunk(evaluate, bound)
+    best = _refine(evaluate, bound, chunk, -math.inf, math.inf, ties)
     return best, ties.earliest(evaluate, bound, best[1] - _TIE_EPS)
 
 
@@ -369,7 +381,8 @@ def test_window_before_the_arrival_is_cheap(monkeypatch, fidelity_class, n_sites
 def test_search_stops_at_its_point_budget(monkeypatch):
     """Across a strong barrier a short window's maximum is the t = 0 value, and
     the curve leaves it by about 1e-9 over the window: certifying that to
-    _GAP would take millions of points, so the search stops at its budget."""
+    _GAP would take millions of points, so the search stops at its budget,
+    and the result says so."""
     from spinbus.scans import _SEARCH_POINTS
 
     calls = []
@@ -386,6 +399,48 @@ def test_search_stops_at_its_point_budget(monkeypatch):
     coarse = sum(len(ts) for ts in calls if isinstance(ts, UniformGrid))
     search = sum(len(ts) for ts in calls if not isinstance(ts, UniformGrid))
     assert _SEARCH_POINTS <= search < _SEARCH_POINTS + 4096 and coarse < 100
+    assert res.capped
+
+
+@pytest.mark.parametrize("chunk_budget, tie_budget, capped", [
+    (None, None, (False, False)), (0, None, (True, True)), (None, 0, (False, True)),
+])
+def test_a_search_stopped_at_its_budget_sets_capped(monkeypatch, chunk_budget, tie_budget,
+                                                     capped):
+    """Two equal peaks between grid points: the chunk's search (294 points) and
+    the search for its earliest tie (2 points) each set capped when their
+    budget (None: the default) stops them with intervals left; once set, it stays."""
+    from spinbus import scans
+
+    def off_grid(ts):  # peaks 0.5 at t = 1.1 and 3.1
+        return 0.5 - 0.1 * np.sin(np.pi * (ts - 1.1) / 2.0) ** 2
+
+    default = scans._SEARCH_POINTS
+    bound = _ToyBound()
+    chunk, ties = _toy_chunk(off_grid, bound)
+    monkeypatch.setattr(scans, "_SEARCH_POINTS", default if chunk_budget is None else chunk_budget)
+    best = scans._refine(off_grid, bound, chunk, -math.inf, math.inf, ties)
+    after_chunk = bound.capped
+    monkeypatch.setattr(scans, "_SEARCH_POINTS", default if tie_budget is None else tie_budget)
+    ties.earliest(off_grid, bound, best[1] - _TIE_EPS)
+    assert (after_chunk, bound.capped) == capped
+
+
+def test_a_revival_every_half_pi_reports_capped():
+    """The engineered chain's general average revives every pi/2: certifying
+    each revival over 2e4 takes more than a chunk's search budget."""
+    req = ScanRequest(build_chain(7, profile="engineered"), "general", 2.0e4)
+    assert max_over_time(req).capped
+
+
+def test_figure_rows_are_not_capped():
+    """Every scan behind a row of Fig. 4a, 4b and 5 is certified to _GAP."""
+    requests = [ScanRequest(build_chain(n_sites, 2, h), "general", t_max)
+                for n_sites, t_max in ((7, 2.0e4), (8, 6.0e4))
+                for h in (0.0, 2.0, 5.0, 10.0, 15.0, 20.0)]
+    requests += [ScanRequest(build_chain(n_sites, 2, h), "omega1", 1.3e4)
+                 for n_sites, h in zip(range(7, 12), (5.2, 7.1, 5.9, 7.1, 6.0))]
+    assert not any(max_over_time(req).capped for req in requests)
 
 
 @pytest.mark.parametrize("n_sites, field, fidelity_class, t_max, at_least", [
