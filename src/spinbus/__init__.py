@@ -10,7 +10,8 @@ Importing the package loads what every call path uses: chain, spectral,
 states, reduced and fidelity.  The names of scans (time and field scans),
 oracle (the sector-evolution cross-check) and amplitudes (multi-excitation
 amplitudes) load their module on first access, so a point query loads none
-of them.
+of them; nor bounds, the scans' curvature bounds and ceilings, which only
+scans imports.
 """
 
 __version__ = "0.1.0"

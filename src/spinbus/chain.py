@@ -14,6 +14,7 @@ b2 = N - n.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -90,8 +91,10 @@ class ChainSpec:
                 )
         object.__setattr__(self, "field", real_number("field", self.field))
         object.__setattr__(self, "ballistic_c", real_number("ballistic_c", self.ballistic_c))
-        if not np.isfinite(self.field) or self.field < 0:
-            raise ValueError(f"barrier field must be >= 0, got {self.field!r}")
+        # the matrix entries -2h and -2 c N^(-1/6) must be finite too
+        if not math.isfinite(-2.0 * self.field) or self.field < 0:
+            raise ValueError(f"barrier field must be >= 0 with a finite matrix entry -2h, "
+                             f"got {self.field!r}")
         if self.field > 0:
             if self.block is None:
                 raise ValueError("a barrier field requires a block length")
@@ -99,8 +102,9 @@ class ChainSpec:
                 raise ValueError(
                     f"barrier sites need N >= 2n + 3, got N={self.n_sites}, n={self.block}"
                 )
-        if not np.isfinite(self.ballistic_c) or self.ballistic_c <= 0:
-            raise ValueError(f"ballistic prefactor must be > 0, got {self.ballistic_c!r}")
+        if not math.isfinite(-2.0 * self._end_coupling()) or self.ballistic_c <= 0:
+            raise ValueError(f"ballistic prefactor must be > 0 with a finite matrix entry "
+                             f"-2 c N^(-1/6), got {self.ballistic_c!r}")
 
     @property
     def barriers(self) -> tuple[int, int] | None:
@@ -119,9 +123,13 @@ class ChainSpec:
             j = np.sqrt(l * (n - l))
         else:
             j = np.ones(n - 1)
-            j[0] = j[-1] = self.ballistic_c * n ** (-1.0 / 6.0)
+            j[0] = j[-1] = self._end_coupling()
         j.flags.writeable = False
         return j
+
+    def _end_coupling(self) -> float:
+        # the ballistic profile's end bonds, c N^(-1/6)
+        return self.ballistic_c * self.n_sites ** (-1.0 / 6.0)
 
     def site_fields(self) -> np.ndarray:
         """On-site field h_l for sites l = 1..N (nonzero only on barriers)."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -54,6 +53,8 @@ def _emit_csv(out, command, params, header, rows) -> None:
         return
     with open(out, "w", newline="") as fh:
         fh.write(text)
+    import hashlib  # here, not at the top: OpenSSL loads only when a manifest is written
+
     manifest = {
         "tool": "spinbus",
         "version": __version__,

@@ -3,11 +3,11 @@
 A scan finds the maximum of an average-fidelity curve over a time window to
 within _GAP, and proves it: no time in the window does better by more.  It
 is a Piyavskii-Shubert branch and bound (Piyavskii 1972; Shubert, SIAM J.
-Numer. Anal. 9, 379, 1972) on the average itself.  fidelity.interval_bound
+Numer. Anal. 9, 379, 1972) on the average itself.  bounds.interval_bound
 gives a K >= -Fbar'' from the chain's modes, a bound on how fast the average
 can bend down, so no interval of width w can rise more than K w^2/8 above
 its higher end (its ceiling).  K is read off the average's series, merged
-(fidelity.series): for the general class on uniform chains 3 to 5.5 at every
+(bounds.series): for the general class on uniform chains 3 to 5.5 at every
 length and field tried (N = 7 to 40, h up to 200), less at h = 0, where
 frequencies coincide (3.7 at N = 7), and 16 to 72 on engineered chains.  So
 the coarse step sqrt(8 _COARSE_MARGIN / K) does not shrink as the barrier
@@ -18,7 +18,7 @@ and pruned again, until no interval's ceiling lies more than _GAP above the
 best value.  The best evaluated value is the scan's.  Every class is a
 closed form in the propagator, so a scan holds no randomness.
 
-Near t = 0 an interval's ceiling uses fidelity.onset_curvature, a bound on
+Near t = 0 an interval's ceiling uses bounds.onset_curvature, a bound on
 -Fbar'' over [0, hi] that falls off as a power of hi set by the
 sender-receiver distance, instead of K: before the arrival time the curve stays within
 rounding of its t = 0 value, and K alone would have it sampled at about
@@ -54,7 +54,7 @@ window).  A scan starts no thread: ScanRequest.threads is how many of a
 sweep's fields or a threshold search's lengths run at once.
 
 A scan given a value to reach is a decision scan.  Before it evaluates any
-grid it asks fidelity.series_ceiling, a bound on the average at every time
+grid it asks bounds.series_ceiling, a bound on the average at every time
 read off the coefficients of its trigonometric series: when that ceiling,
 plus the rounding of any phase the scan could evaluate, lies below the
 value, the scan is a miss, and it returns its one point, t = 0, without a
@@ -77,8 +77,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .chain import ChainSpec, real_number, whole_number
-from .fidelity import CLASSES, GRID_VALUES, interval_bound, onset_curvature, onset_horizon, \
-    series, series_ceiling
+from .bounds import interval_bound, onset_curvature, onset_horizon, series, series_ceiling
+from .fidelity import CLASSES, GRID_VALUES
 from .spectral import UniformGrid, decompose_chain
 
 _CHUNK = 32768
@@ -171,15 +171,15 @@ class _Bound:
 
     An interval [lo, hi] with averages fs at its ends has the ceiling
     max(fs) + K(hi) (hi - lo)^2/8, where K(hi) >= -Fbar'' on [0, hi].
-    Below fidelity.onset_horizon, K(hi) is fidelity.onset_curvature's bound
+    Below bounds.onset_horizon, K(hi) is bounds.onset_curvature's bound
     at the coarse point (k + 1) step just past hi, and past it K.  The
     horizon is found at the first ceiling asked for, so a decision miss that
-    fidelity.series_ceiling certifies never finds it, and the table is built
+    bounds.series_ceiling certifies never finds it, and the table is built
     once, the first time an interval below the horizon needs it, so a scan
     whose search stays away from the start never builds it; its values do
     not depend on when, so neither do the ceilings.
 
-    K is fidelity.interval_bound's, which sets the coarse step, plus what the
+    K is bounds.interval_bound's, which sets the coarse step, plus what the
     spread of the merged series allows the average evaluated: a term a moved
     by d in frequency moves Fbar'' by at most |a| d (2 W + W^2 t), with
     W = 4 max |lam| above every frequency of the series, its square expanded.
@@ -398,7 +398,7 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
     this is a decision scan: it returns the first point it evaluates that
     reaches reach, and otherwise the best point it evaluated, whose value is
     then below reach.  A miss certified by the average's all-time ceiling
-    (fidelity.series_ceiling) evaluates one point, t = 0, and returns
+    (bounds.series_ceiling) evaluates one point, t = 0, and returns
     (t_star, fbar_max) = (0.0, Fbar(0)).  Its fbar_max reaches reach exactly
     when a full scan's does.
     """

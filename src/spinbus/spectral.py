@@ -16,7 +16,7 @@ so that the entries of I + F come out of the GEMM itself.  _cosine_series
 evaluates Hermitian forms x^H G x in the phases x_k = exp(-i lam_k t) with
 a real symmetric G on a scan grid: the form is the real series
 tr G + sum_{k<l} 2 G[k, l] cos((lam_l - lam_k) t) of _form_series (which
-fidelity.series reads too), one real term per mode pair and no complex
+bounds.series reads too), one real term per mode pair and no complex
 output (fidelity.omega1_values uses it on short chains).
 
 _phase_products takes either an array of times, evaluated point by point,
@@ -189,23 +189,34 @@ def _phase_products(lam, weights, ts) -> np.ndarray:
     Point a B + j of ts is [a, :, j], so column c is the slab [:, c] of
     contiguous rows.  An array of times is A = len(ts) blocks of B = 1 point;
     a UniformGrid is blocks of B = min(_BLOCK, count) points, the last of
-    which may run past the count.  A non-finite time raises ValueError.
+    which may run past the count.  A phase table that is not finite, from a
+    time that is not or a product lam t that overflows, raises ValueError.
     """
     if not isinstance(ts, UniformGrid):
         ts = np.asarray(ts, dtype=float)
-        if not np.isfinite(ts).all():
-            raise ValueError(f"times must be finite, got {ts!r}")
-        return (np.exp(-1j * np.outer(ts, lam)) @ weights)[:, :, None]
+        return (np.exp(-1j * _finite_phases(ts, lam, ts, lam)) @ weights)[:, :, None]
     block = min(_BLOCK, ts.count)
 
     def build():
         # entry-major: (mode, column, block offset)
-        base = np.exp(-1j * np.outer(lam, ts.step * np.arange(block)))
+        base = np.exp(-1j * _finite_phases(lam, ts.step * np.arange(block), ts, lam))
         return _read_only((weights[:, :, None] * base[:, None, :]).reshape(lam.size, -1))
 
     plan = _memoized(("phase", lam.tobytes(), ts.step, block, weights.tobytes()), build)
-    anchors = np.exp(-1j * np.outer(_anchor_times(ts, block), lam))
+    anchors = np.exp(-1j * _finite_phases(_anchor_times(ts, block), lam, ts, lam))
     return (anchors @ plan).reshape(anchors.shape[0], -1, block)
+
+
+def _finite_phases(x, y, ts, lam) -> np.ndarray:
+    """np.outer(x, y), the phases lam t of a table for the times ts; a phase
+    that is not finite raises ValueError naming ts, so no table holds the
+    NaN of exp(-i inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.outer(x, y)
+    if not np.isfinite(phases).all():
+        raise ValueError(f"times must keep every phase lam t finite, got t = {ts!r} "
+                         f"on eigenvalues up to {float(np.abs(lam).max()):.6g} in modulus")
+    return phases
 
 
 # The plan of the last uniform grid evaluated: (key, plan).  A plan depends

@@ -107,3 +107,19 @@ def test_real_fields_are_stored_as_float():
         spec = ChainSpec(7, 2, field, ballistic_c=1)
         assert (spec.field, spec.ballistic_c) == (5.0, 1.0)
         assert type(spec.field) is float and type(spec.ballistic_c) is float
+
+
+@pytest.mark.parametrize("field, ballistic_c", [(1e308, 1.03), (np.inf, 1.03), (np.nan, 1.03),
+                                                (5.0, 1.7e308), (5.0, np.inf)])
+def test_matrix_entries_must_be_finite(field, ballistic_c):
+    # a finite h = 1e308 has the entry -2h = -inf, and c = 1.7e308 the end
+    # bonds' -2 c N^(-1/6) = -inf at N = 7: their spectrum would be NaN
+    with pytest.raises(ValueError, match="finite matrix entry"):
+        build_chain(7, 2, field, BALLISTIC, ballistic_c)
+
+
+def test_largest_finite_entries_are_accepted():
+    # -2h = -1.78e308 and, at c = 1e308, -2 c 7^(-1/6) = -1.45e308 are finite
+    assert hamiltonian_matrix(build_chain(7, 2, 8.9e307)).diagonal.min() == -1.78e308
+    spec = build_chain(7, 2, 5.0, BALLISTIC, 1e308)
+    assert np.isfinite(hamiltonian_matrix(spec).offdiagonal).all()

@@ -370,6 +370,25 @@ def test_threshold_field_bounds_must_be_finite(capsys, flag, value):
     assert err.startswith("error:") and flag[2:].replace("-", "_") in err
 
 
+@pytest.mark.filterwarnings("error")  # and no overflow warning on the way
+@pytest.mark.parametrize("argv, named", [
+    (("fidelity", "--N", "7", "--h", "1e308", "--t", "1", "--class", "omega1"), "field"),
+    (("spectrum", "--N", "7", "--h", "1e308"), "field"),
+    (("scan-field", "--N", "7", "--h-list", "1e308", "--t-max", "100"), "field"),
+    (("spectrum", "--N", "7", "--profile", "ballistic", "--c", "1.7e308"), "prefactor"),
+    (("fidelity", "--N", "7", "--h", "1e10", "--t", "1e300"), "t = "),
+    (("amplitude", "--N", "7", "--h", "1e200", "--sources", "1", "--targets", "7",
+      "--t", "1e200"), "t = "),
+])
+def test_overflowing_inputs_are_domain_errors(capsys, argv, named):
+    """A finite field or time whose matrix entry or phase overflows is an
+    error naming it, not a NaN printed with exit code 0."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "nan" not in out.lower()
+    assert err.startswith("error:") and named in err
+
+
 def test_exit_code_bad_subcommand(capsys):
     code = parse_and_dispatch(["no-such-command"])
     capsys.readouterr()

@@ -38,9 +38,16 @@ _LAZY_SURFACE = """
 import sys
 import spinbus
 
-deferred = ("spinbus.scans", "spinbus.oracle", "spinbus.amplitudes", "concurrent.futures")
+deferred = ("spinbus.bounds", "spinbus.scans", "spinbus.oracle", "spinbus.amplitudes",
+            "concurrent.futures")
+# one closed-form query of each kind
 dec = spinbus.decompose_chain(spinbus.build_chain(8, 2, 20.0))
 spinbus.avg_fidelity_omega1(dec, 50.0)
+spinbus.avg_fidelity_omega2(dec, 50.0)
+spinbus.general_values(dec, (50.0,))
+spinbus.avg_fidelity_1q(spinbus.one_qubit_amplitude(dec, 50.0))
+spinbus.evolve_receiver_pair(dec, spinbus.TwoQubitState(0.6, 0.0, 0.8, 0.0), 50.0)
+spinbus.amplitude_1p(dec, 8, 1, 50.0)
 print(sorted(m for m in deferred if m in sys.modules))
 
 namespace = {}
@@ -69,8 +76,35 @@ print("ok")
 
 
 def test_a_point_query_loads_no_scan_oracle_or_amplitudes():
-    """import spinbus loads what a point query needs; the names of scans,
+    """import spinbus loads what a point query needs: a closed-form query of
+    any kind loads neither the scans nor their bounds.  The names of scans,
     oracle and amplitudes load their module on first access, each cached as
     its module's own object, and every other name raises AttributeError."""
     assert _fresh_python(_LAZY_SURFACE).splitlines() == ["[]", "ok"]
 
+
+def test_scans_load_their_bounds():
+    """bounds is the scans' module: importing scans loads it."""
+    code = "import sys, spinbus.scans; print('spinbus.bounds' in sys.modules)"
+    assert _fresh_python(code) == "True"
+
+
+
+def test_a_closed_form_cli_query_loads_no_hashlib():
+    """The CLI loads hashlib (and OpenSSL's libcrypto) only to write a
+    manifest: closed-form queries to stdout leave it unloaded."""
+    code = """
+import contextlib, io, sys
+from spinbus.cli import parse_and_dispatch
+
+chain = ["--N", "7", "--n", "2", "--h", "5"]
+queries = [["fidelity", *chain, "--t", "41.2", "--class", "general"],
+           ["fidelity", *chain, "--t", "41.2", "--class", "one-qubit"],
+           ["amplitude", *chain, "--sources", "1,2", "--targets", "6,7", "--t", "41.2"],
+           ["rdm", *chain, "--state", "1,0,0,0,0,0,0,0", "--t", "41.2"],
+           ["spectrum", *chain]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [parse_and_dispatch(argv) for argv in queries]
+print(codes, sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules))
+"""
+    assert _fresh_python(code) == "[0, 0, 0, 0, 0] []"

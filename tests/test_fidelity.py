@@ -26,9 +26,10 @@ from spinbus import (
     one_qubit_amplitude,
     one_qubit_values,
 )
-from spinbus import fidelity
-from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, _pair_det_series, _squared_series_bound, \
-    interval_bound, onset_curvature, series, series_ceiling
+from spinbus import bounds
+from spinbus.bounds import _pair_det_series, _squared_series_bound, interval_bound, \
+    onset_curvature, series, series_ceiling
+from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM
 from spinbus.oracle import haar_average
 from spinbus.scans import _CHUNK
 from spinbus.spectral import UniformGrid, propagator_minor, propagator_minor_grid
@@ -311,13 +312,14 @@ _TIME_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e300])
 @pytest.mark.parametrize("entry", _TIME_ENTRY_POINTS)
 def test_non_finite_times_raise(entry, t):
-    """A non-finite time is an error, not a NaN value: the array path of the
-    phase products checks it, and every entry point that takes a time goes
-    through it."""
-    dec = decompose_chain(build_chain(8, 2, 9.0))
+    """A non-finite time is an error, not a NaN value, and so is a finite one
+    whose phase lam t overflows (t = 1e300 against the -2e10 of an h = 1e10
+    chain): the array path of the phase products checks its phase table, and
+    every entry point that takes a time goes through it."""
+    dec = decompose_chain(build_chain(8, 2, 1e10 if np.isfinite(t) else 9.0))
     call = _TIME_ENTRY_POINTS[entry]
     call(dec, 31.0)
     with pytest.raises(ValueError, match="finite"):
@@ -407,7 +409,7 @@ def _series_values(s, ts):
 
 def _unmerged(monkeypatch):
     # series with no merging: no two frequencies lie within a negative tolerance
-    monkeypatch.setattr(fidelity, "_MERGE_EPS", -1.0)
+    monkeypatch.setattr(bounds, "_MERGE_EPS", -1.0)
     series.cache_clear()
 
 
@@ -551,8 +553,8 @@ def test_hopping_is_read_back_once_per_decomposition():
     and handed out read-only."""
     spec = build_chain(9, 2, 6.0)
     dec = decompose_chain(spec)
-    hop, tau = fidelity._hopping(dec)
-    assert fidelity._hopping(dec)[0] is hop
+    hop, tau = bounds._hopping(dec)
+    assert bounds._hopping(dec)[0] is hop
     assert not hop.flags.writeable
     matrix = np.abs(hamiltonian_matrix(spec).to_dense())
     np.testing.assert_allclose(hop, np.diag(matrix, 1), rtol=1e-12)

@@ -22,7 +22,8 @@ from spinbus import (
     sample_haar_2q,
     threshold_field,
 )
-from spinbus.fidelity import GRID_VALUES, interval_bound, series, series_ceiling
+from spinbus.bounds import interval_bound, series, series_ceiling
+from spinbus.fidelity import GRID_VALUES
 from spinbus.reduced import _sample_fidelities
 from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _TIE_EPS
 from spinbus.spectral import UniformGrid

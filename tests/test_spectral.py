@@ -285,6 +285,20 @@ def test_uniform_grid_rejects_what_is_not_a_grid(step, start, count, name):
         UniformGrid(step, start, count)
 
 
+@pytest.mark.filterwarnings("error")  # and no overflow warning on the way
+@pytest.mark.parametrize("grid", [UniformGrid(1e300, 0, 3), UniformGrid(1e290, 10 ** 10, 1)])
+def test_grid_whose_phases_overflow_raises(grid):
+    """A grid of finite times whose phase lam t overflows on an h = 1e10
+    chain raises, from its block offsets' plan (step 1e300) or from its
+    anchors (1e290 * 1e10), and leaves the memo to the grids that work."""
+    dec = decompose_chain(build_chain(8, 2, 1e10))
+    with pytest.raises(ValueError, match="finite"):
+        propagator_minor_grid(dec, (8,), (1,), grid)
+    want = propagator_minor_grid(dec, (8,), (1,), (0.5, 1.0))
+    np.testing.assert_allclose(propagator_minor_grid(dec, (8,), (1,), UniformGrid(0.5, 1, 2)),
+                               want, rtol=0, atol=1e-12)
+
+
 def test_uniform_grid_takes_numpy_numbers():
     grid = UniformGrid(np.float64(0.25), np.int64(7), np.int32(3))
     assert (grid.step, grid.start, grid.count) == (0.25, 7, 3)
