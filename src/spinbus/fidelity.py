@@ -32,8 +32,8 @@ The curvature bounds and the all-time ceiling that tell a scan how far it
 may trust the curve between its points are read off each class's series in
 bounds.py, which only scans load.  Seeded Monte Carlo stays as the
 cross-check of the closed forms: reduced._sample_fidelities scores each
-drawn state from F at one time, its bulk term as the rank-2 form
-|u|^2 - |F u|^2.
+drawn state from F at one time, through the six signed terms of the
+receiver state's operator table (reduced._receiver_operators).
 """
 
 from __future__ import annotations

@@ -13,22 +13,26 @@ where A_j = a10*f_{j,1} + a01*f_{j,2} and g_{j,k} = f_{j,1} f_{k,2} - f_{j,2} f_
 Tracing the bulk gives a 4 x 4 matrix in the receiver basis
 (|11>, |10>, |01>, |00>), |10> meaning site N-1 excited.
 
-All of it is a function of the minor F = f_{(u,v),(1,2)}(t) alone.  The bulk
-enters only through sums over m of products of
-v_m = (g_{m,u}, g_{m,v}, f_{m,1}, f_{m,2}) = C (f_{m,1}, f_{m,2}), where the rows
-of C are (f_u2, -f_u1), (f_v2, -f_v1), (1, 0) and (0, 1).  Those sums are
-conj(C) S C^T with the bulk Gram S_ab = sum_m conj(f_{m,a}) f_{m,b}.  The
-propagator is unitary, so its columns f_{.,1} and f_{.,2} are orthonormal over
-all N sites and the bulk holds what the receiver rows leave: S = I - F^H F.
-Two-excitation unitarity gives the bulk-pair weight the same way,
-1 - ||F||_F^2 + |g_uv|^2.  No sum over sites is needed once F is known.
+All of it is a function of the minor F = f_{(u,v),(1,2)}(t) alone, and
+_receiver_operators writes it down once, as six signed terms: for
+psi = [a00, a01, a10, a11],
 
-Which receiver row each kernel amplitude lands on, and which sender amplitude
-multiplies it, is written down once, in the sector tables _E_* and _D_*; they
-now serve only the rho assembly of evolve_receiver_pair.  The Monte Carlo
-scorer _sample_fidelities needs only <psi|rho|psi>, in which the bulk block is
-a rank-2 form: for y the four products of a target and a sender amplitude
-that meet the bulk, y^H conj(C) S C^T y = |u|^2 - |F u|^2 with u = C^T y.
+    rho(psi) = sum_k s_k (T_k psi)(T_k psi)^H,   s = (1, w_pair, 1, 1, -1, -1).
+
+T_0 maps psi to the bulk-empty sector and T_1 puts a11 on |00>, weighted by
+the bulk-pair weight w_pair = 1 - ||F||_F^2 + |g_uv|^2 (two-excitation
+unitarity).  The sector with the bulk excitation on site m holds
+B (f_m1, f_m2), B's columns being T_2 psi and T_3 psi, so the bulk trace is
+B S^T B^H with the bulk Gram S_ab = sum_m conj(f_{m,a}) f_{m,b}.  The
+propagator is unitary, so its columns f_{.,1} and f_{.,2} are orthonormal
+over all N sites, S = I - F^H F and B S^T B^H = B B^H - (B F^T)(B F^T)^H:
+T_4 and T_5 are the columns of B F^T, with sign -1.  Neither a sum over
+sites nor S is formed.
+
+evolve_receiver_pair sums the six outer products.  The Monte Carlo scorer
+_sample_fidelities needs only <psi|rho|psi> = sum_k s_k |w^H T_k psi|^2, with
+w the target psi reversed, and reads the few nonzero entries of the same
+table.
 """
 
 from __future__ import annotations
@@ -68,34 +72,28 @@ def _pair_entries(dec: SpectralDecomposition, ts):
     return tuple(entries[:, c] for c in range(4))
 
 
-def _receiver_kernel(dec: SpectralDecomposition, t: float):
-    """Bulk-traced ingredients of the receiver state at time t, from the entries of F.
+def _receiver_operators(dec: SpectralDecomposition, t: float):
+    """The operator table of the receiver state at time t: T, (6, 4, 4), and s, (6,).
 
-      f      (2, 2): F = [[f_u1, f_u2], [f_v1, f_v2]]
-      g_uv   complex: det F, the pair amplitude onto the receiver
-      s      (2, 2): the bulk Gram S = I - F^H F
-      weight float: total weight of pair configurations inside the bulk
+    rho(psi) = sum_k s[k] (T[k] psi)(T[k] psi)^H in the receiver basis, for
+    psi in the sender slots [a00, a01, a10, a11].
     """
     f = np.reshape(_pair_entries(dec, (t,)), (2, 2))
     g_uv = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
-    s = np.eye(2) - f.conj().T @ f
+    ops = np.zeros((6, 4, 4), dtype=complex)
+    # bulk empty: a11 g_uv on |11>, A_u on |10> and A_v on |01> from (a10, a01), a00 on |00>
+    ops[0, 0, 3], ops[0, 3, 0] = g_uv, 1.0
+    ops[0, 1:3, 2:0:-1] = f
+    # a bulk pair: a11 on |00>
+    ops[1, 3, 3] = 1.0
+    # B's columns, the coefficients of f_m1 and f_m2: a11 g_mu on |10>,
+    # a11 g_mv on |01>, A_m on |00>
+    ops[2:4, 1:3, 3] = f[:, ::-1].T * [[1], [-1]]
+    ops[2, 3, 2] = ops[3, 3, 1] = 1.0
+    # B F^T's columns
+    ops[4:] = np.matmul(f, ops[2:4].reshape(2, 16)).reshape(2, 4, 4)
     weight = 1.0 - np.vdot(f, f).real + abs(g_uv) ** 2
-    return f, g_uv, s, weight
-
-
-def _bulk_map(f: np.ndarray) -> np.ndarray:
-    """C, (4, 2), with v_m = C (f_m1, f_m2): rows (f_u2, -f_u1), (f_v2, -f_v1), (1, 0), (0, 1)."""
-    return np.vstack([f[:, ::-1] * [1, -1], np.eye(2)])
-
-
-# The sector tables.  Every kernel amplitude enters exactly one receiver row,
-# times exactly one sender amplitude: w[j] lands on row _E_ROWS[j] times
-# sender slot _E_SLOTS[j], v_m[j] on row _D_ROWS[j] times slot _D_SLOTS[j]
-# (rows in the receiver basis, slots in [a00, a01, a10, a11]).
-#   w   = (1,   g_uv, f_u1, f_u2, f_v1, f_v2):  a00|00>, a11|11>, A_u|10>, A_v|01>
-#   v_m = (g_mu, g_mv, f_m1, f_m2):              a11|10>, a11|01>, A_m|00>
-_E_ROWS, _E_SLOTS = np.array([3, 0, 1, 1, 2, 2]), np.array([0, 3, 2, 1, 2, 1])
-_D_ROWS, _D_SLOTS = np.array([1, 2, 3, 3]), np.array([3, 3, 2, 1])
+    return ops, np.array([1.0, weight, 1.0, 1.0, -1.0, -1.0])
 
 
 # states scored per block, so the block's rows (18 rows of 1024 complex
@@ -106,29 +104,24 @@ _SCORE_BLOCK = 1024
 
 
 def _sample_fidelities(dec, states, t):
-    """<psi|rho(t)|psi> for each sender state, from the receiver kernel at t.
+    """<psi|rho(t)|psi> for each sender state, from the operator table at t.
 
-    For psi = [a00, a01, a10, a11] and the kernel values (f, g_uv, s, weight),
-    <psi|rho|psi> = |vac|^2 + |u|^2 - |F u|^2 + |a00 a11|^2 weight, where
-      vac = |a00|^2 + g_uv |a11|^2 + q^H F q with q = (a10, a01) is the
-          bulk-empty overlap, psi^H M psi for M = 1 (+) F (+) g_uv on the
-          slots (a00, (a10, a01), a11);
-      u = C^T y with y = (conj(a10) a11, conj(a01) a11, conj(a00) a10,
-          conj(a00) a01), so that |u|^2 - |F u|^2 = u^H S u is the bulk block:
-          u0 = f_u2 conj(a10) a11 + f_v2 conj(a01) a11 + conj(a00) a10,
-          u1 = conj(a00) a01 - f_u1 conj(a10) a11 - f_v1 conj(a01) a11.
+    With w = psi reversed, the target, the score is sum_k s_k |w^H T_k psi|^2
+    over the six rows
+      vac   = psi^H m psi, m = T_0 with its rows reversed (the bulk-empty overlap);
+      a00 a11, whose modulus is that of w^H T_1 psi;
+      u and F u, w^H T_k psi for k = 2..5: these operators are nonzero
+          only at the receiver rows (1, 2, 3, 3) and sender slots
+          (3, 3, 2, 1), so the four rows are u_map y, with u_map holding those
+          entries and y = (conj(a10) a11, conj(a01) a11, conj(a00) a10,
+          conj(a00) a01).
     The states (k, 4) are scored in blocks of _SCORE_BLOCK: each block's
     transposed amplitudes are copied once into contiguous rows, every product
     is a row operation, and only the (k,) scores grow with k.
     """
-    f, g_uv, _, weight = _receiver_kernel(dec, t)
-    c_t = _bulk_map(f).T
-    u_map = np.vstack([c_t, f @ c_t])  # (u, F u) = u_map @ y
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[3, 3] = 1.0, g_uv
-    m[2:0:-1, 2:0:-1] = f  # F acts on (a10, a01), slots 2 and 1
-    # the squared moduli of the rows w = (vac, a00 a11, u, F u) enter with these signs
-    signs = np.array([1.0, weight, 1.0, 1.0, -1.0, -1.0])
+    ops, signs = _receiver_operators(dec, t)
+    m = ops[0, ::-1]
+    u_map = ops[2:, [1, 2, 3, 3], [3, 3, 2, 1]]
     out = np.empty(len(states))
     # a block's 18 rows: the amplitudes p, their conjugates c, the products y and w
     buf = np.empty(18 * min(len(states), _SCORE_BLOCK), dtype=complex)
@@ -152,37 +145,14 @@ def _sample_fidelities(dec, states, t):
     return out
 
 
-def _sector_maps(state: np.ndarray):
-    """Receiver amplitudes of each sector as linear maps of the kernel amplitudes.
-
-    state is [a00, a01, a10, a11].  In the receiver basis the bulk-empty
-    sector holds E @ w and the sector with the bulk excitation on site m holds
-    D @ v_m; returns E, shape (4, 6), and D, shape (4, 4), filled from the
-    sector tables.  The bulk-pair sector is a11 times a bulk pair, on |00>.
-    """
-    e = np.zeros((4, 6), dtype=complex)
-    e[_E_ROWS, np.arange(6)] = state[_E_SLOTS]
-    d = np.zeros((4, 4), dtype=complex)
-    d[_D_ROWS, np.arange(4)] = state[_D_SLOTS]
-    return e, d
-
-
 def evolve_receiver_pair(dec: SpectralDecomposition, state: TwoQubitState,
                          t: float) -> np.ndarray:
     """Receiver-pair density matrix at time t, basis (|11>, |10>, |01>, |00>)."""
-    f, g_uv, s, weight = _receiver_kernel(dec, t)
-    e, d = _sector_maps(state.vector())
-    vac = e @ np.concatenate(([1.0, g_uv], f.ravel()))
-    dc = d @ _bulk_map(f)
-    rho = np.outer(vac, vac.conj()) + dc @ s.T @ dc.conj().T
-    rho[3, 3] += abs(state.a11) ** 2 * weight
+    ops, signs = _receiver_operators(dec, t)
+    amps = ops @ state.vector()
+    rho = (amps.T * signs) @ amps.conj()
     # the products are Hermitian only to rounding; return an exactly Hermitian rho
     return (rho + rho.conj().T) / 2
-
-
-def _target_vector(state: TwoQubitState) -> np.ndarray:
-    # sender slot 1 (site 1) maps onto receiver slot 1 (site N-1)
-    return np.array([state.a11, state.a10, state.a01, state.a00])
 
 
 def fidelity_against(rho: np.ndarray, state: TwoQubitState) -> float:
@@ -191,5 +161,6 @@ def fidelity_against(rho: np.ndarray, state: TwoQubitState) -> float:
     This is the squared overlap convention: for a pure target it equals 1
     exactly at perfect transfer.
     """
-    w = _target_vector(state)
+    # receiver row i holds the target amplitude of sender slot 3 - i
+    w = state.vector()[::-1]
     return float(np.real(w.conj() @ rho @ w))

@@ -186,12 +186,14 @@ class _Bound:
     """
 
     def __init__(self, dec, fidelity_class, t_max):
-        k = interval_bound(dec, fidelity_class)
-        self.spread = 0.0 if fidelity_class == "one-qubit" else series(dec, fidelity_class).spread
         self.lam_max = float(np.abs(dec.eigenvalues).max())
-        top = 4.0 * self.lam_max
-        self._allowance = self.spread * top * (2.0 + top * t_max)  # 0 with nothing merged
-        self.curvature = k + self._allowance
+        # a huge field overflows K to inf or nan, which max_over_time rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = interval_bound(dec, fidelity_class)
+            self.spread = 0.0 if fidelity_class == "one-qubit" else series(dec, fidelity_class).spread
+            top = 4.0 * self.lam_max
+            self._allowance = self.spread * top * (2.0 + top * t_max)  # 0 with nothing merged
+            self.curvature = k + self._allowance
         # no longer than the window, which an average with no time dependence
         # (K = 0) is certified on from its two ends
         if k * t_max * t_max <= 8.0 * _COARSE_MARGIN:
@@ -410,6 +412,9 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
     evaluate = partial(GRID_VALUES[request.fidelity_class], dec)
     t_max = request.t_max
     bound = _Bound(dec, request.fidelity_class, t_max)
+    if not math.isfinite(bound.curvature):
+        raise ValueError(f"cannot scan the field h = {request.chain.field:g}: its curvature bound "
+                         f"overflows (largest |lambda| = {bound.lam_max:g})")
     step = bound.step
     if reach is not None:
         # no value the scan could evaluate reaches reach, with the rounding of its

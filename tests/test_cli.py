@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,28 @@ def test_exit_code_domain_error(capsys):
                        "--state", "1,0,0,0,0,0,0,0", "--t", "1")
     assert code == 1
     assert "field" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan-field", "--N", "7", "--h-list", "1e300"),
+    ("scan-field", "--N", "7", "--class", "omega1", "--h-list", "1e300"),
+    ("scan-time", "--N", "7", "--h", "1e300"),
+])
+def test_a_field_whose_curvature_bound_overflows_is_an_error(tmp_path, capsys, argv):
+    """A huge finite field is refused by name, with no overflow warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv, "--t-max", "100", "--out", str(tmp_path / "scan.csv"))
+    assert code == 1
+    assert "1e+300" in err and "field" in err
+
+
+def test_a_large_field_whose_curvature_bound_is_finite_still_scans(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code, _, err = run(capsys, "scan-field", "--N", "7", "--h-list", "1e150", "--t-max", "100",
+                       "--out", str(out))
+    assert code == 0, err
+    assert out.read_text().count("\n") == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,8 +20,7 @@ from spinbus import (
     sample_omega1,
     sample_omega2,
 )
-from spinbus.reduced import _D_ROWS, _D_SLOTS, _E_ROWS, _E_SLOTS, _SCORE_BLOCK, \
-    _receiver_kernel, _sample_fidelities
+from spinbus.reduced import _SCORE_BLOCK, _receiver_operators, _sample_fidelities
 
 
 def _random_states(seed, count):
@@ -96,7 +95,7 @@ def test_batch_fidelity_matches_loop(draw, chain):
     """The Monte Carlo scorer agrees with rho assembled state by state.
 
     The omega samplers leave two amplitudes exactly zero, so between them
-    the three classes reach every entry of the sector tables.
+    the three classes reach every nonzero entry of the operator table.
     """
     spec, t = _CHAINS[chain]
     dec = decompose_chain(spec)
@@ -108,19 +107,14 @@ def test_batch_fidelity_matches_loop(draw, chain):
 
 
 def _unblocked_scores(dec, states, t):
-    """The Monte Carlo score of every state at once, from one (k, 4) table.
+    """The Monte Carlo score of every state at once, sum_k s_k |w^H T_k psi|^2.
 
-    The bulk Gram of the receiver rows is conj(C) S C^T, with C the map from
-    (f_m1, f_m2) to v_m = (g_mu, g_mv, f_m1, f_m2).
+    Dense over the whole operator table, with the target w = psi reversed,
+    so it shares none of the scorer's gather of the table's nonzero entries.
     """
-    f, g_uv, s, weight = _receiver_kernel(dec, t)
-    w = np.array([1.0, g_uv, *f.ravel()])
-    c = np.array([[f[0, 1], -f[0, 0]], [f[1, 1], -f[1, 0]], [1.0, 0.0], [0.0, 1.0]])
-    gram = c.conj() @ s @ c.T
-    x = np.conj(states[:, 3 - _E_ROWS]) * states[:, _E_SLOTS]
-    y = np.conj(states[:, 3 - _D_ROWS]) * states[:, _D_SLOTS]
-    bulk = np.einsum("ki,ij,kj->k", y.conj(), gram, y)
-    return np.abs(x @ w) ** 2 + bulk.real + np.abs(states[:, 0] * states[:, 3]) ** 2 * weight
+    ops, signs = _receiver_operators(dec, t)
+    overlaps = np.einsum("si,kij,sj->sk", states[:, ::-1].conj(), ops, states)
+    return np.abs(overlaps) ** 2 @ signs
 
 
 @pytest.mark.parametrize("count", [1, *(k * _SCORE_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)),
@@ -141,6 +135,33 @@ def test_blocked_scores_across_block_boundaries(draw, count):
         st = TwoQubitState(*mat[r])
         loop = fidelity_against(evolve_receiver_pair(dec, st, t), st)
         assert abs(batch[r] - loop) <= 1e-12, f"row {r}"
+
+
+def _table_chains():
+    """Uniform chains with a barrier, at h = 0, and the engineered profile."""
+    rng = np.random.default_rng(2014)
+    specs = [build_chain(int(n), 2, float(h))
+             for n, h in zip(rng.integers(7, 20, 6), rng.uniform(0.0, 40.0, 6))]
+    specs += [build_chain(n, 2, 0.0) for n in (7, 8, 12)]
+    specs += [build_chain(n, profile="engineered") for n in (7, 10)]
+    return specs
+
+
+@pytest.mark.parametrize("spec", _table_chains(),
+                         ids=lambda c: f"{c.profile}{c.n_sites}_h{c.field:.3g}")
+def test_operator_table_preserves_trace_and_gives_the_general_average(spec):
+    """sum_k s_k T_k^H T_k = I, so tr rho(psi) = |psi|^2, and the Horodecki
+    trace form (sum_k s_k |tr(W^H T_k)|^2 + 4)/20, W the map of sender slot
+    3 - i onto receiver row i, is the closed-form general average."""
+    dec = decompose_chain(spec)
+    rows = np.arange(4)
+    for t in (0.0, 0.9, 37.5, 611.0, 1.0e4):
+        ops, signs = _receiver_operators(dec, t)
+        gram = np.einsum("k,kij,kil->jl", signs, ops.conj(), ops)
+        np.testing.assert_allclose(gram, np.eye(4), rtol=0, atol=1e-14)
+        traces = ops[:, rows, 3 - rows].sum(axis=1)
+        horodecki = (signs @ np.abs(traces) ** 2 + 4.0) / 20.0
+        assert abs(horodecki - general_values(dec, (t,))[0]) <= 1e-14, f"t = {t}"
 
 
 def test_minimum_length_enforced():
