@@ -19,6 +19,9 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
+# amplitudes and scans (below) load with the CLI, not on first use like
+# hashlib: perfbench/tracing.py wraps only the modules loaded when it
+# installs, so deferring them would leave a traced run blind to them
 from .amplitudes import amplitude_rp
 from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain, real_number, \
     whole_number

@@ -29,13 +29,14 @@ _SEARCH_POINTS points, and what it left is certified only to its ceilings,
 which the result reports as capped.
 
 Values within _TIE_EPS of the maximum are ties, and t_star is the earliest
-time found among them.  Each chunk's search keeps what may hold a tie: the
-points within _TIE_EPS of its best, as a front of the points no earlier
-point is as high as, and the intervals whose ceiling lies within _TIE_EPS
-below its best but neither of whose ends does.  Once the maximum is known,
-the chunks are asked in order for their earliest point within _TIE_EPS of
-it, cutting those intervals in two, the earliest first, and the first
-chunk that has one gives t_star.
+time found among them.  A full scan holds what may hold a tie in one list:
+the intervals its chunks' searches prune with a ceiling within _TIE_EPS
+below the chunk's best (and at most _GAP above it), and each chunk's best
+point, as an interval of width 0.  After each chunk the list drops what
+lies more than _TIE_EPS below the running best.  Once the maximum is known,
+_earliest takes the earliest held end within _TIE_EPS of it, and cuts in
+two the held intervals before that end that may hold an earlier tie but
+have no end that is one, until none is left.
 
 The coarse grid is cut into chunks of _CHUNK points anchored on the point
 index, step * (k * _CHUNK + j), each evaluated as a spectral.UniformGrid
@@ -48,10 +49,12 @@ searched.  A chunk's search prunes against the chunk's own best alone, so
 the points it evaluates depend on the chunk and nothing else, level by
 level; the running best of earlier chunks only stops it early, once no
 interval left can come within _TIE_EPS of that best.  So a scan holds one
-chunk of values, a few batches of a chunk's intervals and the few points
-and intervals kept for ties (memory bounded by the chunk size, not by the
-window).  A scan starts no thread: ScanRequest.threads is how many of a
-sweep's fields or a threshold search's lengths run at once.
+chunk of values, a few batches of a chunk's intervals and the intervals
+held for ties: memory bounded by the chunk size, not by the window, save
+where near-ties recur all along it, as an engineered chain's revivals do,
+and each chunk's search holds at most its budget's worth.  A scan starts no
+thread: ScanRequest.threads is how many of a sweep's fields or a threshold
+search's lengths run at once.
 
 A scan given a value to reach is a decision scan.  Before it evaluates any
 grid it asks bounds.series_ceiling, a bound on the average at every time
@@ -106,7 +109,7 @@ _PHASE_ROUNDOFF = 16.0 * np.finfo(float).eps
 # against 0.16 s in 643, Fig. 5 0.14 s in 340 against 0.14-0.15 s in 415
 _LEVEL_POINTS = 64
 _BATCH = 4096
-# the most points a chunk's search, or its search for its earliest tie,
+# the most points a chunk's search, or a scan's search for its earliest tie,
 # evaluates.  The figures' scans need at most 36346 (Fig. 4a), and the
 # general scan of the engineered N = 7 chain over 2e4, with a perfect revival
 # every pi/2, about 391000 (measured with no budget).  A stretch
@@ -152,10 +155,12 @@ class ScanResult:
 
     fbar_max is the window maximum of the class's average, to within _GAP;
     t_star is the earliest time the scan found whose value lies within
-    _TIE_EPS of it.  capped is True when a chunk's search, or the search for
-    the earliest tie, stopped at _SEARCH_POINTS with intervals left: fbar_max
-    is then certified only to the ceilings of those intervals, and t_star
-    may not be the earliest tie.
+    _TIE_EPS of it: the earliest end of an interval it held that does, or
+    an earlier point that cutting the held intervals before that end found.
+    capped is True when a chunk's search, or the search for the earliest
+    tie, stopped at _SEARCH_POINTS with intervals left: fbar_max is then
+    certified only to the ceilings of those intervals, and t_star may not
+    be the earliest tie.
     """
 
     field: float
@@ -170,14 +175,15 @@ class _Bound:
     """The ceilings of one scan's intervals.
 
     An interval [lo, hi] with averages fs at its ends has the ceiling
-    max(fs) + K(hi) (hi - lo)^2/8, where K(hi) >= -Fbar'' on [0, hi].
-    Below bounds.onset_horizon, K(hi) is bounds.onset_curvature's bound
-    at the coarse point (k + 1) step just past hi, and past it K.  The
-    horizon is found at the first ceiling asked for, so a decision miss that
-    bounds.series_ceiling certifies never finds it, and the table is built
-    once, the first time an interval below the horizon needs it, so a scan
-    whose search stays away from the start never builds it; its values do
-    not depend on when, so neither do the ceilings.
+    max(fs) + K(hi) (hi - lo)^2/8, where K(hi) >= -Fbar'' on [0, hi].  Below
+    bounds.onset_horizon, K(hi) is bounds.onset_curvature's bound at the
+    coarse point (k + 1) step just past hi, and past it K; the table stops
+    at the horizon or at the window's last coarse point, whichever comes
+    first.  The horizon is found at the first ceiling asked for, so a
+    decision miss that bounds.series_ceiling certifies never finds it, and
+    the table is built once, the first time an interval below the horizon
+    needs it, so a scan whose search stays away from the start never builds
+    it; its values do not depend on when, so neither do the ceilings.
 
     K is bounds.interval_bound's, which sets the coarse step, plus what the
     spread of the merged series allows the average evaluated: a term a moved
@@ -200,14 +206,22 @@ class _Bound:
             self.step = t_max
         else:
             self.step = math.sqrt(8.0 * _COARSE_MARGIN / k)
-        self._dec, self._class = dec, fidelity_class
+        self._dec, self._class, self._t_max = dec, fidelity_class, t_max
         self._table = None
         # set by a search of the scan that stops at _SEARCH_POINTS with intervals left
         self.capped = False
 
     @cached_property
+    def n_pts(self):
+        """The coarse grid's points, at step * (0 ... n_pts - 1); read once
+        the step is known to be finite."""
+        return int(math.floor(self._t_max / self.step)) + 1
+
+    @cached_property
     def _cells(self):
-        return math.ceil(onset_horizon(self._dec, self._class) / self.step)
+        horizon = onset_horizon(self._dec, self._class)
+        # not horizon / step first, which a tiny window's step overflows
+        return self.n_pts if horizon >= self.n_pts * self.step else math.ceil(horizon / self.step)
 
     def ceilings(self, ts, fs):
         """The ceiling of each interval: row j of ts holds its ends (lo, hi),
@@ -225,15 +239,16 @@ class _Bound:
         return top + self._table[cell] * width2
 
 
-def _split(ts, fs, top, live_above, tie_from=None):
-    """The intervals whose ceiling lies above live_above, to search, and the
-    ones whose ceiling lies in [tie_from, live_above], which may hold a tie
-    (None without tie_from)."""
-    live = top > live_above
-    if tie_from is None:
-        return (ts[live], fs[live], top[live]), None
-    tie = ~live & (top >= tie_from)
-    return (ts[live], fs[live], top[live]), (ts[tie], fs[tie], top[tie])
+def _prune(ts, fs, top, f, held):
+    """The intervals whose ceiling lies more than _GAP above f, to search.
+    held is a full scan's list of held intervals, or None: the others whose
+    ceiling lies within _TIE_EPS below f, which may hold a tie, go to it."""
+    live = top > f + _GAP
+    if held is not None:
+        tie = ~live & (top >= f - _TIE_EPS)
+        if tie.any():
+            held.append((ts[tie], fs[tie], top[tie]))
+    return ts[live], fs[live], top[live]
 
 
 def _cut(evaluate, ts, fs, parts):
@@ -249,23 +264,23 @@ def _cut(evaluate, ts, fs, parts):
             np.stack((edges_f[:, :-1], edges_f[:, 1:]), axis=2).reshape(-1, 2))
 
 
-def _refine(evaluate, bound, chunk, floor, goal, ties):
-    """A chunk's best point (t, f) once its live intervals are searched.
+def _refine(evaluate, bound, chunk, floor, goal, held):
+    """A chunk's best point (t, f) once its intervals are searched.
 
-    Each step cuts a batch of at most _BATCH live intervals into equal
-    parts, evaluates all the new points in one array, and prunes the parts
-    against the chunk's best so far.  A batch is cut into 2 parts each while
-    it holds many intervals and into up to 16 when it holds few, where a
-    step's cost, not its points', dominates.  Batches are searched depth
-    first, the earliest first, so the stack holds a few batches per level,
-    not a whole level, even where the curve is flat.  The search stops early
-    once no interval's ceiling reaches floor, or once its best reaches goal,
-    and it sets bound.capped when it stops at _SEARCH_POINTS before either.
-
-    ties is a _Ties, or None: the pruned intervals whose ceiling lies within
-    _TIE_EPS below the best are added to it.
+    chunk is the chunk's best point and its intervals (ts, fs, top).  Each
+    step cuts a batch of at most _BATCH live intervals into equal parts,
+    evaluates all the new points in one array, and prunes the parts against
+    the chunk's best so far (_prune, which adds to held).  A batch is cut
+    into 2 parts each while it holds many intervals and into up to 16 when
+    it holds few, where a step's cost, not its points', dominates.  Batches
+    are searched depth first, the earliest first, so the stack holds a few
+    batches per level, not a whole level, even where the curve is flat.  The
+    search stops early once no interval's ceiling reaches floor, or once its
+    best reaches goal, and it sets bound.capped when it stops at
+    _SEARCH_POINTS before either.
     """
     t, f, (ts, fs, top) = chunk
+    ts, fs, top = _prune(ts, fs, top, f, held)
     # batches (ts, fs, top, max(top)), the earliest on top of the stack
     stack = [(ts, fs, top, top.max())] if top.size else []
     points = 0
@@ -279,10 +294,7 @@ def _refine(evaluate, bound, chunk, floor, goal, ties):
             stack.append((ts[rest], fs[rest], top[rest], top[rest].max()))
             ts, fs, top = ts[:_BATCH], fs[:_BATCH], top[:_BATCH]
         # the best may have risen since the batch was made
-        tie_from = None if ties is None else f - _TIE_EPS
-        (ts, fs, _), tie = _split(ts, fs, top, f + _GAP, tie_from)
-        if ties is not None:
-            ties.add(tie, f)
+        ts, fs, _ = _prune(ts, fs, top, f, held)
         if not ts.size:
             continue
         parts = min(16, max(2, _LEVEL_POINTS // ts.shape[0]))
@@ -292,104 +304,40 @@ def _refine(evaluate, bound, chunk, floor, goal, ties):
         k = np.unravel_index(np.argmax(f_inner), f_inner.shape)
         if f_inner[k] > f or (f_inner[k] == f and inner[k] < t):
             t, f = float(inner[k]), float(f_inner[k])
-        tie_from = None if ties is None else f - _TIE_EPS
-        live, tie = _split(ts, fs, bound.ceilings(ts, fs), f + _GAP, tie_from)
-        if ties is not None:
-            ties.add(tie, f)
+        live = _prune(ts, fs, bound.ceilings(ts, fs), f, held)
         if live[2].size:
             stack.append(live + (live[2].max(),))
     return t, f
 
 
-class _Ties:
-    """What a chunk keeps of its search for its earliest tie.
+def _earliest(evaluate, bound, held, reach):
+    """The earliest time found whose average reaches reach.
 
-    The search prunes an interval whose ceiling lies within _TIE_EPS below
-    its best f (and at most _GAP above it).  If an end of it lies within
-    _TIE_EPS/2 of f, the earliest such end is kept as a point, in a front of
-    the points no earlier point is as high as; otherwise the interval is
-    kept.  So a stretch where the curve stays within _TIE_EPS/2 of its best
-    keeps a few points, not one interval per cut.
+    held is a list of (ts, fs, top) arrays of intervals.  The earliest end
+    of one that reaches reach is taken, and the intervals before it that may
+    hold a point reaching reach, none of whose ends reaches it, are cut in
+    two, all in one array per step, until none is left.  A point reaching
+    reach lies on a peak within reach's distance of its top, about
+    sqrt(2 _TIE_EPS / c) in time on a peak of curvature c.  The search stops
+    after _SEARCH_POINTS points, and sets bound.capped if it then has
+    intervals left.
     """
-
-    def __init__(self):
-        self.points = (np.empty(0), np.empty(0))
-        self.intervals = []
-
-    def add(self, tie, f):
-        ts, fs, top = tie
-        if not top.size:
-            return
-        # an end kept as a point stays within _TIE_EPS of the maximum unless
-        # that lies more than _TIE_EPS/2 above f, which revivals of equal height
-        # found later do not do
-        reach = fs >= f - _TIE_EPS / 2.0
-        ends = reach.any(axis=1)
-        if not ends.all():
-            self.intervals.append((ts[~ends], fs[~ends], top[~ends]))
-        if not ends.any():
-            return
-        first = np.where(reach[ends, 0], 0, 1)
-        self.add_points(ts[ends][np.arange(first.size), first],
-                        fs[ends][np.arange(first.size), first])
-
-    def add_points(self, ts, fs):
-        """Merge points (times ts, averages fs) into the front."""
-        t = np.concatenate((self.points[0], ts))
-        v = np.concatenate((self.points[1], fs))
-        order = np.argsort(t, kind="stable")
-        t, v = t[order], v[order]
-        higher = v > np.concatenate(([-math.inf], np.maximum.accumulate(v)[:-1]))
-        self.points = (t[higher], v[higher])
-
-    def compact(self, floor):
-        """Drop the intervals whose ceiling lies below floor."""
-        ts, fs, top = (np.concatenate(x) for x in zip(*self.intervals)) if self.intervals \
-            else (np.empty((0, 2)), np.empty((0, 2)), np.empty(0))
-        keep = top >= floor
-        self.intervals = [(ts[keep], fs[keep], top[keep])]
-        return self
-
-    def may_reach(self, reach):
-        """Whether a point kept reaches reach or an interval is left."""
-        return bool((self.points[1] >= reach).any() or self.intervals[0][2].size)
-
-    def earliest(self, evaluate, bound, reach):
-        """The earliest point found whose average reaches reach, or None.
-
-        The intervals before the earliest point known that may hold a point
-        reaching reach, none of whose ends reaches it, are cut in two, all in
-        one array per step, until none is left.  A point reaching reach lies
-        on a peak within reach's distance of its top, about
-        sqrt(2 _TIE_EPS / c) in time on a peak of curvature c.  The search
-        stops after _SEARCH_POINTS points, and sets bound.capped if it then
-        has intervals left.
-        """
-        t, f = math.inf, None
-        high = np.flatnonzero(self.points[1] >= reach)
-        if high.size:
-            t, f = float(self.points[0][high[0]]), float(self.points[1][high[0]])
-        ts, fs, top = self.compact(reach).intervals[0]
-        points = 0
-        while True:
-            keep = (top >= reach) & (ts[:, 0] < t) \
-                & (ts[:, 1] - ts[:, 0] > _ROUNDING * ts[:, 1])  # not as narrow as rounding
-            ts, fs = ts[keep], fs[keep]
-            if not ts.size:
-                return None if f is None else (t, f)
-            if points >= _SEARCH_POINTS:
-                bound.capped = True
-                return None if f is None else (t, f)
-            _, _, ts, fs = _cut(evaluate, ts, fs, 2)
-            points += ts.shape[0] // 2
-            hit = fs >= reach
-            if hit.any():
-                i, j = np.unravel_index(np.argmin(np.where(hit, ts, math.inf)), ts.shape)
-                if ts[i, j] < t:
-                    t, f = float(ts[i, j]), float(fs[i, j])
-            # an interval with an end that reaches reach holds no earlier point found
-            ts, fs = ts[~hit.any(axis=1)], fs[~hit.any(axis=1)]
-            top = bound.ceilings(ts, fs)
+    ts, fs, top = (np.concatenate(x) for x in zip(*held))
+    t, points = math.inf, 0
+    while True:
+        hit = fs >= reach
+        t = float(np.where(hit, ts, t).min(initial=t))
+        keep = (top >= reach) & (ts[:, 0] < t) & ~hit.any(axis=1) \
+            & (ts[:, 1] - ts[:, 0] > _ROUNDING * ts[:, 1])  # not as narrow as rounding
+        ts, fs = ts[keep], fs[keep]
+        if not ts.size:
+            return t
+        if points >= _SEARCH_POINTS:
+            bound.capped = True
+            return t
+        _, _, ts, fs = _cut(evaluate, ts, fs, 2)
+        points += ts.shape[0] // 2
+        top = bound.ceilings(ts, fs)
 
 
 def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResult:
@@ -424,7 +372,7 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
             return ScanResult(request.chain.field, 0.0, float(evaluate(np.zeros(1))[0]),
                               request.fidelity_class, step)
     margin = bound.curvature / 8.0 * step * step
-    n_pts = int(math.floor(t_max / step)) + 1
+    n_pts = bound.n_pts
 
     def run_chunk(start):
         # the chunk's points and the first of the next chunk, or t_max
@@ -440,46 +388,36 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
         # reduced where it is evaluated: the scan holds intervals, not values.
         # A cell whose ends lie more than margin below the best (below the
         # ties, in a full scan) can neither beat it nor hold a tie.
-        tie_from = None if reach is not None else vals[i] - _TIE_EPS
-        hot = vals >= (vals[i] if tie_from is None else tie_from) - margin
+        low = vals[i] if reach is not None else vals[i] - _TIE_EPS
+        hot = vals >= low - margin
         cells = np.flatnonzero(hot[:-1] | hot[1:])
         ts = step * (start + np.stack((cells, cells + 1), axis=1))
         if end is not None and cells.size and cells[-1] == vals.size - 2:
             ts[-1, 1] = end
         fs = np.stack((vals[cells], vals[cells + 1]), axis=1)
-        live, tie = _split(ts, fs, bound.ceilings(ts, fs), vals[i] + _GAP, tie_from)
-        return t, float(vals[i]), live, tie
+        return t, float(vals[i]), (ts, fs, bound.ceilings(ts, fs))
 
     best_t, best_f = 0.0, -math.inf
     goal = math.inf if reach is None else reach
-    # the _Ties of each chunk that may hold the reported point
-    found = []
+    # a full scan's held intervals, which may hold its earliest tie, and each
+    # chunk's best point as an interval of width 0
+    held = [] if reach is None else None
     # lazily, so a decision scan that stops at a hit evaluates no later chunk
-    for t, f, live, tie in map(run_chunk, range(0, n_pts, _CHUNK)):
-        ties = None
-        if reach is None:
-            ties = _Ties()
-            ties.add(tie, f)
+    for chunk in map(run_chunk, range(0, n_pts, _CHUNK)):
         # a chunk that cannot come within _TIE_EPS of the best is cut short
         floor = best_f - _TIE_EPS if reach is None else max(best_f, reach)
-        t, f = _refine(evaluate, bound, (t, f, live), floor, goal, ties)
-        if ties is not None:  # a search stopped at its budget may not have kept it
-            ties.add_points(np.array([t]), np.array([f]))
+        t, f = _refine(evaluate, bound, chunk, floor, goal, held)
         if f > best_f or (f == best_f and t < best_t):
             best_t, best_f = t, f
         if best_f >= goal:
             break
-        if ties is not None:
-            # keep the chunks, and their intervals, that may still hold a tie
-            found.append(ties)
-            floor = best_f - _TIE_EPS
-            found = [c for c in found if c.compact(floor).may_reach(floor)]
-    if reach is None:
-        for ties in found:
-            tie = ties.earliest(evaluate, bound, best_f - _TIE_EPS)
-            if tie is not None:
-                best_t = tie[0]
-                break
+        if held is not None:
+            held.append((np.array([[t, t]]), np.array([[f, f]]), np.array([f])))
+            ts, fs, top = (np.concatenate(x) for x in zip(*held))
+            keep = top >= best_f - _TIE_EPS
+            held = [(ts[keep], fs[keep], top[keep])]
+    if held is not None:
+        best_t = _earliest(evaluate, bound, held, best_f - _TIE_EPS)
     return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step,
                       bound.capped)
 

@@ -159,6 +159,27 @@ def test_onset_table_is_built_once_across_threads(monkeypatch):
     assert np.all(tops[0] < 0.5 + 1e-12)  # the onset bound, not K, at the start
 
 
+def test_the_onset_table_stops_at_the_window(monkeypatch):
+    """The onset table holds no coarse point past the window's last, however
+    far the onset horizon lies beyond it: a window of 1e-300 is scanned from
+    its two points, and one of 1e-5 builds a table of two entries."""
+    from spinbus import scans
+
+    sizes = []
+    onset = scans.onset_curvature
+
+    def counted(dec, fidelity_class, ts):
+        sizes.append(len(ts))
+        return onset(dec, fidelity_class, ts)
+
+    monkeypatch.setattr(scans, "onset_curvature", counted)
+    res = max_over_time(ScanRequest(build_chain(7, 2, 5.0), t_max=1e-300))
+    assert (res.t_star, res.fbar_max) == pytest.approx((0.0, 0.25), abs=1e-15)
+    res = max_over_time(ScanRequest(build_chain(7, 2, 5.0), t_max=1e-5))
+    assert (res.t_star, res.fbar_max) == pytest.approx((0.0, 0.25), abs=1e-15)
+    assert sizes and max(sizes) <= 2
+
+
 def test_scan_memory_does_not_grow_with_the_window():
     """Chunks are reduced as they arrive: a scan never holds its whole grid."""
     req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=100.0)
@@ -268,28 +289,32 @@ class _ToyBound:
 
 
 def _toy_chunk(evaluate, bound):
-    """The toy curve on [0, 4] as one chunk: its best point and live
-    intervals, and its ties."""
-    from spinbus.scans import _split, _Ties
-
+    """The toy curve on [0, 4] as one chunk: its best point and its cells."""
     ts = bound.step * np.arange(17)
     fs = evaluate(ts)
     i = int(np.argmax(fs))
     cells, ends = np.stack((ts[:-1], ts[1:]), axis=1), np.stack((fs[:-1], fs[1:]), axis=1)
-    live, tie = _split(cells, ends, bound.ceilings(cells, ends), fs[i] + _GAP, fs[i] - _TIE_EPS)
-    ties = _Ties()
-    ties.add(tie, fs[i])
-    return (ts[i], fs[i], live), ties
+    return ts[i], fs[i], (cells, ends, bound.ceilings(cells, ends))
+
+
+def _toy_held(evaluate, bound):
+    """A chunk search of the toy curve on [0, 4]: its best point, and the
+    held list the search fills, with the best point held too."""
+    from spinbus.scans import _refine
+
+    held = []
+    t, f = _refine(evaluate, bound, _toy_chunk(evaluate, bound), -math.inf, math.inf, held)
+    held.append((np.array([[t, t]]), np.array([[f, f]]), np.array([f])))
+    return (t, f), held
 
 
 def _toy_search(evaluate):
     """A chunk search of the toy curve on [0, 4], then its earliest tie."""
-    from spinbus.scans import _refine
+    from spinbus.scans import _earliest
 
     bound = _ToyBound()
-    chunk, ties = _toy_chunk(evaluate, bound)
-    best = _refine(evaluate, bound, chunk, -math.inf, math.inf, ties)
-    return best, ties.earliest(evaluate, bound, best[1] - _TIE_EPS)
+    best, held = _toy_held(evaluate, bound)
+    return best, _earliest(evaluate, bound, held, best[1] - _TIE_EPS)
 
 
 def test_ties_resolve_to_earliest_time():
@@ -300,12 +325,13 @@ def test_ties_resolve_to_earliest_time():
 
     (t, f), tie = _toy_search(near)
     assert t == 3.0 and f == near(np.array([3.0]))[0] > 0.7
-    assert tie == (1.0, 0.7)
+    assert (tie, near(np.array([tie]))[0]) == (1.0, 0.7)
 
     def equal(ts):  # peaks 0.5 at t = 1 and t = 3
         return 0.5 - 0.1 * np.sin(np.pi * (ts - 1.0) / 2.0) ** 2
 
-    assert _toy_search(equal) == ((1.0, 0.5), (1.0, 0.5))
+    best, tie = _toy_search(equal)
+    assert (best, (tie, equal(np.array([tie]))[0])) == ((1.0, 0.5), (1.0, 0.5))
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -408,22 +434,23 @@ def test_search_stops_at_its_point_budget(monkeypatch):
 ])
 def test_a_search_stopped_at_its_budget_sets_capped(monkeypatch, chunk_budget, tie_budget,
                                                      capped):
-    """Two equal peaks between grid points: the chunk's search (294 points) and
-    the search for its earliest tie (2 points) each set capped when their
-    budget (None: the default) stops them with intervals left; once set, it stays."""
+    """Two peaks between grid points, the later 3e-13 higher: the chunk's
+    search (280 points) and the search for its earliest tie (1 point, on the
+    earlier peak, where no end it held comes within _TIE_EPS) each set capped
+    when their budget (None: the default) stops them with intervals left;
+    once set, it stays."""
     from spinbus import scans
 
-    def off_grid(ts):  # peaks 0.5 at t = 1.1 and 3.1
-        return 0.5 - 0.1 * np.sin(np.pi * (ts - 1.1) / 2.0) ** 2
+    def off_grid(ts):  # peaks 0.5 at t = 0.9 and 0.5 + 3e-13 at t = 3.3
+        return 0.5 - 0.1 * np.sin(np.pi * (ts - 0.9) / 2.4) ** 2 + 3e-13 * (ts - 0.9) / 2.4
 
     default = scans._SEARCH_POINTS
     bound = _ToyBound()
-    chunk, ties = _toy_chunk(off_grid, bound)
     monkeypatch.setattr(scans, "_SEARCH_POINTS", default if chunk_budget is None else chunk_budget)
-    best = scans._refine(off_grid, bound, chunk, -math.inf, math.inf, ties)
+    (_, f), held = _toy_held(off_grid, bound)
     after_chunk = bound.capped
     monkeypatch.setattr(scans, "_SEARCH_POINTS", default if tie_budget is None else tie_budget)
-    ties.earliest(off_grid, bound, best[1] - _TIE_EPS)
+    scans._earliest(off_grid, bound, held, f - _TIE_EPS)
     assert (after_chunk, bound.capped) == capped
 
 
@@ -435,13 +462,18 @@ def test_a_revival_every_half_pi_reports_capped():
 
 
 def test_figure_rows_are_not_capped():
-    """Every scan behind a row of Fig. 4a, 4b and 5 is certified to _GAP."""
+    """Every scan behind a row of Fig. 4a, 4b and 5 is certified to _GAP, and
+    the average at its t_star lies in [fbar_max - _TIE_EPS, fbar_max + _GAP]."""
     requests = [ScanRequest(build_chain(n_sites, 2, h), "general", t_max)
                 for n_sites, t_max in ((7, 2.0e4), (8, 6.0e4))
                 for h in (0.0, 2.0, 5.0, 10.0, 15.0, 20.0)]
     requests += [ScanRequest(build_chain(n_sites, 2, h), "omega1", 1.3e4)
                  for n_sites, h in zip(range(7, 12), (5.2, 7.1, 5.9, 7.1, 6.0))]
-    assert not any(max_over_time(req).capped for req in requests)
+    for req in requests:
+        res = max_over_time(req)
+        value = GRID_VALUES[req.fidelity_class](decompose_chain(req.chain), np.array([res.t_star]))
+        assert not res.capped
+        assert res.fbar_max - _TIE_EPS <= value[0] <= res.fbar_max + _GAP
 
 
 @pytest.mark.parametrize("n_sites, field, fidelity_class, t_max, at_least", [
