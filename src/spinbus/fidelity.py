@@ -13,10 +13,12 @@ Every average is a closed form in the sender-to-receiver minor F(t), and
 GRID_VALUES names the function that evaluates each class on a time grid;
 scans and single-time queries both go through it.  Two kernels of
 spectral.py evaluate them all: the complex phase GEMM _phase_products,
-whose output holds each entry it emits as a contiguous slab that the
-classes read elementwise, and the real _cosine_series.  omega1 is a
-Hermitian form in F, the sum of the squared moduli of its four rows, and on
-the scan grids of short chains that form's cosine series.  omega2 is
+whose table holds each entry it emits as a contiguous slab, which each
+class reads elementwise in its reducer (_omega1_rows, _omega2_entries,
+_general_entries, _one_qubit_amplitudes) a row block at a time, and the
+real _cosine_series.  omega1 is a Hermitian form in F, the sum of the
+squared moduli of its four rows, and on the scan grids of short chains
+that form's cosine series.  omega2 is
 1/2 - ||F||^2/6 + |g_uv|^2/2 + Re(g_uv)/3 with g_uv = det F, by column
 orthonormality of the propagator.  Both are exact slice-Haar integrals of
 <psi|rho(t)|psi>, hit 1 at perfect transfer and do not see a global phase
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import whole_number
-from .reduced import _pair_entries, _pair_weights, _sample_fidelities
+from .reduced import _pair_weights, _sample_fidelities
 from .spectral import SpectralDecomposition, UniformGrid, _cosine_series, _minor_weights, \
     _phase_products, _read_only, amplitude_1p
 from .states import SeededSampler, sample_haar_1q, sample_haar_2q, sample_omega1, \
@@ -146,10 +148,15 @@ def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     weights = _omega1_weights(dec)
     if isinstance(ts, UniformGrid) and dec.n_sites <= _SERIES_MAX_SITES:
         return _cosine_series(dec, weights @ weights.T, ts)
-    # the float view of the (A, 4, B) rows is (A, 4, 2B), re and im interleaved
-    rows = _phase_products(dec.eigenvalues, weights, ts).view(float)
+    return _phase_products(dec.eigenvalues, weights, ts, _omega1_rows).ravel()[:len(ts)]
+
+
+def _omega1_rows(rows):
+    """The sum of squares of a block of the form's four rows, (A, 4, B) to (A, B)."""
+    # the float view is (A, 4, 2B), re and im interleaved
+    rows = rows.view(float)
     squares = np.einsum("acb,acb->ab", rows, rows)
-    return (squares[:, 0::2] + squares[:, 1::2]).ravel()[:len(ts)]
+    return squares[:, 0::2] + squares[:, 1::2]
 
 
 def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
@@ -158,13 +165,19 @@ def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     The average is 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with
     g = det F = f_u1 f_v2 - f_u2 f_v1, evaluated on the slabs of F's entries.
     """
-    fu1, fu2, fv1, fv2 = entries = _pair_entries(dec, ts)
+    return _phase_products(dec.eigenvalues, _pair_weights(dec), ts, _omega2_entries) \
+        .ravel()[:len(ts)]
+
+
+def _omega2_entries(entries):
+    """The omega2 average from a block of F's entries, (A, 4, B) to (A, B)."""
+    fu1, fu2, fv1, fv2 = (entries[:, c] for c in range(4))
     g = fu1 * fv2 - fu2 * fv1
     # squared moduli without np.abs, whose hypot is then squared back
     values = 0.5 + (g.real * g.real + g.imag * g.imag) / 2.0 + g.real / 3.0
-    for e in entries:
+    for e in (fu1, fu2, fv1, fv2):
         values -= (e.real * e.real + e.imag * e.imag) / 6.0
-    return values.ravel()[:len(ts)]
+    return values
 
 
 @functools.lru_cache(maxsize=1)
@@ -187,7 +200,12 @@ def general_values(dec: SpectralDecomposition, ts: np.ndarray,
     the odd-excitation sector phase that maximizes it at each time,
     1/5 + (|det(I + F) - s| + |s|)^2/20 with s = f_u1 + f_v2.
     """
-    entries = _phase_products(*_general_modes(dec), ts)
+    reduce = functools.partial(_general_entries, phase_opt=phase_opt)
+    return _phase_products(*_general_modes(dec), ts, reduce).ravel()[:len(ts)]
+
+
+def _general_entries(entries, phase_opt):
+    """The general average from a block of the entries of I + F, (A, 4, B) to (A, B)."""
     # (x, z; w, y) = I + F, each entry an (A, B) slab
     x, z, w, y = (entries[:, c] for c in range(4))
     det = x * y
@@ -201,7 +219,7 @@ def general_values(dec: SpectralDecomposition, ts: np.ndarray,
         norm += det.imag * det.imag
     norm /= 20.0
     norm += 0.2
-    return norm.ravel()[:len(ts)]
+    return norm
 
 
 @functools.lru_cache(maxsize=1)
@@ -212,8 +230,13 @@ def _end_weights(dec: SpectralDecomposition) -> np.ndarray:
 
 def one_qubit_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """Vectorized one-qubit average over a time grid."""
-    m = np.abs(_phase_products(dec.eigenvalues, _end_weights(dec), ts)[:, 0].ravel()[:len(ts)])
-    return _one_qubit_from_modulus(m)
+    return _phase_products(dec.eigenvalues, _end_weights(dec), ts, _one_qubit_amplitudes) \
+        .ravel()[:len(ts)]
+
+
+def _one_qubit_amplitudes(amplitudes):
+    """The one-qubit average from a block of f_{N,1}, (A, 1, B) to (A, B)."""
+    return _one_qubit_from_modulus(np.abs(amplitudes[:, 0]))
 
 
 # average fidelity of each class on a time grid, called as values(dec, ts)

@@ -41,7 +41,8 @@ import functools
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, _minor_weights, _phase_products, _read_only
+from .spectral import SpectralDecomposition, _minor_weights, _phase_products, _read_only, \
+    _table
 from .states import TwoQubitState
 
 RECEIVER_BASIS = ("11", "10", "01", "00")
@@ -61,24 +62,13 @@ def _pair_weights(dec: SpectralDecomposition) -> np.ndarray:
     return _read_only(_minor_weights(dec, *_pair_sites(dec)))
 
 
-def _pair_entries(dec: SpectralDecomposition, ts):
-    """Entries (f_u1, f_u2, f_v1, f_v2) of F(t) = f_{(N-1,N),(1,2)}(t) over ts.
-
-    Each is a slab of spectral._phase_products, shape (A, B), with point
-    a B + j of ts at [a, j] (the last block of a UniformGrid may run past
-    its count).
-    """
-    entries = _phase_products(dec.eigenvalues, _pair_weights(dec), ts)
-    return tuple(entries[:, c] for c in range(4))
-
-
 def _receiver_operators(dec: SpectralDecomposition, t: float):
     """The operator table of the receiver state at time t: T, (6, 4, 4), and s, (6,).
 
     rho(psi) = sum_k s[k] (T[k] psi)(T[k] psi)^H in the receiver basis, for
     psi in the sender slots [a00, a01, a10, a11].
     """
-    f = np.reshape(_pair_entries(dec, (t,)), (2, 2))
+    f = _phase_products(dec.eigenvalues, _pair_weights(dec), (t,), _table).reshape(2, 2)
     g_uv = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
     ops = np.zeros((6, 4, 4), dtype=complex)
     # bulk empty: a11 g_uv on |11>, A_u on |10> and A_v on |01> from (a10, a01), a00 on |00>

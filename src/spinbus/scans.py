@@ -9,14 +9,16 @@ can bend down, so no interval of width w can rise more than K w^2/8 above
 its higher end (its ceiling).  K is read off the average's series, merged
 (bounds.series): for the general class on uniform chains 3 to 5.5 at every
 length and field tried (N = 7 to 40, h up to 200), less at h = 0, where
-frequencies coincide (3.7 at N = 7), and 16 to 72 on engineered chains.  So
-the coarse step sqrt(8 _COARSE_MARGIN / K) does not shrink as the barrier
-field grows, as a step set by the spectral range would.  The coarse points
-are evaluated, and the intervals whose ceiling lies above the best value are
-cut level by level, each step's new points evaluated as one array of times,
-and pruned again, until no interval's ceiling lies more than _GAP above the
-best value.  The best evaluated value is the scan's.  Every class is a
-closed form in the propagator, so a scan holds no randomness.
+frequencies coincide (3.7 at N = 7), and 16 to 72 on engineered chains.
+The coarse grid cuts the window into the fewest equal steps no longer than
+sqrt(8 _COARSE_MARGIN / K), so its last point is t_max, and its step does
+not shrink as the barrier field grows, as a step set by the spectral range
+would.  The coarse points are evaluated, and the intervals whose ceiling
+lies above the best value are cut level by level, each step's new points
+evaluated as one array of times, and pruned again, until no interval's
+ceiling lies more than _GAP above the best value.  The best evaluated value
+is the scan's.  Every class is a closed form in the propagator, so a scan
+holds no randomness.
 
 Near t = 0 an interval's ceiling uses bounds.onset_curvature, a bound on
 -Fbar'' over [0, hi] that falls off as a power of hi set by the
@@ -41,20 +43,23 @@ have no end that is one, until none is left.
 The coarse grid is cut into chunks of _CHUNK points anchored on the point
 index, step * (k * _CHUNK + j), each evaluated as a spectral.UniformGrid
 with one more point, the next chunk's first, so that the chunks' intervals
-tile the window; the last chunk ends on t_max, evaluated as one extra point
-when it is off the grid.  Chunks are evaluated in time order on the calling
-thread, and each is reduced as it is evaluated to its best point and the
-intervals whose ceiling lies above it or within _TIE_EPS below it, then
-searched.  A chunk's search prunes against the chunk's own best alone, so
-the points it evaluates depend on the chunk and nothing else, level by
+tile the window; the last chunk ends on the grid's last point, t_max.
+Chunks are evaluated in time order on the calling thread, and each is
+reduced as it is evaluated to its best point and the cells whose ceiling
+lies above it or within _TIE_EPS below it, made into intervals and pruned a
+batch at a time, so that they are never held beside their pruned copy, and
+then searched.  A chunk's search prunes against the chunk's own best alone,
+so the points it evaluates depend on the chunk and nothing else, level by
 level; the running best of earlier chunks only stops it early, once no
 interval left can come within _TIE_EPS of that best.  So a scan holds one
-chunk of values, a few batches of a chunk's intervals and the intervals
-held for ties: memory bounded by the chunk size, not by the window, save
-where near-ties recur all along it, as an engineered chain's revivals do,
-and each chunk's search holds at most its budget's worth.  A scan starts no
-thread: ScanRequest.threads is how many of a sweep's fields or a threshold
-search's lengths run at once.
+chunk of values (8 bytes a point: the evaluators reduce their phase tables
+a row block at a time, see spectral.py) while it is reduced, 40 bytes per
+live cell of it (its ends, their averages and its ceiling), the few batches
+its search stacks and the intervals held for ties: memory bounded by the
+chunk size, not by the window, save where near-ties recur all along it, as
+an engineered chain's revivals do, and each chunk's search holds at most
+its budget's worth.  A scan starts no thread: ScanRequest.threads is how
+many of a sweep's fields or a threshold search's lengths run at once.
 
 A scan given a value to reach is a decision scan.  Before it evaluates any
 grid it asks bounds.series_ceiling, a bound on the average at every time
@@ -84,7 +89,14 @@ from .bounds import interval_bound, onset_curvature, onset_horizon, series, seri
 from .fidelity import CLASSES, GRID_VALUES
 from .spectral import UniformGrid, decompose_chain
 
-_CHUNK = 32768
+# the coarse points a chunk evaluates and searches at once.  Each chunk's
+# search pays a fixed cost per step, so fewer, larger chunks cost less; the
+# chunk's memory is its values (8 bytes a point) and 40 bytes per live cell.
+# In-process CPU time of the benchmark's two scan workloads, medians of 8
+# interleaved rounds (one BLAS thread, Fig. 4b at two threads, 2-vCPU VM),
+# at 32768, 65536, 131072 and 262144 points: Fig. 4b sweep 0.044, 0.038,
+# 0.035, 0.034 s; Fig. 5 search 0.050, 0.044, 0.044, 0.044 s
+_CHUNK = 131072
 # the coarse grid's ceiling margin K step^2/8, which sets its step; chosen on
 # the Fig. 5 threshold search and the Fig. 4b sweep, where a finer grid costs
 # coarse points and a coarser one costs search points.  In-process CPU time,
@@ -110,14 +122,16 @@ _PHASE_ROUNDOFF = 16.0 * np.finfo(float).eps
 _LEVEL_POINTS = 64
 _BATCH = 4096
 # the most points a chunk's search, or a scan's search for its earliest tie,
-# evaluates.  The figures' scans need at most 36346 (Fig. 4a), and the
-# general scan of the engineered N = 7 chain over 2e4, with a perfect revival
-# every pi/2, about 391000 (measured with no budget).  A stretch
+# evaluates; a fixed budget, not a multiple of _CHUNK, so that a capped
+# search costs no more as chunks grow.  The figures' scans need at most 48603
+# in a chunk (Fig. 4a, N = 7, h = 0), and the general scan of the engineered
+# N = 7 chain over 2e4, with a perfect revival every pi/2, about 391000
+# (measured with no budget, in 32768-point chunks).  A stretch
 # where the curve stays within about 1e-8 below its best for long, such as a
 # window shorter than the transfer time across a strong barrier, needs more:
 # the search stops there, the points it left are certified only to the
 # ceilings left, and ScanResult.capped says so.
-_SEARCH_POINTS = 4 * _CHUNK
+_SEARCH_POINTS = 131072
 _CAP_SLACK = 1e-9
 
 
@@ -200,22 +214,25 @@ class _Bound:
             top = 4.0 * self.lam_max
             self._allowance = self.spread * top * (2.0 + top * t_max)  # 0 with nothing merged
             self.curvature = k + self._allowance
-        # no longer than the window, which an average with no time dependence
-        # (K = 0) is certified on from its two ends
-        if k * t_max * t_max <= 8.0 * _COARSE_MARGIN:
-            self.step = t_max
-        else:
-            self.step = math.sqrt(8.0 * _COARSE_MARGIN / k)
-        self._dec, self._class, self._t_max = dec, fidelity_class, t_max
+        self._k, self._dec, self._class, self._t_max = k, dec, fidelity_class, t_max
         self._table = None
         # set by a search of the scan that stops at _SEARCH_POINTS with intervals left
         self.capped = False
 
     @cached_property
     def n_pts(self):
-        """The coarse grid's points, at step * (0 ... n_pts - 1); read once
-        the step is known to be finite."""
-        return int(math.floor(self._t_max / self.step)) + 1
+        """The coarse grid's points, at step * (0 ... n_pts - 1): the fewest
+        whose step is at most sqrt(8 _COARSE_MARGIN / K) and whose last
+        lies on t_max.  Read once K is known to be finite."""
+        # two, the window's ends, for an average with no time dependence (K = 0)
+        if self._k * self._t_max * self._t_max <= 8.0 * _COARSE_MARGIN:
+            return 2
+        return math.ceil(self._t_max / math.sqrt(8.0 * _COARSE_MARGIN / self._k)) + 1
+
+    @cached_property
+    def step(self):
+        """The coarse grid's step, t_max / (n_pts - 1)."""
+        return self._t_max / (self.n_pts - 1)
 
     @cached_property
     def _cells(self):
@@ -267,7 +284,9 @@ def _cut(evaluate, ts, fs, parts):
 def _refine(evaluate, bound, chunk, floor, goal, held):
     """A chunk's best point (t, f) once its intervals are searched.
 
-    chunk is the chunk's best point and its intervals (ts, fs, top).  Each
+    chunk is the chunk's best point and its intervals, as batches
+    (ts, fs, top) of at most _BATCH each, pruned against that best as they
+    come, so that they are never all held beside their pruned copy.  Each
     step cuts a batch of at most _BATCH live intervals into equal parts,
     evaluates all the new points in one array, and prunes the parts against
     the chunk's best so far (_prune, which adds to held).  A batch is cut
@@ -279,10 +298,14 @@ def _refine(evaluate, bound, chunk, floor, goal, held):
     best reaches goal, and it sets bound.capped when it stops at
     _SEARCH_POINTS before either.
     """
-    t, f, (ts, fs, top) = chunk
-    ts, fs, top = _prune(ts, fs, top, f, held)
+    t, f, batches = chunk
     # batches (ts, fs, top, max(top)), the earliest on top of the stack
-    stack = [(ts, fs, top, top.max())] if top.size else []
+    stack = []
+    for ts, fs, top in batches:
+        ts, fs, top = _prune(ts, fs, top, f, held)
+        if top.size:
+            stack.append((ts, fs, top, top.max()))
+    stack.reverse()
     points = 0
     while stack and f < goal and max(b[3] for b in stack) >= floor:
         if points >= _SEARCH_POINTS:
@@ -375,27 +398,24 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
     n_pts = bound.n_pts
 
     def run_chunk(start):
-        # the chunk's points and the first of the next chunk, or t_max
+        # the chunk's points and the first of the next chunk, if any
         count = min(_CHUNK, n_pts - start)
-        last = start + count == n_pts
-        vals = evaluate(UniformGrid(step, start, count + (not last)))
-        end = t_max if last and step * (n_pts - 1) < t_max else None
-        if end is not None:
-            vals = np.append(vals, evaluate(np.array([end])))
-        own = vals.size if last else count
-        i = int(np.argmax(vals[:own]))
-        t = end if i == n_pts - start else step * (start + i)
+        vals = evaluate(UniformGrid(step, start, count + (start + count < n_pts)))
+        i = int(np.argmax(vals[:count]))
         # reduced where it is evaluated: the scan holds intervals, not values.
         # A cell whose ends lie more than margin below the best (below the
         # ties, in a full scan) can neither beat it nor hold a tie.
         low = vals[i] if reach is not None else vals[i] - _TIE_EPS
         hot = vals >= low - margin
         cells = np.flatnonzero(hot[:-1] | hot[1:])
-        ts = step * (start + np.stack((cells, cells + 1), axis=1))
-        if end is not None and cells.size and cells[-1] == vals.size - 2:
-            ts[-1, 1] = end
-        fs = np.stack((vals[cells], vals[cells + 1]), axis=1)
-        return t, float(vals[i]), (ts, fs, bound.ceilings(ts, fs))
+
+        def batches():
+            for c in np.split(cells, range(_BATCH, cells.size, _BATCH)):
+                ts = step * (start + np.stack((c, c + 1), axis=1))
+                fs = np.stack((vals[c], vals[c + 1]), axis=1)
+                yield ts, fs, bound.ceilings(ts, fs)
+
+        return step * (start + i), float(vals[i]), batches()
 
     best_t, best_f = 0.0, -math.inf
     goal = math.inf if reach is None else reach
@@ -413,9 +433,11 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
             break
         if held is not None:
             held.append((np.array([[t, t]]), np.array([[f, f]]), np.array([f])))
-            ts, fs, top = (np.concatenate(x) for x in zip(*held))
-            keep = top >= best_f - _TIE_EPS
-            held = [(ts[keep], fs[keep], top[keep])]
+            # entry by entry, so the list is never held twice over
+            for j, (ts, fs, top) in enumerate(held):
+                keep = top >= best_f - _TIE_EPS
+                held[j] = ts[keep], fs[keep], top[keep]
+            held = [h for h in held if h[2].size]
     if held is not None:
         best_t = _earliest(evaluate, bound, held, best_f - _TIE_EPS)
     return ScanResult(request.chain.field, best_t, best_f, request.fidelity_class, step,

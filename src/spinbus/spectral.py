@@ -9,38 +9,47 @@ arguments are 1-based.
 
 Two kernels evaluate the phases exp(-i lam_k t).  _phase_products sums
 them against weight columns W[k, c] for given frequencies lam_k, one linear
-form per column.  propagator_minor_grid calls it with the eigenvalues and
-the weights of a minor, W[k, (p, q)] = U[targets[p], k] U[sources[q], k];
-fidelity.general_values adds one more mode, of frequency 0 and weights I,
-so that the entries of I + F come out of the GEMM itself.  _cosine_series
-evaluates Hermitian forms x^H G x in the phases x_k = exp(-i lam_k t) with
-a real symmetric G on a scan grid: the form is the real series
-tr G + sum_{k<l} 2 G[k, l] cos((lam_l - lam_k) t) of _form_series (which
-bounds.series reads too), one real term per mode pair and no complex
-output (fidelity.omega1_values uses it on short chains).
+form per column, and hands the table of sums to a reducer, which maps it to
+the values its caller wants.  propagator_minor_grid calls it with the
+eigenvalues, the weights of a minor, W[k, (p, q)] = U[targets[p], k]
+U[sources[q], k], and _table, the reducer that keeps the table whole.  Each
+class of fidelity.py passes its own reducer, which turns F's entries into
+the class's average, and fidelity.general_values adds one more mode, of
+frequency 0 and weights I, so that the entries of I + F come out of the
+GEMM itself.  _cosine_series evaluates Hermitian forms x^H G x in the phases
+x_k = exp(-i lam_k t) with a real symmetric G on a scan grid: the form is
+the real series tr G + sum_{k<l} 2 G[k, l] cos((lam_l - lam_k) t) of
+_form_series (which bounds.series reads too), one real term per mode pair
+and no complex output (fidelity.omega1_values uses it on short chains).
 
 _phase_products takes either an array of times, evaluated point by point,
 or a UniformGrid, the times step * (start + j) of a scan; _cosine_series
-takes a UniformGrid.  Its output has one layout, (A, C, B) for A blocks of
+takes a UniformGrid.  The table has one layout, (A, C, B) for A blocks of
 B points: point a B + j sits at [a, :, j], so each column is a slab [:, c]
-of contiguous rows for the elementwise work that follows, and an array of
-times is A = len(ts) blocks of one point.  On a uniform grid the phase
-factorizes, exp(-i lam step (start + a B + j)) = anchor[a] * base[j]: the
-base phases folded into the weights (or, for a series, the cosines and
-sines of a block's offsets folded into the coefficients) form the plan, and
-the whole grid is one product of the (count/B, .) anchor table with it,
-costing count/B + B phase evaluations per mode instead of count.  A
+of contiguous rows for the elementwise work of the reducer.  An array of
+times is A = len(ts) blocks of one point, reduced as one table.  On a
+uniform grid the phase factorizes, exp(-i lam step (start + a B + j)) =
+anchor[a] * base[j]: the base phases folded into the weights (or, for a
+series, the cosines and sines of a block's offsets folded into the
+coefficients) form the plan, and the grid is the product of the
+(count/B, .) anchor table with it, costing count/B + B phase evaluations
+per mode instead of count.  _phase_products makes that product _ROW_POINTS
+points (a few anchor rows) at a time, and each row block goes straight from
+its GEMM to the reducer, whose (rows, B) values fill one (A, B) output.  So
+a scan chunk holds its values, 8 bytes a point, and one row block of the
+table, never the whole table, 16 C bytes a point; only
+propagator_minor_grid, whose output is the table, keeps it whole.  A
 series' tables hold a phase exp(i (lam_l - lam_k) t) per mode pair, but
 each is the product of two mode phases (_pair_phases), so a table time
-still costs N phase evaluations, plus one complex product per pair.
-The phase plan is entry-major, (mode, column, block offset), which is what
-gives the output its layout.  A plan depends only on the frequencies, what it
-folds in (the weights or G), the step and B, so it is built once per scan
-and shared, read-only, by every chunk (a one-entry memo).
-Anchors are computed from the integer index, never accumulated, so the
-rounding of a point's phase is bounded by a few eps * |lam| * t, as on the
-array path.  The values depend only on (step, start, count), so a fixed
-chunk layout gives the same values however the scans run.
+still costs N phase evaluations, plus one complex product per pair.  The
+phase plan is entry-major, (mode, column, block offset), which is what
+gives the table its layout.  A plan depends only on the frequencies, what
+it folds in (the weights or G), the step and B, so it is built once per
+scan and shared, read-only, by every chunk (a one-entry memo).  Anchors are
+computed from the integer index, never accumulated, so the rounding of a
+point's phase is bounded by a few eps * |lam| * t, as on the array path.
+The values depend only on (step, start, count), so a fixed chunk layout
+gives the same values however the scans run.
 
 decompose diagonalizes the dense N x N matrix with np.linalg.eigh, so the
 runtime needs numpy alone.  The solve is O(N^3), about 4 ms at N = 200, and
@@ -63,6 +72,10 @@ from .chain import ChainSpec, SingleParticleHamiltonian, hamiltonian_matrix, rea
 _SIGN_EPS = 1e-8
 # time points per block of a uniform grid's phase table (one anchor per block)
 _BLOCK = 256
+# time points per row block of a uniform grid's phase table, reduced as one:
+# 64 kB of complex values per column, so a block and its reducer's
+# temporaries stay in cache
+_ROW_POINTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +180,12 @@ def propagator_minor_grid(dec: SpectralDecomposition, targets, sources,
     """Amplitude minors over a time grid, shape (len(ts), len(targets), len(sources)).
 
     ts is an array of times or a UniformGrid.  Either way the minors are one
-    GEMM of a phase table against W[k, (p, q)] = U[targets[p], k] * U[sources[q], k].
+    GEMM of a phase table against W[k, (p, q)] = U[targets[p], k] * U[sources[q], k],
+    kept whole.
     """
     targets, sources = tuple(targets), tuple(sources)
-    minors = _phase_products(dec.eigenvalues, _minor_weights(dec, targets, sources), ts)
+    minors = _phase_products(dec.eigenvalues, _minor_weights(dec, targets, sources), ts,
+                             _table)
     # (A, C, B) to one row per point: a view on an array of times (B = 1)
     return minors.transpose(0, 2, 1).reshape(-1, len(targets), len(sources))[:len(ts)]
 
@@ -183,18 +198,27 @@ def _minor_weights(dec: SpectralDecomposition, targets, sources) -> np.ndarray:
     return (u.take(tj, 0)[:, None, :] * u.take(si, 0)[None, :, :]).reshape(-1, dec.n_sites).T
 
 
-def _phase_products(lam, weights, ts) -> np.ndarray:
-    """sum_k exp(-i lam[k] t) weights[k, c] for each t in ts, shape (A, C, B).
+def _table(block):
+    """The reducer that keeps a block of the phase table whole."""
+    return block
 
-    Point a B + j of ts is [a, :, j], so column c is the slab [:, c] of
-    contiguous rows.  An array of times is A = len(ts) blocks of B = 1 point;
-    a UniformGrid is blocks of B = min(_BLOCK, count) points, the last of
-    which may run past the count.  A phase table that is not finite, from a
-    time that is not or a product lam t that overflows, raises ValueError.
+
+def _phase_products(lam, weights, ts, reduce) -> np.ndarray:
+    """reduce of the table sum_k exp(-i lam[k] t) weights[k, c] over ts, (A, ...).
+
+    The table is (A, C, B): point a B + j of ts is [a, :, j], so column c is
+    the slab [:, c] of contiguous rows.  An array of times is A = len(ts)
+    blocks of B = 1 point, and reduce gets its whole table at once.  A
+    UniformGrid is blocks of B = min(_BLOCK, count) points, the last of which
+    may run past the count, and its table is made and reduced a few rows at
+    a time, each row block straight from its GEMM, so that only reduce's
+    output, (A, ...) for (rows, C, B) blocks reduced to (rows, ...), spans
+    the grid.  A phase table that is not finite, from a time that is not or a
+    product lam t that overflows, raises ValueError.
     """
     if not isinstance(ts, UniformGrid):
         ts = np.asarray(ts, dtype=float)
-        return (np.exp(-1j * _finite_phases(ts, lam, ts, lam)) @ weights)[:, :, None]
+        return reduce((np.exp(-1j * _finite_phases(ts, lam, ts, lam)) @ weights)[:, :, None])
     block = min(_BLOCK, ts.count)
 
     def build():
@@ -204,7 +228,14 @@ def _phase_products(lam, weights, ts) -> np.ndarray:
 
     plan = _memoized(("phase", lam.tobytes(), ts.step, block, weights.tobytes()), build)
     anchors = np.exp(-1j * _finite_phases(_anchor_times(ts, block), lam, ts, lam))
-    return (anchors @ plan).reshape(anchors.shape[0], -1, block)
+    rows = max(1, _ROW_POINTS // block)
+    out = None
+    for r in range(0, anchors.shape[0], rows):
+        values = reduce((anchors[r:r + rows] @ plan).reshape(-1, weights.shape[1], block))
+        if out is None:
+            out = np.empty((anchors.shape[0],) + values.shape[1:], values.dtype)
+        out[r:r + rows] = values
+    return out
 
 
 def _finite_phases(x, y, ts, lam) -> np.ndarray:

@@ -29,10 +29,13 @@ from spinbus import (
 from spinbus import bounds
 from spinbus.bounds import _pair_det_series, _squared_series_bound, interval_bound, \
     onset_curvature, series, series_ceiling
-from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM
+from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, _SERIES_MAX_SITES
 from spinbus.oracle import haar_average
 from spinbus.scans import _CHUNK
-from spinbus.spectral import UniformGrid, propagator_minor, propagator_minor_grid
+from spinbus.spectral import _ROW_POINTS, UniformGrid, propagator_minor, propagator_minor_grid
+
+# points of a grid whose phase table spans four row blocks and part of a fifth
+_ROWS_GRID = 4 * _ROW_POINTS + 300
 
 
 def test_one_qubit_closed_form_limits():
@@ -97,8 +100,8 @@ def _pair_chain(n_sites, field):
 def test_folded_omega1_matches_entrywise_formula(n_sites, field):
     """omega1_values equals the entrywise formula on F.
 
-    Grids: a whole scan chunk, one mid-window chunk shorter than a phase
-    block, and a time array out to the longest scan window.  On the scan
+    Grids: one of several row blocks, one mid-window chunk shorter than a
+    phase block, and a time array out to the longest scan window.  On the scan
     grids of chains up to 12 sites omega1 is a cosine series, which rounds
     its phases differently from the minor's phase table, so the two sides
     agree to the phase rounding, eps * |lam| * t, at the grid's last time.
@@ -107,7 +110,7 @@ def test_folded_omega1_matches_entrywise_formula(n_sites, field):
     step = np.pi / (4.0 * dec.spectral_range)
     pair = ((n_sites - 1, n_sites), (1, 2))
     lam_max = np.abs(dec.eigenvalues).max()
-    for ts, t_max in ((UniformGrid(step, 0, _CHUNK), step * (_CHUNK - 1)),
+    for ts, t_max in ((UniformGrid(step, 0, _ROWS_GRID), step * (_ROWS_GRID - 1)),
                       (UniformGrid(step, 123457, 100), step * (123457 + 99)),
                       (np.array([0.0, 0.7, 13.0, 1234.5, 2.0e4, 6.0e4]), 6.0e4)):
         m = propagator_minor_grid(dec, *pair, ts)
@@ -225,6 +228,31 @@ def test_general_grid_is_the_determinant(ham):
         assert np.all(opt >= plain - 1e-15), (start, count)
     if ham is _ASYMMETRIC:
         assert np.abs(m[:, 0, 0] - m[:, 1, 1]).max() > 0.1
+
+
+@pytest.mark.parametrize("fidelity_class, args", [
+    *(pytest.param(c, (), id=c) for c in GRID_VALUES),
+    pytest.param("general", (True,), id="general-phase_opt"),
+])
+def test_a_scan_chunk_holds_its_values_not_its_phase_table(fidelity_class, args):
+    """A _CHUNK-point grid is reduced one row block of its phase table at a
+    time: beside its 8 bytes per point of output it peaks under 1 MB (omega1
+    at N = 16, past the cosine series), an eighth of the general class's
+    whole (A, 4, B) table."""
+    import tracemalloc
+
+    dec = decompose_chain(build_chain(16 if fidelity_class == "omega1" else 8, 2, 9.0))
+    assert fidelity_class != "omega1" or dec.n_sites > _SERIES_MAX_SITES
+    grid = UniformGrid(0.3, 5 * _CHUNK, _CHUNK)
+    GRID_VALUES[fidelity_class](dec, grid, *args)  # the plan and the weights, kept across chunks
+    tracemalloc.start()
+    try:
+        values = GRID_VALUES[fidelity_class](dec, grid, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (_CHUNK,)
+    assert peak - 8 * _CHUNK < 1 << 20
 
 
 def test_phase_opt_never_hurts():

@@ -29,6 +29,19 @@ from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _TIE_EPS
 from spinbus.spectral import UniformGrid
 
 
+# a chunk size for the tests whose curves were picked for how they peak from
+# chunk to chunk: the decision logic does not depend on the size
+_SMALL_CHUNK = 32768
+
+
+def _in_cells(req, cells):
+    """req over a window of `cells` unrounded coarse steps sqrt(8 _COARSE_MARGIN / K):
+    for cells not a whole number, its grid has ceil(cells) steps, the last
+    ending on t_max."""
+    k = interval_bound(decompose_chain(req.chain), req.fidelity_class)
+    return dataclasses.replace(req, t_max=cells * math.sqrt(8.0 * _COARSE_MARGIN / k))
+
+
 def test_two_site_swap_time():
     """The smallest chain transfers perfectly at t = pi/4."""
     req = ScanRequest(build_chain(2), fidelity_class="one-qubit", t_max=2.0)
@@ -54,7 +67,7 @@ def test_coarse_step_does_not_shrink_with_the_field():
         dec = decompose_chain(req.chain)
         curvature = interval_bound(dec, "general")
         steps.append(max_over_time(req).grid_step)
-        assert steps[-1] == math.sqrt(8.0 * _COARSE_MARGIN / curvature)
+        assert steps[-1] == 10.0 / math.ceil(10.0 / math.sqrt(8.0 * _COARSE_MARGIN / curvature))
     assert max(steps) <= 1.1 * min(steps)
 
 
@@ -74,19 +87,17 @@ def test_curvature_allows_for_merged_frequencies():
     bound = scans._Bound(merged, "general", 6.0e4)
     assert series(merged, "general").spread > 0.0
     assert k < bound.curvature < k * (1.0 + 1e-6)
-    assert bound.step == math.sqrt(8.0 * _COARSE_MARGIN / k)
+    assert bound.step == 6.0e4 / math.ceil(6.0e4 / math.sqrt(8.0 * _COARSE_MARGIN / k))
 
 
 def test_thread_count_does_not_change_result():
     """A sweep's fields and a search's lengths give the same rows at any thread
-    count, over five grid chunks, the last one partial, and t_max between grid
-    points."""
-    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=1.0)
-    step = max_over_time(req).grid_step
-    req = dataclasses.replace(req, t_max=step * (4.5 * _CHUNK + 0.3))
+    count, over five grid chunks, the last one partial and ending on t_max."""
+    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general")
+    req = _in_cells(req, 4.5 * _CHUNK + 0.3)
     r1 = max_over_time(req)
-    n_pts = math.floor(req.t_max / r1.grid_step) + 1
-    assert n_pts > 4 * _CHUNK and (n_pts - 1) * r1.grid_step < req.t_max
+    n_pts = round(req.t_max / r1.grid_step) + 1
+    assert n_pts > 4 * _CHUNK and (n_pts - 1) * r1.grid_step == pytest.approx(req.t_max, rel=1e-15)
     fields = (9.0, 0.0, 20.0)
     sweep = field_sweep(req, fields)
     assert sweep[0] == r1
@@ -113,8 +124,8 @@ def test_a_scan_starts_no_thread(monkeypatch):
         return values(dec, ts, *args)
 
     monkeypatch.setitem(GRID_VALUES, "general", counted)
-    req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=1.0, threads=8)
-    req = dataclasses.replace(req, t_max=max_over_time(req).grid_step * 2.5 * _CHUNK)
+    req = _in_cells(ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", threads=8),
+                    2.5 * _CHUNK)
     full = max_over_time(req)
     max_over_time(req, full.fbar_max)
     field_sweep(req, (9.0,))
@@ -183,11 +194,11 @@ def test_the_onset_table_stops_at_the_window(monkeypatch):
 def test_scan_memory_does_not_grow_with_the_window():
     """Chunks are reduced as they arrive: a scan never holds its whole grid."""
     req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=100.0)
-    step = max_over_time(req).grid_step  # also the first-call allocations of the scan path
+    max_over_time(req)  # the first-call allocations of the scan path
 
     def peak_bytes(chunks):
         # the last chunk half full
-        scan = dataclasses.replace(req, t_max=step * (chunks - 0.5) * _CHUNK)
+        scan = _in_cells(req, (chunks - 0.5) * _CHUNK)
         tracemalloc.start()
         try:
             max_over_time(scan)
@@ -196,6 +207,57 @@ def test_scan_memory_does_not_grow_with_the_window():
             tracemalloc.stop()
 
     assert peak_bytes(10) <= 1.1 * peak_bytes(5)
+
+
+def _record_grids(monkeypatch, fidelity_class):
+    """Patch the class's GRID_VALUES to record the times of its calls; return the list."""
+    calls = []
+    values = GRID_VALUES[fidelity_class]
+
+    def recorded(dec, ts, *args):
+        calls.append(ts)
+        return values(dec, ts, *args)
+
+    monkeypatch.setitem(GRID_VALUES, fidelity_class, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("fidelity_class, n_sites, field, t_max", [
+    ("general", 8, 20.0, 6.0e4), ("omega1", 7, 5.2, 1.3e4), ("one-qubit", 9, 0.0, 123.4),
+    ("omega2", 7, 2.0, 3.3),
+])
+def test_the_coarse_grid_ends_on_t_max(monkeypatch, fidelity_class, n_sites, field, t_max):
+    """The coarse grid is the fewest equal steps no longer than
+    sqrt(8 _COARSE_MARGIN / K) that span the window, so its last point is
+    t_max, and the chunks' grids tile it, each with the next one's first point."""
+    calls = _record_grids(monkeypatch, fidelity_class)
+    req = ScanRequest(build_chain(n_sites, 2, field), fidelity_class, t_max)
+    res = max_over_time(req)
+    widest = math.sqrt(8.0 * _COARSE_MARGIN / interval_bound(decompose_chain(req.chain),
+                                                           fidelity_class))
+    steps = math.ceil(t_max / widest)
+    assert res.grid_step == t_max / steps <= widest
+    assert res.grid_step * steps == pytest.approx(t_max, rel=1e-15)
+    grids = [ts for ts in calls if isinstance(ts, UniformGrid)]
+    assert [g.start for g in grids] == list(range(0, steps + 1, _CHUNK))
+    assert {g.step for g in grids} == {res.grid_step}
+    assert [g.start + g.count - 1 for g in grids] == [g.start for g in grids[1:]] + [steps]
+
+
+@pytest.mark.parametrize("request_, t_star", [
+    pytest.param(ScanRequest(build_chain(2), fidelity_class="one-qubit", t_max=0.75), 0.75,
+                 id="at-the-end"),
+    pytest.param(ScanRequest(build_chain(16, 2), fidelity_class="omega2", t_max=3.0), 0.0,
+                 id="at-the-start"),
+])
+def test_a_maximum_on_the_grid_needs_no_one_point_call(monkeypatch, request_, t_star):
+    """A window whose maximum lies at its end (the two-site swap, rising until
+    pi/4) or at its start (before the arrival) is certified from its grid and
+    searches: no evaluator call takes a single time."""
+    calls = _record_grids(monkeypatch, request_.fidelity_class)
+    res = max_over_time(request_)
+    assert res.t_star == pytest.approx(t_star, abs=1e-15)
+    assert calls and all(isinstance(ts, UniformGrid) or len(ts) > 1 for ts in calls)
 
 
 def test_an_average_with_no_time_dependence_is_scanned_from_its_ends(monkeypatch):
@@ -289,12 +351,12 @@ class _ToyBound:
 
 
 def _toy_chunk(evaluate, bound):
-    """The toy curve on [0, 4] as one chunk: its best point and its cells."""
+    """The toy curve on [0, 4] as one chunk: its best point and its cells, in one batch."""
     ts = bound.step * np.arange(17)
     fs = evaluate(ts)
     i = int(np.argmax(fs))
     cells, ends = np.stack((ts[:-1], ts[1:]), axis=1), np.stack((fs[:-1], fs[1:]), axis=1)
-    return ts[i], fs[i], (cells, ends, bound.ceilings(cells, ends))
+    return ts[i], fs[i], [(cells, ends, bound.ceilings(cells, ends))]
 
 
 def _toy_held(evaluate, bound):
@@ -341,8 +403,7 @@ def test_perfect_revivals_report_the_first(threads):
     req = ScanRequest(build_chain(7, profile="engineered"), fidelity_class="one-qubit",
                       t_max=10.0, threads=threads)
     assert abs(max_over_time(req).t_star - np.pi / 4) < 1e-5
-    step = max_over_time(req).grid_step
-    req = dataclasses.replace(req, t_max=step * 2.5 * _CHUNK)
+    req = _in_cells(req, 2.5 * _CHUNK)
     full = max_over_time(req)
     assert abs(full.t_star - np.pi / 4) < 1e-5 and full.fbar_max > 1.0 - 1e-12
     # a decision scan just below the maximum stops at a later revival
@@ -652,12 +713,15 @@ def test_decision_scans_match_full_scans(monkeypatch, fidelity_class, target, ch
                                          threads):
     """Decision scans that stop at their first hit give the search and the rows
     that full scans of every field give, also over 2.5 chunks of the coarse
-    grid, where the field found at N = 7 first reaches the target past chunk 0."""
+    grid, where the field found at N = 7 first reaches the target past chunk 0
+    (chunks of _SMALL_CHUNK points)."""
+    from spinbus import scans
+
     request = ScanRequest(build_chain(7, 2), fidelity_class=fidelity_class,
                           t_max=6000.0, threads=threads)
     if chunks is not None:
-        step = max_over_time(dataclasses.replace(request, t_max=1.0)).grid_step
-        request = dataclasses.replace(request, t_max=chunks * _CHUNK * step)
+        monkeypatch.setattr(scans, "_CHUNK", _SMALL_CHUNK)
+        request = _in_cells(request, chunks * _SMALL_CHUNK)
     made = _record_scans(monkeypatch)
     got = threshold_field(request, (7, 8), target=target, h_resolution=0.5, h_cap=12.0)
     want = [_threshold_by_full_scans(request, n, target, 0.5, 12.0) for n in (7, 8)]
@@ -668,33 +732,37 @@ def test_decision_scans_match_full_scans(monkeypatch, fidelity_class, target, ch
         chain = dataclasses.replace(request.chain, field=got[0].field)
         hit = max_over_time(dataclasses.replace(request, chain=chain), target)
         assert (got[0].field, target, hit) in made
-        assert hit.fbar_max >= target and hit.t_star >= _CHUNK * hit.grid_step
+        assert hit.fbar_max >= target and hit.t_star >= _SMALL_CHUNK * hit.grid_step
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("fidelity_class, n_sites, field", [
     ("general", 7, 4.0), ("omega1", 8, 5.5),
 ])
-def test_decision_scan_stops_at_its_first_hit(fidelity_class, n_sites, field, threads):
+def test_decision_scan_stops_at_its_first_hit(monkeypatch, fidelity_class, n_sites, field,
+                                              threads):
     """A decision scan returns the first point it evaluates that reaches its
     value, in the first, a middle or the last chunk, and a point below the
     value exactly when the full scan's value is below it.  Over three chunks
-    each of these curves peaks higher in every chunk than in the one before."""
-    req = ScanRequest(build_chain(n_sites, 2, field), fidelity_class=fidelity_class,
-                      t_max=1.0, threads=threads)
-    step = max_over_time(req).grid_step
-    req = dataclasses.replace(req, t_max=step * (3 * _CHUNK - 0.5))
+    of _SMALL_CHUNK points each of these curves peaks higher in every chunk
+    than in the one before."""
+    from spinbus import scans
+
+    monkeypatch.setattr(scans, "_CHUNK", _SMALL_CHUNK)
+    req = _in_cells(ScanRequest(build_chain(n_sites, 2, field), fidelity_class=fidelity_class,
+                                threads=threads), 3 * _SMALL_CHUNK - 1.5)
     full = max_over_time(req)
-    n_pts = math.floor(req.t_max / step) + 1
-    n_chunks = -(-n_pts // _CHUNK)
+    step = full.grid_step
+    n_pts = round(req.t_max / step) + 1
+    n_chunks = -(-n_pts // _SMALL_CHUNK)
     dec = decompose_chain(req.chain)
     evaluate = GRID_VALUES[fidelity_class]
 
     def chunk_of(t):
         i = round(t / step)
-        return min(i if step * i == t else math.floor(t / step), n_pts - 1) // _CHUNK
+        return min(i if step * i == t else math.floor(t / step), n_pts - 1) // _SMALL_CHUNK
 
-    first_chunk = evaluate(dec, UniformGrid(step, 0, _CHUNK)).max()
+    first_chunk = evaluate(dec, UniformGrid(step, 0, _SMALL_CHUNK)).max()
     assert chunk_of(full.t_star) == n_chunks - 1 >= 2
     chunks = set()
     for reach in np.linspace(first_chunk, full.fbar_max, 16):
@@ -711,20 +779,6 @@ def test_decision_scan_stops_at_its_first_hit(fidelity_class, n_sites, field, th
     assert miss.fbar_max < full.fbar_max + 1e-9
 
 
-def _count_grids(monkeypatch, fidelity_class):
-    """Patch the class's GRID_VALUES to count its calls; return the list of
-    whether each call's times were a UniformGrid."""
-    grids = []
-    values = GRID_VALUES[fidelity_class]
-
-    def counted(dec, ts, *args):
-        grids.append(isinstance(ts, UniformGrid))
-        return values(dec, ts, *args)
-
-    monkeypatch.setitem(GRID_VALUES, fidelity_class, counted)
-    return grids
-
-
 @pytest.mark.parametrize("threads", [1, 3])
 def test_a_miss_below_the_ceiling_walks_no_grid(monkeypatch, threads):
     """The omega1 average of the bare N = 7 chain never exceeds its series
@@ -734,9 +788,9 @@ def test_a_miss_below_the_ceiling_walks_no_grid(monkeypatch, threads):
                       threads=threads)
     dec = decompose_chain(req.chain)
     assert series_ceiling(dec, "omega1") < 0.74
-    grids = _count_grids(monkeypatch, "omega1")
+    calls = _record_grids(monkeypatch, "omega1")
     miss = max_over_time(req, 0.95)
-    assert grids == [False]
+    assert [isinstance(ts, UniformGrid) for ts in calls] == [False]
     f0 = GRID_VALUES["omega1"](dec, np.zeros(1))[0]
     assert miss == ScanResult(0.0, 0.0, f0, "omega1", max_over_time(req).grid_step)
     assert miss.fbar_max < 0.95
@@ -763,15 +817,20 @@ def test_a_miss_the_ceiling_certifies_finds_no_onset_horizon(monkeypatch):
 
 def test_a_reach_below_the_ceiling_walks_the_grid(monkeypatch):
     """A reach between the window maximum and the ceiling is not decided by
-    the ceiling: the scan walks its grid and certifies the miss there."""
+    the ceiling: the scan walks its grid and certifies the miss there.  In
+    chunks of _SMALL_CHUNK points, as over a window long enough for two
+    _CHUNK-point chunks the maximum comes within 0.003 of the ceiling."""
+    from spinbus import scans
+
+    monkeypatch.setattr(scans, "_CHUNK", _SMALL_CHUNK)
     req = ScanRequest(build_chain(7, 2, 5.0), fidelity_class="omega1", t_max=1.3e4)
     full = max_over_time(req)
     ceiling = series_ceiling(decompose_chain(req.chain), "omega1")
     assert full.fbar_max < ceiling - 0.005
-    grids = _count_grids(monkeypatch, "omega1")
+    calls = _record_grids(monkeypatch, "omega1")
     miss = max_over_time(req, (full.fbar_max + ceiling) / 2.0)
     assert miss.fbar_max < (full.fbar_max + ceiling) / 2.0
-    assert grids.count(True) == 2  # both chunks of the window
+    assert sum(isinstance(ts, UniformGrid) for ts in calls) == 2  # both chunks of the window
 
 
 @pytest.mark.parametrize("fidelity_class, n_sites, field, t_max", [

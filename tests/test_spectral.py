@@ -20,8 +20,10 @@ from spinbus import (
 )
 from spinbus import fidelity, spectral
 from spinbus.fidelity import GRID_VALUES
-from spinbus.scans import _CHUNK
-from spinbus.spectral import SpectralDecomposition, UniformGrid
+from spinbus.spectral import _ROW_POINTS, SpectralDecomposition, UniformGrid
+
+# points of a grid whose phase table spans four row blocks and part of a fifth
+_ROWS_GRID = 4 * _ROW_POINTS + 300
 
 
 def test_uniform_open_chain_spectrum():
@@ -137,7 +139,8 @@ def test_uniform_grid_matches_time_array(n_sites, field):
     """The blocked phase table agrees with exp(-i lam t) point by point.
 
     Grids start at 0, mid-window and at the end of the longest scan window
-    (6e4), with counts that are and are not a multiple of the block.
+    (6e4), with counts that are and are not a multiple of the block, the
+    longest spanning several row blocks.
     """
     dec = decompose(_barrier_hamiltonian(n_sites, field))
     lam_max = np.abs(dec.eigenvalues).max()
@@ -145,7 +148,7 @@ def test_uniform_grid_matches_time_array(n_sites, field):
     window_end = int(6.0e4 / step)
     pair = ((n_sites - 1, n_sites), (1, 2))
     for start in (0, window_end // 2, window_end):
-        for count in (1, 300, _CHUNK):
+        for count in (1, 300, _ROWS_GRID):
             blocked = propagator_minor_grid(dec, *pair, UniformGrid(step, start, count))
             direct = propagator_minor_grid(dec, *pair, step * (start + np.arange(count)))
             assert blocked.shape == direct.shape == (count, 2, 2)
@@ -161,8 +164,8 @@ def test_grid_values_match_time_array(n_sites, field, cls):
     """Every class on a UniformGrid equals its time-array path to the phase
     rounding, eps * |lam| * t at the grid's last time.
 
-    Grids: a whole scan chunk from 0, a tail shorter than one phase block
-    after it, and a start in the middle of the longest scan window (6e4)
+    Grids: several row blocks from 0, a tail shorter than one phase block
+    after them, and a start in the middle of the longest scan window (6e4)
     with a count that is not a multiple of the block.
     """
     dec = decompose(_barrier_hamiltonian(n_sites, field))
@@ -170,7 +173,7 @@ def test_grid_values_match_time_array(n_sites, field, cls):
     step = np.pi / (4.0 * dec.spectral_range)
     middle = int(3.0e4 / step)
     values = GRID_VALUES[cls]
-    for start, count in ((0, _CHUNK), (_CHUNK, 100), (middle, 1000)):
+    for start, count in ((0, _ROWS_GRID), (_ROWS_GRID, 100), (middle, 1000)):
         ts = step * (start + np.arange(count))
         blocked = values(dec, UniformGrid(step, start, count))
         direct = values(dec, ts)
@@ -211,7 +214,7 @@ def test_omega1_series_matches_time_array(n_sites, field):
     lam_max = np.abs(dec.eigenvalues).max()
     step = np.pi / (4.0 * dec.spectral_range)
     window_end = int(6.0e4 / step)
-    for start, count in ((0, _CHUNK), (window_end // 2, 1000), (window_end - 300, 301)):
+    for start, count in ((0, _ROWS_GRID), (window_end // 2, 1000), (window_end - 300, 301)):
         ts = step * (start + np.arange(count))
         blocked = fidelity.omega1_values(dec, UniformGrid(step, start, count))
         direct = fidelity.omega1_values(dec, ts)
