@@ -111,9 +111,9 @@ _OMEGA1_FORM.flags.writeable = False
 # its N (N - 1) real terms per point grow faster than the phase products'
 # four complex columns per mode.  On a 32768-point chunk (one BLAS thread,
 # 2-vCPU VM), with the series' tables built from mode phases, the series
-# takes 0.17-0.35 ms against 0.45-0.55 ms for the phase products at
-# N = 10-16 (a scan's first chunk, which also builds the plan, 0.37-0.61
-# against 0.59-0.72 ms); the two cost the same near N = 20, and the series
+# takes 0.37-0.61 ms against 0.59-0.72 ms for the phase products at
+# N = 10-16, each chunk building its plan (0.17-0.35 against 0.45-0.55 ms
+# without the build); the two cost the same near N = 20, and the series
 # takes twice as long at N = 40.  The cutoff was set at the crossover of
 # tables built from pair cosines and sines, N = 12 to 13.  The benchmark
 # scans no omega1 chain longer than 11 sites, so it checks neither side.
@@ -147,7 +147,7 @@ def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
     """
     weights = _omega1_weights(dec)
     if isinstance(ts, UniformGrid) and dec.n_sites <= _SERIES_MAX_SITES:
-        return _cosine_series(dec, weights @ weights.T, ts)
+        return _cosine_series(dec.eigenvalues, weights @ weights.T, ts)
     return _phase_products(dec.eigenvalues, weights, ts, _omega1_rows).ravel()[:len(ts)]
 
 

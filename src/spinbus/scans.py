@@ -136,7 +136,13 @@ _CAP_SLACK = 1e-9
 
 
 def default_t_max(n_sites: int, fidelity_class: str) -> float:
-    """Scan windows: 1.3e4 for omega classes, else 2e4 (N odd) or 6e4 (N even)."""
+    """Scan windows: 1.3e4 for omega classes, else 2e4 (N odd) or 6e4 (N even).
+
+    n_sites must be a whole number >= 2 and fidelity_class one of CLASSES.
+    """
+    n_sites = whole_number("n_sites", n_sites, 2)
+    if fidelity_class not in CLASSES:
+        raise ValueError(f"unknown fidelity class {fidelity_class!r}")
     if fidelity_class in ("omega1", "omega2"):
         return 1.3e4
     return 2.0e4 if n_sites % 2 else 6.0e4

@@ -43,13 +43,14 @@ series' tables hold a phase exp(i (lam_l - lam_k) t) per mode pair, but
 each is the product of two mode phases (_pair_phases), so a table time
 still costs N phase evaluations, plus one complex product per pair.  The
 phase plan is entry-major, (mode, column, block offset), which is what
-gives the table its layout.  A plan depends only on the frequencies, what
-it folds in (the weights or G), the step and B, so it is built once per
-scan and shared, read-only, by every chunk (a one-entry memo).  Anchors are
-computed from the integer index, never accumulated, so the rounding of a
-point's phase is bounded by a few eps * |lam| * t, as on the array path.
-The values depend only on (step, start, count), so a fixed chunk layout
-gives the same values however the scans run.
+gives the table its layout.  Each call builds its own plan, N B phase
+evaluations and one product with what it folds in (the weights or G),
+small beside the chunk's GEMM, so the kernels keep no state between calls
+and scans on several threads share nothing.  Anchors are computed from the
+integer index, never accumulated, so the rounding of a point's phase is
+bounded by a few eps * |lam| * t, as on the array path.  The values depend
+only on (step, start, count), so a fixed chunk layout gives the same
+values however the scans run.
 
 decompose diagonalizes the dense N x N matrix with np.linalg.eigh, so the
 runtime needs numpy alone.  The solve is O(N^3), about 4 ms at N = 200, and
@@ -213,20 +214,19 @@ def _phase_products(lam, weights, ts, reduce) -> np.ndarray:
     may run past the count, and its table is made and reduced a few rows at
     a time, each row block straight from its GEMM, so that only reduce's
     output, (A, ...) for (rows, C, B) blocks reduced to (rows, ...), spans
-    the grid.  A phase table that is not finite, from a time that is not or a
-    product lam t that overflows, raises ValueError.
+    the grid.  An array of times that is not 1-D raises ValueError, as does
+    a phase table that is not finite, from a time that is not or a product
+    lam t that overflows.
     """
     if not isinstance(ts, UniformGrid):
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError(f"times must be a 1-D array, got shape {ts.shape}")
         return reduce((np.exp(-1j * _finite_phases(ts, lam, ts, lam)) @ weights)[:, :, None])
     block = min(_BLOCK, ts.count)
-
-    def build():
-        # entry-major: (mode, column, block offset)
-        base = np.exp(-1j * _finite_phases(lam, ts.step * np.arange(block), ts, lam))
-        return _read_only((weights[:, :, None] * base[:, None, :]).reshape(lam.size, -1))
-
-    plan = _memoized(("phase", lam.tobytes(), ts.step, block, weights.tobytes()), build)
+    # entry-major: (mode, column, block offset)
+    base = np.exp(-1j * _finite_phases(lam, ts.step * np.arange(block), ts, lam))
+    plan = (weights[:, :, None] * base[:, None, :]).reshape(lam.size, -1)
     anchors = np.exp(-1j * _finite_phases(_anchor_times(ts, block), lam, ts, lam))
     rows = max(1, _ROW_POINTS // block)
     out = None
@@ -248,26 +248,6 @@ def _finite_phases(x, y, ts, lam) -> np.ndarray:
         raise ValueError(f"times must keep every phase lam t finite, got t = {ts!r} "
                          f"on eigenvalues up to {float(np.abs(lam).max()):.6g} in modulus")
     return phases
-
-
-# The plan of the last uniform grid evaluated: (key, plan).  A plan depends
-# on its key alone (the kernel, the frequencies or the decomposition, the
-# step, the block length and what it folds in: the weights or the Gram
-# matrix), so every chunk of a scan shares it, and a rebuilt plan is
-# bit-identical to a kept one: no caller can tell a hit from a miss.  Scans
-# of different chains run at once alternate it, which rebuilds the plan and
-# changes no value.  It is replaced in one assignment, so a thread reads
-# either the old pair or the new one, never a mix.
-_memo = None
-
-
-def _memoized(key, build):
-    """build(), or its value from the last call when that call had the same key."""
-    global _memo
-    memo = _memo
-    if memo is None or memo[0] != key:
-        memo = _memo = (key, build())
-    return memo[1]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -295,9 +275,10 @@ def _form_series(lam, gram):
     return float(gram.trace()), 2.0 * gram[k, l], lam[l] - lam[k]
 
 
-def _pair_phases(lam, ts) -> np.ndarray:
+def _pair_phases(lam, ts, grid) -> np.ndarray:
     """exp(i w_kl t) for each t of ts and each mode pair k < l in _mode_pairs'
-    order, (len(ts), P) with P = N (N - 1) / 2.
+    order, (len(ts), P) with P = N (N - 1) / 2; a phase lam t that is not
+    finite raises ValueError naming grid, the times ts belong to.
 
     Each is the product exp(i lam_l t) conj(exp(i lam_k t)): N complex phases
     per time and one complex product per pair.  The phases are mode-major, so
@@ -305,7 +286,7 @@ def _pair_phases(lam, ts) -> np.ndarray:
     view of the output.
     """
     n = lam.size
-    modes = np.exp(1j * np.outer(lam, ts))
+    modes = np.exp(1j * _finite_phases(lam, ts, grid, lam))
     conj = modes.conj()
     pairs = np.empty((len(ts), n * (n - 1) // 2), dtype=complex)
     rows, first = pairs.T, 0
@@ -315,7 +296,7 @@ def _pair_phases(lam, ts) -> np.ndarray:
     return pairs
 
 
-def _cosine_series(dec: SpectralDecomposition, gram, grid: UniformGrid) -> np.ndarray:
+def _cosine_series(lam, gram, grid: UniformGrid) -> np.ndarray:
     """x^H gram x at each time of a uniform grid for a real symmetric gram, (count,).
 
     With x_k = exp(-i lam_k t) the form is the real cosine series
@@ -328,16 +309,10 @@ def _cosine_series(dec: SpectralDecomposition, gram, grid: UniformGrid) -> np.nd
     a block's points.  Each table time costs N complex phases, not 2P
     cosines and sines of the pair frequencies.
     """
-    lam = dec.eigenvalues
     block = min(_BLOCK, grid.count)
-
-    def build():
-        c0, a, _ = _form_series(lam, gram)
-        plan = _pair_phases(lam, grid.step * np.arange(block)).view(float)
-        plan *= np.stack((a, -a), axis=1).ravel()
-        return c0, _read_only(plan.T)
-
-    c0, plan = _memoized(("cosine", dec, grid.step, block, gram.tobytes()), build)
-    values = _pair_phases(lam, _anchor_times(grid, block)).view(float) @ plan
+    c0, a, _ = _form_series(lam, gram)
+    plan = _pair_phases(lam, grid.step * np.arange(block), grid).view(float)
+    plan *= np.stack((a, -a), axis=1).ravel()
+    values = _pair_phases(lam, _anchor_times(grid, block), grid).view(float) @ plan.T
     values += c0  # in place: a second chunk-sized temporary cost page faults per chunk
     return values.ravel()[:grid.count]

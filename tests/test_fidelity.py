@@ -244,7 +244,7 @@ def test_a_scan_chunk_holds_its_values_not_its_phase_table(fidelity_class, args)
     dec = decompose_chain(build_chain(16 if fidelity_class == "omega1" else 8, 2, 9.0))
     assert fidelity_class != "omega1" or dec.n_sites > _SERIES_MAX_SITES
     grid = UniformGrid(0.3, 5 * _CHUNK, _CHUNK)
-    GRID_VALUES[fidelity_class](dec, grid, *args)  # the plan and the weights, kept across chunks
+    GRID_VALUES[fidelity_class](dec, grid, *args)  # the weights, cached per decomposition
     tracemalloc.start()
     try:
         values = GRID_VALUES[fidelity_class](dec, grid, *args)

@@ -56,6 +56,14 @@ def test_default_windows():
     assert default_t_max(7, "general") == pytest.approx(2.0e4)
     assert default_t_max(8, "general") == pytest.approx(6.0e4)
     assert default_t_max(9, "one-qubit") == pytest.approx(2.0e4)
+    # no default window for what is not a chain length or a class
+    for n_sites, fidelity_class, name in ((7, "bogus", "class"), (7, "Omega1", "class"),
+                                          (7.5, "general", "n_sites"),
+                                          (7.0, "general", "n_sites"),
+                                          (True, "omega1", "n_sites"),
+                                          (1, "general", "n_sites")):
+        with pytest.raises(ValueError, match=name):
+            default_t_max(n_sites, fidelity_class)
 
 
 def test_coarse_step_does_not_shrink_with_the_field():

@@ -193,7 +193,7 @@ def test_pair_phases_are_the_pair_cosines(n_sites, field):
     lam = dec.eigenvalues
     k, l = spectral._mode_pairs(n_sites)
     ts = np.concatenate([np.linspace(0.0, 10.0, 7), np.linspace(5.9e4, 6.0e4, 9)])
-    pairs = spectral._pair_phases(lam, ts)
+    pairs = spectral._pair_phases(lam, ts, ts)
     assert pairs.shape == (ts.size, n_sites * (n_sites - 1) // 2)
     angles = np.outer(ts, lam[l] - lam[k])
     eps = np.finfo(float).eps
@@ -223,7 +223,7 @@ def test_omega1_series_matches_time_array(n_sites, field):
         assert np.abs(blocked - direct).max() <= tol, (start, count)
 
 
-def test_phase_plan_never_leaks_between_chains_or_steps(monkeypatch):
+def test_phase_plan_never_leaks_between_chains_or_steps():
     """Chunks of three chains, two steps and every class, interleaved in one
     thread and on a thread pool, equal each chunk evaluated alone.
 
@@ -248,15 +248,10 @@ def test_phase_plan_never_leaks_between_chains_or_steps(monkeypatch):
         cls, dec, grid = job
         return GRID_VALUES[cls](dec, grid)
 
-    def alone(job):
-        # raises if the memo is renamed, so the references always start empty
-        monkeypatch.setattr(spectral, "_memo", None)
-        return evaluate(job)
-
-    reference = [alone(job) for job in jobs]
+    reference = [evaluate(job) for job in jobs]
     for k, job in enumerate(jobs):
         assert np.array_equal(evaluate(job), reference[k]), k
-    # more threads than cores, switching often, so a torn memo would show
+    # more threads than cores, switching often, so shared state would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -290,16 +285,34 @@ def test_uniform_grid_rejects_what_is_not_a_grid(step, start, count, name):
 
 @pytest.mark.filterwarnings("error")  # and no overflow warning on the way
 @pytest.mark.parametrize("grid", [UniformGrid(1e300, 0, 3), UniformGrid(1e290, 10 ** 10, 1)])
-def test_grid_whose_phases_overflow_raises(grid):
+@pytest.mark.parametrize("cls", GRID_VALUES)
+def test_grid_whose_phases_overflow_raises(cls, grid):
     """A grid of finite times whose phase lam t overflows on an h = 1e10
-    chain raises, from its block offsets' plan (step 1e300) or from its
-    anchors (1e290 * 1e10), and leaves the memo to the grids that work."""
+    chain raises, in the minors and in every class (omega1 through its
+    cosine series), from its block offsets' plan (step 1e300) or from its
+    anchors (1e290 * 1e10), and a grid that works still evaluates after it."""
     dec = decompose_chain(build_chain(8, 2, 1e10))
+    with pytest.raises(ValueError, match="finite"):
+        GRID_VALUES[cls](dec, grid)
     with pytest.raises(ValueError, match="finite"):
         propagator_minor_grid(dec, (8,), (1,), grid)
     want = propagator_minor_grid(dec, (8,), (1,), (0.5, 1.0))
     np.testing.assert_allclose(propagator_minor_grid(dec, (8,), (1,), UniformGrid(0.5, 1, 2)),
                                want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("evaluate", [
+    *(pytest.param(values, id=cls) for cls, values in GRID_VALUES.items()),
+    pytest.param(lambda dec, ts: propagator_minor_grid(dec, (8,), (1,), ts), id="minor"),
+])
+@pytest.mark.parametrize("ts", [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]], 1.0],
+                         ids=["row", "matrix", "scalar"])
+def test_times_that_are_not_one_dimensional_raise(evaluate, ts):
+    """An array of times must be 1-D: a nested one is not cut to its first
+    row, and a scalar is not read as one time."""
+    dec = decompose_chain(build_chain(8, 2, 5.0))
+    with pytest.raises(ValueError, match="1-D"):
+        evaluate(dec, ts)
 
 
 def test_uniform_grid_takes_numpy_numbers():
