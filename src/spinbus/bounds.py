@@ -1,15 +1,16 @@
 """How far a scan may trust an average-fidelity curve between its points.
 
-Each two-qubit average of fidelity.py is also one finite series in the
-eigenfrequencies, a0 + sum a_j cos(w_j t) + |sum c_m exp(-i nu_m t)|^2 / s,
+Each two-qubit average of fidelity.py is a formula in three invariants of
+F, tau = tr F, g = det F and s = ||F||^2, and so also one finite series in
+the eigenfrequencies, a0 + sum a_j cos(w_j t) + |sum c_m exp(-i nu_m t)|^2 / s,
 built once per decomposition by series() with coinciding frequencies
 merged, and scans read two numbers off it: interval_bound's K >= -Fbar'',
 sum |a| w^2 plus the squared part's bound, and series_ceiling's bound on the
 average at every time, a0 + sum |a| + (sum |c|)^2 / s.  The one-qubit
 average is not such a series, and its K and ceiling come from bounds on its
 one entry.  onset_curvature gives a sharper K over [0, t] near t = 0, from
-the Dyson series of the propagator in the hopping, carried through the
-closed form by the product rule.
+the Dyson series of the propagator in the hopping, carried through the same
+formula in the invariants by the product rule.
 
 The series and the closed forms must stay one function of F.  So a
 correction to F (a parity sign, local phases on the receiver, a change of
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .fidelity import _OMEGA1_FORM, _end_weights, _omega1_weights, _one_qubit_from_modulus
+from .fidelity import _end_weights, _omega1_gram, _one_qubit_from_modulus
 from .reduced import _pair_sites, _pair_weights
 from .spectral import SpectralDecomposition, _form_series, _mode_pairs, _read_only
 
@@ -65,10 +66,11 @@ def _merged(coef, freq, tol):
 def series(dec: SpectralDecomposition, fidelity_class: str) -> Series:
     """The two-qubit class's average as a Series, once per decomposition.
 
-    general is 1/5 + |det(I + F)|^2/20, det(I + F) = 1 + (f_u1 + f_v2) + g_uv
-    at the frequencies 0, lam_k and lam_k + lam_l; omega1 the form x^H G x,
-    G = W W^T (spectral._form_series); omega2 is 1/2 - ||F||^2/6 + |g_uv|^2/2
-    + Re(g_uv)/3 with g_uv = det F.  The squared part stays factored: O(N^2)
+    With tau = tr F = f_u1 + f_v2, g = det F and s = ||F||^2: general is
+    1/5 + |1 + tau + g|^2/20, 1 + tau + g = det(I + F) at the frequencies 0,
+    lam_k and lam_k + lam_l; omega1, (|tau|^2 + s)/6, the form x^H G x with
+    G = fidelity._omega1_gram (spectral._form_series); omega2 is
+    1/2 - s/6 + |g|^2/2 + Re(g)/3.  The squared part stays factored: O(N^2)
     terms.  Terms whose frequencies (a cosine's in modulus) agree within
     _MERGE_EPS * max |lam| are summed, so coinciding frequencies cancel, and
     the average evaluated lies within spread * t of the series, spread being
@@ -84,8 +86,7 @@ def series(dec: SpectralDecomposition, fidelity_class: str) -> Series:
         c = np.concatenate(([1.0], weights[:, 0] + weights[:, 3], d))
         nu = np.concatenate(([0.0], lam, dnu))
     elif fidelity_class == "omega1":
-        weights = _omega1_weights(dec)
-        a0, a, w = _form_series(lam, weights @ weights.T)
+        a0, a, w = _form_series(lam, _omega1_gram(dec))
     elif fidelity_class == "omega2":
         weights = _pair_weights(dec)
         trace, a, w = _form_series(lam, weights @ weights.T)
@@ -179,7 +180,7 @@ def _det_bounds(a, b1, b2):
 
 
 def _omega2_curvature(a, b1, b2):
-    # 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with g = g_uv = det F, and |g| <= 1
+    # 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with g = det F, and |g| <= 1
     t1, t2 = _det_bounds(a, b1, b2)
     return _square_curvature(a, b1, b2).sum(0) / 6.0 + _square_curvature(1.0, t1, t2) / 2.0 \
         + t2 / 3.0
@@ -192,7 +193,6 @@ def _end_curvature(a, b1, b2):
     return (1.0 + np.minimum(a[0], 1.0)) * b2[0] / 3.0
 
 
-_ABS_OMEGA1_FORM = np.abs(_OMEGA1_FORM)
 _IDENTITY_ENTRIES = np.eye(2).reshape(4, 1)
 
 # onset_curvature's product-rule bound of each class, from the bounds on F's
@@ -202,9 +202,9 @@ _BOUNDS = {
     # 1/5 + |det(I + F)|^2/20 from the entries of I + F, and |det(I + F)| <= ||I + F||^2 <= 4
     "general": lambda a, b1, b2:
         _square_curvature(4.0, *_det_bounds(a + _IDENTITY_ENTRIES, b1, b2)) / 20.0,
-    # the sum of squares of the four rows of the form
-    "omega1": lambda a, b1, b2:
-        _square_curvature(*(_ABS_OMEGA1_FORM @ x for x in (a, b1, b2))).sum(0),
+    # (|tr F|^2 + ||F||^2)/6 with tr F = f_u1 + f_v2
+    "omega1": lambda a, b1, b2: (_square_curvature(*(x[0] + x[3] for x in (a, b1, b2)))
+                                 + _square_curvature(a, b1, b2).sum(0)) / 6.0,
     "omega2": _omega2_curvature,
 }
 

@@ -11,24 +11,26 @@ general   : Haar-random two-qubit states.
 
 Every average is a closed form in the sender-to-receiver minor F(t), and
 GRID_VALUES names the function that evaluates each class on a time grid;
-scans and single-time queries both go through it.  Two kernels of
-spectral.py evaluate them all: the complex phase GEMM _phase_products,
-whose table holds each entry it emits as a contiguous slab, which each
-class reads elementwise in its reducer (_omega1_rows, _omega2_entries,
-_general_entries, _one_qubit_amplitudes) a row block at a time, and the
-real _cosine_series.  omega1 is a Hermitian form in F, the sum of the
-squared moduli of its four rows, and on the scan grids of short chains
-that form's cosine series.  omega2 is
-1/2 - ||F||^2/6 + |g_uv|^2/2 + Re(g_uv)/3 with g_uv = det F, by column
-orthonormality of the propagator.  Both are exact slice-Haar integrals of
-<psi|rho(t)|psi>, hit 1 at perfect transfer and do not see a global phase
-of the odd-excitation sector.  general is 1/5 + |det(I + F)|^2/20: of the
-Kraus operators, one per bulk configuration, only the bulk-empty one has a
-nonzero diagonal, (1, f_v2, f_u1, g_uv), whose sum is det(I + F)
-(Horodecki^3, PRA 60, 1888, 1999), and the phase GEMM emits I + F with the
-identity folded in as a zero-frequency mode (_general_modes).  A phase p on
-the odd-excitation sector makes that trace 1 + g_uv + p (f_u1 + f_v2)
-(general_values' phase_opt).
+scans and single-time queries both go through it.  The two-qubit averages
+read three invariants of F, tau = tr F, g = det F and s = ||F||^2:
+
+    general = 1/5 + |1 + tau + g|^2/20
+    omega1  = (|tau|^2 + s)/6
+    omega2  = 1/2 - s/6 + |g|^2/2 + Re(g)/3
+
+Of general's Kraus operators, one per bulk configuration, only the
+bulk-empty one has a nonzero diagonal, (1, f_v2, f_u1, g), summing to
+1 + tau + g = det(I + F) (Horodecki^3, PRA 60, 1888, 1999); a phase p on
+the odd-excitation sector makes it 1 + g + p tau (phase_opt).  omega1 and
+omega2 are exact slice-Haar integrals of <psi|rho(t)|psi>; both hit 1 at
+perfect transfer and do not see a global phase of the odd-excitation
+sector.  The phase GEMM of spectral._phase_products emits F's entries as
+slabs, a row block at a time, and each class's reducer applies its
+formula through _trace, _det and _norm2, computing only the invariants it
+reads; for general the GEMM emits I + F, with I folded in as a
+zero-frequency mode (_general_modes), and _det gives 1 + tau + g.  omega1
+is also a Hermitian form in the mode phases (_omega1_gram), evaluated on
+the scan grids of short chains as its real _cosine_series.
 
 The curvature bounds and the all-time ceiling that tell a scan how far it
 may trust the curve between its points are read off each class's series in
@@ -97,26 +99,14 @@ def _one_qubit_from_modulus(m):
     return 0.5 + m / 3.0 + m * m / 6.0
 
 
-# The exact Haar average over b|01> + c|10> of <psi|rho|psi> is a Hermitian
-# form in F, (3/4 |f_u1 + f_v2|^2 + 1/4 |f_u1 - f_v2|^2 + 1/2 |f_u2|^2
-# + 1/2 |f_v1|^2) / 3, and so the sum of squares |_OMEGA1_FORM @ vec F|^2 with
-# vec F = (f_u1, f_u2, f_v1, f_v2), the order of the pair minor's weights.
-_OMEGA1_FORM = np.array([[1 / 2, 0.0, 0.0, 1 / 2],
-                         [1 / np.sqrt(12), 0.0, 0.0, -1 / np.sqrt(12)],
-                         [0.0, 1 / np.sqrt(6), 0.0, 0.0],
-                         [0.0, 0.0, 1 / np.sqrt(6), 0.0]])
-_OMEGA1_FORM.flags.writeable = False
-
 # the longest chain whose omega1 scan grids are evaluated as a cosine series:
 # its N (N - 1) real terms per point grow faster than the phase products'
-# four complex columns per mode.  On a 32768-point chunk (one BLAS thread,
-# 2-vCPU VM), with the series' tables built from mode phases, the series
-# takes 0.37-0.61 ms against 0.59-0.72 ms for the phase products at
-# N = 10-16, each chunk building its plan (0.17-0.35 against 0.45-0.55 ms
-# without the build); the two cost the same near N = 20, and the series
-# takes twice as long at N = 40.  The cutoff was set at the crossover of
-# tables built from pair cosines and sines, N = 12 to 13.  The benchmark
-# scans no omega1 chain longer than 11 sites, so it checks neither side.
+# four complex columns per mode.  On a 131072-point chunk (one BLAS thread,
+# 2-vCPU VM) the series takes 0.9-2.2 ms against 3.2-4.4 ms for the phase
+# products at N = 10-16 and 3.6 against 5.0 ms at N = 20; the two cost the
+# same between N = 24 and 28, and the series takes 1.7 times as long at
+# N = 40.  The cutoff was set at an earlier crossover, N = 12 to 13, and the
+# benchmark scans no omega1 chain longer than 11 sites.
 _SERIES_MAX_SITES = 12
 
 
@@ -130,63 +120,76 @@ def avg_fidelity_omega2(dec: SpectralDecomposition, t: float) -> AverageFidelity
     return AverageFidelity(float(omega2_values(dec, (t,))[0]), METHODS["omega2"])
 
 
-@functools.lru_cache(maxsize=1)
-def _omega1_weights(dec: SpectralDecomposition) -> np.ndarray:
-    """The pair minor's weights with _OMEGA1_FORM folded in, once per decomposition."""
-    return _read_only(_pair_weights(dec) @ _OMEGA1_FORM.T)
+# The invariants of F that the two-qubit averages read, each from a block of
+# the entry slabs of F (or of I + F) in _pair_weights' order
+# (f_u1, f_u2, f_v1, f_v2), (A, 4, B) to (A, B).
+
+def _trace(entries):
+    """tr F = f_u1 + f_v2."""
+    return entries[:, 0] + entries[:, 3]
 
 
-def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
-    """Vectorized omega1 average over a time grid.
-
-    With W = _omega1_weights(dec), the phase products yield the four rows of
-    the form and the average is their sum of squares.  It is also the
-    Hermitian form x^H G x in the mode phases x_k = exp(-i lam_k t) with the
-    real G = W W^T, and on the uniform grid of a scan of a short chain it is
-    evaluated as that form's cosine series.
-    """
-    weights = _omega1_weights(dec)
-    if isinstance(ts, UniformGrid) and dec.n_sites <= _SERIES_MAX_SITES:
-        return _cosine_series(dec.eigenvalues, weights @ weights.T, ts)
-    return _phase_products(dec.eigenvalues, weights, ts, _omega1_rows).ravel()[:len(ts)]
+def _det(entries):
+    """det F = f_u1 f_v2 - f_u2 f_v1."""
+    det = entries[:, 0] * entries[:, 3]
+    det -= entries[:, 1] * entries[:, 2]
+    return det
 
 
-def _omega1_rows(rows):
-    """The sum of squares of a block of the form's four rows, (A, 4, B) to (A, B)."""
+def _norm2(entries):
+    """||F||^2, the sum of the entries' squared moduli."""
     # the float view is (A, 4, 2B), re and im interleaved
-    rows = rows.view(float)
-    squares = np.einsum("acb,acb->ab", rows, rows)
+    parts = entries.view(float)
+    squares = np.einsum("acb,acb->ab", parts, parts)
     return squares[:, 0::2] + squares[:, 1::2]
 
 
-def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
-    """Vectorized omega2 average over a time grid.
+def _abs2(z):
+    # |z|^2 without np.abs, whose hypot is then squared back
+    return z.real * z.real + z.imag * z.imag
 
-    The average is 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with
-    g = det F = f_u1 f_v2 - f_u2 f_v1, evaluated on the slabs of F's entries.
-    """
-    return _phase_products(dec.eigenvalues, _pair_weights(dec), ts, _omega2_entries) \
+
+@functools.lru_cache(maxsize=1)
+def _omega1_gram(dec: SpectralDecomposition) -> np.ndarray:
+    """G with omega1 = x^H G x, x_k = exp(-i lam_k t), once per decomposition: F's
+    entries are x^T P and tr F = x^T w, so G = (P P^T + w w^T)/6."""
+    p = _pair_weights(dec)
+    w = p[:, 0] + p[:, 3]
+    return _read_only((p @ p.T + np.outer(w, w)) / 6.0)
+
+
+def omega1_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
+    """Vectorized omega1 average over a time grid, (|tr F|^2 + ||F||^2)/6, on
+    the uniform grid of a scan of a short chain as its form's cosine series."""
+    if isinstance(ts, UniformGrid) and dec.n_sites <= _SERIES_MAX_SITES:
+        return _cosine_series(dec.eigenvalues, _omega1_gram(dec), ts)
+    return _phase_products(dec.eigenvalues, _pair_weights(dec), ts, _omega1_average) \
         .ravel()[:len(ts)]
 
 
-def _omega2_entries(entries):
-    """The omega2 average from a block of F's entries, (A, 4, B) to (A, B)."""
-    fu1, fu2, fv1, fv2 = (entries[:, c] for c in range(4))
-    g = fu1 * fv2 - fu2 * fv1
-    # squared moduli without np.abs, whose hypot is then squared back
-    values = 0.5 + (g.real * g.real + g.imag * g.imag) / 2.0 + g.real / 3.0
-    for e in (fu1, fu2, fv1, fv2):
-        values -= (e.real * e.real + e.imag * e.imag) / 6.0
+def _omega1_average(entries):
+    values = _norm2(entries)
+    values += _abs2(_trace(entries))
+    values /= 6.0
     return values
+
+
+def omega2_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
+    """Vectorized omega2 average over a time grid, 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3
+    with g = det F."""
+    return _phase_products(dec.eigenvalues, _pair_weights(dec), ts, _omega2_average) \
+        .ravel()[:len(ts)]
+
+
+def _omega2_average(entries):
+    g = _det(entries)
+    return 0.5 - _norm2(entries) / 6.0 + _abs2(g) / 2.0 + g.real / 3.0
 
 
 @functools.lru_cache(maxsize=1)
 def _general_modes(dec: SpectralDecomposition):
-    """The pair minor's modes and one more, of frequency 0 and weights I.
-
-    Their phase products are the entries of I + F.  Built once per
-    decomposition, not per chunk of a scan.
-    """
+    """The pair minor's modes and one more, of frequency 0 and weights I, whose
+    phase products are the entries of I + F, once per decomposition."""
     lam = np.append(dec.eigenvalues, 0.0)
     weights = np.vstack([_pair_weights(dec), np.eye(2).ravel()])
     return _read_only(lam), _read_only(weights)
@@ -198,28 +201,19 @@ def general_values(dec: SpectralDecomposition, ts: np.ndarray,
 
     The average is 1/5 + |det(I + F)|^2/20.  With phase_opt, the average after
     the odd-excitation sector phase that maximizes it at each time,
-    1/5 + (|det(I + F) - s| + |s|)^2/20 with s = f_u1 + f_v2.
+    1/5 + (|det(I + F) - s| + |s|)^2/20 with s = tr F.
     """
-    reduce = functools.partial(_general_entries, phase_opt=phase_opt)
+    reduce = functools.partial(_general_average, phase_opt=phase_opt)
     return _phase_products(*_general_modes(dec), ts, reduce).ravel()[:len(ts)]
 
 
-def _general_entries(entries, phase_opt):
-    """The general average from a block of the entries of I + F, (A, 4, B) to (A, B)."""
-    # (x, z; w, y) = I + F, each entry an (A, B) slab
-    x, z, w, y = (entries[:, c] for c in range(4))
-    det = x * y
-    det -= z * w
+def _general_average(entries, phase_opt):
+    # entries of I + F, so _det is det(I + F) = 1 + tr F + det F
+    det = _det(entries)
     if phase_opt:
-        s = x + y - 2.0
-        norm = (np.abs(det - s) + np.abs(s)) ** 2
-    else:
-        # |det|^2 without np.abs, whose hypot is then squared back
-        norm = det.real * det.real
-        norm += det.imag * det.imag
-    norm /= 20.0
-    norm += 0.2
-    return norm
+        s = _trace(entries) - 2.0
+        return 0.2 + (np.abs(det - s) + np.abs(s)) ** 2 / 20.0
+    return 0.2 + _abs2(det) / 20.0
 
 
 @functools.lru_cache(maxsize=1)

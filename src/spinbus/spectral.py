@@ -13,9 +13,9 @@ form per column, and hands the table of sums to a reducer, which maps it to
 the values its caller wants.  propagator_minor_grid calls it with the
 eigenvalues, the weights of a minor, W[k, (p, q)] = U[targets[p], k]
 U[sources[q], k], and _table, the reducer that keeps the table whole.  Each
-class of fidelity.py passes its own reducer, which turns F's entries into
-the class's average, and fidelity.general_values adds one more mode, of
-frequency 0 and weights I, so that the entries of I + F come out of the
+class of fidelity.py passes its own reducer, its formula in the trace,
+determinant and norm of F, and fidelity.general_values adds one more mode,
+of frequency 0 and weights I, so that the entries of I + F come out of the
 GEMM itself.  _cosine_series evaluates Hermitian forms x^H G x in the phases
 x_k = exp(-i lam_k t) with a real symmetric G on a scan grid: the form is
 the real series tr G + sum_{k<l} 2 G[k, l] cos((lam_l - lam_k) t) of
@@ -214,11 +214,14 @@ def _phase_products(lam, weights, ts, reduce) -> np.ndarray:
     may run past the count, and its table is made and reduced a few rows at
     a time, each row block straight from its GEMM, so that only reduce's
     output, (A, ...) for (rows, C, B) blocks reduced to (rows, ...), spans
-    the grid.  An array of times that is not 1-D raises ValueError, as does
-    a phase table that is not finite, from a time that is not or a product
-    lam t that overflows.
+    the grid.  An array of times that is not 1-D or not of real numbers
+    (bools, strings, complex) raises ValueError, as does a phase table that
+    is not finite, from a time that is not or a product lam t that
+    overflows.
     """
     if not isinstance(ts, UniformGrid):
+        if np.asarray(ts).dtype.kind in "bUSc":
+            raise ValueError(f"times must be real numbers, got {ts!r}")
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ValueError(f"times must be a 1-D array, got shape {ts.shape}")

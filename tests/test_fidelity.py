@@ -29,13 +29,18 @@ from spinbus import (
 from spinbus import bounds
 from spinbus.bounds import _pair_det_series, _squared_series_bound, interval_bound, \
     onset_curvature, series, series_ceiling
-from spinbus.fidelity import GRID_VALUES, _OMEGA1_FORM, _SERIES_MAX_SITES
+from spinbus.fidelity import GRID_VALUES, _SERIES_MAX_SITES
 from spinbus.oracle import haar_average
 from spinbus.scans import _CHUNK
 from spinbus.spectral import _ROW_POINTS, UniformGrid, propagator_minor, propagator_minor_grid
 
 # points of a grid whose phase table spans four row blocks and part of a fifth
 _ROWS_GRID = 4 * _ROW_POINTS + 300
+
+# couplings and on-site energies without mirror symmetry, so that f_u1 != f_v2
+_ASYMMETRIC = SingleParticleHamiltonian(
+    np.array([0.3, -1.0, 0.0, 2.0, 0.5, -0.7, 0.0, 1.1]),
+    np.array([-2.0, -1.3, -2.0, -0.6, -2.0, -1.7, -0.9]))
 
 
 def test_one_qubit_closed_form_limits():
@@ -71,15 +76,15 @@ def _omega1_entrywise(f_u1, f_v2, f_u2, f_v1):
             + np.real(f_v2 * np.conj(f_u1)) / 3.0)
 
 
-def _omega1_from_form(f_u1, f_v2, f_u2, f_v1):
-    # the sum of squares omega1_values evaluates, on one minor
-    rows = _OMEGA1_FORM @ np.array([f_u1, f_u2, f_v1, f_v2], dtype=complex)
-    return float(np.sum(np.abs(rows) ** 2))
+def _omega1_from_invariants(f_u1, f_v2, f_u2, f_v1):
+    # (|tr F|^2 + ||F||^2)/6, the formula omega1_values evaluates, on one minor
+    f = np.array([f_u1, f_u2, f_v1, f_v2], dtype=complex)
+    return float((abs(f_u1 + f_v2) ** 2 + np.sum(np.abs(f) ** 2)) / 6.0)
 
 
 def test_omega_slice_formulas():
     # worked examples evaluated by hand from the sector averages
-    for omega1 in (_omega1_entrywise, _omega1_from_form):
+    for omega1 in (_omega1_entrywise, _omega1_from_invariants):
         assert omega1(1.0, 1.0, 0.0, 0.0) == pytest.approx(1.0)
         assert omega1(0.0, 0.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
         assert omega1(0.0, 0.0, 0.0, 0.0) == pytest.approx(0.0)
@@ -95,9 +100,14 @@ def _pair_chain(n_sites, field):
     return decompose(SingleParticleHamiltonian(diag, np.full(n_sites - 1, -2.0)))
 
 
-@pytest.mark.parametrize("field", [0.0, 5.0, 20.0, 200.0])
-@pytest.mark.parametrize("n_sites", [4, 7, 8, 11, 40])
-def test_folded_omega1_matches_entrywise_formula(n_sites, field):
+# (N, h) of _pair_chain, and the chain without mirror symmetry
+_PAIR_CHAINS = [*(pytest.param((n_sites, field), id=f"{n_sites}-{field}")
+                  for n_sites in (4, 7, 8, 11, 40) for field in (0.0, 5.0, 20.0, 200.0)),
+                pytest.param(_ASYMMETRIC, id="asymmetric")]
+
+
+@pytest.mark.parametrize("chain", _PAIR_CHAINS)
+def test_folded_omega1_matches_entrywise_formula(chain):
     """omega1_values equals the entrywise formula on F.
 
     Grids: one of several row blocks, one mid-window chunk shorter than a
@@ -106,7 +116,8 @@ def test_folded_omega1_matches_entrywise_formula(n_sites, field):
     its phases differently from the minor's phase table, so the two sides
     agree to the phase rounding, eps * |lam| * t, at the grid's last time.
     """
-    dec = _pair_chain(n_sites, field)
+    dec = decompose(chain) if chain is _ASYMMETRIC else _pair_chain(*chain)
+    n_sites = dec.n_sites
     step = np.pi / (4.0 * dec.spectral_range)
     pair = ((n_sites - 1, n_sites), (1, 2))
     lam_max = np.abs(dec.eigenvalues).max()
@@ -117,6 +128,8 @@ def test_folded_omega1_matches_entrywise_formula(n_sites, field):
         want = _omega1_entrywise(m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0])
         tol = 1e-14 + 2 * np.finfo(float).eps * lam_max * t_max
         assert np.abs(omega1_values(dec, ts) - want).max() <= tol, ts
+    if chain is _ASYMMETRIC:
+        assert np.abs(m[:, 0, 0] - m[:, 1, 1]).max() > 0.1
 
 
 def test_omega_closed_forms_match_monte_carlo():
@@ -192,12 +205,6 @@ def _general_cases():
                         yield pytest.param(
                             hamiltonian_matrix(build_chain(n_sites, block, field, profile)),
                             id=f"N{n_sites}-{profile}-n{block}-h{field:g}")
-
-
-# couplings and on-site energies without mirror symmetry, so that f_u1 != f_v2
-_ASYMMETRIC = SingleParticleHamiltonian(
-    np.array([0.3, -1.0, 0.0, 2.0, 0.5, -0.7, 0.0, 1.1]),
-    np.array([-2.0, -1.3, -2.0, -0.6, -2.0, -1.7, -0.9]))
 
 
 @pytest.mark.parametrize("ham", [*_general_cases(), pytest.param(_ASYMMETRIC, id="asymmetric")])
@@ -352,6 +359,33 @@ def test_non_finite_times_raise(entry, t):
     call(dec, 31.0)
     with pytest.raises(ValueError, match="finite"):
         call(dec, t)
+
+
+@pytest.mark.parametrize("t", [True, "3"])
+@pytest.mark.parametrize("entry", [e for e in _TIME_ENTRY_POINTS
+                                   if "values" not in e and not e.endswith("_grid")])
+def test_times_that_are_not_real_numbers_raise(entry, t):
+    """float() would read True as t = 1 and "3" as t = 3: the array path of the
+    phase products rejects both, and every entry point that takes a time
+    goes through it."""
+    dec = decompose_chain(build_chain(8, 2, 9.0))
+    with pytest.raises(ValueError, match="real numbers"):
+        _TIME_ENTRY_POINTS[entry](dec, t)
+
+
+@pytest.mark.parametrize("ts", [
+    pytest.param(np.array([True, False]), id="bool"),
+    pytest.param(np.array([0.5, 31.0 + 2.0j]), id="complex"),
+    pytest.param(np.array([0.5, 31.0 + 0.0j]), id="complex-real"),
+])
+def test_time_arrays_that_are_not_real_raise(ts):
+    """A bool array is not times, and a complex one would lose its imaginary
+    part with only a ComplexWarning, whether or not it is zero."""
+    dec = decompose_chain(build_chain(8, 2, 9.0))
+    for grid_values in (*GRID_VALUES.values(),
+                        lambda dec, ts: propagator_minor_grid(dec, *_PAIR, ts)):
+        with pytest.raises(ValueError, match="real numbers"):
+            grid_values(dec, ts)
 
 
 @pytest.mark.parametrize("f", [np.nan, complex(np.nan, 0.0), np.inf])
@@ -551,16 +585,56 @@ def test_one_qubit_bound_from_the_spectrum(n_sites, block, field, profile, expec
     assert k == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("n_sites, field", [(4, 0.0), (8, 20.0), (11, 5.0), (16, 200.0)])
-def test_omega2_average_in_the_pair_minor(n_sites, field):
-    """The omega2 average is 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with g = det F,
-    the form its curvature bound is built on."""
-    dec = decompose_chain(build_chain(n_sites, 1, field))
-    ts = np.linspace(0.0, 50.0, 101)
-    f = propagator_minor_grid(dec, (n_sites - 1, n_sites), (1, 2), ts)
+def _omega2_from_minors(f):
+    # 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 on a stack of minors, g = det F
     g = np.linalg.det(f)
-    form = 0.5 - (np.abs(f) ** 2).sum(axis=(1, 2)) / 6.0 + np.abs(g) ** 2 / 2.0 + g.real / 3.0
-    assert np.max(np.abs(form - omega2_values(dec, ts))) < 1e-14
+    return 0.5 - (np.abs(f) ** 2).sum(axis=(1, 2)) / 6.0 + np.abs(g) ** 2 / 2.0 + g.real / 3.0
+
+
+@pytest.mark.parametrize("chain", [
+    *(pytest.param((n_sites, field), id=f"{n_sites}-{field}")
+      for n_sites, field in ((4, 0.0), (8, 20.0), (11, 5.0), (16, 200.0))),
+    pytest.param(_ASYMMETRIC, id="asymmetric"),
+])
+def test_omega2_average_in_the_pair_minor(chain):
+    """The omega2 average is 1/2 - ||F||^2/6 + |g|^2/2 + Re(g)/3 with g = det F,
+    the form its curvature bound is built on, on an array of times and on a
+    uniform grid of several row blocks, there to the phase rounding at its
+    last time."""
+    if chain is _ASYMMETRIC:
+        dec = decompose(chain)
+    else:
+        dec = decompose_chain(build_chain(chain[0], 1, chain[1]))
+    pair = ((dec.n_sites - 1, dec.n_sites), (1, 2))
+    ts = np.linspace(0.0, 50.0, 101)
+    f = propagator_minor_grid(dec, *pair, ts)
+    assert np.max(np.abs(_omega2_from_minors(f) - omega2_values(dec, ts))) < 1e-14
+    grid = UniformGrid(0.01, 0, _ROWS_GRID)
+    ts = 0.01 * np.arange(_ROWS_GRID)
+    f = propagator_minor_grid(dec, *pair, ts)
+    tol = 1e-14 + 2 * np.finfo(float).eps * np.abs(dec.eigenvalues).max() * ts[-1]
+    assert np.max(np.abs(_omega2_from_minors(f) - omega2_values(dec, grid))) <= tol
+    if chain is _ASYMMETRIC:
+        assert np.abs(f[:, 0, 0] - f[:, 1, 1]).max() > 0.1
+
+
+@pytest.mark.parametrize("n_sites, field, profile", _BOUND_CHAINS)
+def test_omega1_onset_bound_reads_the_trace(monkeypatch, n_sites, field, profile):
+    """omega1's onset bound, (sc(tr F) + sum sc(e))/6 over F's entries e, with
+    sc the bound on (|e|^2)'' from those on |e|, |e'| and |e''|, is never
+    above the rule of the 4 x 4 form it replaced,
+    sc(tr F)/3 + (sc(f_u2) + sc(f_v1))/6: sc(tr F) >= sc(f_u1) + sc(f_v2)."""
+    dec = decompose_chain(build_chain(n_sites, 2, field, profile))
+    ts = np.linspace(0.25, 12.0, 48)
+    new = onset_curvature(dec, "omega1", ts)
+
+    def form_rule(a, b1, b2):
+        sc = bounds._square_curvature
+        return sc(*(x[0] + x[3] for x in (a, b1, b2))) / 3.0 \
+            + (sc(a[1], b1[1], b2[1]) + sc(a[2], b1[2], b2[2])) / 6.0
+
+    monkeypatch.setitem(bounds._BOUNDS, "omega1", form_rule)
+    assert np.all(new <= onset_curvature(dec, "omega1", ts))
 
 
 def test_onset_bound_falls_with_the_distance():
