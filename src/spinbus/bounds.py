@@ -133,10 +133,11 @@ def _pair_det_series(dec: SpectralDecomposition):
 
 def interval_bound(dec: SpectralDecomposition, fidelity_class: str) -> float:
     """The bound K a certified scan of the class works with: -Fbar''(t) <= K
-    at every t, so on an interval of width w the average lies below its chord
-    plus K w^2/8 (Piyavskii 1972; Shubert 1972).  For a two-qubit class it is
-    sum |a_j| w_j^2 plus the squared part's bound, read off its series, and
-    bounds |Fbar''| too; for one-qubit, _end_curvature of f_{N,1}'s bounds."""
+    at every t, so on an interval [a, b] the average lies below its chord
+    plus K (t - a)(b - t)/2 (Piyavskii 1972; Shubert 1972).  For a two-qubit
+    class it is sum |a_j| w_j^2 plus the squared part's bound, read off its
+    series, and bounds |Fbar''| too; for one-qubit, _end_curvature of
+    f_{N,1}'s bounds."""
     if fidelity_class == "one-qubit":
         w = np.abs(_end_weights(dec))
         return float(_end_curvature(w.sum(0), None, ((dec.eigenvalues ** 2)[:, None] * w).sum(0)))

@@ -5,8 +5,13 @@ within _GAP, and proves it: no time in the window does better by more.  It
 is a Piyavskii-Shubert branch and bound (Piyavskii 1972; Shubert, SIAM J.
 Numer. Anal. 9, 379, 1972) on the average itself.  bounds.interval_bound
 gives a K >= -Fbar'' from the chain's modes, a bound on how fast the average
-can bend down, so no interval of width w can rise more than K w^2/8 above
-its higher end (its ceiling).  K is read off the average's series, merged
+can bend down, so on an interval [a, b] the average never rises above its
+chord plus K (t - a)(b - t)/2: that envelope less the average is concave
+and 0 at both ends, so never negative.  The top of the envelope is the
+interval's ceiling: with d the difference of its end values and w its
+width, the mean of the ends plus K w^2/8 + d^2/(2 K w^2) while
+|d| < K w^2/2, and the higher end otherwise, never above the higher end
+plus K w^2/8.  K is read off the average's series, merged
 (bounds.series): for the general class on uniform chains 3 to 5.5 at every
 length and field tried (N = 7 to 40, h up to 200), less at h = 0, where
 frequencies coincide (3.7 at N = 7), and 16 to 72 on engineered chains.
@@ -99,10 +104,12 @@ from .spectral import UniformGrid, decompose_chain
 _CHUNK = 131072
 # the coarse grid's ceiling margin K step^2/8, which sets its step; chosen on
 # the Fig. 5 threshold search and the Fig. 4b sweep, where a finer grid costs
-# coarse points and a coarser one costs search points.  In-process CPU time,
-# medians of 15 interleaved rounds, twice (one BLAS thread, Fig. 4b at two
-# threads, 2-vCPU VM): Fig. 4b 0.104/0.104 s at 0.05, 0.084/0.083 s at 0.1,
-# 0.085/0.081 s at 0.2; Fig. 5 0.129/0.124 s, 0.129/0.128 s, 0.138/0.134 s
+# coarse points and a coarser one costs search points.  In-process scan CPU
+# time under the chord ceiling, medians of 15 interleaved rounds, twice (one
+# BLAS thread, Fig. 4b at two threads, 2-vCPU VM): Fig. 4b 0.031/0.032 s at
+# 0.1, 0.025/0.028 s at 0.15, 0.024/0.025 s at 0.2; Fig. 5 0.034/0.036 s,
+# 0.035/0.036 s, 0.037/0.039 s.  A wider margin trades Fig. 5 time for
+# Fig. 4b time
 _COARSE_MARGIN = 0.1
 # the certified gap: an interval is searched only while its ceiling lies more
 # than this above the best value.  A peak of curvature c is then placed to
@@ -116,17 +123,19 @@ _ROUNDING = 1e-13
 # single-time queries against an independent solver: at most 2.8)
 _PHASE_ROUNDOFF = 16.0 * np.finfo(float).eps
 # the new points a search step aims at, and the most intervals it cuts; see _refine.
-# Against plain bisection (2), in-process reproduce runs, one BLAS thread,
-# 12 interleaved rounds (medians): Fig. 4b 0.13 s in 343 evaluator calls
-# against 0.16 s in 643, Fig. 5 0.14 s in 340 against 0.14-0.15 s in 415
+# Against plain bisection (2), in-process scan CPU time under the chord
+# ceiling, one BLAS thread, Fig. 4b at two threads, medians of 15 interleaved
+# rounds: Fig. 4b 0.031 s in 61 evaluator calls against 0.038 s in 149,
+# Fig. 5 0.035 s in 109 against 0.040 s in 179
 _LEVEL_POINTS = 64
 _BATCH = 4096
 # the most points a chunk's search, or a scan's search for its earliest tie,
 # evaluates; a fixed budget, not a multiple of _CHUNK, so that a capped
-# search costs no more as chunks grow.  The figures' scans need at most 48603
-# in a chunk (Fig. 4a, N = 7, h = 0), and the general scan of the engineered
-# N = 7 chain over 2e4, with a perfect revival every pi/2, about 391000
-# (measured with no budget, in 32768-point chunks).  A stretch
+# search costs no more as chunks grow.  The figures' scans need at most 42413
+# in a chunk (Fig. 4a, N = 7, h = 0), the same chain over 2e5 up to 128193,
+# and the general scan of the engineered N = 7 chain over 2e4, with a
+# perfect revival every pi/2, about 764000 in its one chunk (measured with
+# no budget, under the chord ceiling).  A stretch
 # where the curve stays within about 1e-8 below its best for long, such as a
 # window shorter than the transfer time across a strong barrier, needs more:
 # the search stops there, the points it left are certified only to the
@@ -194,8 +203,10 @@ class ScanResult:
 class _Bound:
     """The ceilings of one scan's intervals.
 
-    An interval [lo, hi] with averages fs at its ends has the ceiling
-    max(fs) + K(hi) (hi - lo)^2/8, where K(hi) >= -Fbar'' on [0, hi].  Below
+    An interval [lo, hi] with averages fs at its ends has as ceiling the top
+    of its chord plus K(hi) (t - lo)(hi - t)/2 (_chord_ceilings), where
+    K(hi) >= -Fbar'' on [0, hi]: at most max(fs) + K(hi) (hi - lo)^2/8, and
+    max(fs) itself once |fs[1] - fs[0]| >= K(hi) (hi - lo)^2/2.  Below
     bounds.onset_horizon, K(hi) is bounds.onset_curvature's bound at the
     coarse point (k + 1) step just past hi, and past it K; the table stops
     at the horizon or at the window's last coarse point, whichever comes
@@ -249,17 +260,34 @@ class _Bound:
     def ceilings(self, ts, fs):
         """The ceiling of each interval: row j of ts holds its ends (lo, hi),
         row j of fs the averages there."""
-        # not fs.max(axis=1), which took 70 times as long on a (20000, 2) array
-        top = np.maximum(fs[:, 0], fs[:, 1])
-        width2 = (ts[:, 1] - ts[:, 0]) ** 2 / 8.0
         if not ts.size or ts[:, 1].min() >= self._cells * self.step:
-            return top + self.curvature * width2
+            return _chord_ceilings(ts, fs, self.curvature)
         if self._table is None:
             onset = onset_curvature(self._dec, self._class,
                                     self.step * np.arange(1, self._cells + 1))
             self._table = np.append(onset + self._allowance, self.curvature)
         cell = np.minimum(ts[:, 1] // self.step, self._cells).astype(np.intp)
-        return top + self._table[cell] * width2
+        return _chord_ceilings(ts, fs, self._table[cell])
+
+
+def _chord_ceilings(ts, fs, k):
+    """The top of each interval's Piyavskii-Shubert envelope, the chord plus
+    k (t - lo)(hi - t)/2, where k >= -Fbar'' on it (a number, or one per row).
+
+    With d = |f_hi - f_lo| and c = k (hi - lo)^2, that is the higher end when
+    d >= c/2, where the envelope peaks, and otherwise
+    max(fs) + c/8 - (d/2)(1 - d/c), the mean of the ends plus c/8 + d^2/(2c),
+    never above max(fs) + c/8, rounding included.  Only rows with c > 2d >= 0
+    are divided, so a zero width or k = 0 gives the higher end.
+    """
+    # not fs.max(axis=1), which took 70 times as long on a (20000, 2) array
+    top = np.maximum(fs[:, 0], fs[:, 1])
+    d = np.abs(fs[:, 1] - fs[:, 0])
+    c = k * (ts[:, 1] - ts[:, 0]) ** 2
+    inner = d < c / 2.0
+    d, c = d[inner], c[inner]
+    top[inner] = (top[inner] + c / 8.0) - d / 2.0 * (1.0 - d / c)
+    return top
 
 
 def _prune(ts, fs, top, f, held):

@@ -22,10 +22,10 @@ from spinbus import (
     sample_haar_2q,
     threshold_field,
 )
-from spinbus.bounds import interval_bound, series, series_ceiling
+from spinbus.bounds import interval_bound, onset_horizon, series, series_ceiling
 from spinbus.fidelity import GRID_VALUES
 from spinbus.reduced import _sample_fidelities
-from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _TIE_EPS
+from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _TIE_EPS, _chord_ceilings
 from spinbus.spectral import UniformGrid
 
 
@@ -199,6 +199,76 @@ def test_the_onset_table_stops_at_the_window(monkeypatch):
     assert sizes and max(sizes) <= 2
 
 
+_CEILING_CHAINS = (build_chain(8, 2, 20.0), build_chain(7, 2, 0.0),
+                   build_chain(7, profile="engineered"))
+
+
+@pytest.mark.parametrize("fidelity_class", ["general", "omega1", "omega2", "one-qubit"])
+@pytest.mark.parametrize("chain", _CEILING_CHAINS, ids=["n8-h20", "n7-h0", "engineered"])
+def test_an_interval_never_rises_above_its_chord_ceiling(fidelity_class, chain):
+    """About 200 random intervals, widths from 1e-6 to the coarse step, a third
+    of them below the onset horizon: the average at 2001 points inside each
+    stays within rounding of its ceiling, the chord plus K (t - lo)(hi - t)/2
+    at its top; that ceiling is never above max(ends) + K w^2/8, and is
+    max(ends) itself once |f_hi - f_lo| >= K w^2/2.  N = 8 at h = 20 has a
+    merged series with a spread, so K there carries its allowance."""
+    from spinbus import scans
+
+    dec = decompose_chain(chain)
+    t_max = 200.0
+    bound = scans._Bound(dec, fidelity_class, t_max)
+    evaluate = GRID_VALUES[fidelity_class]
+    rng = np.random.default_rng(1972)
+    horizon = min(onset_horizon(dec, fidelity_class), t_max)
+    tighter = 0
+    for count, reach in ((70, horizon), (130, t_max)):
+        widths = np.minimum(1e-6 * (bound.step / 1e-6) ** rng.uniform(0.0, 1.0, count), reach)
+        lo = rng.uniform(0.0, 1.0, count) * (reach - widths)
+        ts = np.stack((lo, lo + widths), axis=1)
+        inside = ts[:, :1] + (ts[:, 1:] - ts[:, :1]) * np.linspace(0.0, 1.0, 2001)
+        values = evaluate(dec, inside.ravel()).reshape(inside.shape)
+        fs = values[:, [0, -1]]
+        top = bound.ceilings(ts, fs)
+        # the same K with both ends at 0: K w^2/8
+        margin = bound.ceilings(ts, np.zeros_like(fs))
+        assert np.all(values.max(axis=1) <= top + 1e-13)
+        higher = fs.max(axis=1)
+        assert np.all(top <= higher + margin)
+        steep = np.abs(fs[:, 1] - fs[:, 0]) >= 4.0 * margin
+        assert np.array_equal(top[steep], higher[steep])
+        tighter += np.count_nonzero(top < higher + margin)
+    assert tighter > 0
+
+
+def test_a_degenerate_interval_is_its_higher_end():
+    """An interval of zero width, or one whose K is 0, has its higher end as
+    ceiling, with no division by zero and no RuntimeWarning."""
+    import warnings
+
+    from spinbus import scans
+
+    ts = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 3.0], [0.0, 0.0]])
+    fs = np.array([[0.25, 0.5], [0.5, 0.5], [0.75, 0.25], [0.3, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(scans._chord_ceilings(ts[[0, 1, 3]], fs[[0, 1, 3]], 5.0)) == [0.5, 0.5, 0.3]
+        assert list(scans._chord_ceilings(ts, fs, 0.0)) == [0.5, 0.5, 0.75, 0.3]
+        assert list(scans._chord_ceilings(ts, fs, np.zeros(4))) == [0.5, 0.5, 0.75, 0.3]
+        bound = scans._Bound(decompose_chain(build_chain(7, 2, 5.0)), "general", 100.0)
+        assert list(bound.ceilings(ts[[0, 1, 3]], fs[[0, 1, 3]])) == [0.5, 0.5, 0.3]
+
+
+def test_a_long_bare_window_is_certified():
+    """The uniform N = 7 chain at h = 0 over 1e5: every chunk's search fits its
+    budget, and the scan finds the window maximum near t = 58176.76, 2.2e-6
+    above the peak near t = 20807.68, which a search stopped by its budget
+    reports."""
+    res = max_over_time(ScanRequest(build_chain(7, 2, 0.0), "general", 1.0e5))
+    assert res.capped is False
+    assert res.fbar_max >= 0.3387631761
+    assert res.t_star == pytest.approx(58176.762, abs=1e-3)
+
+
 def test_scan_memory_does_not_grow_with_the_window():
     """Chunks are reduced as they arrive: a scan never holds its whole grid."""
     req = ScanRequest(build_chain(8, 2, 9.0), fidelity_class="general", t_max=100.0)
@@ -355,7 +425,7 @@ class _ToyBound:
 
     @staticmethod
     def ceilings(ts, fs):
-        return fs.max(axis=1) + 0.5 / 8.0 * (ts[:, 1] - ts[:, 0]) ** 2
+        return _chord_ceilings(ts, fs, 0.5)
 
 
 def _toy_chunk(evaluate, bound):
@@ -503,15 +573,15 @@ def test_search_stops_at_its_point_budget(monkeypatch):
 ])
 def test_a_search_stopped_at_its_budget_sets_capped(monkeypatch, chunk_budget, tie_budget,
                                                      capped):
-    """Two peaks between grid points, the later 3e-13 higher: the chunk's
-    search (280 points) and the search for its earliest tie (1 point, on the
+    """Two peaks between grid points, the later 8e-13 higher: the chunk's
+    search (165 points) and the search for its earliest tie (1 point, on the
     earlier peak, where no end it held comes within _TIE_EPS) each set capped
     when their budget (None: the default) stops them with intervals left;
     once set, it stays."""
     from spinbus import scans
 
-    def off_grid(ts):  # peaks 0.5 at t = 0.9 and 0.5 + 3e-13 at t = 3.3
-        return 0.5 - 0.1 * np.sin(np.pi * (ts - 0.9) / 2.4) ** 2 + 3e-13 * (ts - 0.9) / 2.4
+    def off_grid(ts):  # peaks 0.5 at t = 0.9 and 0.5 + 8e-13 at t = 3.3
+        return 0.5 - 0.1 * np.sin(np.pi * (ts - 0.9) / 2.4) ** 2 + 8e-13 * (ts - 0.9) / 2.4
 
     default = scans._SEARCH_POINTS
     bound = _ToyBound()
