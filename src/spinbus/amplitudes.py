@@ -15,9 +15,7 @@ from .spectral import SpectralDecomposition, propagator_minor
 
 
 def _check_ordered(name, sites):
-    sites = tuple(sites)  # spectral._site_index rejects one that is not a whole number
-    if len(sites) == 0:
-        raise ValueError(f"{name} must not be empty")
+    sites = tuple(sites)  # spectral rejects an empty one and a site that is not a whole number
     if any(b <= a for a, b in zip(sites, sites[1:])):
         raise ValueError(f"{name} must be strictly increasing, got {sites}")
     return sites

@@ -25,8 +25,7 @@ from . import __version__
 from .amplitudes import amplitude_rp
 from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain, real_number, \
     whole_number
-from .fidelity import CLASSES, GRID_VALUES, METHODS, AverageFidelity, avg_fidelity_mc, \
-    general_values
+from .fidelity import CLASSES, GRID_VALUES, METHODS, AverageFidelity, avg_fidelity_mc
 from .reduced import RECEIVER_BASIS, evolve_receiver_pair
 from .scans import ScanRequest, default_t_max, field_sweep, max_over_time, threshold_field
 from .spectral import decompose_chain
@@ -208,9 +207,7 @@ def cmd_fidelity(args) -> int:
     cls = params.get("state_class", "general")
     if cls not in CLASSES:
         raise _Usage(f"--class must be one of {CLASSES}")
-    samples, phase_opt = params.get("samples"), params.get("phase_opt", False)
-    if phase_opt and (cls != "general" or samples is not None):
-        raise _Usage("--phase-opt needs --class general and takes no --samples")
+    samples = params.get("samples")
     if samples is not None and cls == "one-qubit":
         raise _Usage("--samples needs --class general, omega1 or omega2")
     if samples is None and params.get("seed") is not None:
@@ -220,9 +217,6 @@ def cmd_fidelity(args) -> int:
     if samples is not None:
         sampler = SeededSampler(params.get("seed", 0))
         result = avg_fidelity_mc(dec, t, samples, sampler, state_class=cls)
-    elif phase_opt:
-        result = AverageFidelity(float(general_values(dec, (t,), phase_opt=True)[0]),
-                                 METHODS["general"] + "-phase-opt")
     else:
         result = AverageFidelity(float(GRID_VALUES[cls](dec, (t,))[0]), METHODS[cls])
     print(json.dumps({"value": result.value, "stderr": result.stderr,
@@ -404,8 +398,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float)
     p.add_argument("--samples", type=int,
                    help="Monte Carlo cross-check with this many sender states")
-    p.add_argument("--phase-opt", action="store_true", default=None,
-                   help="average after the best odd-sector phase (general class)")
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("scan-time", help="maximize fidelity over a time window")

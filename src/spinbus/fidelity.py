@@ -20,8 +20,7 @@ read three invariants of F, tau = tr F, g = det F and s = ||F||^2:
 
 Of general's Kraus operators, one per bulk configuration, only the
 bulk-empty one has a nonzero diagonal, (1, f_v2, f_u1, g), summing to
-1 + tau + g = det(I + F) (Horodecki^3, PRA 60, 1888, 1999); a phase p on
-the odd-excitation sector makes it 1 + g + p tau (phase_opt).  omega1 and
+1 + tau + g = det(I + F) (Horodecki^3, PRA 60, 1888, 1999).  omega1 and
 omega2 are exact slice-Haar integrals of <psi|rho(t)|psi>; both hit 1 at
 perfect transfer and do not see a global phase of the odd-excitation
 sector.  The phase GEMM of spectral._phase_products emits F's entries as
@@ -195,25 +194,15 @@ def _general_modes(dec: SpectralDecomposition):
     return _read_only(lam), _read_only(weights)
 
 
-def general_values(dec: SpectralDecomposition, ts: np.ndarray,
-                   phase_opt: bool = False) -> np.ndarray:
-    """Exact Haar average over all two-qubit sender states on a time grid.
-
-    The average is 1/5 + |det(I + F)|^2/20.  With phase_opt, the average after
-    the odd-excitation sector phase that maximizes it at each time,
-    1/5 + (|det(I + F) - s| + |s|)^2/20 with s = tr F.
-    """
-    reduce = functools.partial(_general_average, phase_opt=phase_opt)
-    return _phase_products(*_general_modes(dec), ts, reduce).ravel()[:len(ts)]
+def general_values(dec: SpectralDecomposition, ts: np.ndarray) -> np.ndarray:
+    """Exact Haar average over all two-qubit sender states on a time grid,
+    1/5 + |det(I + F)|^2/20."""
+    return _phase_products(*_general_modes(dec), ts, _general_average).ravel()[:len(ts)]
 
 
-def _general_average(entries, phase_opt):
+def _general_average(entries):
     # entries of I + F, so _det is det(I + F) = 1 + tr F + det F
-    det = _det(entries)
-    if phase_opt:
-        s = _trace(entries) - 2.0
-        return 0.2 + (np.abs(det - s) + np.abs(s)) ** 2 / 20.0
-    return 0.2 + _abs2(det) / 20.0
+    return 0.2 + _abs2(_det(entries)) / 20.0
 
 
 @functools.lru_cache(maxsize=1)
@@ -284,7 +273,8 @@ def avg_fidelity_mc(dec: SpectralDecomposition, t: float, samples: int,
     try:
         draw = _SAMPLERS[state_class]
     except KeyError:
-        raise ValueError(f"unknown state class {state_class!r}") from None
+        raise ValueError(f"avg_fidelity_mc takes the classes {tuple(_SAMPLERS)}, not "
+                         f"{state_class!r}; one-qubit transfer is avg_fidelity_1q_mc") from None
     states = draw(sampler, size=samples)
     vals = _sample_fidelities(dec, states, t)
     return AverageFidelity(float(vals.mean()), f"monte-carlo-{state_class}",

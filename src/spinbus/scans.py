@@ -402,12 +402,14 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
 
     fbar_max is within _GAP of the window maximum, and t_star the earliest
     time found whose value is within _TIE_EPS of fbar_max.  With reach given,
-    this is a decision scan: it returns the first point it evaluates that
-    reaches reach, and otherwise the best point it evaluated, whose value is
-    then below reach.  A miss certified by the average's all-time ceiling
-    (bounds.series_ceiling) evaluates one point, t = 0, and returns
-    (t_star, fbar_max) = (0.0, Fbar(0)).  Its fbar_max reaches reach exactly
-    when a full scan's does.
+    this is a decision scan: it stops at the first chunk grid or search step
+    that holds a point reaching reach and returns the best point of that grid
+    or step, which need not be the earliest hit (with reach = -inf, the best
+    point of the first chunk, not t = 0); otherwise it returns the best point
+    it evaluated, whose value is then below reach.  A miss certified by the
+    average's all-time ceiling (bounds.series_ceiling) evaluates one point,
+    t = 0, and returns (t_star, fbar_max) = (0.0, Fbar(0)).  Its fbar_max
+    reaches reach exactly when a full scan's does.
     """
     if reach is not None:
         reach = real_number("reach", reach)

@@ -193,6 +193,9 @@ def propagator_minor_grid(dec: SpectralDecomposition, targets, sources,
 
 def _minor_weights(dec: SpectralDecomposition, targets, sources) -> np.ndarray:
     """W[k, (p, q)] = U[targets[p], k] * U[sources[q], k], shape (N, P Q)."""
+    for name, sites in (("targets", targets), ("sources", sources)):
+        if len(sites) == 0:
+            raise ValueError(f"{name} must not be empty")
     u = dec.eigenvectors
     tj = [_site_index(dec, s) for s in targets]
     si = [_site_index(dec, s) for s in sources]

@@ -214,8 +214,7 @@ def test_general_grid_is_the_determinant(ham):
 
     Chunks start at 0 and at a chunk boundary near the end of the longest
     scan window (6e4), with a count below one phase block and one that is
-    not a multiple of it.  With phase_opt the grid equals the array path and
-    never falls below the plain average.
+    not a multiple of it.
     """
     dec = decompose(ham)
     n = dec.n_sites
@@ -230,18 +229,12 @@ def test_general_grid_is_the_determinant(ham):
         plain = general_values(dec, grid)
         assert plain.shape == (count,)
         assert np.abs(plain - _general_from_determinant(m)).max() <= tol, (start, count)
-        opt = general_values(dec, grid, phase_opt=True)
-        assert np.abs(opt - general_values(dec, ts, phase_opt=True)).max() <= tol, (start, count)
-        assert np.all(opt >= plain - 1e-15), (start, count)
     if ham is _ASYMMETRIC:
         assert np.abs(m[:, 0, 0] - m[:, 1, 1]).max() > 0.1
 
 
-@pytest.mark.parametrize("fidelity_class, args", [
-    *(pytest.param(c, (), id=c) for c in GRID_VALUES),
-    pytest.param("general", (True,), id="general-phase_opt"),
-])
-def test_a_scan_chunk_holds_its_values_not_its_phase_table(fidelity_class, args):
+@pytest.mark.parametrize("fidelity_class", GRID_VALUES)
+def test_a_scan_chunk_holds_its_values_not_its_phase_table(fidelity_class):
     """A _CHUNK-point grid is reduced one row block of its phase table at a
     time: beside its 8 bytes per point of output it peaks under 1 MB (omega1
     at N = 16, past the cosine series), an eighth of the general class's
@@ -251,10 +244,10 @@ def test_a_scan_chunk_holds_its_values_not_its_phase_table(fidelity_class, args)
     dec = decompose_chain(build_chain(16 if fidelity_class == "omega1" else 8, 2, 9.0))
     assert fidelity_class != "omega1" or dec.n_sites > _SERIES_MAX_SITES
     grid = UniformGrid(0.3, 5 * _CHUNK, _CHUNK)
-    GRID_VALUES[fidelity_class](dec, grid, *args)  # the weights, cached per decomposition
+    GRID_VALUES[fidelity_class](dec, grid)  # the weights, cached per decomposition
     tracemalloc.start()
     try:
-        values = GRID_VALUES[fidelity_class](dec, grid, *args)
+        values = GRID_VALUES[fidelity_class](dec, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -262,39 +255,26 @@ def test_a_scan_chunk_holds_its_values_not_its_phase_table(fidelity_class, args)
     assert peak - 8 * _CHUNK < 1 << 20
 
 
-def test_phase_opt_never_hurts():
-    """The phase-optimized closed form is the best single odd-sector phase.
-
-    A phase p on the receiver's |10>, |01> turns the bulk-empty Kraus trace
-    into 1 + g_uv + p (f_u1 + f_v2); the argmax aligns the two terms.
-    """
-    cases = ((build_chain(7, 2, 10.0), (12.0, 148.0)),
-             (build_chain(6, profile="engineered"), (np.pi / 4,)))
-    phases = np.exp(2j * np.pi * np.arange(64) / 64)
-    for spec, ts in cases:
-        dec = decompose_chain(spec)
-        grid = np.linspace(0.0, 400.0, 801)
-        assert np.all(general_values(dec, grid, phase_opt=True)
-                      >= general_values(dec, grid) - 1e-15)
-        opt = general_values(dec, np.array(ts), phase_opt=True)
-        n = spec.n_sites
-        for k, t in enumerate(ts):
-            (fu1, fu2), (fv1, fv2) = propagator_minor(dec, (n - 1, n), (1, 2), t)
-            best = np.exp(1j * (np.angle(1.0 + fu1 * fv2 - fu2 * fv1) - np.angle(fu1 + fv2)))
-
-            def corrected(p):
-                u = np.diag([1.0, p, p, 1.0])
-                return haar_average(
-                    lambda state: u @ evolve_receiver_pair(dec, state, t) @ u.conj().T).real
-
-            assert abs(opt[k] - corrected(best)) <= 1e-12, f"N={n} t={t}"
-            assert max(corrected(p) for p in phases) <= opt[k] + 1e-12, f"N={n} t={t}"
-
-
 def test_mc_requires_known_class():
     dec = decompose_chain(build_chain(7, 2, 1.0))
     with pytest.raises(ValueError):
         avg_fidelity_mc(dec, 1.0, 100, SeededSampler(0), state_class="bogus")
+
+
+def test_one_qubit_mc_is_named_where_the_two_qubit_mc_refuses_it():
+    """The one-qubit class is not one avg_fidelity_mc draws: the error names
+    the function that does and the classes this one takes."""
+    dec = decompose_chain(build_chain(7, 2, 1.0))
+    with pytest.raises(ValueError, match="avg_fidelity_1q_mc") as info:
+        avg_fidelity_mc(dec, 1.0, 100, SeededSampler(0), state_class="one-qubit")
+    assert all(repr(c) in str(info.value) for c in ("general", "omega1", "omega2"))
+
+
+def test_general_values_takes_no_phase_opt():
+    """The general class has one closed form; the phase-optimized variant is gone."""
+    dec = decompose_chain(build_chain(7, 2, 1.0))
+    with pytest.raises(TypeError):
+        general_values(dec, (1.0,), phase_opt=True)
 
 
 @pytest.mark.parametrize("samples", [1, 0, 2.7, 2.0, True])
@@ -343,7 +323,6 @@ _TIME_ENTRY_POINTS = {
     "omega1_values": lambda dec, t: omega1_values(dec, (0.5, t)),
     "omega2_values": lambda dec, t: omega2_values(dec, (0.5, t)),
     "general_values": lambda dec, t: general_values(dec, (0.5, t)),
-    "general_values_phase_opt": lambda dec, t: general_values(dec, (0.5, t), phase_opt=True),
 }
 
 

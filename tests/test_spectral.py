@@ -329,6 +329,17 @@ def test_site_index_validation():
         amplitude_1p(dec, 6, 1, 1.0)
 
 
+@pytest.mark.parametrize("targets, sources, named", [
+    ([], [1], "targets"), ([5], [], "sources"), ([], [], "targets"),
+])
+def test_empty_site_lists_are_named(targets, sources, named):
+    """An empty minor is an error that names the empty list, not numpy's
+    failure to reshape a table of size 0."""
+    dec = decompose_chain(build_chain(5))
+    with pytest.raises(ValueError, match=f"{named} must not be empty"):
+        propagator_minor_grid(dec, targets, sources, (0.5, 1.0))
+
+
 def test_time_reversal_symmetry():
     """Real symmetric H makes G(-t) the conjugate of G(t)."""
     dec = decompose_chain(build_chain(7, 2, 9.0))
