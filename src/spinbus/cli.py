@@ -27,7 +27,7 @@ from .chain import BALLISTIC_C_DEFAULT, PROFILES, UNIFORM, build_chain, real_num
     whole_number
 from .fidelity import CLASSES, GRID_VALUES, METHODS, AverageFidelity, avg_fidelity_mc
 from .reduced import RECEIVER_BASIS, evolve_receiver_pair
-from .scans import ScanRequest, default_t_max, field_sweep, max_over_time, threshold_field
+from .scans import ScanRequest, default_t_max, field_sweep, threshold_field
 from .spectral import decompose_chain
 from .states import SeededSampler, TwoQubitState
 
@@ -246,18 +246,6 @@ def _scan_row(chain, result, params):
             result.fbar_max, result.fidelity_class, _echoed_seed(params))
 
 
-def cmd_scan_time(args) -> int:
-    params = _resolve(args)
-    cls = params.get("state_class", "general")
-    chain = _chain_from(params, cls)
-    request = _scan_request(params, chain, cls)
-    result = max_over_time(request)
-    params_out = dict(params, t_max=request.t_max)
-    _emit_csv(args.out, "scan-time", params_out, _SCAN_HEADER,
-              [_scan_row(chain, result, params)])
-    return 0
-
-
 def cmd_scan_field(args) -> int:
     params = _resolve(args)
     cls = params.get("state_class", "general")
@@ -400,14 +388,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="Monte Carlo cross-check with this many sender states")
     p.set_defaults(func=cmd_fidelity)
 
-    p = sub.add_parser("scan-time", help="maximize fidelity over a time window")
-    add_common(p, seed=True, out=True)
-    p.add_argument("--class", dest="state_class", choices=CLASSES)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.set_defaults(func=cmd_scan_time)
-
     # the field sweep sets --h; the threshold search sets --N and --h
-    p = sub.add_parser("scan-field", help="scan-time at several field values")
+    p = sub.add_parser("scan-field", help="maximize fidelity over a time window, per field")
     add_common(p, chain=("N", "n", "profile", "c"), seed=True, threads=True, out=True)
     p.add_argument("--class", dest="state_class", choices=CLASSES)
     p.add_argument("--t-max", dest="t_max", type=float)

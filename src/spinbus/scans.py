@@ -182,14 +182,18 @@ class ScanRequest:
 class ScanResult:
     """Maximum found by a scan; grid_step is the step of its coarse grid.
 
-    fbar_max is the window maximum of the class's average, to within _GAP;
-    t_star is the earliest time the scan found whose value lies within
-    _TIE_EPS of it: the earliest end of an interval it held that does, or
-    an earlier point that cutting the held intervals before that end found.
-    capped is True when a chunk's search, or the search for the earliest
-    tie, stopped at _SEARCH_POINTS with intervals left: fbar_max is then
-    certified only to the ceilings of those intervals, and t_star may not
-    be the earliest tie.
+    For a full scan, fbar_max is the window maximum of the class's average,
+    to within _GAP; t_star is the earliest time the scan found whose value
+    lies within _TIE_EPS of it: the earliest end of an interval it held that
+    does, or an earlier point that cutting the held intervals before that
+    end found.  A decision scan (max_over_time given reach) returns the best
+    point of the grid or search step where it first reached reach, or on a
+    miss the best point it evaluated, (0.0, Fbar(0)) when the series ceiling
+    certified the miss: its fbar_max reaches reach exactly when a full
+    scan's does, but need not be the window maximum.  capped is True
+    when a chunk's search, or the search for the earliest tie, stopped at
+    _SEARCH_POINTS with intervals left: fbar_max is then certified only to
+    the ceilings of those intervals, and t_star may not be the earliest tie.
     """
 
     field: float
@@ -224,7 +228,8 @@ class _Bound:
 
     def __init__(self, dec, fidelity_class, t_max):
         self.lam_max = float(np.abs(dec.eigenvalues).max())
-        # a huge field overflows K to inf or nan, which max_over_time rejects
+        # a huge field, or a window near the float range, overflows K to inf or
+        # nan, which max_over_time rejects
         with np.errstate(over="ignore", invalid="ignore"):
             k = interval_bound(dec, fidelity_class)
             self.spread = 0.0 if fidelity_class == "one-qubit" else series(dec, fidelity_class).spread
@@ -240,11 +245,18 @@ class _Bound:
     def n_pts(self):
         """The coarse grid's points, at step * (0 ... n_pts - 1): the fewest
         whose step is at most sqrt(8 _COARSE_MARGIN / K) and whose last
-        lies on t_max.  Read once K is known to be finite."""
+        lies on t_max.  Read once K is known to be finite.  A window that
+        needs 2**53 points or more is refused: past that a point's index is
+        no longer exact as a float, and the chunks could never all be walked."""
         # two, the window's ends, for an average with no time dependence (K = 0)
         if self._k * self._t_max * self._t_max <= 8.0 * _COARSE_MARGIN:
             return 2
-        return math.ceil(self._t_max / math.sqrt(8.0 * _COARSE_MARGIN / self._k)) + 1
+        most = math.sqrt(8.0 * _COARSE_MARGIN / self._k)
+        steps = self._t_max / most  # inf for the longest windows
+        if steps > 2.0**53 - 2:  # math.ceil(steps) + 1 >= 2**53
+            raise ValueError(f"cannot scan t_max = {self._t_max:g}: its coarse grid, of step "
+                             f"{most:.3g}, would need 2**53 points or more")
+        return math.ceil(steps) + 1
 
     @cached_property
     def step(self):
@@ -420,9 +432,10 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
     t_max = request.t_max
     bound = _Bound(dec, request.fidelity_class, t_max)
     if not math.isfinite(bound.curvature):
-        raise ValueError(f"cannot scan the field h = {request.chain.field:g}: its curvature bound "
-                         f"overflows (largest |lambda| = {bound.lam_max:g})")
-    step = bound.step
+        raise ValueError(f"cannot scan the field h = {request.chain.field:g} up to t_max = "
+                         f"{t_max:g}: its curvature bound overflows (largest |lambda| = "
+                         f"{bound.lam_max:g})")
+    step = bound.step  # refuses a window of 2**53 coarse points or more
     if reach is not None:
         # no value the scan could evaluate reaches reach, with the rounding of its
         # phases and, in _ROUNDING, of its sums, and the spread of its series

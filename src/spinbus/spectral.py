@@ -68,9 +68,6 @@ import numpy as np
 from .chain import ChainSpec, SingleParticleHamiltonian, hamiltonian_matrix, real_number, \
     whole_number
 
-# relative cutoff below which a leading eigenvector component is treated as zero
-# when fixing the overall sign
-_SIGN_EPS = 1e-8
 # time points per block of a uniform grid's phase table (one anchor per block)
 _BLOCK = 256
 # time points per row block of a uniform grid's phase table, reduced as one:
@@ -81,11 +78,11 @@ _ROW_POINTS = 4096
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and sign-fixed orthonormal eigenvectors.
+    """Eigenvalues (ascending) and orthonormal eigenvectors.
 
-    eigenvectors[:, k] belongs to eigenvalues[k]; the first component of each
-    vector that is not negligibly small is made positive, so repeated
-    decompositions of the same chain are bit-identical.
+    eigenvectors[:, k] belongs to eigenvalues[k], with the sign eigh gives
+    it: every reader multiplies two entries of one column or takes a
+    modulus, so a column's sign cancels exactly.
     """
 
     eigenvalues: np.ndarray
@@ -108,16 +105,8 @@ def decompose(ham: SingleParticleHamiltonian) -> SpectralDecomposition:
     about 45 us at N = 8 and 4 ms at N = 200, twice LAPACK's tridiagonal
     solver at N = 200, but it runs once per chain and any scan of that chain
     costs orders of magnitude more.
-
-    Each eigenvector's sign is fixed in one pass over all columns: its leading
-    component, the first above _SIGN_EPS times the column's largest modulus,
-    is made positive.
     """
     vals, vecs = np.linalg.eigh(ham.to_dense())
-    mags = np.abs(vecs)
-    lead = np.argmax(mags > _SIGN_EPS * mags.max(axis=0), axis=0)
-    flip = vecs[lead, np.arange(vals.size)] < 0
-    vecs[:, flip] = -vecs[:, flip]
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return SpectralDecomposition(vals, vecs)

@@ -109,9 +109,9 @@ def test_fidelity_general_is_closed_form(capsys):
     assert abs(data["value"] - exact) <= 1e-15
 
 
-def test_scan_time_manifest_roundtrip(tmp_path, capsys):
+def test_single_field_scan_manifest_roundtrip(tmp_path, capsys):
     out = tmp_path / "scan.csv"
-    code, _, _ = run(capsys, "scan-time", "--N", "7", "--n", "2", "--h", "12",
+    code, _, _ = run(capsys, "scan-field", "--N", "7", "--n", "2", "--h-list", "12",
                      "--class", "omega1", "--t-max", "1500", "--out", str(out))
     assert code == 0
     manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
@@ -120,7 +120,7 @@ def test_scan_time_manifest_roundtrip(tmp_path, capsys):
     assert manifest["tool"] == "spinbus"
 
     again = tmp_path / "again.csv"
-    code, _, _ = run(capsys, "scan-time",
+    code, _, _ = run(capsys, "scan-field",
                      "--config", str(tmp_path / "scan.csv.manifest.json"),
                      "--out", str(again))
     assert code == 0
@@ -140,9 +140,9 @@ def test_flags_override_config(tmp_path, capsys):
 
 def test_config_keys_are_the_command_options(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"N": 7, "h": 8, "n": 2, "state_class": "omega1",
+    cfg.write_text(json.dumps({"N": 7, "h_list": [8], "n": 2, "state_class": "omega1",
                                "t_max": 100, "samples": 7}))
-    code, _, err = run(capsys, "scan-time", "--config", str(cfg))
+    code, _, err = run(capsys, "scan-field", "--config", str(cfg))
     assert code == 2
     assert "'samples'" in err
 
@@ -186,7 +186,7 @@ def test_scan_field_places_blocks_for_the_largest_field(tmp_path, capsys, h_list
 
 
 @pytest.mark.parametrize("argv", [
-    ("scan-time", "--N", "7", "--class", "omega1", "--t-max", "100"),
+    ("scan-field", "--N", "7", "--class", "general", "--h-list", "0,5", "--t-max", "100"),
     ("scan-field", "--N", "7", "--class", "omega1", "--h-list", "0", "--t-max", "100"),
     ("threshold", "--N-list", "7", "--t-max", "100", "--h-cap", "0.5"),
     ("reproduce", "--figure", "4a", "--h-list", "0", "--t-max", "100"),
@@ -223,7 +223,7 @@ def test_scans_take_no_sample_count(capsys, argv):
     ("rdm", "--N", "7", "--state", "1,0,0,0,0,0,0,0", "--t", "3", "--seed", "1"),
     ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--samples", "100", "--threads", "2"),
     ("verify", "--threads", "2"),
-    ("scan-time", "--N", "7", "--class", "omega1", "--t-max", "100", "--threads", "2"),
+    ("scan-time", "--N", "7", "--class", "omega1", "--t-max", "100"),  # a retired command
     ("amplitude", "--N", "7", "--sources", "1", "--targets", "7", "--t", "nan"),
     ("rdm", "--N", "7", "--state", "1,0,0,0,0,0,0,0", "--t", "inf"),
     ("fidelity", "--N", "7", "--h", "5", "--class", "omega1", "--t", "-inf"),
@@ -258,7 +258,7 @@ def test_threshold_command(tmp_path, capsys):
 
 def test_threshold_defaults_to_the_window_of_its_lengths(tmp_path, capsys):
     """Without --t-max, threshold scans each length's default window, as
-    scan-time and scan-field do, and asks for --t-max when the lengths'
+    scan-field does, and asks for --t-max when the lengths'
     defaults differ; the Fig. 5 search keeps the omega1 window."""
     out = tmp_path / "g.csv"
     argv = ("threshold", "--class", "general", "--target", "0.5", "--h-cap", "1")
@@ -276,7 +276,7 @@ def test_threshold_defaults_to_the_window_of_its_lengths(tmp_path, capsys):
 
 
 def test_threshold_chain_options_reach_the_scans(capsys):
-    """--c shapes every scanned chain; the row at h = 0 is scan-time's."""
+    """--c shapes every scanned chain; the row at h = 0 is scan-field's."""
     argv = ("threshold", "--N-list", "7", "--profile", "ballistic", "--target", "0.5",
             "--t-max", "200", "--h-cap", "10")
     rows = {}
@@ -285,8 +285,8 @@ def test_threshold_chain_options_reach_the_scans(capsys):
         assert code == 0, err
         rows[c] = out.strip().split("\n")[1].split(",")
     assert rows["0.3"] != rows["1.0"]
-    code, out, err = run(capsys, "scan-time", "--N", "7", "--profile", "ballistic",
-                         "--c", "1.0", "--class", "omega1", "--t-max", "200")
+    code, out, err = run(capsys, "scan-field", "--N", "7", "--profile", "ballistic",
+                         "--c", "1.0", "--class", "omega1", "--t-max", "200", "--h-list", "0")
     assert code == 0, err
     scan = out.strip().split("\n")[1].split(",")
     assert rows["1.0"][2] == "0"
@@ -347,7 +347,7 @@ def test_exit_code_domain_error(capsys):
 @pytest.mark.parametrize("argv", [
     ("scan-field", "--N", "7", "--h-list", "1e300"),
     ("scan-field", "--N", "7", "--class", "omega1", "--h-list", "1e300"),
-    ("scan-time", "--N", "7", "--h", "1e300"),
+    ("scan-field", "--N", "7", "--class", "one-qubit", "--h-list", "0,1e300"),
 ])
 def test_a_field_whose_curvature_bound_overflows_is_an_error(tmp_path, capsys, argv):
     """A huge finite field is refused by name, with no overflow warning on the way."""
@@ -356,6 +356,18 @@ def test_a_field_whose_curvature_bound_overflows_is_an_error(tmp_path, capsys, a
         code, _, err = run(capsys, *argv, "--t-max", "100", "--out", str(tmp_path / "scan.csv"))
     assert code == 1
     assert "1e+300" in err and "field" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan-field", "--N", "7", "--h-list", "5"),
+    ("threshold", "--N-list", "7", "--h-cap", "1"),
+])
+def test_a_window_too_long_to_walk_is_an_error(capsys, argv):
+    """A window whose coarse grid needs 2**53 points or more is refused by
+    name, not walked chunk by chunk for ever."""
+    code, out, err = run(capsys, *argv, "--t-max", "1e300")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "t_max = 1e+300" in err
 
 
 def test_a_large_field_whose_curvature_bound_is_finite_still_scans(tmp_path, capsys):
@@ -449,7 +461,7 @@ _OMEGA1_SCAN = ("--N", "7", "--class", "omega1", "--t-max", "100")
     ("threshold", "--N-li", "7", "--t-max", "100", "--h-cap", "0.5"),
     ("fidelity", "--N", "7", "--h", "5", "--t", "3", "--samp", "100"),
     # deleted flags
-    ("scan-time", *_OMEGA1_SCAN, "--grid", "0.1"),
+    ("threshold", "--N-list", "7", "--t-max", "100", "--h-cap", "0.5", "--grid", "0.1"),
     ("scan-field", *_OMEGA1_SCAN, "--h-list", "0", "--grid", "0.1"),
     ("scan-field", *_OMEGA1_SCAN, "--h-min", "0", "--h-max", "5", "--h-step", "5"),
     ("rdm", "--N", "7", "--state", "2,0,0,0,0,0,0,0", "--t", "3", "--normalize-state"),
@@ -479,7 +491,7 @@ def test_empty_list_items_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("command, key", [
-    ("scan-time", "grid"), ("scan-field", "grid"), ("scan-field", "h_min"),
+    ("scan-field", "grid"), ("scan-field", "h_min"),
     ("scan-field", "h_max"), ("scan-field", "h_step"),
 ])
 def test_manifests_setting_deleted_options_are_usage_errors(tmp_path, capsys, command, key):
@@ -547,15 +559,15 @@ def test_reproduce_carries_no_state_between_calls(capsys):
     assert second == first
 
 
-_SCAN_TIME = ("scan-time", "--class", "omega1", "--t-max", "100")
+_SCAN_FIELD = ("scan-field", "--class", "omega1", "--t-max", "100")
 
 
 @pytest.mark.parametrize("argv, config", [
-    (_SCAN_TIME, {"N": 7.9}),
-    ((*_SCAN_TIME, "--N", "7", "--h", "5"), {"n": 2.6}),
-    ((*_SCAN_TIME, "--N", "7", "--h", "5"), {"n": True}),
-    ((*_SCAN_TIME, "--N", "7"), {"seed": 3.9}),
-    ((*_SCAN_TIME, "--N", "7"), {"seed": True}),
+    ((*_SCAN_FIELD, "--h-list", "0"), {"N": 7.9}),
+    ((*_SCAN_FIELD, "--N", "7", "--h-list", "5"), {"n": 2.6}),
+    ((*_SCAN_FIELD, "--N", "7", "--h-list", "5"), {"n": True}),
+    ((*_SCAN_FIELD, "--N", "7", "--h-list", "0"), {"seed": 3.9}),
+    ((*_SCAN_FIELD, "--N", "7", "--h-list", "0"), {"seed": True}),
     (("threshold", "--t-max", "100", "--h-cap", "0.5"), {"N_list": [7.9]}),
     # without --t-max each length picks its default window first
     (("threshold", "--class", "general", "--h-cap", "0.5"), {"N_list": ["7"]}),
@@ -574,15 +586,16 @@ def test_whole_numbers_from_a_config_are_not_truncated(tmp_path, capsys, argv, c
     assert err.startswith("error:") and "must be an integer" in err
 
 
-_SCAN_7 = ("scan-time", "--N", "7", "--n", "2", "--class", "omega1")
+_SCAN_7 = ("scan-field", "--N", "7", "--n", "2", "--class", "omega1")
 _THRESHOLD_7 = ("threshold", "--N-list", "7", "--t-max", "100", "--h-cap", "0.5")
 
 
 @pytest.mark.parametrize("argv, config", [
-    ((*_SCAN_7, "--h", "5"), {"t_max": True}),
-    ((*_SCAN_7, "--t-max", "100"), {"h": True}),
-    ((*_SCAN_7, "--t-max", "100"), {"h": "5"}),
-    (("scan-time", "--N", "7", "--profile", "ballistic", "--t-max", "100"), {"c": True}),
+    ((*_SCAN_7, "--h-list", "5"), {"t_max": True}),
+    (("spectrum", "--N", "7", "--n", "2"), {"h": True}),
+    (("fidelity", "--N", "7", "--n", "2", "--class", "omega1", "--t", "3"), {"h": "5"}),
+    (("scan-field", "--N", "7", "--profile", "ballistic", "--t-max", "100", "--h-list", "0"),
+     {"c": True}),
     (("scan-field", "--N", "7", "--class", "omega1", "--t-max", "100"),
      {"h_list": [True, False]}),
     (("scan-field", "--N", "7", "--class", "omega1", "--t-max", "100"), {"h_list": ["5"]}),

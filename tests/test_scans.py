@@ -23,7 +23,7 @@ from spinbus import (
     threshold_field,
 )
 from spinbus.bounds import interval_bound, onset_horizon, series, series_ceiling
-from spinbus.fidelity import GRID_VALUES
+from spinbus.fidelity import CLASSES, GRID_VALUES
 from spinbus.reduced import _sample_fidelities
 from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _TIE_EPS, _chord_ceilings
 from spinbus.spectral import UniformGrid
@@ -1027,3 +1027,27 @@ def test_threshold_ladder_start_must_not_overflow():
     """h_cap / h_resolution = 1e20 is finite; the ladder's first index 1 / h_resolution is not."""
     with pytest.raises(ValueError, match="h_cap=1e-300, h_resolution=1e-320"):
         threshold_field(_omega1_template(100.0), (7,), h_cap=1e-300, h_resolution=1e-320)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_a_one_field_sweep_is_the_single_scan(cls):
+    request = ScanRequest(build_chain(8, 2), cls, 300.0)
+    chain = dataclasses.replace(request.chain, field=6.0)
+    single = max_over_time(dataclasses.replace(request, chain=chain))
+    assert field_sweep(request, [6.0])[0] == single
+
+
+@pytest.mark.parametrize("reach", [None, 0.9])
+def test_a_window_of_2_53_coarse_points_or_more_is_refused(reach):
+    """Past 2**53 points a grid index is not exact as a float: refused before
+    the series ceiling is asked or any chunk is evaluated."""
+    request = ScanRequest(build_chain(7, 2, 5.0), "omega1", 1e300)
+    with pytest.raises(ValueError, match=r"t_max = 1e\+300: its coarse grid, of step 0\.366"):
+        max_over_time(request, reach)
+
+
+def test_the_longest_window_the_gate_scans_still_scans():
+    """N = 8 at h = 200 over 6.2e5: about 1.5e6 coarse points, far below 2**53."""
+    result = max_over_time(ScanRequest(build_chain(8, 2, 200.0), "general", 6.2e5))
+    assert 1e6 < 6.2e5 / result.grid_step < 2e6
+    assert 0.0 < result.fbar_max <= 1.0

@@ -18,7 +18,8 @@ from spinbus import (
     propagator_minor,
     propagator_minor_grid,
 )
-from spinbus import fidelity, spectral
+from spinbus import TwoQubitState, evolve_receiver_pair, fidelity, spectral
+from spinbus.bounds import interval_bound, onset_curvature, onset_horizon, series_ceiling
 from spinbus.fidelity import GRID_VALUES
 from spinbus.spectral import _ROW_POINTS, SpectralDecomposition, UniformGrid
 
@@ -78,21 +79,37 @@ def test_minor_grid_matches_single_times():
 @pytest.mark.parametrize("ham", [
     hamiltonian_matrix(build_chain(9)),
     hamiltonian_matrix(build_chain(8, 2, 20.0)),
-    # one eigenvector leads with a nonzero component below the cutoff
     hamiltonian_matrix(build_chain(40, 2, 200.0)),
+    hamiltonian_matrix(build_chain(7, profile="engineered")),
     # site 1 decoupled: five eigenvectors have an exact zero on it
     SingleParticleHamiltonian(np.array([0.0, 1.0, -1.0, 0.5, 0.0, 2.0]),
                               np.array([0.0, -2.0, -1.5, -2.0, -1.0])),
-], ids=["uniform", "barrier", "strong-barrier", "decoupled-site"])
-def test_eigenvector_signs_match_column_loop(ham):
-    """Each eigenvector's first component above the cutoff is positive, bit for bit."""
-    _, vecs = np.linalg.eigh(ham.to_dense())
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        lead = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0]
-        if col[lead] < 0:
-            col *= -1.0
-    assert np.array_equal(decompose(ham).eigenvectors, vecs)
+], ids=["uniform", "barrier", "strong-barrier", "engineered", "decoupled-site"])
+def test_readers_do_not_see_eigenvector_signs(ham):
+    """Negating eigenvectors changes nothing a reader of them returns, bit for
+    bit: each multiplies two entries of one column or takes a modulus."""
+    dec = decompose(ham)
+    rng = np.random.default_rng(5)
+    flip = rng.random(dec.n_sites) < 0.5
+    flip[0] = True
+    flipped = SpectralDecomposition(dec.eigenvalues,
+                                    np.where(flip, -dec.eigenvectors, dec.eigenvectors))
+    sites = range(1, dec.n_sites + 1)
+    ts = np.array([0.0, 0.7, 13.0, 999.5, 1.2e4])
+    grid = UniformGrid(0.37, 5, 600)
+    state = TwoQubitState.from_vector(rng.normal(size=4) + 1j * rng.normal(size=4),
+                                      normalize=True)
+
+    def readings(d):
+        out = [propagator_minor_grid(d, sites, sites, ts), evolve_receiver_pair(d, state, 41.2)]
+        for cls, values in GRID_VALUES.items():
+            out += [values(d, ts), values(d, grid), interval_bound(d, cls),
+                    series_ceiling(d, cls), onset_horizon(d, cls),
+                    onset_curvature(d, cls, ts[1:3])]
+        return out
+
+    for plain, negated in zip(readings(dec), readings(flipped), strict=True):
+        assert np.array_equal(plain, negated)
 
 
 def _barrier_hamiltonian(n_sites, field, decoupled=False):
