@@ -31,9 +31,11 @@ sender-receiver distance, instead of K: before the arrival time the curve stays 
 rounding of its t = 0 value, and K alone would have it sampled at about
 1e-7 all along.  Elsewhere a stretch where the curve stays just below its
 best, as a window shorter than the transfer time across a strong barrier
-has, is sampled that finely still; a chunk's search stops after
-_SEARCH_POINTS points, and what it left is certified only to its ceilings,
-which the result reports as capped.
+has, is sampled that finely still.  So a scan's search has a budget,
+_SEARCH_POINTS points plus one per coarse point, set by the window and not
+by how it is cut into chunks: the chunks' searches draw on it in turn, and
+once it is spent what they left is certified only to its ceilings, which
+the result reports as capped.
 
 Values within _TIE_EPS of the maximum are ties, and t_star is the earliest
 time found among them.  A full scan holds what may hold a tie in one list:
@@ -62,8 +64,8 @@ a row block at a time, see spectral.py) while it is reduced, 40 bytes per
 live cell of it (its ends, their averages and its ceiling), the few batches
 its search stacks and the intervals held for ties: memory bounded by the
 chunk size, not by the window, save where near-ties recur all along it, as
-an engineered chain's revivals do, and each chunk's search holds at most
-its budget's worth.  A scan starts no thread: ScanRequest.threads is how
+an engineered chain's revivals do, and a search holds at most the
+scan's budget's worth.  A scan starts no thread: ScanRequest.threads is how
 many of a sweep's fields or a threshold search's lengths run at once.
 
 A scan given a value to reach is a decision scan.  Before it evaluates any
@@ -105,12 +107,14 @@ _CHUNK = 131072
 # the coarse grid's ceiling margin K step^2/8, which sets its step; chosen on
 # the Fig. 5 threshold search and the Fig. 4b sweep, where a finer grid costs
 # coarse points and a coarser one costs search points.  In-process scan CPU
-# time under the chord ceiling, medians of 15 interleaved rounds, twice (one
-# BLAS thread, Fig. 4b at two threads, 2-vCPU VM): Fig. 4b 0.031/0.032 s at
-# 0.1, 0.025/0.028 s at 0.15, 0.024/0.025 s at 0.2; Fig. 5 0.034/0.036 s,
-# 0.035/0.036 s, 0.037/0.039 s.  A wider margin trades Fig. 5 time for
-# Fig. 4b time
-_COARSE_MARGIN = 0.1
+# time with one search budget per scan, medians of 15 interleaved rounds,
+# twice (one BLAS thread, one Fig. 4b field at a time, 2-vCPU VM whose speed
+# changed between the two): Fig. 4b 28.0/42.7 ms at 0.1, 22.8/34.5 ms at
+# 0.15, 21.9/33.3 ms at 0.2; Fig. 5 32.3/54.5 ms, 33.1/55.4 ms,
+# 34.6/58.2 ms.  A wider margin trades Fig. 5 time for Fig. 4b time, and
+# costs search points on curves that stay near their best, such as the bare
+# N = 7 chain's (see _SEARCH_POINTS)
+_COARSE_MARGIN = 0.15
 # the certified gap: an interval is searched only while its ceiling lies more
 # than this above the best value.  A peak of curvature c is then placed to
 # within about sqrt(2 _GAP / c) in time, 1e-6 at c = 2.
@@ -129,17 +133,19 @@ _PHASE_ROUNDOFF = 16.0 * np.finfo(float).eps
 # Fig. 5 0.035 s in 109 against 0.040 s in 179
 _LEVEL_POINTS = 64
 _BATCH = 4096
-# the most points a chunk's search, or a scan's search for its earliest tie,
-# evaluates; a fixed budget, not a multiple of _CHUNK, so that a capped
-# search costs no more as chunks grow.  The figures' scans need at most 42413
-# in a chunk (Fig. 4a, N = 7, h = 0), the same chain over 2e5 up to 128193,
-# and the general scan of the engineered N = 7 chain over 2e4, with a
-# perfect revival every pi/2, about 764000 in its one chunk (measured with
-# no budget, under the chord ceiling).  A stretch
-# where the curve stays within about 1e-8 below its best for long, such as a
-# window shorter than the transfer time across a strong barrier, needs more:
-# the search stops there, the points it left are certified only to the
-# ceilings left, and ScanResult.capped says so.
+# a scan's search budget is this plus one point per coarse point, drawn on
+# by all its chunks (_Bound.budget), so that it grows with the window and
+# not with _CHUNK; the search for the earliest tie has its own
+# _SEARCH_POINTS.  Measured with no budget: the figures' scans need at most
+# 38381 (Fig. 4a, N = 7, h = 0, of a budget of 166027), the same chain
+# 382909 over 2e5 (budget 480613) and 573857 over 3e5 (budget 655383), about
+# 1.1 per coarse point as the window grows, so that over 1e6 it is capped;
+# the general scan of the engineered N = 7 chain over 2e4, with a perfect
+# revival every pi/2, needs about 769000 (budget 204541).  A stretch where
+# the curve stays within about 1e-8 below its best for long, such as a
+# window shorter than the transfer time across a strong barrier, needs
+# more: the search stops there, the points it left are certified only to
+# the ceilings left, and ScanResult.capped says so.
 _SEARCH_POINTS = 131072
 _CAP_SLACK = 1e-9
 
@@ -191,8 +197,9 @@ class ScanResult:
     miss the best point it evaluated, (0.0, Fbar(0)) when the series ceiling
     certified the miss: its fbar_max reaches reach exactly when a full
     scan's does, but need not be the window maximum.  capped is True
-    when a chunk's search, or the search for the earliest tie, stopped at
-    _SEARCH_POINTS with intervals left: fbar_max is then certified only to
+    when the chunks' searches spent the scan's budget (_SEARCH_POINTS plus
+    one point per coarse point), or the search for the earliest tie its own
+    _SEARCH_POINTS, with intervals left: fbar_max is then certified only to
     the ceilings of those intervals, and t_star may not be the earliest tie.
     """
 
@@ -238,8 +245,15 @@ class _Bound:
             self.curvature = k + self._allowance
         self._k, self._dec, self._class, self._t_max = k, dec, fidelity_class, t_max
         self._table = None
-        # set by a search of the scan that stops at _SEARCH_POINTS with intervals left
+        # set by a search of the scan that stops at its budget with intervals left
         self.capped = False
+
+    @cached_property
+    def budget(self):
+        """The search points the scan's chunks may still evaluate: at first
+        _SEARCH_POINTS plus one per coarse point, whatever the chunks; each
+        chunk's search (_refine) takes from it what it evaluates."""
+        return _SEARCH_POINTS + self.n_pts
 
     @cached_property
     def n_pts(self):
@@ -341,8 +355,8 @@ def _refine(evaluate, bound, chunk, floor, goal, held):
     are searched depth first, the earliest first, so the stack holds a few
     batches per level, not a whole level, even where the curve is flat.  The
     search stops early once no interval's ceiling reaches floor, or once its
-    best reaches goal, and it sets bound.capped when it stops at
-    _SEARCH_POINTS before either.
+    best reaches goal.  It spends bound.budget, the scan's, and sets
+    bound.capped when it stops with that spent before either.
     """
     t, f, batches = chunk
     # batches (ts, fs, top, max(top)), the earliest on top of the stack
@@ -352,9 +366,8 @@ def _refine(evaluate, bound, chunk, floor, goal, held):
         if top.size:
             stack.append((ts, fs, top, top.max()))
     stack.reverse()
-    points = 0
     while stack and f < goal and max(b[3] for b in stack) >= floor:
-        if points >= _SEARCH_POINTS:
+        if bound.budget <= 0:
             bound.capped = True
             break
         ts, fs, top, _ = stack.pop()
@@ -368,7 +381,7 @@ def _refine(evaluate, bound, chunk, floor, goal, held):
             continue
         parts = min(16, max(2, _LEVEL_POINTS // ts.shape[0]))
         inner, f_inner, ts, fs = _cut(evaluate, ts, fs, parts)
-        points += inner.size
+        bound.budget -= inner.size
         # row by row, the new points are in time order
         k = np.unravel_index(np.argmax(f_inner), f_inner.shape)
         if f_inner[k] > f or (f_inner[k] == f and inner[k] < t):

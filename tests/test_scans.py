@@ -25,7 +25,7 @@ from spinbus import (
 from spinbus.bounds import interval_bound, onset_horizon, series, series_ceiling
 from spinbus.fidelity import CLASSES, GRID_VALUES
 from spinbus.reduced import _sample_fidelities
-from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _TIE_EPS, _chord_ceilings
+from spinbus.scans import _CHUNK, _COARSE_MARGIN, _GAP, _SEARCH_POINTS, _TIE_EPS, _chord_ceilings
 from spinbus.spectral import UniformGrid
 
 
@@ -158,19 +158,22 @@ def test_onset_table_is_built_once_across_threads(monkeypatch):
         return onset(*args)
 
     monkeypatch.setattr(scans, "onset_curvature", counted)
-    # the bare N = 7 chain's omega2 average peaks within 0.1 of its start value,
-    # so three of this scan's ceiling calls reach below the horizon
-    max_over_time(ScanRequest(build_chain(7, 2), fidelity_class="omega2", t_max=100.0,
-                              threads=8))
-    assert len(calls) == 1
-    # at N = 20 the start lies more than 0.1 below the best, and the scan never does
+    # the bare N = 7 chain's omega2 average peaks within _COARSE_MARGIN of its
+    # start value, so some of this scan's ceiling calls reach below the horizon
+    near = max_over_time(ScanRequest(build_chain(7, 2), fidelity_class="omega2", t_max=100.0,
+                                     threads=8))
+    assert near.fbar_max - 0.5 < _COARSE_MARGIN and len(calls) == 1
+    # at N = 20 over 200 the start lies more than _COARSE_MARGIN below the best,
+    # so no coarse cell near it is searched, and the scan never reaches below
     calls.clear()
-    max_over_time(ScanRequest(build_chain(20, 2), fidelity_class="omega2", t_max=100.0,
-                              threads=8))
-    assert calls == []
-    # long enough that the onset bound at two coarse steps is far below 1e-12
+    far = max_over_time(ScanRequest(build_chain(20, 2), fidelity_class="omega2", t_max=200.0,
+                                    threads=8))
+    assert far.fbar_max - 0.5 > _COARSE_MARGIN and calls == []
+    # two search intervals of 0.4 from the start, within its first two coarse
+    # cells, where the onset bound is far below 1e-12
     bound = scans._Bound(decompose_chain(build_chain(20, 2)), "omega2", 100.0)
-    ts = np.array([[0.0, bound.step], [bound.step, 2.0 * bound.step]])
+    assert 0.4 < bound.step <= 0.8
+    ts = np.array([[0.0, 0.4], [0.4, 0.8]])
     fs = np.full((2, 2), 0.5)
     tops = [bound.ceilings(ts, fs) for _ in range(3)]
     assert len(calls) == 1
@@ -259,14 +262,30 @@ def test_a_degenerate_interval_is_its_higher_end():
 
 
 def test_a_long_bare_window_is_certified():
-    """The uniform N = 7 chain at h = 0 over 1e5: every chunk's search fits its
-    budget, and the scan finds the window maximum near t = 58176.76, 2.2e-6
+    """The uniform N = 7 chain at h = 0 over 1e5: its chunks' searches fit the
+    scan's budget, and the scan finds the window maximum near t = 58176.76, 2.2e-6
     above the peak near t = 20807.68, which a search stopped by its budget
     reports."""
     res = max_over_time(ScanRequest(build_chain(7, 2, 0.0), "general", 1.0e5))
     assert res.capped is False
     assert res.fbar_max >= 0.3387631761
     assert res.t_star == pytest.approx(58176.762, abs=1e-3)
+
+
+@pytest.mark.parametrize("t_max", [2.0e5, 3.0e5])
+def test_a_long_bare_scan_is_certified_whatever_its_chunks(monkeypatch, t_max):
+    """A scan's chunks draw on one search budget, sized by its window: the
+    uniform N = 7, h = 0 general scan is certified in chunks of 32768, 131072
+    or 262144 points alike, and reads one maximum."""
+    from spinbus import scans
+
+    results = []
+    for chunk in (_SMALL_CHUNK, 4 * _SMALL_CHUNK, 8 * _SMALL_CHUNK):
+        monkeypatch.setattr(scans, "_CHUNK", chunk)
+        results.append(max_over_time(ScanRequest(build_chain(7, 2, 0.0), "general", t_max)))
+    assert [res.capped for res in results] == [False, False, False]
+    values = [res.fbar_max for res in results]
+    assert max(values) - min(values) <= 1e-11
 
 
 def test_scan_memory_does_not_grow_with_the_window():
@@ -421,6 +440,8 @@ class _ToyBound:
     step = 0.25
 
     def __init__(self):
+        # the scan's budget over the 17 points of _toy_chunk
+        self.budget = _SEARCH_POINTS + 17
         self.capped = False
 
     @staticmethod
@@ -548,9 +569,7 @@ def test_search_stops_at_its_point_budget(monkeypatch):
     """Across a strong barrier a short window's maximum is the t = 0 value, and
     the curve leaves it by about 1e-9 over the window: certifying that to
     _GAP would take millions of points, so the search stops at its budget,
-    and the result says so."""
-    from spinbus.scans import _SEARCH_POINTS
-
+    _SEARCH_POINTS plus one point per coarse point, and the result says so."""
     calls = []
     values = GRID_VALUES["omega2"]
 
@@ -564,8 +583,13 @@ def test_search_stops_at_its_point_budget(monkeypatch):
     assert res.t_star == 0.0 and abs(res.fbar_max - 0.5) < 1e-12
     coarse = sum(len(ts) for ts in calls if isinstance(ts, UniformGrid))
     search = sum(len(ts) for ts in calls if not isinstance(ts, UniformGrid))
-    assert _SEARCH_POINTS <= search < _SEARCH_POINTS + 4096 and coarse < 100
+    assert _SEARCH_POINTS + coarse <= search < _SEARCH_POINTS + coarse + 4096 and coarse < 100
     assert res.capped
+
+
+def _off_grid(ts):
+    """Peaks 0.5 at t = 0.9 and 0.5 + 8e-13 at t = 3.3, both between the toy grid's points."""
+    return 0.5 - 0.1 * np.sin(np.pi * (ts - 0.9) / 2.4) ** 2 + 8e-13 * (ts - 0.9) / 2.4
 
 
 @pytest.mark.parametrize("chunk_budget, tie_budget, capped", [
@@ -574,28 +598,39 @@ def test_search_stops_at_its_point_budget(monkeypatch):
 def test_a_search_stopped_at_its_budget_sets_capped(monkeypatch, chunk_budget, tie_budget,
                                                      capped):
     """Two peaks between grid points, the later 8e-13 higher: the chunk's
-    search (165 points) and the search for its earliest tie (1 point, on the
-    earlier peak, where no end it held comes within _TIE_EPS) each set capped
-    when their budget (None: the default) stops them with intervals left;
-    once set, it stays."""
+    search (165 points, drawn from the scan's budget) and the search for its
+    earliest tie (1 point, on the earlier peak, where no end it held comes
+    within _TIE_EPS, and its own _SEARCH_POINTS) each set capped when their
+    budget (None: the default) stops them with intervals left; once set, it
+    stays."""
     from spinbus import scans
 
-    def off_grid(ts):  # peaks 0.5 at t = 0.9 and 0.5 + 8e-13 at t = 3.3
-        return 0.5 - 0.1 * np.sin(np.pi * (ts - 0.9) / 2.4) ** 2 + 8e-13 * (ts - 0.9) / 2.4
-
-    default = scans._SEARCH_POINTS
     bound = _ToyBound()
-    monkeypatch.setattr(scans, "_SEARCH_POINTS", default if chunk_budget is None else chunk_budget)
-    (_, f), held = _toy_held(off_grid, bound)
+    if chunk_budget is not None:
+        bound.budget = chunk_budget
+    (_, f), held = _toy_held(_off_grid, bound)
     after_chunk = bound.capped
-    monkeypatch.setattr(scans, "_SEARCH_POINTS", default if tie_budget is None else tie_budget)
-    scans._earliest(off_grid, bound, held, f - _TIE_EPS)
+    if tie_budget is not None:
+        monkeypatch.setattr(scans, "_SEARCH_POINTS", tie_budget)
+    scans._earliest(_off_grid, bound, held, f - _TIE_EPS)
     assert (after_chunk, bound.capped) == capped
+
+
+def test_chunk_searches_draw_on_one_budget():
+    """A scan's chunks share one search budget: a budget of the 165 points one
+    search of the toy curve needs is spent by it, uncapped, and a second
+    chunk's search of the same scan then stops at once with intervals left."""
+    bound = _ToyBound()
+    bound.budget = 165
+    _toy_held(_off_grid, bound)
+    assert (bound.budget, bound.capped) == (0, False)
+    _toy_held(_off_grid, bound)
+    assert (bound.budget, bound.capped) == (0, True)
 
 
 def test_a_revival_every_half_pi_reports_capped():
     """The engineered chain's general average revives every pi/2: certifying
-    each revival over 2e4 takes more than a chunk's search budget."""
+    each revival over 2e4 takes more than the scan's search budget."""
     req = ScanRequest(build_chain(7, profile="engineered"), "general", 2.0e4)
     assert max_over_time(req).capped
 
@@ -895,13 +930,15 @@ def test_a_miss_the_ceiling_certifies_finds_no_onset_horizon(monkeypatch):
 
 def test_a_reach_below_the_ceiling_walks_the_grid(monkeypatch):
     """A reach between the window maximum and the ceiling is not decided by
-    the ceiling: the scan walks its grid and certifies the miss there.  In
-    chunks of _SMALL_CHUNK points, as over a window long enough for two
-    _CHUNK-point chunks the maximum comes within 0.003 of the ceiling."""
+    the ceiling: the scan walks its grid and certifies the miss there.  Over
+    a window of one and a half chunks of _SMALL_CHUNK points, as over a
+    window long enough for two _CHUNK-point chunks the maximum comes within
+    0.003 of the ceiling."""
     from spinbus import scans
 
     monkeypatch.setattr(scans, "_CHUNK", _SMALL_CHUNK)
-    req = ScanRequest(build_chain(7, 2, 5.0), fidelity_class="omega1", t_max=1.3e4)
+    req = _in_cells(ScanRequest(build_chain(7, 2, 5.0), fidelity_class="omega1"),
+                    1.5 * _SMALL_CHUNK)
     full = max_over_time(req)
     ceiling = series_ceiling(decompose_chain(req.chain), "omega1")
     assert full.fbar_max < ceiling - 0.005
@@ -1042,12 +1079,14 @@ def test_a_window_of_2_53_coarse_points_or_more_is_refused(reach):
     """Past 2**53 points a grid index is not exact as a float: refused before
     the series ceiling is asked or any chunk is evaluated."""
     request = ScanRequest(build_chain(7, 2, 5.0), "omega1", 1e300)
-    with pytest.raises(ValueError, match=r"t_max = 1e\+300: its coarse grid, of step 0\.366"):
+    k = interval_bound(decompose_chain(request.chain), "omega1")
+    step = f"{math.sqrt(8.0 * _COARSE_MARGIN / k):.3g}"
+    with pytest.raises(ValueError, match=rf"t_max = 1e\+300: its coarse grid, of step {step},"):
         max_over_time(request, reach)
 
 
 def test_the_longest_window_the_gate_scans_still_scans():
-    """N = 8 at h = 200 over 6.2e5: about 1.5e6 coarse points, far below 2**53."""
+    """N = 8 at h = 200 over 6.2e5: about 1.2e6 coarse points, far below 2**53."""
     result = max_over_time(ScanRequest(build_chain(8, 2, 200.0), "general", 6.2e5))
     assert 1e6 < 6.2e5 / result.grid_step < 2e6
     assert 0.0 < result.fbar_max <= 1.0
