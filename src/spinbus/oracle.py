@@ -4,7 +4,8 @@ This module deliberately avoids the free-fermion machinery: sector
 Hamiltonians are assembled directly from the spin model (XX exchange plus
 on-site fields) in the basis of excitation-site subsets, and evolved through
 dense eigendecomposition.  It exists to certify the determinant amplitude
-kernel and the receiver-pair reduced state on small chains.
+kernel, the receiver-pair reduced state and the class averages on small
+chains.
 
 The spin model keeps the constant field offset sum_l h_l that the fermion
 picture drops, so sector amplitudes acquire an extra phase exp(-i*C*t) with
@@ -15,9 +16,10 @@ is common to all sectors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -95,6 +97,8 @@ class SectorEvolver:
 
     def evolve(self, vec, t: float) -> np.ndarray:
         """Propagate a sector amplitude vector by time t."""
+        if not isfinite(t):
+            raise ValueError(f"time must be finite, got t = {t!r}")
         vec = np.asarray(vec, dtype=complex).reshape(len(self.basis))
         phases = np.exp(-1j * self._vals * t)
         return self._vecs @ (phases * (self._vecs.T @ vec))
@@ -173,30 +177,46 @@ def oracle_rdm(spec: ChainSpec, state: TwoQubitState, t: float) -> np.ndarray:
     return rho
 
 
-def haar_average(channel) -> complex:
-    """Exact Haar average of <psi|rho|psi> over all two-qubit sender states.
+def _stabilizer_states() -> np.ndarray:
+    """The 60 two-qubit stabilizer states, amplitudes in |00>,|01>,|10>,|11> order:
+    the 36 products of the six one-qubit ones and the 24 (|0>|k> + w|1>|k'>)/sqrt(2)
+    with k' orthogonal to k and w in {1, -1, i, -i}."""
+    r = np.sqrt(0.5)
+    one = np.array([[1, 0], [0, 1], [r, r], [r, -r], [r, 1j * r], [r, -1j * r]])
+    perp = one[[1, 0, 3, 2, 5, 4]]
+    products = [np.kron(a, b) for a in one for b in one]
+    entangled = [np.concatenate([k, w * kp]) * r
+                 for k, kp in zip(one, perp) for w in (1, -1, 1j, -1j)]
+    return np.array(products + entangled)
 
-    channel maps a sender TwoQubitState to its receiver-pair matrix in the
-    basis (|11>, |10>, |01>, |00>).  The 4-design identity
-    Fbar = (sum_ij <i|L(|i><j|)|j> + d) / (d (d + 1)) is evaluated with each
-    L(|i><j|) = (1/2) sum_k i^k L(|psi_k><psi_k|), psi_k = (|i> + i^k |j>)/sqrt(2).
+
+# a 2-design of each class's sender states; a slice's design is the six
+# stabilizer states that lie in it, the one-qubit ones embedded in its two slots
+_GENERAL = _stabilizer_states()
+_DESIGNS = {"general": _GENERAL,
+            "omega1": _GENERAL[np.all(_GENERAL[:, [0, 3]] == 0, axis=1)],
+            "omega2": _GENERAL[np.all(_GENERAL[:, [1, 2]] == 0, axis=1)]}
+
+
+def _fidelity(rho: np.ndarray, vec: np.ndarray) -> complex:
+    # receiver row i holds the target amplitude of sender slot 3 - i
+    w = vec[::-1]
+    return complex(w.conj() @ rho @ w)
+
+
+def haar_average(channel, fidelity_class: str = "general") -> complex:
+    """Exact Haar average of <psi|rho|psi> over the class's sender states psi.
+
+    channel maps a sender TwoQubitState to its receiver-pair matrix rho in the
+    basis (|11>, |10>, |01>, |00>).  The fidelity is quadratic in psi psi^H, so
+    the Haar average, exact on a 2-design, in dimension 4 (general) or 2 (the
+    omega1 and omega2 slices) is the plain mean over the class's design states.
     The imaginary part of the result is rounding for a physical channel.
     """
-    d = 4
-    basis = np.eye(d)
-
-    def image(vec):
-        b11, b10, b01, b00 = vec / np.linalg.norm(vec)
-        return channel(TwoQubitState(b00, b01, b10, b11))
-
-    total = 0.0
-    for i in range(d):
-        total += image(basis[i])[i, i]
-        for j in range(d):
-            if j != i:
-                total += sum(1j ** k * image(basis[i] + 1j ** k * basis[j])
-                             for k in range(4))[i, j] / 2
-    return complex(total + d) / (d * (d + 1))
+    if fidelity_class not in _DESIGNS:
+        raise ValueError(f"fidelity_class must be one of {tuple(_DESIGNS)}, got {fidelity_class!r}")
+    return complex(np.mean([_fidelity(channel(TwoQubitState(*vec)), vec)
+                            for vec in _DESIGNS[fidelity_class]]))
 
 
 @dataclass(frozen=True)
@@ -215,86 +235,63 @@ class CheckResult:
 def verification_battery(seed: int = 0) -> list[CheckResult]:
     """Cross-check amplitudes, the reduced state and its scores against sectors.
 
-    The scores are the Monte Carlo scorer's and the general average.  Returns
-    one CheckResult per check; all must pass for the library to be
-    considered healthy.  Runs in a few seconds.
+    The reduced state, the Monte Carlo scorer and the general, omega1 and
+    omega2 averages are checked on the design states.  Their 60 projectors
+    span every 4 x 4 operator, so agreement on all of them pins the whole
+    receiver channel.  Returns one CheckResult per check; all must pass for
+    the library to be considered healthy.  Takes about 0.15 s on one core.
     """
     from .amplitudes import amplitude_rp
     from .chain import build_chain
-    from .fidelity import general_values
-    from .reduced import _sample_fidelities, evolve_receiver_pair, fidelity_against
-    from .spectral import amplitude_row, decompose_chain
-    from .states import SeededSampler, sample_haar_2q
+    from .fidelity import GRID_VALUES
+    from .reduced import _sample_fidelities, evolve_receiver_pair
+    from .spectral import decompose_chain
 
     seed = whole_number("seed", seed, 0)
     rng = np.random.default_rng(seed)
     results = []
 
-    # single excitation against amplitude_row
-    dev = 0.0
-    for n_sites, block, field in ((10, 1, 0.0), (10, 1, 12.0), (9, 2, 7.0)):
-        spec = build_chain(n_sites, block, field)
-        dec = decompose_chain(spec)
-        ev = SectorEvolver(spec, 1)
-        const = field_constant(spec)
-        for _ in range(10):
-            t = rng.uniform(0.0, 80.0)
-            src = int(rng.integers(1, n_sites + 1))
-            sector = ev.evolve_sites((src,), t) * np.exp(1j * const * t)
-            dev = max(dev, float(np.abs(sector - amplitude_row(dec, src, t)).max()))
-    # phase roundoff grows like eps * |lambda| * t, so 1e-12 is too tight here
-    results.append(CheckResult("single-excitation amplitudes", dev, 1e-10))
+    # r-excitation amplitudes from random source sites to every target set:
+    # propagator entries for r = 1, determinants of its minors for r = 2, 3
+    for r, name, chains in ((1, "single-excitation amplitudes",
+                             ((10, 1, 0.0), (10, 1, 12.0), (9, 2, 7.0))),
+                            (2, "two-excitation determinants", ((7, 2, 11.0), (8, 2, 11.0))),
+                            (3, "three-excitation determinants", ((8, 1, 6.0),))):
+        dev = 0.0
+        for n_sites, block, field in chains:
+            spec = build_chain(n_sites, block, field)
+            dec = decompose_chain(spec)
+            ev = SectorEvolver(spec, r)
+            for t in rng.uniform(0.0, 80.0, size=5):
+                sources = ev.basis.subsets[rng.integers(len(ev.basis))]
+                sector = ev.evolve_sites(sources, t) * np.exp(1j * field_constant(spec) * t)
+                dets = [amplitude_rp(dec, targets, sources, t) for targets in ev.basis.subsets]
+                dev = max(dev, float(np.abs(sector - dets).max()))
+        # phase roundoff grows like eps * |lambda| * t, so 1e-12 is too tight here
+        results.append(CheckResult(name, dev, 1e-10))
 
-    # two-excitation determinants over all target pairs
-    dev = 0.0
-    for n_sites in (7, 8):
-        spec = build_chain(n_sites, 2, 11.0)
-        dec = decompose_chain(spec)
-        ev = SectorEvolver(spec, 2)
-        const = field_constant(spec)
-        for _ in range(10):
-            t = rng.uniform(0.0, 80.0)
-            sector = ev.evolve_sites((1, 2), t) * np.exp(1j * const * t)
-            for k, pair in enumerate(ev.basis.subsets):
-                det = amplitude_rp(dec, pair, (1, 2), t)
-                dev = max(dev, abs(det - sector[k]))
-    results.append(CheckResult("two-excitation determinants", dev, 1e-10))
-
-    # three-excitation determinants, spot checks
-    dev = 0.0
-    spec = build_chain(8, 1, 6.0)
-    dec = decompose_chain(spec)
-    ev = SectorEvolver(spec, 3)
-    const = field_constant(spec)
-    for _ in range(5):
-        t = rng.uniform(0.0, 50.0)
-        sector = ev.evolve_sites((1, 2, 3), t) * np.exp(1j * const * t)
-        for k in rng.choice(len(ev.basis), size=12, replace=False):
-            det = amplitude_rp(dec, ev.basis.subsets[k], (1, 2, 3), t)
-            dev = max(dev, abs(det - sector[k]))
-    results.append(CheckResult("three-excitation determinants", dev, 1e-10))
-
-    # receiver-pair reduced state, the Monte Carlo scorer against the oracle
-    # state's fidelity, and the closed-form general average against the
-    # 4-design average of oracle_rdm at the last time on each chain
-    dev = dev_score = dev_general = 0.0
-    sampler = SeededSampler(seed)
+    # the receiver-pair reduced state, the Monte Carlo scorer against the
+    # oracle state's fidelity, and each class's closed form against the design
+    # average of oracle_rdm, whose memo serves the slices' states too
+    states = [TwoQubitState(*vec) for vec in _GENERAL]
+    dev = dev_score = 0.0
+    dev_class = dict.fromkeys(_DESIGNS, 0.0)
     for n_sites, field in ((7, 18.0), (8, 4.0)):
         spec = build_chain(n_sites, 2, field)
         dec = decompose_chain(spec)
-        for _ in range(5):
-            t = rng.uniform(0.0, 120.0)
-            state = sample_haar_2q(sampler)
-            rho = evolve_receiver_pair(dec, state, t)
-            ref = oracle_rdm(spec, state, t)
-            dev = max(dev, float(np.abs(rho - ref).max()))
-            score = _sample_fidelities(dec, state.vector()[None], t)[0]
-            dev_score = max(dev_score, abs(score - fidelity_against(ref, state)))
-        exact = haar_average(lambda state: oracle_rdm(spec, state, t))
-        dev_general = max(dev_general, abs(general_values(dec, (t,))[0] - exact))
+        for t in rng.uniform(0.0, 120.0, size=2):
+            channel = functools.cache(functools.partial(oracle_rdm, spec, t=t))
+            scores = _sample_fidelities(dec, _GENERAL, t)
+            for state, vec, score in zip(states, _GENERAL, scores):
+                ref = channel(state)
+                dev = max(dev, float(np.abs(evolve_receiver_pair(dec, state, t) - ref).max()))
+                dev_score = max(dev_score, abs(score - _fidelity(ref, vec)))
+            for cls in dev_class:
+                exact = haar_average(channel, cls)
+                dev_class[cls] = max(dev_class[cls], abs(GRID_VALUES[cls](dec, (t,))[0] - exact))
     results.append(CheckResult("receiver-pair reduced state", dev, 1e-10))
     results.append(CheckResult("Monte Carlo scorer", dev_score, 1e-10))
-    results.append(CheckResult("general Haar average", dev_general, 1e-10))
+    results += [CheckResult(f"{cls} Haar average", d, 1e-10) for cls, d in dev_class.items()]
 
     # sector norm conservation
     dev = 0.0

@@ -301,8 +301,8 @@ def test_08_invariant_suite():
         ok &= abs(grid[k] - scalar(dec, float(ts[k])).value) < 1e-12
     notes.append("closed-form-grids")
 
-    # closed-form general average equals the 4-design average of the
-    # receiver state, built by polarization
+    # closed-form general average equals the Haar average, exact on a
+    # 2-design, in dimension 4, of the receiver state
     probe = np.array([3.0, 170.0, 990.0])
     vals = sb.general_values(dec, probe)
     for k, t in enumerate(probe):

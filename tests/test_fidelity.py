@@ -157,8 +157,9 @@ def test_value_grids_match_scalars():
 
 
 def test_general_values_are_exact():
-    """The closed form equals the 4-design average of the receiver state and
-    agrees with large-sample Monte Carlo."""
+    """The closed form equals the Haar average, exact on a 2-design, in
+    dimension 4, of the receiver state and agrees with large-sample Monte
+    Carlo."""
     cases = ((build_chain(4), (0.3, 7.0, 55.0)),
              (build_chain(6, profile="engineered"), (np.pi / 4,)),
              (build_chain(8, 2, 0.0), (3.0, 170.0, 5287.291)),

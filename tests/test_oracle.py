@@ -1,22 +1,27 @@
 """Brute-force sector evolution as an independent reference implementation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from spinbus import (
     SectorBasis,
     SectorEvolver,
+    TwoQubitState,
     amplitude_rp,
     build_chain,
     decompose_chain,
     field_constant,
     general_values,
+    omega1_values,
+    omega2_values,
     oracle_rdm,
     sample_haar_2q,
     verification_battery,
     SeededSampler,
 )
-from spinbus.oracle import haar_average, sector_hamiltonian
+from spinbus.oracle import _DESIGNS, haar_average, sector_hamiltonian
 from spinbus.reduced import evolve_receiver_pair
 from spinbus.spectral import amplitude_row
 
@@ -121,9 +126,9 @@ def test_bare_n8_exact_haar_average_exceeds_0_8_at_scan_maximum():
 
     t = 5287.291 is one of the bare N = 8 chain's near-maximal peaks.  The
     Haar average there is above 0.8, so the chain's window maximum is too and
-    no barrier can lift that chain by 0.2.  haar_average builds it from oracle_rdm alone by the
-    4-design identity and polarization; the closed form general_values must
-    agree with it.
+    no barrier can lift that chain by 0.2.  haar_average builds it from oracle_rdm alone as
+    the Haar average, exact on a 2-design, in dimension 4; the closed form
+    general_values must agree with it.
     """
     spec = build_chain(8, 2, 0.0)
     t = 5287.291
@@ -133,8 +138,65 @@ def test_bare_n8_exact_haar_average_exceeds_0_8_at_scan_maximum():
     assert abs(general_values(decompose_chain(spec), [t])[0] - fbar) < 1e-12
 
 
+def _frame_potential(vecs):
+    return float(np.mean(np.abs(vecs.conj() @ vecs.T) ** 4))
+
+
+def test_design_tables_are_2_designs():
+    """Each class's table is a 2-design of its slots, and no smaller set is.
+
+    A set of unit vectors in dimension d has mean |<a|b>|^4 >= 2/(d(d+1)) over
+    all pairs, with equality exactly for a 2-design.
+    """
+    for cls, slots, count in (("general", [0, 1, 2, 3], 60), ("omega1", [1, 2], 6),
+                              ("omega2", [0, 3], 6)):
+        design = _DESIGNS[cls]
+        assert design.shape == (count, 4)
+        assert np.all(np.delete(design, slots, axis=1) == 0), cls
+        np.testing.assert_allclose(np.linalg.norm(design, axis=1), 1.0, atol=1e-15)
+        overlaps = np.abs(design.conj() @ design.T)
+        assert np.all(overlaps[~np.eye(count, dtype=bool)] < 1.0 - 1e-9), f"{cls} repeats a state"
+        d = len(slots)
+        bound = 2.0 / (d * (d + 1))
+        assert abs(_frame_potential(design[:, slots]) - bound) < 1e-15, cls
+        for k in range(count):
+            assert _frame_potential(np.delete(design, k, axis=0)[:, slots]) > bound + 1e-6
+    with pytest.raises(ValueError, match="fidelity_class"):
+        haar_average(lambda state: np.eye(4), "one-qubit")
+
+
+def test_omega_closed_forms_equal_the_oracle_design_average():
+    for n_sites in (7, 8):
+        for field in (0.0, 4.0, 18.0):
+            spec = build_chain(n_sites, 2, field)
+            dec = decompose_chain(spec)
+            ts = np.array([0.7, 23.0, 310.0, 2900.0])
+            for cls, values in (("omega1", omega1_values), ("omega2", omega2_values)):
+                grid = values(dec, ts)
+                for k, t in enumerate(ts):
+                    exact = haar_average(lambda state: oracle_rdm(spec, state, t), cls)
+                    assert abs(grid[k] - exact) <= 1e-10, f"{cls} N={n_sites} h={field} t={t}"
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_oracle_rejects_a_non_finite_time(t):
+    spec = build_chain(7, 2, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"t = {t}"):
+            oracle_rdm(spec, TwoQubitState(0, 0, 1, 0), t)
+        with pytest.raises(ValueError, match=f"t = {t}"):
+            SectorEvolver(spec, 2).amplitude((6, 7), (1, 2), t)
+
+
 def test_verification_battery_green():
-    for check in verification_battery(seed=0):
+    checks = verification_battery(seed=0)
+    assert [check.name for check in checks] == [
+        "single-excitation amplitudes", "two-excitation determinants",
+        "three-excitation determinants", "receiver-pair reduced state", "Monte Carlo scorer",
+        "general Haar average", "omega1 Haar average", "omega2 Haar average",
+        "sector norm conservation"]
+    for check in checks:
         assert check.ok, f"{check.name}: {check.max_deviation} > {check.tolerance}"
 
 
