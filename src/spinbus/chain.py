@@ -48,7 +48,9 @@ def real_number(name, value) -> float:
 
     float() would read True as 1.0 and "3" as 3.0; both are rejected instead.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # the exact type test spares a float the slower check against the numbers ABC
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -115,6 +117,11 @@ class ChainSpec:
 
     def couplings(self) -> np.ndarray:
         """Exchange couplings J_l for bonds l = 1..N-1."""
+        j = self._couplings()
+        j.flags.writeable = False
+        return j
+
+    def _couplings(self) -> np.ndarray:
         n = self.n_sites
         if self.profile == UNIFORM:
             j = np.ones(n - 1)
@@ -124,7 +131,6 @@ class ChainSpec:
         else:
             j = np.ones(n - 1)
             j[0] = j[-1] = self._end_coupling()
-        j.flags.writeable = False
         return j
 
     def _end_coupling(self) -> float:
@@ -133,11 +139,15 @@ class ChainSpec:
 
     def site_fields(self) -> np.ndarray:
         """On-site field h_l for sites l = 1..N (nonzero only on barriers)."""
+        f = self._site_fields()
+        f.flags.writeable = False
+        return f
+
+    def _site_fields(self) -> np.ndarray:
         f = np.zeros(self.n_sites)
         if self.field > 0:
             b1, b2 = self.barriers
             f[b1 - 1] = f[b2 - 1] = self.field
-        f.flags.writeable = False
         return f
 
 
@@ -165,16 +175,20 @@ class SingleParticleHamiltonian:
     def to_dense(self) -> np.ndarray:
         n = self.dimension
         m = np.zeros((n, n))
-        m[np.arange(n), np.arange(n)] = self.diagonal
-        m[np.arange(n - 1), np.arange(1, n)] = self.offdiagonal
-        m[np.arange(1, n), np.arange(n - 1)] = self.offdiagonal
+        # strided writes into the flat view: the diagonal steps n + 1 from
+        # entry 0, the upper off-diagonal from entry 1, the lower from entry n
+        flat = m.reshape(-1)
+        flat[::n + 1] = self.diagonal
+        flat[1::n + 1] = self.offdiagonal
+        flat[n::n + 1] = self.offdiagonal
         return m
 
 
 def hamiltonian_matrix(spec: ChainSpec) -> SingleParticleHamiltonian:
     """Single-particle matrix: off-diagonal -2*J_l, diagonal -2*h on barriers."""
-    diag = -2.0 * spec.site_fields()
-    off = -2.0 * spec.couplings()
-    diag.flags.writeable = False
-    off.flags.writeable = False
+    # scaled in place: fresh arrays, frozen once
+    diag, off = spec._site_fields(), spec._couplings()
+    diag *= -2.0
+    off *= -2.0
+    diag.flags.writeable = off.flags.writeable = False
     return SingleParticleHamiltonian(diag, off)

@@ -62,6 +62,17 @@ def _pair_weights(dec: SpectralDecomposition) -> np.ndarray:
     return _read_only(_minor_weights(dec, *_pair_sites(dec)))
 
 
+# the entries of the operator table that do not depend on F: a00 on |00> in
+# T_0, a bulk pair's a11 on |00> in T_1, and A_m's a10 and a01 on |00> in B's
+# columns T_2 and T_3
+_CONSTANT_OPERATORS = np.zeros((6, 4, 4), dtype=complex)
+_CONSTANT_OPERATORS[0, 3, 0] = _CONSTANT_OPERATORS[1, 3, 3] = 1.0
+_CONSTANT_OPERATORS[2, 3, 2] = _CONSTANT_OPERATORS[3, 3, 1] = 1.0
+_read_only(_CONSTANT_OPERATORS)
+# the signs of g_mu and g_mv in T_2 and T_3
+_G_SIGNS = _read_only(np.array([[1], [-1]]))
+
+
 def _receiver_operators(dec: SpectralDecomposition, t: float):
     """The operator table of the receiver state at time t: T, (6, 4, 4), and s, (6,).
 
@@ -69,19 +80,16 @@ def _receiver_operators(dec: SpectralDecomposition, t: float):
     psi in the sender slots [a00, a01, a10, a11].
     """
     f = _phase_products(dec.eigenvalues, _pair_weights(dec), (t,), _table).reshape(2, 2)
-    g_uv = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
-    ops = np.zeros((6, 4, 4), dtype=complex)
-    # bulk empty: a11 g_uv on |11>, A_u on |10> and A_v on |01> from (a10, a01), a00 on |00>
-    ops[0, 0, 3], ops[0, 3, 0] = g_uv, 1.0
+    u1, u2, v1, v2 = f.ravel()
+    g_uv = u1 * v2 - u2 * v1
+    ops = _CONSTANT_OPERATORS.copy()
+    # bulk empty: a11 g_uv on |11>, A_u on |10> and A_v on |01> from (a10, a01)
+    ops[0, 0, 3] = g_uv
     ops[0, 1:3, 2:0:-1] = f
-    # a bulk pair: a11 on |00>
-    ops[1, 3, 3] = 1.0
-    # B's columns, the coefficients of f_m1 and f_m2: a11 g_mu on |10>,
-    # a11 g_mv on |01>, A_m on |00>
-    ops[2:4, 1:3, 3] = f[:, ::-1].T * [[1], [-1]]
-    ops[2, 3, 2] = ops[3, 3, 1] = 1.0
+    # B's columns, the coefficients of f_m1 and f_m2: a11 g_mu on |10>, a11 g_mv on |01>
+    ops[2:4, 1:3, 3] = f[:, ::-1].T * _G_SIGNS
     # B F^T's columns
-    ops[4:] = np.matmul(f, ops[2:4].reshape(2, 16)).reshape(2, 4, 4)
+    np.matmul(f, ops[2:4].reshape(2, 16), out=ops[4:].reshape(2, 16))
     weight = 1.0 - np.vdot(f, f).real + abs(g_uv) ** 2
     return ops, np.array([1.0, weight, 1.0, 1.0, -1.0, -1.0])
 

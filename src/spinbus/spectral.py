@@ -53,7 +53,7 @@ only on (step, start, count), so a fixed chunk layout gives the same
 values however the scans run.
 
 decompose diagonalizes the dense N x N matrix with np.linalg.eigh, so the
-runtime needs numpy alone.  The solve is O(N^3), about 4 ms at N = 200, and
+runtime needs numpy alone.  The solve is O(N^3), about 3 ms at N = 200, and
 runs once per chain.
 """
 
@@ -102,9 +102,10 @@ def decompose(ham: SingleParticleHamiltonian) -> SpectralDecomposition:
 
     The solver is np.linalg.eigh on the dense matrix (it reads the lower
     triangle).  It costs O(N^3): on one core of a 2-vCPU VM a call takes
-    about 45 us at N = 8 and 4 ms at N = 200, twice LAPACK's tridiagonal
-    solver at N = 200, but it runs once per chain and any scan of that chain
-    costs orders of magnitude more.
+    about 13 us at N = 8 when repeated (about 28 us amid the benchmark's
+    point queries, 23 of them in eigh) and 2.9 ms at N = 200, two and a half
+    times LAPACK's tridiagonal solver there, but it runs once per chain and
+    any scan of that chain costs orders of magnitude more.
     """
     vals, vecs = np.linalg.eigh(ham.to_dense())
     vals.flags.writeable = False
@@ -115,13 +116,6 @@ def decompose(ham: SingleParticleHamiltonian) -> SpectralDecomposition:
 def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
     """Shorthand for decompose(hamiltonian_matrix(spec))."""
     return decompose(hamiltonian_matrix(spec))
-
-
-def _site_index(dec: SpectralDecomposition, site) -> int:
-    s = whole_number("site", site, 1)
-    if s > dec.n_sites:
-        raise ValueError(f"site {site!r} outside 1..{dec.n_sites}")
-    return s - 1
 
 
 def amplitude_1p(dec: SpectralDecomposition, target, source, t: float) -> complex:
@@ -185,10 +179,14 @@ def _minor_weights(dec: SpectralDecomposition, targets, sources) -> np.ndarray:
     for name, sites in (("targets", targets), ("sources", sources)):
         if len(sites) == 0:
             raise ValueError(f"{name} must not be empty")
-    u = dec.eigenvectors
-    tj = [_site_index(dec, s) for s in targets]
-    si = [_site_index(dec, s) for s in sources]
-    return (u.take(tj, 0)[:, None, :] * u.take(si, 0)[None, :, :]).reshape(-1, dec.n_sites).T
+    n, p = dec.n_sites, len(targets)
+    sites = (*targets, *sources)
+    rows = [whole_number("site", s, 1) - 1 for s in sites]
+    if max(rows) >= n:
+        raise ValueError(f"site {sites[rows.index(max(rows))]!r} outside 1..{n}")
+    # one take for both: the target rows, then the source rows
+    u = dec.eigenvectors.take(rows, 0)
+    return (u[:p, None, :] * u[None, p:, :]).reshape(-1, n).T
 
 
 def _table(block):
@@ -212,9 +210,10 @@ def _phase_products(lam, weights, ts, reduce) -> np.ndarray:
     overflows.
     """
     if not isinstance(ts, UniformGrid):
-        if np.asarray(ts).dtype.kind in "bUSc":
+        times = np.asarray(ts)
+        if times.dtype.kind in "bUSc":
             raise ValueError(f"times must be real numbers, got {ts!r}")
-        ts = np.asarray(ts, dtype=float)
+        ts = times.astype(float, copy=False)
         if ts.ndim != 1:
             raise ValueError(f"times must be a 1-D array, got shape {ts.shape}")
         return reduce((np.exp(-1j * _finite_phases(ts, lam, ts, lam)) @ weights)[:, :, None])
@@ -234,12 +233,14 @@ def _phase_products(lam, weights, ts, reduce) -> np.ndarray:
 
 
 def _finite_phases(x, y, ts, lam) -> np.ndarray:
-    """np.outer(x, y), the phases lam t of a table for the times ts; a phase
-    that is not finite raises ValueError naming ts, so no table holds the
-    NaN of exp(-i inf)."""
+    """The outer product of x and y, the phases lam t of a table for the
+    times ts; a phase that is not finite raises ValueError naming ts, so no
+    table holds the NaN of exp(-i inf)."""
+    # np.outer's product without its ravels, and a count in place of .all(),
+    # whose Python wrapper costs more than the check on a one-point table
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.outer(x, y)
-    if not np.isfinite(phases).all():
+        phases = x[:, None] * y
+    if np.count_nonzero(np.isfinite(phases)) < phases.size:
         raise ValueError(f"times must keep every phase lam t finite, got t = {ts!r} "
                          f"on eigenvalues up to {float(np.abs(lam).max()):.6g} in modulus")
     return phases

@@ -6,6 +6,7 @@ import pytest
 from spinbus import (
     BALLISTIC,
     ENGINEERED,
+    UNIFORM,
     ChainSpec,
     build_chain,
     hamiltonian_matrix,
@@ -26,6 +27,31 @@ def test_uniform_hamiltonian_entries():
     dense = ham.to_dense()
     assert dense.shape == (7, 7)
     assert np.array_equal(dense, dense.T)
+
+
+@pytest.mark.parametrize("profile", [UNIFORM, ENGINEERED, BALLISTIC])
+@pytest.mark.parametrize("n_sites", range(2, 17))
+def test_dense_matrix_is_the_entrywise_assembly(profile, n_sites):
+    """The entries are -2 h and -2 J, and to_dense writes the three diagonals
+    through strides of the flat view: bit for bit the matrix set entry by
+    entry, with and without a barrier field (the sign of a zero field's -0.0
+    included)."""
+    specs = [build_chain(n_sites, profile=profile)]
+    if n_sites >= 5:
+        specs.append(build_chain(n_sites, (n_sites - 3) // 2, 7.5, profile))
+    for spec in specs:
+        ham = hamiltonian_matrix(spec)
+        assert ham.diagonal.tobytes() == (-2.0 * spec.site_fields()).tobytes()
+        assert ham.offdiagonal.tobytes() == (-2.0 * spec.couplings()).tobytes()
+        expected = np.zeros((n_sites, n_sites))
+        for i, d in enumerate(ham.diagonal):
+            expected[i, i] = d
+        for i, o in enumerate(ham.offdiagonal):
+            expected[i, i + 1] = expected[i + 1, i] = o
+        dense = ham.to_dense()
+        assert np.array_equal(dense, np.diag(ham.diagonal) + np.diag(ham.offdiagonal, 1)
+                              + np.diag(ham.offdiagonal, -1))
+        assert dense.tobytes() == expected.tobytes()
 
 
 def test_engineered_couplings():

@@ -327,18 +327,32 @@ _TIME_ENTRY_POINTS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e300])
 @pytest.mark.parametrize("entry", _TIME_ENTRY_POINTS)
 def test_non_finite_times_raise(entry, t):
     """A non-finite time is an error, not a NaN value, and so is a finite one
     whose phase lam t overflows (t = 1e300 against the -2e10 of an h = 1e10
     chain): the array path of the phase products checks its phase table, and
-    every entry point that takes a time goes through it."""
+    every entry point that takes a time goes through it.  The error comes
+    without a RuntimeWarning on the way, which warnings as errors would turn
+    into a failure here."""
     dec = decompose_chain(build_chain(8, 2, 1e10 if np.isfinite(t) else 9.0))
     call = _TIME_ENTRY_POINTS[entry]
     call(dec, 31.0)
     with pytest.raises(ValueError, match="finite"):
         call(dec, t)
+
+
+@pytest.mark.parametrize("t", [0.0, 31.7, 1.94e4])
+def test_point_averages_are_the_grid_values_at_one_time(t):
+    """A single-time omega1 or omega2 average is its grid evaluator at that
+    one time, bit for bit."""
+    for n_sites, field in ((7, 0.0), (11, 13.0), (16, 27.5)):
+        dec = decompose_chain(build_chain(n_sites, 2, field))
+        ts = np.array([t])
+        assert avg_fidelity_omega1(dec, t).value == omega1_values(dec, ts)[0]
+        assert avg_fidelity_omega2(dec, t).value == omega2_values(dec, ts)[0]
 
 
 @pytest.mark.parametrize("t", [True, "3"])

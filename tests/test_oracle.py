@@ -200,6 +200,25 @@ def test_verification_battery_green():
         assert check.ok, f"{check.name}: {check.max_deviation} > {check.tolerance}"
 
 
+def test_verification_battery_builds_each_sector_once(monkeypatch):
+    """oracle_rdm needs the same two sectors for every design state and both
+    times of a chain: the battery builds each (chain, r) sector once, 13 in
+    all, not once per state."""
+    from spinbus import oracle
+
+    built = []
+    original = SectorEvolver.__init__
+
+    def counted(self, spec, excitations):
+        built.append((spec, excitations))
+        original(self, spec, excitations)
+
+    monkeypatch.setattr(SectorEvolver, "__init__", counted)
+    oracle._sector_evolver.cache_clear()
+    assert all(check.ok for check in verification_battery(seed=0))
+    assert len(built) == len(set(built)) == 13
+
+
 def test_sector_size_guard():
     with pytest.raises(ValueError):
         SectorEvolver(build_chain(8), 4)

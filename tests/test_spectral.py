@@ -357,6 +357,18 @@ def test_empty_site_lists_are_named(targets, sources, named):
         propagator_minor_grid(dec, targets, sources, (0.5, 1.0))
 
 
+@pytest.mark.parametrize("t", [0.0, 31.7, 1.94e4])
+def test_point_minor_is_the_grid_minor_at_one_time(t):
+    """propagator_minor is propagator_minor_grid at one time, bit for bit, for
+    the minors the point queries ask for."""
+    dec = decompose_chain(build_chain(11, 2, 13.0))
+    for targets, sources in (((11,), (1,)), ((10, 11), (1, 2)), ((9, 10, 11), (1, 2, 3)),
+                             ((2, 7, 11), (5,))):
+        point = propagator_minor(dec, targets, sources, t)
+        grid = propagator_minor_grid(dec, targets, sources, np.array([t]))[0]
+        assert point.tobytes() == grid.tobytes()
+
+
 def test_time_reversal_symmetry():
     """Real symmetric H makes G(-t) the conjugate of G(t)."""
     dec = decompose_chain(build_chain(7, 2, 9.0))
