@@ -18,12 +18,14 @@ frequencies coincide (3.7 at N = 7), and 16 to 72 on engineered chains.
 The coarse grid cuts the window into the fewest equal steps no longer than
 sqrt(8 _COARSE_MARGIN / K), so its last point is t_max, and its step does
 not shrink as the barrier field grows, as a step set by the spectral range
-would.  The coarse points are evaluated, and the intervals whose ceiling
-lies above the best value are cut level by level, each step's new points
-evaluated as one array of times, and pruned again, until no interval's
-ceiling lies more than _GAP above the best value.  The best evaluated value
-is the scan's.  Every class is a closed form in the propagator, so a scan
-holds no randomness.
+would.  A scan's _Bound fixes K, this grid and the search budget below
+before anything is evaluated, and refuses there a field whose K overflows
+or a window of 2**53 coarse points or more.  The coarse points are
+evaluated, and the intervals whose ceiling lies above the best value are
+cut level by level, each step's new points evaluated as one array of
+times, and pruned again, until no interval's ceiling lies more than _GAP
+above the best value.  The best evaluated value is the scan's.  Every
+class is a closed form in the propagator, so a scan holds no randomness.
 
 Near t = 0 an interval's ceiling uses bounds.onset_curvature, a bound on
 -Fbar'' over [0, hi] that falls off as a power of hi set by the
@@ -121,7 +123,11 @@ _COARSE_MARGIN = 0.15
 _GAP = 1e-12
 # values within this of the maximum are ties: the earliest time among them is reported
 _TIE_EPS = 1e-12
+# an average's absolute rounding, in the slack of a decision scan's miss
 _ROUNDING = 1e-13
+# the relative width below which _earliest no longer cuts an interval in two:
+# its ends' times are then as close as their rounding
+_NARROWEST = 1e-13
 # each phase lam t a scan evaluates is rounded to within about eps |lam| t,
 # and a value moves by less than this many such units (measured on 300 random
 # single-time queries against an independent solver: at most 2.8)
@@ -212,7 +218,17 @@ class ScanResult:
 
 
 class _Bound:
-    """The ceilings of one scan's intervals.
+    """One scan's coarse grid, search budget and interval ceilings.
+
+    The constructor computes K, the coarse grid and the budget, and is where
+    a scan is refused: a field whose K overflows, or a window whose grid
+    needs 2**53 points or more, past which a point's index is no longer
+    exact as a float and the chunks could never all be walked.  The grid's
+    n_pts points lie at step * (0 ... n_pts - 1), the fewest whose step is
+    at most sqrt(8 _COARSE_MARGIN / K) and whose last lies on t_max (the
+    window's two ends when K = 0).  budget is a counter: _SEARCH_POINTS plus
+    one per coarse point at first, whatever the chunks, and each chunk's
+    search (_refine) takes from it what it evaluates.
 
     An interval [lo, hi] with averages fs at its ends has as ceiling the top
     of its chord plus K(hi) (t - lo)(hi - t)/2 (_chord_ceilings), where
@@ -221,10 +237,10 @@ class _Bound:
     bounds.onset_horizon, K(hi) is bounds.onset_curvature's bound at the
     coarse point (k + 1) step just past hi, and past it K; the table stops
     at the horizon or at the window's last coarse point, whichever comes
-    first.  The horizon is found at the first ceiling asked for, so a
+    first.  Only the horizon and the table are lazy, as a scan may never
+    need them: the horizon is found at the first ceiling asked for, so a
     decision miss that bounds.series_ceiling certifies never finds it, and
-    the table is built once, the first time an interval below the horizon
-    needs it, so a scan whose search stays away from the start never builds
+    the table is built the first time an interval below the horizon needs
     it; its values do not depend on when, so neither do the ceilings.
 
     K is bounds.interval_bound's, which sets the coarse step, plus what the
@@ -233,49 +249,34 @@ class _Bound:
     W = 4 max |lam| above every frequency of the series, its square expanded.
     """
 
-    def __init__(self, dec, fidelity_class, t_max):
+    def __init__(self, dec, request):
+        fidelity_class, t_max = request.fidelity_class, request.t_max
         self.lam_max = float(np.abs(dec.eigenvalues).max())
-        # a huge field, or a window near the float range, overflows K to inf or
-        # nan, which max_over_time rejects
+        # a huge field, or a window near the float range, overflows K to inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
             k = interval_bound(dec, fidelity_class)
             self.spread = 0.0 if fidelity_class == "one-qubit" else series(dec, fidelity_class).spread
             top = 4.0 * self.lam_max
             self._allowance = self.spread * top * (2.0 + top * t_max)  # 0 with nothing merged
             self.curvature = k + self._allowance
-        self._k, self._dec, self._class, self._t_max = k, dec, fidelity_class, t_max
-        self._table = None
+        if not math.isfinite(self.curvature):
+            raise ValueError(f"cannot scan the field h = {request.chain.field:g} up to t_max = "
+                             f"{t_max:g}: its curvature bound overflows (largest |lambda| = "
+                             f"{self.lam_max:g})")
+        if k * t_max * t_max <= 8.0 * _COARSE_MARGIN:
+            self.n_pts = 2
+        else:
+            most = math.sqrt(8.0 * _COARSE_MARGIN / k)
+            steps = t_max / most  # inf for the longest windows
+            if steps > 2.0**53 - 2:  # math.ceil(steps) + 1 >= 2**53
+                raise ValueError(f"cannot scan t_max = {t_max:g}: its coarse grid, of step "
+                                 f"{most:.3g}, would need 2**53 points or more")
+            self.n_pts = math.ceil(steps) + 1
+        self.step = t_max / (self.n_pts - 1)
+        self.budget = _SEARCH_POINTS + self.n_pts
+        self._dec, self._class = dec, fidelity_class
         # set by a search of the scan that stops at its budget with intervals left
         self.capped = False
-
-    @cached_property
-    def budget(self):
-        """The search points the scan's chunks may still evaluate: at first
-        _SEARCH_POINTS plus one per coarse point, whatever the chunks; each
-        chunk's search (_refine) takes from it what it evaluates."""
-        return _SEARCH_POINTS + self.n_pts
-
-    @cached_property
-    def n_pts(self):
-        """The coarse grid's points, at step * (0 ... n_pts - 1): the fewest
-        whose step is at most sqrt(8 _COARSE_MARGIN / K) and whose last
-        lies on t_max.  Read once K is known to be finite.  A window that
-        needs 2**53 points or more is refused: past that a point's index is
-        no longer exact as a float, and the chunks could never all be walked."""
-        # two, the window's ends, for an average with no time dependence (K = 0)
-        if self._k * self._t_max * self._t_max <= 8.0 * _COARSE_MARGIN:
-            return 2
-        most = math.sqrt(8.0 * _COARSE_MARGIN / self._k)
-        steps = self._t_max / most  # inf for the longest windows
-        if steps > 2.0**53 - 2:  # math.ceil(steps) + 1 >= 2**53
-            raise ValueError(f"cannot scan t_max = {self._t_max:g}: its coarse grid, of step "
-                             f"{most:.3g}, would need 2**53 points or more")
-        return math.ceil(steps) + 1
-
-    @cached_property
-    def step(self):
-        """The coarse grid's step, t_max / (n_pts - 1)."""
-        return self._t_max / (self.n_pts - 1)
 
     @cached_property
     def _cells(self):
@@ -283,15 +284,16 @@ class _Bound:
         # not horizon / step first, which a tiny window's step overflows
         return self.n_pts if horizon >= self.n_pts * self.step else math.ceil(horizon / self.step)
 
+    @cached_property
+    def _table(self):
+        onset = onset_curvature(self._dec, self._class, self.step * np.arange(1, self._cells + 1))
+        return np.append(onset + self._allowance, self.curvature)
+
     def ceilings(self, ts, fs):
         """The ceiling of each interval: row j of ts holds its ends (lo, hi),
         row j of fs the averages there."""
         if not ts.size or ts[:, 1].min() >= self._cells * self.step:
             return _chord_ceilings(ts, fs, self.curvature)
-        if self._table is None:
-            onset = onset_curvature(self._dec, self._class,
-                                    self.step * np.arange(1, self._cells + 1))
-            self._table = np.append(onset + self._allowance, self.curvature)
         cell = np.minimum(ts[:, 1] // self.step, self._cells).astype(np.intp)
         return _chord_ceilings(ts, fs, self._table[cell])
 
@@ -410,7 +412,7 @@ def _earliest(evaluate, bound, held, reach):
         hit = fs >= reach
         t = float(np.where(hit, ts, t).min(initial=t))
         keep = (top >= reach) & (ts[:, 0] < t) & ~hit.any(axis=1) \
-            & (ts[:, 1] - ts[:, 0] > _ROUNDING * ts[:, 1])  # not as narrow as rounding
+            & (ts[:, 1] - ts[:, 0] > _NARROWEST * ts[:, 1])
         ts, fs = ts[keep], fs[keep]
         if not ts.size:
             return t
@@ -442,22 +444,16 @@ def max_over_time(request: ScanRequest, reach: float | None = None) -> ScanResul
             raise ValueError("reach must be a number, got nan")
     dec = decompose_chain(request.chain)
     evaluate = partial(GRID_VALUES[request.fidelity_class], dec)
-    t_max = request.t_max
-    bound = _Bound(dec, request.fidelity_class, t_max)
-    if not math.isfinite(bound.curvature):
-        raise ValueError(f"cannot scan the field h = {request.chain.field:g} up to t_max = "
-                         f"{t_max:g}: its curvature bound overflows (largest |lambda| = "
-                         f"{bound.lam_max:g})")
-    step = bound.step  # refuses a window of 2**53 coarse points or more
+    bound = _Bound(dec, request)
+    step, n_pts = bound.step, bound.n_pts
     if reach is not None:
         # no value the scan could evaluate reaches reach, with the rounding of its
         # phases and, in _ROUNDING, of its sums, and the spread of its series
-        slack = _ROUNDING + (_PHASE_ROUNDOFF * bound.lam_max + bound.spread) * t_max
+        slack = _ROUNDING + (_PHASE_ROUNDOFF * bound.lam_max + bound.spread) * request.t_max
         if series_ceiling(dec, request.fidelity_class) + slack < reach:
             return ScanResult(request.chain.field, 0.0, float(evaluate(np.zeros(1))[0]),
                               request.fidelity_class, step)
     margin = bound.curvature / 8.0 * step * step
-    n_pts = bound.n_pts
 
     def run_chunk(start):
         # the chunk's points and the first of the next chunk, if any

@@ -105,9 +105,14 @@ def decompose(ham: SingleParticleHamiltonian) -> SpectralDecomposition:
     about 13 us at N = 8 when repeated (about 28 us amid the benchmark's
     point queries, 23 of them in eigh) and 2.9 ms at N = 200, two and a half
     times LAPACK's tridiagonal solver there, but it runs once per chain and
-    any scan of that chain costs orders of magnitude more.
+    any scan of that chain costs orders of magnitude more.  A matrix with a
+    NaN or infinite entry is an error.
     """
-    vals, vecs = np.linalg.eigh(ham.to_dense())
+    m = ham.to_dense()
+    # eigh does not refuse one: it may return wrong eigenvalues beside NaN eigenvectors
+    if np.count_nonzero(np.isfinite(m)) < m.size:
+        raise ValueError("the single-particle matrix is not finite")
+    vals, vecs = np.linalg.eigh(m)
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return SpectralDecomposition(vals, vecs)

@@ -86,13 +86,15 @@ def test_curvature_allows_for_merged_frequencies():
     coarse step is set by interval_bound's K either way."""
     from spinbus import scans
 
-    plain = decompose_chain(build_chain(7, 2, 5.0))
+    chain = build_chain(7, 2, 5.0)
+    plain = decompose_chain(chain)
     assert series(plain, "general").spread == 0.0
-    bound = scans._Bound(plain, "general", 2.0e4)
+    bound = scans._Bound(plain, ScanRequest(chain, "general", 2.0e4))
     assert bound.curvature == interval_bound(plain, "general")
-    merged = decompose_chain(build_chain(8, 2, 20.0))  # its bulk mode at +-2 merges
+    chain = build_chain(8, 2, 20.0)
+    merged = decompose_chain(chain)  # its bulk mode at +-2 merges
     k = interval_bound(merged, "general")
-    bound = scans._Bound(merged, "general", 6.0e4)
+    bound = scans._Bound(merged, ScanRequest(chain, "general", 6.0e4))
     assert series(merged, "general").spread > 0.0
     assert k < bound.curvature < k * (1.0 + 1e-6)
     assert bound.step == 6.0e4 / math.ceil(6.0e4 / math.sqrt(8.0 * _COARSE_MARGIN / k))
@@ -171,7 +173,8 @@ def test_onset_table_is_built_once_across_threads(monkeypatch):
     assert far.fbar_max - 0.5 > _COARSE_MARGIN and calls == []
     # two search intervals of 0.4 from the start, within its first two coarse
     # cells, where the onset bound is far below 1e-12
-    bound = scans._Bound(decompose_chain(build_chain(20, 2)), "omega2", 100.0)
+    chain = build_chain(20, 2)
+    bound = scans._Bound(decompose_chain(chain), ScanRequest(chain, "omega2", 100.0))
     assert 0.4 < bound.step <= 0.8
     ts = np.array([[0.0, 0.4], [0.4, 0.8]])
     fs = np.full((2, 2), 0.5)
@@ -219,7 +222,7 @@ def test_an_interval_never_rises_above_its_chord_ceiling(fidelity_class, chain):
 
     dec = decompose_chain(chain)
     t_max = 200.0
-    bound = scans._Bound(dec, fidelity_class, t_max)
+    bound = scans._Bound(dec, ScanRequest(chain, fidelity_class, t_max))
     evaluate = GRID_VALUES[fidelity_class]
     rng = np.random.default_rng(1972)
     horizon = min(onset_horizon(dec, fidelity_class), t_max)
@@ -257,7 +260,8 @@ def test_a_degenerate_interval_is_its_higher_end():
         assert list(scans._chord_ceilings(ts[[0, 1, 3]], fs[[0, 1, 3]], 5.0)) == [0.5, 0.5, 0.3]
         assert list(scans._chord_ceilings(ts, fs, 0.0)) == [0.5, 0.5, 0.75, 0.3]
         assert list(scans._chord_ceilings(ts, fs, np.zeros(4))) == [0.5, 0.5, 0.75, 0.3]
-        bound = scans._Bound(decompose_chain(build_chain(7, 2, 5.0)), "general", 100.0)
+        chain = build_chain(7, 2, 5.0)
+        bound = scans._Bound(decompose_chain(chain), ScanRequest(chain, "general", 100.0))
         assert list(bound.ceilings(ts[[0, 1, 3]], fs[[0, 1, 3]])) == [0.5, 0.5, 0.3]
 
 
@@ -1083,6 +1087,37 @@ def test_a_window_of_2_53_coarse_points_or_more_is_refused(reach):
     step = f"{math.sqrt(8.0 * _COARSE_MARGIN / k):.3g}"
     with pytest.raises(ValueError, match=rf"t_max = 1e\+300: its coarse grid, of step {step},"):
         max_over_time(request, reach)
+
+
+@pytest.mark.parametrize("field, t_max, message", [
+    (1e300, 100.0, r"field h = 1e\+300 up to t_max = 100: its curvature bound overflows"),
+    (5.0, 1e300, r"t_max = 1e\+300: its coarse grid, of step"),
+])
+def test_a_bound_refuses_its_scan_when_built(field, t_max, message):
+    """Both refusals, a field whose K overflows and a window of 2**53 coarse
+    points or more, come from _Bound's constructor, before anything is read
+    from it."""
+    from spinbus import scans
+
+    chain = build_chain(7, 2, field)
+    with pytest.raises(ValueError, match=message):
+        scans._Bound(decompose_chain(chain), ScanRequest(chain, "omega1", t_max))
+
+
+def test_a_bound_is_built_whole():
+    """K, the coarse grid and the budget are plain attributes set when the
+    bound is built; the onset horizon and its table wait for a ceiling that
+    needs them."""
+    from spinbus import scans
+
+    chain = build_chain(7, 2, 5.0)
+    bound = scans._Bound(decompose_chain(chain), ScanRequest(chain, "general", 100.0))
+    assert {"curvature", "n_pts", "step", "budget"} <= vars(bound).keys()
+    assert not {"_cells", "_table"} & vars(bound).keys()
+    assert bound.budget == _SEARCH_POINTS + bound.n_pts
+    assert bound.step * (bound.n_pts - 1) == pytest.approx(100.0, rel=1e-15)
+    bound.ceilings(np.array([[0.0, bound.step]]), np.full((1, 2), 0.25))
+    assert {"_cells", "_table"} <= vars(bound).keys()
 
 
 def test_the_longest_window_the_gate_scans_still_scans():

@@ -150,6 +150,16 @@ def test_decompose_matches_tridiagonal_solver(n_sites, field, decoupled):
     assert np.all(dev <= 1e-14 + 2.0 * eps * lam_max * ts), dev
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "offdiagonal"])
+def test_decompose_refuses_a_matrix_that_is_not_finite(where, bad):
+    """A NaN or infinite entry is an error, not eigenvalues beside NaN eigenvectors."""
+    ham = _barrier_hamiltonian(4, 5.0)
+    getattr(ham, where)[1] = bad
+    with pytest.raises(ValueError, match="matrix is not finite"):
+        decompose(ham)
+
+
 @pytest.mark.parametrize("field", [0.0, 20.0, 200.0])
 @pytest.mark.parametrize("n_sites", [4, 8, 40, 200])
 def test_uniform_grid_matches_time_array(n_sites, field):
